@@ -28,8 +28,9 @@ from .ideals import (Ideal, content_calculus, element_units_guarded,
                      is_local, is_locally_principal, is_principal,
                      is_regular_ideal, is_invertible, localize_at,
                      maximal_ideals, zero_ideal_locally_irreducible)
-from .polys import (certify_gaussian, content, has_square_zero_maximal,
-                    make_poly, poly_mul, ring_gaussian_refutation_search)
+from .polys import (certify_gaussian, content, decode_poly_block,
+                    has_square_zero_maximal, make_poly, poly_count, poly_mul,
+                    ring_gaussian_refutation_search)
 from .rings import (FiniteRing, ProductRing, RingHom, TrivialExtensionRing)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
@@ -528,13 +529,10 @@ def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
     calc = content_calculus(ring)
     target = calc.lattice.ideal_id(ideal)
     members = ideal.indices
-    u = members.size
-    total = (u - 1) * u**degree
+    total = poly_count(members.size, degree)
     chunk = 1 << 16
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        vals = np.arange(start, stop, dtype=np.int64) + u**degree
-        cols = [members[(vals // u**j) % u] for j in range(degree + 1)]
+        cols = decode_poly_block(members, degree, start, min(start + chunk, total))
         hits = np.nonzero(calc.content_ids(cols) == target)[0]
         for h in hits:
             yield make_poly(ring, [int(c[h]) for c in cols])
@@ -657,18 +655,18 @@ def classify(ring: FiniteRing, config: ClassifyConfig | None = None
 
     def run(name: str, fn, *args):
         start = time.perf_counter() if config.timing else None
-        result = fn(*args)
+        out = fn(*args)
+        result = out.to_condition() if isinstance(out, GaussianRingVerdict) else out
         if start is not None:
             result.millis = round((time.perf_counter() - start) * 1000.0, 3)
         report.conditions[name] = result
-        return result
+        return out
 
     run("reduced", decide_reduced, ring)
     run("semihereditary", decide_semihereditary, ring, config)
     run("weak_dim_class", decide_weak_dim, ring)
     run("arithmetical", decide_arithmetical, ring, config)
-    gaussian = gaussian_ring_verdict(ring, config)
-    run("gaussian", lambda: gaussian.to_condition())
+    gaussian = run("gaussian", gaussian_ring_verdict, ring, config)
     run("pruefer", decide_pruefer, ring, config)
     run("total_quotient_ring", decide_total_quotient, ring, config)
     run("pseudo_arithmetical", decide_pseudo_arithmetical, ring, config, gaussian)

@@ -82,19 +82,26 @@ class Ideal:
         return f"<Ideal of {self.ring.name} size={self.size} gens=[{gens}]>"
 
 
+def _distinct_indices(n: int, values) -> np.ndarray:
+    """Sorted distinct element indices among `values` (a membership scatter)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
+
+
 def additive_closure_indices(ring: FiniteRing, indices: np.ndarray) -> np.ndarray:
     """Close an index set containing 0 under addition by repeated doubling."""
-    cur = np.unique(np.asarray(indices, dtype=np.int64))
+    cur = _distinct_indices(ring.order, np.asarray(indices, dtype=np.int64))
     while True:
-        sums = ring.add_arr(cur[:, None], cur[None, :]).ravel()
-        nxt = np.unique(sums)
+        nxt = _distinct_indices(ring.order, ring.add_arr(cur[:, None], cur[None, :]))
         if nxt.size == cur.size:
             return nxt
         cur = nxt
 
 
 def _principal_indices(ring: FiniteRing, a: int) -> np.ndarray:
-    return np.unique(ring.mul_arr(np.arange(ring.order, dtype=np.int64), a))
+    return _distinct_indices(
+        ring.order, ring.mul_arr(np.arange(ring.order, dtype=np.int64), a))
 
 
 def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
@@ -247,7 +254,7 @@ def principal_ideal_masks(ring: FiniteRing) -> list[int]:
         rows = np.arange(start, min(start + block, n), dtype=np.int64)
         prods = ring.mul_arr(cols[None, :], rows[:, None])
         for r in range(rows.size):
-            masks.append(mask_from_indices(np.unique(prods[r]), n))
+            masks.append(mask_from_indices(prods[r], n))
     ring._cache["principal_masks"] = masks
     return masks
 

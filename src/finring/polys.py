@@ -10,7 +10,9 @@ content, so comparing millions of candidate products stays cheap.
 Polynomial enumeration order (pinned; witnesses in reports depend on it):
 by degree ascending, then lexicographically on the coefficient tuple read
 from the leading coefficient down to the constant, leading coefficient
-nonzero.
+nonzero.  The Gaussian searches enumerate non-unit coefficients only: by
+Dedekind–Mertens a g of unit content never violates c(fg) = c(f)c(g), so the
+first violation is unchanged.  Caps and bounds still count the full order.
 """
 
 from __future__ import annotations
@@ -85,19 +87,20 @@ def cumulative_poly_count(n: int, max_degree: int) -> int:
     return sum(poly_count(n, d) for d in range(max_degree + 1))
 
 
-def decode_poly_block(n: int, degree: int, start: int, stop: int) -> list[np.ndarray]:
-    """Coefficient columns (low-first) for enumeration indices [start, stop).
+def decode_poly_block(alphabet, degree: int, start: int, stop: int) -> list[np.ndarray]:
+    """Coefficient columns (low-first) of indices [start, stop) over `alphabet`.
 
-    The enumeration index of a degree-d polynomial is the base-n value of its
-    coefficient tuple read leading-first, offset by n^d, which realises the
-    pinned order.
+    A degree-d index is the base-u value (u = alphabet size) of the digit tuple
+    read leading-first, offset by u^d; digit k stands for alphabet[k].  Over
+    0..n-1 this is the pinned order, and any sorted sub-alphabet keeps it.
     """
-    vals = np.arange(start, stop, dtype=np.int64) + n**degree
-    return [(vals // n**j) % n for j in range(degree + 1)]
+    u = alphabet.size
+    vals = np.arange(start, stop, dtype=np.int64) + u**degree
+    return [alphabet[(vals // u**j) % u] for j in range(degree + 1)]
 
 
 def poly_at_index(ring: FiniteRing, degree: int, index: int) -> RingPoly:
-    cols = decode_poly_block(ring.order, degree, index, index + 1)
+    cols = decode_poly_block(np.arange(ring.order), degree, index, index + 1)
     return make_poly(ring, [int(c[0]) for c in cols])
 
 
@@ -119,38 +122,38 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                             cap: int = 2_000_000) -> RingPoly | None:
     """First g (pinned order, degree ≤ bound) with c(fg) ≠ c(f)c(g), or None.
 
-    Raises BoundExceededError when the full candidate count exceeds `cap`
-    rather than silently truncating; callers wanting a clamped search use
-    certify_gaussian.
+    Enumerates only g with non-unit coefficients (Dedekind–Mertens), in
+    chunks growing from 4096 to _PAIR_CHUNK, and stops at the first violating
+    chunk.  Raises BoundExceededError when the full, unpruned candidate count
+    exceeds `cap`; callers wanting a clamped search use certify_gaussian.
     """
     ring = f.ring
-    n = ring.order
     if degree_bound < 0:
         raise RingBuildError("degree bound must be >= 0")
-    total = cumulative_poly_count(n, degree_bound)
+    total = cumulative_poly_count(ring.order, degree_bound)
     if total > cap:
         raise BoundExceededError(
             f"witness search over {ring.name} needs {total} candidates; cap {cap}")
     if f.is_zero():
         return None
     calc = content_calculus(ring)
+    nonunits = np.flatnonzero(~element_units_guarded(ring))
     f_cols = [np.int64(c) for c in f.coeffs]
-    cf = int(calc.content_ids([np.array([c]) for c in f.coeffs])[0])
-    cf_row = calc.prod_row(cf)
+    cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
+    chunk = 4096
     for d in range(degree_bound + 1):
-        count = poly_count(n, d)
-        for start in range(0, count, _PAIR_CHUNK):
-            stop = min(start + _PAIR_CHUNK, count)
-            g_cols = decode_poly_block(n, d, start, stop)
-            cg = calc.content_ids(g_cols)
-            expected = cf_row[cg]
-            fg_cols = _convolve_columns(ring, f_cols, g_cols)
-            actual = calc.content_ids(fg_cols)
-            bad = np.nonzero(actual != expected)[0]
+        count, start = poly_count(nonunits.size, d), 0
+        while start < count:
+            g_cols = decode_poly_block(nonunits, d, start, min(start + chunk, count))
+            expected = cf_row[calc.content_ids(g_cols)]
+            actual = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
+            bad = np.flatnonzero(actual != expected)
             if bad.size:
-                g = poly_at_index(ring, d, start + int(bad[0]))
+                g = make_poly(ring, [int(c[bad[0]]) for c in g_cols])
                 _verify_violation(f, g)
                 return g
+            start += chunk
+            chunk = min(4 * chunk, _PAIR_CHUNK)
     return None
 
 
@@ -325,26 +328,22 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
     Raises BoundExceededError if the budget is exhausted before any total
     degree completes.
     """
-    n = ring.order
     calc = content_calculus(ring)
     budget = pair_cap
 
-    # candidate tuples per degree, coefficients restricted to non-units
-    # (a unit coefficient forces unit content), then filtered to proper content
-    nonunits = np.nonzero(~element_units_guarded(ring))[0].astype(np.int64)
-    u = nonunits.size
+    # non-unit candidate tuples per degree, filtered to proper content
+    nonunits = np.flatnonzero(~element_units_guarded(ring))
     cands: list[tuple[list[np.ndarray], np.ndarray]] = []
     for d in range(degree_bound + 1):
-        total = (u - 1) * u**d if u > 1 else 0
+        total = poly_count(nonunits.size, d)
         if total > budget:
             cands.append(None)
             continue
         budget -= total
         cols, cids = [], []
         for start in range(0, total, _PAIR_CHUNK):
-            stop = min(start + _PAIR_CHUNK, total)
-            vals = np.arange(start, stop, dtype=np.int64) + u**d
-            block = [nonunits[(vals // u**j) % u] for j in range(d + 1)]
+            block = decode_poly_block(nonunits, d, start,
+                                      min(start + _PAIR_CHUNK, total))
             ids = calc.content_ids(block)
             keep = ids != calc.unit_id
             cols.append([c[keep] for c in block])
@@ -412,7 +411,7 @@ def gaussian_violation_table(ring: FiniteRing, f_degree: int, g_degree: int):
         for fs in range(0, f_count, f_block):
             fe = min(fs + f_block, f_count)
             rows = fe - fs
-            f_cols = decode_poly_block(n, df, fs, fe)
+            f_cols = decode_poly_block(np.arange(n), df, fs, fe)
             cf = calc.content_ids(f_cols)
             first: list[tuple[int, int] | None] = [None] * rows
             g_block = max(1, _PAIR_CHUNK // rows)
@@ -420,7 +419,7 @@ def gaussian_violation_table(ring: FiniteRing, f_degree: int, g_degree: int):
                 g_count = poly_count(n, dg)
                 for gs in range(0, g_count, g_block):
                     ge = min(gs + g_block, g_count)
-                    g_cols = decode_poly_block(n, dg, gs, ge)
+                    g_cols = decode_poly_block(np.arange(n), dg, gs, ge)
                     expected = calc.prod_ids(cf[:, None],
                                              calc.content_ids(g_cols)[None, :])
                     actual = calc.content_ids(_convolve_columns(

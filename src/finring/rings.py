@@ -278,11 +278,11 @@ class GFRing(FiniteRing):
         if coeffs[-1] != 1:
             inv = pow(coeffs[-1], -1, p)
             coeffs = tuple((c * inv) % p for c in coeffs)
-        if not is_irreducible_mod_p(coeffs, p):
-            raise RingBuildError(f"gf modulus {list(poly)} is reducible mod {p}")
         q = p**k
         if q > TABLE_LIMIT:
             raise RingBuildError(f"gf order {q} above the supported bound {TABLE_LIMIT}")
+        if not is_irreducible_mod_p(coeffs, p):
+            raise RingBuildError(f"gf modulus {list(poly)} is reducible mod {p}")
         self.p, self.k, self.modulus = p, k, coeffs[:-1]
         self._exp, self._log = self._build_log_tables(p, k, coeffs)
         super().__init__(q, 1, spec or RingSpec("gf", (p, k, tuple(poly))))

@@ -1,6 +1,8 @@
 """Condition deciders: frozen fixture verdicts, certificates, config handling."""
 
+import importlib
 import json
+import time
 
 import pytest
 
@@ -153,6 +155,20 @@ def test_millis_only_with_timing():
     timed = classify(ZmodRing(4), ClassifyConfig(timing=True)).to_dict()
     assert all("millis" not in c for c in base["conditions"].values())
     assert all("millis" in c for c in timed["conditions"].values())
+
+
+def test_gaussian_millis_include_ring_verdict(monkeypatch):
+    # the package re-exports classify(), which shadows the module attribute
+    classify_module = importlib.import_module("finring.classify")
+    original = classify_module.gaussian_ring_verdict
+
+    def slow(ring, config):
+        time.sleep(0.02)
+        return original(ring, config)
+
+    monkeypatch.setattr(classify_module, "gaussian_ring_verdict", slow)
+    report = classify(ZmodRing(4), ClassifyConfig(timing=True))
+    assert report.conditions["gaussian"].millis >= 20
 
 
 # ---------------------------------------------------------------- config

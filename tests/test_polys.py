@@ -14,7 +14,8 @@ from finring.polys import (RingPoly, certify_gaussian, content,
                            has_square_zero_maximal, make_poly, poly_at_index,
                            poly_count, poly_from_literals, poly_mul,
                            ring_gaussian_refutation_search)
-from finring.rings import ZmodRing, free_module, make_trivial_extension, standard_gf
+from finring.rings import (ProductRing, ZmodRing, free_module,
+                           make_trivial_extension, standard_gf)
 
 
 def _residue_idealization(order: int, dim: int = 1):
@@ -181,21 +182,36 @@ def test_ring_refutation_search_clean_on_gaussian_ring():
 # ---------------------------------------------------------------- exhaustive oracle
 
 
-def test_violation_table_matches_witness_search():
-    ext = _self_idealization(4)
-    table = gaussian_violation_table(ext, 1, 1)
-    assert len(table) == ext.order ** 2 - 1  # all nonzero f of degree <= 1
+def _assert_search_finds_oracle_witness(ring) -> int:
+    """The pruned witness search returns, for every nonzero f of degree <= 1,
+    exactly the first witness of the unpruned oracle; returns how many f
+    have one."""
+    table = gaussian_violation_table(ring, 1, 1)
+    assert len(table) == ring.order ** 2 - 1  # all nonzero f of degree <= 1
     dirty = 0
     for df, fi, hit in table:
-        f = poly_at_index(ext, df, fi)
+        f = poly_at_index(ring, df, fi)
         direct = gaussian_witness_search(f, 1)
         assert (direct is None) == (hit is None)
         if hit is not None:
             dirty += 1
             dg, gi = hit
-            g = poly_at_index(ext, dg, gi)
+            g = poly_at_index(ring, dg, gi)
+            assert direct.coeffs == g.coeffs
             assert not dedekind_mertens_violation_free(f, g)
-    assert dirty > 0
+    return dirty
+
+
+def test_violation_table_matches_witness_search():
+    assert _assert_search_finds_oracle_witness(_self_idealization(4)) > 0
+
+
+def test_violation_table_matches_witness_search_non_local():
+    # on a non-local ring a sum of non-units can be a unit, so some g with
+    # only non-unit coefficients still have unit content and are searched
+    ring = ProductRing(_self_idealization(4), ZmodRing(2))
+    assert is_local(ring) is None
+    assert _assert_search_finds_oracle_witness(ring) > 0
 
 
 def dedekind_mertens_violation_free(f, g):

@@ -86,6 +86,17 @@ def test_gf_rejects_reducible_modulus():
         GFRing(2, 2, (1, 0, 1))  # x^2+1 reducible mod 2
 
 
+def test_gf_order_checked_before_irreducibility(monkeypatch):
+    # the irreducibility test is exhaustive; an oversized field must be
+    # rejected before it runs
+    def fail(*_args):
+        raise AssertionError("irreducibility tested on an oversized field")
+
+    monkeypatch.setattr("finring.rings.is_irreducible_mod_p", fail)
+    with pytest.raises(RingBuildError, match="above the supported bound"):
+        GFRing(2, 11, (1, 0, 1) + (0,) * 8 + (1,))  # order 2048 > TABLE_LIMIT
+
+
 def test_standard_gf_table_covers_spec_sizes():
     for (p, k) in [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2)]:
         ring = standard_gf(p, k)
