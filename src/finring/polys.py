@@ -122,10 +122,10 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                             cap: int = 2_000_000) -> RingPoly | None:
     """First g (pinned order, degree ≤ bound) with c(fg) ≠ c(f)c(g), or None.
 
-    Enumerates only g with non-unit coefficients (Dedekind–Mertens), in
-    chunks growing from 4096 to _PAIR_CHUNK, and stops at the first violating
-    chunk.  Raises BoundExceededError when the full, unpruned candidate count
-    exceeds `cap`; callers wanting a clamped search use certify_gaussian.
+    Enumerates only g with non-unit coefficients (Dedekind–Mertens) and stops
+    at the first violating chunk.  Raises BoundExceededError when the full,
+    unpruned candidate count exceeds `cap`; callers wanting a clamped search
+    use certify_gaussian.
     """
     ring = f.ring
     if degree_bound < 0:
@@ -140,11 +140,11 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     nonunits = np.flatnonzero(~element_units_guarded(ring))
     f_cols = [np.int64(c) for c in f.coeffs]
     cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
-    chunk = 4096
     for d in range(degree_bound + 1):
-        count, start = poly_count(nonunits.size, d), 0
-        while start < count:
-            g_cols = decode_poly_block(nonunits, d, start, min(start + chunk, count))
+        count = poly_count(nonunits.size, d)
+        for start in range(0, count, _PAIR_CHUNK):
+            g_cols = decode_poly_block(nonunits, d, start,
+                                       min(start + _PAIR_CHUNK, count))
             expected = cf_row[calc.content_ids(g_cols)]
             actual = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
             bad = np.flatnonzero(actual != expected)
@@ -152,8 +152,6 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                 g = make_poly(ring, [int(c[bad[0]]) for c in g_cols])
                 _verify_violation(f, g)
                 return g
-            start += chunk
-            chunk = min(4 * chunk, _PAIR_CHUNK)
     return None
 
 

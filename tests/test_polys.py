@@ -4,6 +4,7 @@ certification, and the exhaustive violation oracle they are audited against."""
 import numpy as np
 import pytest
 
+from finring import polys
 from finring.errors import RingBuildError
 from finring.ideals import (ideal_generated_by, is_local, is_principal,
                             principal_ideal, residue_vector_space)
@@ -212,6 +213,18 @@ def test_violation_table_matches_witness_search_non_local():
     ring = ProductRing(_self_idealization(4), ZmodRing(2))
     assert is_local(ring) is None
     assert _assert_search_finds_oracle_witness(ring) > 0
+
+
+@pytest.mark.parametrize("chunk", [1 << 18, 500])
+def test_deep_degree_two_witness_frozen(monkeypatch, chunk):
+    # frozen from the unpruned search: over Z8 ∝ Z8 this witness sits at
+    # position 133185 of the full degree-2 order and 16929 of the non-unit
+    # order; chunk 500 makes the search cross 34 chunk boundaries to reach it
+    monkeypatch.setattr(polys, "_PAIR_CHUNK", chunk)
+    ext = _self_idealization(8)
+    f = poly_from_literals(ext, [(0, 5), (4, 5), (4, 7)])
+    g = gaussian_witness_search(f, 2)
+    assert g.literals() == [(0, 1), (4, 1), (4, 1)]
 
 
 def dedekind_mertens_violation_free(f, g):
