@@ -15,12 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError
-from .ideals import (element_units_guarded, enumerate_ideals,
-                     ideal_generated_by, ideal_product, is_local,
-                     is_locally_principal, localize_at, maximal_ideals,
-                     minimal_nonzero_ideals, principal_ideal, push_ideal)
+from .ideals import (enumerate_ideals, ideal_generated_by, ideal_product,
+                     is_local, is_locally_principal, localize_at,
+                     maximal_ideals, minimal_nonzero_ideals, principal_ideal,
+                     push_ideal)
 from .polys import content, make_poly, poly_mul
-from .rings import FiniteRing, ProductRing, RingHom, TrivialExtensionRing
+from .rings import (FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
+                    element_units)
 
 _CHUNK = 1 << 22
 
@@ -264,7 +265,7 @@ def replay_pruefer(ring: FiniteRing, result: dict) -> bool:
     if result["verdict"] is not True:
         _fail(ring, "pruefer", "negative Prüfer verdict cannot arise over a "
               "finite commutative ring; refusing to replay")
-    units = element_units_guarded(ring)
+    units = element_units(ring)
     kind = result["certificate"]["kind"]
     if kind == "all_regular_ideals_invertible":
         lattice = enumerate_ideals(ring)
@@ -281,7 +282,7 @@ def replay_total_quotient(ring: FiniteRing, result: dict) -> bool:
     if result["verdict"] is not True:
         _fail(ring, "total_quotient_ring", "negative verdict cannot arise over "
               "a finite commutative ring; refusing to replay")
-    units = element_units_guarded(ring)
+    units = element_units(ring)
     cert = result["certificate"]
     if cert["kind"] == "unit_zerodivisor_partition":
         n = ring.order

@@ -23,15 +23,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError
-from .ideals import (Ideal, content_calculus, element_units_guarded,
-                     enumerate_ideals, ideal_generated_by, ideal_product,
-                     is_local, is_locally_principal, is_principal,
-                     is_regular_ideal, is_invertible, localize_at,
-                     maximal_ideals, zero_ideal_locally_irreducible)
+from .ideals import (Ideal, content_calculus, enumerate_ideals,
+                     ideal_generated_by, ideal_product, is_local,
+                     is_locally_principal, is_principal, localize_at,
+                     mask_from_indices, maximal_ideals,
+                     zero_ideal_locally_irreducible)
 from .polys import (certify_gaussian, content, decode_poly_block,
                     has_square_zero_maximal, make_poly, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
-from .rings import (FiniteRing, ProductRing, RingHom, TrivialExtensionRing)
+from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
+                    ProductRing, RingHom, TrivialExtensionRing, element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
 
@@ -465,28 +466,24 @@ def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfi
 def decide_pruefer(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
     """Every regular finitely generated ideal invertible.
 
-    At lattice scale every lattice ideal is tested with the general
-    invertibility definition (which itself asserts the finite-ring collapse).
-    Above it, the certified unit/zerodivisor partition shows every regular
-    ideal contains a unit and therefore is the whole ring.
+    A regular ideal contains a non-zerodivisor, which the certified
+    unit/zerodivisor partition shows is a unit, so the ideal is the whole
+    ring.  At lattice scale the ideals containing a unit are counted, and a
+    proper one among them is an internal error.
     """
+    units = element_units(ring)
     if ring.order <= config.lattice_limit:
         lattice = enumerate_ideals(ring, config.lattice_limit)
-        regular = 0
-        for ideal in lattice.ideals:
-            if is_regular_ideal(ideal):
-                regular += 1
-                if not is_invertible(ideal):
-                    return ConditionResult(
-                        False, {"kind": "non_invertible_regular_ideal"},
-                        witness={"ideal_gens": _lits(ring, ideal.gens)})
+        unit_mask = mask_from_indices(np.flatnonzero(units), ring.order)
+        regular = [ideal for ideal in lattice.ideals if ideal.mask & unit_mask]
+        if any(ideal.is_proper() for ideal in regular):
+            raise ConsistencyError(f"{ring.name}: a proper ideal contains a unit")
         return ConditionResult(True, {"kind": "all_regular_ideals_invertible",
                                       "ideal_count": len(lattice),
-                                      "regular_ideal_count": regular})
-    units = element_units_guarded(ring)
+                                      "regular_ideal_count": len(regular)})
     return ConditionResult(True, {
         "kind": "regular_ideals_collapse",
-        "unit_count": int(units.sum()),
+        "unit_count": int(np.count_nonzero(units)),
         "justification": ("certified unit/zerodivisor partition: a regular "
                           "ideal contains a non-zerodivisor, which is a unit, "
                           "so the only regular ideal is the ring itself"),
@@ -494,29 +491,14 @@ def decide_pruefer(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
 
 
 def decide_total_quotient(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
-    """Every element a unit or a zerodivisor, by exhaustive partition."""
-    n = ring.order
-    if isinstance(ring, TrivialExtensionRing) and n * n > (1 << 26):
-        units = element_units_guarded(ring)  # verifies explicit witnesses
-        return ConditionResult(True, {
-            "kind": "certified_unit_and_annihilator_witnesses",
-            "unit_count": int(units.sum()),
-            "zerodivisor_count": int(n - units.sum())})
-    units = element_units_guarded(ring)
-    idx = np.arange(n, dtype=np.int64)
-    zd = np.zeros(n, dtype=bool)
-    zd[ring.zero] = True
-    block = max(1, _CHUNK // n)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
-        prods = ring.mul_arr(rows[:, None], idx[None, 1:])
-        zd[rows] |= (prods == ring.zero).any(axis=1)
-    if not bool(np.all(units ^ zd)):
-        raise ConsistencyError(
-            f"{ring.name}: unit/zerodivisor partition failed")
-    return ConditionResult(True, {"kind": "unit_zerodivisor_partition",
-                                  "unit_count": int(units.sum()),
-                                  "zerodivisor_count": int(zd.sum())})
+    """Every element a unit or a zerodivisor, read off the certified
+    partition (the kind only names the scale: above KIND_SCAN_LIMIT pair
+    products only a trivial extension's structural witnesses are possible)."""
+    unit_count = int(np.count_nonzero(element_units(ring)))
+    kind = ("certified_unit_and_annihilator_witnesses"
+            if ring.order**2 > KIND_SCAN_LIMIT else "unit_zerodivisor_partition")
+    return ConditionResult(True, {"kind": kind, "unit_count": unit_count,
+                                  "zerodivisor_count": ring.order - unit_count})
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +633,13 @@ def decide_zero_locally_irreducible(ring: FiniteRing,
 def classify(ring: FiniteRing, config: ClassifyConfig | None = None
              ) -> ClassificationReport:
     config = config or ClassifyConfig.from_env()
+    # the largest supported ring is a trivial extension of a table-backed base
+    # by the largest module; refuse bigger ones before any decider allocates
+    # per-element arrays
+    if ring.order > TABLE_LIMIT * MODULE_LIMIT:
+        raise BoundExceededError(
+            f"{ring.name} has order {ring.order}, above the largest supported "
+            f"order {TABLE_LIMIT * MODULE_LIMIT}")
     report = ClassificationReport(ring.name, ring.order, config)
 
     def run(name: str, fn, *args):

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .ideals import (Ideal, content_calculus, element_units_guarded,
-                     ideal_generated_by, ideal_product, is_local)
-from .rings import FiniteRing
+from .ideals import (Ideal, content_calculus, ideal_generated_by,
+                     ideal_product, is_local)
+from .rings import FiniteRing, element_units
 
 _PAIR_CHUNK = 1 << 18
 
@@ -137,7 +137,7 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     if f.is_zero():
         return None
     calc = content_calculus(ring)
-    nonunits = np.flatnonzero(~element_units_guarded(ring))
+    nonunits = np.flatnonzero(~element_units(ring))
     f_cols = [np.int64(c) for c in f.coeffs]
     cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
     for d in range(degree_bound + 1):
@@ -330,7 +330,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
     budget = pair_cap
 
     # non-unit candidate tuples per degree, filtered to proper content
-    nonunits = np.flatnonzero(~element_units_guarded(ring))
+    nonunits = np.flatnonzero(~element_units(ring))
     cands: list[tuple[list[np.ndarray], np.ndarray]] = []
     for d in range(degree_bound + 1):
         total = poly_count(nonunits.size, d)

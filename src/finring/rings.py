@@ -18,6 +18,9 @@ from .errors import BoundExceededError, ConsistencyError, RingBuildError
 
 TABLE_LIMIT = 1024   # dense op tables are built below this order
 MODULE_LIMIT = 1024  # modules are always table-backed
+KIND_SCAN_LIMIT = 2**26   # cap on n^2 work for the generic unit scan
+
+_SCAN_CHUNK = 1 << 22     # products per block of the unit scan
 
 Literal = "int | tuple"  # element literals: ints for zmod/gf, tuples for pairs
 
@@ -658,37 +661,100 @@ def make_trivial_extension(base: FiniteRing, module: FiniteModule,
     return ring, embed, project
 
 
-def element_kind(ring: FiniteRing, a: int) -> str:
-    """Classify a as 'unit' or 'zerodivisor' by exhaustive scan (0 counts as
-    a zerodivisor).  In a finite commutative ring exactly one case holds."""
-    row = ring.mul_arr(a, np.arange(ring.order, dtype=np.int64))
-    if bool((row == ring.one).any()):
-        return "unit"
-    if a == ring.zero or bool((row[1:] == ring.zero).any()):
-        return "zerodivisor"
-    raise ConsistencyError(f"element {a} of {ring.name} is neither unit nor zerodivisor")
+@dataclass(frozen=True)
+class UnitPartition:
+    """Certified split of a ring into units and zerodivisors (0 is one).
+
+    ``witness[a]`` is an inverse of a when ``units[a]``, and otherwise a
+    nonzero b with a·b = 0; unit_partition verifies every witness.
+    """
+
+    units: np.ndarray
+    witness: np.ndarray
 
 
-def element_units(ring: FiniteRing) -> np.ndarray:
-    """Boolean unit mask for all elements, cached on the ring."""
+def unit_partition(ring: FiniteRing) -> UnitPartition:
+    """The ring's unit/zerodivisor partition, built once and cached.
+
+    Trivial extensions get their witnesses structurally in O(n); other rings,
+    and extensions where that construction fails, get them from one scan of
+    all n² products, refused above KIND_SCAN_LIMIT.  Either way all witnesses
+    are checked with two O(n) multiplications before the partition is kept.
+    """
     cached = ring._cache.get("units")
     if cached is not None:
         return cached
+    found = (_trivext_witnesses(ring)
+             if isinstance(ring, TrivialExtensionRing) else None)
+    units, witness = found if found is not None else _scan_witnesses(ring)
+    idx = np.arange(ring.order, dtype=np.int64)
+    unit_idx, other = idx[units], idx[~units]
+    if not bool(np.all(ring.mul_arr(unit_idx, witness[unit_idx]) == ring.one)):
+        raise ConsistencyError(f"{ring.name}: inverse witnesses failed to verify")
+    if not (bool(np.all(witness[other] != ring.zero))
+            and bool(np.all(ring.mul_arr(other, witness[other]) == ring.zero))):
+        raise ConsistencyError(f"{ring.name}: zerodivisor witnesses failed to verify")
+    part = UnitPartition(units, witness)
+    ring._cache["units"] = part
+    return part
+
+
+def _scan_witnesses(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """First inverse, else first nonzero annihilator, of every element, from
+    one blockwise scan of the multiplication table."""
     n = ring.order
+    if n * n > KIND_SCAN_LIMIT:
+        raise BoundExceededError(
+            f"unit scan on {ring.name} (order {n}) exceeds the pair cap")
     cols = np.arange(n, dtype=np.int64)
     units = np.zeros(n, dtype=bool)
-    block = max(1, min(n, 2**22 // max(n, 1)))
+    witness = np.zeros(n, dtype=np.int64)
+    block = max(1, _SCAN_CHUNK // n)
     for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
+        rows = cols[start:start + block]
         prods = ring.mul_arr(rows[:, None], cols[None, :])
-        units[rows] = (prods == ring.one).any(axis=1)
-    ring._cache["units"] = units
-    return units
+        inverse = prods == ring.one
+        units[rows] = inverse.any(axis=1)
+        witness[rows] = np.where(units[rows], inverse.argmax(axis=1),
+                                 (prods[:, 1:] == ring.zero).argmax(axis=1) + 1)
+    return units, witness
 
 
-def is_regular_element(ring: FiniteRing, a: int) -> bool:
-    """Regular = not a zerodivisor; at finite order that means unit."""
-    return element_kind(ring, a) == "unit"
+def _trivext_witnesses(ring: TrivialExtensionRing
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Witnesses for A ∝ E from the partition of A.
+
+    (a,e) with a a unit of A has the inverse (a⁻¹, −a⁻²e); otherwise (0,e')
+    annihilates it for any nonzero e' ∈ E with a·e' = 0.  None when some
+    non-unit of A kills no nonzero element of E.
+    """
+    base, mod = ring.base_ring, ring.ext_module
+    m = mod.order
+    base_part = unit_partition(base)
+    nonunits = np.flatnonzero(~base_part.units)
+    kills = mod.act_arr(nonunits[:, None],
+                        np.arange(1, m, dtype=np.int64)[None, :]) == mod.mzero
+    if not bool(kills.any(axis=1).all()):
+        return None
+    ann = np.zeros(base.order, dtype=np.int64)
+    ann[nonunits] = kills.argmax(axis=1) + 1
+    idx = np.arange(ring.order, dtype=np.int64)
+    a, e = idx // m, idx % m
+    units = base_part.units[a]
+    a_inv = base_part.witness[a]
+    e_inv = mod.mneg_arr(mod.act_arr(base.mul_arr(a_inv, a_inv), e))
+    return units, np.where(units, a_inv * m + e_inv, ann[a])
+
+
+def element_units(ring: FiniteRing) -> np.ndarray:
+    """Boolean unit mask of the certified partition."""
+    return unit_partition(ring).units
+
+
+def element_kind(ring: FiniteRing, a: int) -> str:
+    """'unit' or 'zerodivisor' (0 counts as a zerodivisor); in a finite
+    commutative ring exactly one holds, and the partition certifies which."""
+    return "unit" if unit_partition(ring).units[a] else "zerodivisor"
 
 
 def verify_ring_axioms(ring: FiniteRing, triple_limit: int = 64) -> bool:

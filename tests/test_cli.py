@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import importlib
 import json
 
 import pytest
@@ -107,6 +108,23 @@ def test_exit_2_on_bound_exceeded(tmp_path, capsys):
     path.write_text("ring a = zmod(8)\n")
     assert main(["classify", "--spec", str(path), "--lattice-limit", "1"]) == 2
     assert "bound exceeded" in capsys.readouterr().err.lower()
+
+
+def test_exit_2_on_order_above_budget(tmp_path, monkeypatch, capsys):
+    # zmod(10^11) builds without tables; classify must refuse it before any
+    # decider allocates a per-element array
+    classify_module = importlib.import_module("finring.classify")
+
+    def no_decider(*_args):
+        raise AssertionError("a decider ran on a ring above the order budget")
+
+    monkeypatch.setattr(classify_module, "decide_reduced", no_decider)
+    path = tmp_path / "huge.spec"
+    path.write_text("ring a = zmod(100000000000)\n")
+    assert main(["classify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bound exceeded" in err.lower()
+    assert "Traceback" not in err
 
 
 def test_exit_3_on_internal_inconsistency(spec_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ tables and then frozen here.
 import numpy as np
 import pytest
 
+from finring.classify import ClassifyConfig, decide_pruefer
 from finring.errors import RingBuildError
 from finring.ideals import (annihilator, content_calculus, enumerate_ideals,
                             ideal_generated_by, ideal_intersection,
@@ -17,8 +18,8 @@ from finring.ideals import (annihilator, content_calculus, enumerate_ideals,
                             minimal_nonzero_ideals, principal_ideal,
                             residue_vector_space,
                             zero_ideal_locally_irreducible)
-from finring.rings import (ZmodRing, free_module, make_trivial_extension,
-                           standard_gf)
+from finring.rings import (ZmodRing, element_units, free_module,
+                           make_trivial_extension, standard_gf)
 
 
 def _indices(ideal):
@@ -102,6 +103,25 @@ def test_regular_and_invertible():
     assert is_regular_ideal(principal_ideal(z12, 1))
     assert not is_regular_ideal(principal_ideal(z12, 6))
     assert is_invertible(principal_ideal(z12, 1))
+
+
+def test_invertible_regular_unit_ideal_collapse_on_small_corpus(corpus_rings):
+    # decide_pruefer counts the ideals that contain a unit; the general
+    # invertibility definition must single out exactly those ideals, and
+    # they must be the unit ideal alone
+    config = ClassifyConfig()
+    small = [r for r in corpus_rings if r.order <= 16]
+    assert len(small) > 20
+    for ring in small:
+        units = element_units(ring)
+        invertible = 0
+        for ideal in enumerate_ideals(ring).ideals:
+            inv = is_invertible(ideal)
+            has_unit = bool(units[ideal.indices].any())
+            assert inv == has_unit == ideal.is_unit_ideal(), ring.name
+            invertible += inv
+        cert = decide_pruefer(ring, config).certificate
+        assert cert["regular_ideal_count"] == invertible == 1
 
 
 # ---------------------------------------------------------------- localization
