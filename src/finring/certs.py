@@ -21,9 +21,7 @@ from .ideals import (enumerate_ideals, ideal_generated_by, ideal_product,
                      push_ideal)
 from .polys import content, make_poly, poly_mul
 from .rings import (FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
-                    element_units)
-
-_CHUNK = 1 << 22
+                    blocks, element_units)
 
 
 def _fail(ring: FiniteRing, name: str, detail: str) -> None:
@@ -103,9 +101,8 @@ def _replay_vn_positive(ring: FiniteRing, name: str) -> None:
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
     squares = ring.mul_arr(idx, idx)
-    block = max(1, _CHUNK // n)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
+    for start, stop in blocks(n, n):
+        rows = np.arange(start, stop, dtype=np.int64)
         ok = (ring.mul_arr(squares[rows][:, None], idx[None, :])
               == rows[:, None]).any(axis=1)
         if not bool(np.all(ok)):
@@ -289,9 +286,8 @@ def replay_total_quotient(ring: FiniteRing, result: dict) -> bool:
         idx = np.arange(n, dtype=np.int64)
         zd = np.zeros(n, dtype=bool)
         zd[ring.zero] = True
-        block = max(1, _CHUNK // n)
-        for start in range(0, n, block):
-            rows = np.arange(start, min(start + block, n), dtype=np.int64)
+        for start, stop in blocks(n, n):
+            rows = np.arange(start, stop, dtype=np.int64)
             prods = ring.mul_arr(rows[:, None], idx[None, 1:])
             zd[rows] |= (prods == ring.zero).any(axis=1)
         if not bool(np.all(units ^ zd)):

@@ -32,11 +32,10 @@ from .polys import (certify_gaussian, content, decode_poly_block,
                     has_square_zero_maximal, make_poly, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
 from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
-                    ProductRing, RingHom, TrivialExtensionRing, element_units)
+                    ProductRing, RingHom, TrivialExtensionRing, blocks,
+                    element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
-
-_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -167,33 +166,27 @@ def decide_reduced(ring: FiniteRing) -> ConditionResult:
 def vn_regular_status(ring: FiniteRing) -> tuple[bool, int | None, str]:
     """(verdict, witness element, method).  A square-zero element refutes
     instantly (a = a²x forces a = 0); otherwise the quasi-inverse scan runs."""
-    cached = ring._cache.get("vn_regular")
-    if cached is not None:
-        return cached
+    return ring.memo("vn_regular", lambda: _vn_regular_scan(ring))
+
+
+def _vn_regular_scan(ring: FiniteRing) -> tuple[bool, int | None, str]:
     sq_wit = _square_zero_witness(ring)
     if sq_wit is not None:
-        result = (False, sq_wit, "square_zero_witness")
-        ring._cache["vn_regular"] = result
-        return result
+        return False, sq_wit, "square_zero_witness"
     n = ring.order
-    if n * n > (1 << 26):
+    if n * n > KIND_SCAN_LIMIT:
         raise BoundExceededError(
             f"quasi-inverse scan on reduced ring {ring.name} exceeds the pair cap")
     idx = np.arange(n, dtype=np.int64)
     squares = ring.mul_arr(idx, idx)
-    block = max(1, _CHUNK // n)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
+    for start, stop in blocks(n, n):
+        rows = np.arange(start, stop, dtype=np.int64)
         solvable = (ring.mul_arr(squares[rows][:, None], idx[None, :])
                     == rows[:, None]).any(axis=1)
         bad = np.nonzero(~solvable)[0]
         if bad.size:
-            result = (False, int(rows[bad[0]]), "no_quasi_inverse")
-            ring._cache["vn_regular"] = result
-            return result
-    result = (True, None, "quasi_inverse_scan")
-    ring._cache["vn_regular"] = result
-    return result
+            return False, int(rows[bad[0]]), "no_quasi_inverse"
+    return True, None, "quasi_inverse_scan"
 
 
 def decide_semihereditary(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
@@ -244,12 +237,8 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 
 
 def decide_arithmetical(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
-    cached = ring._cache.get("arithmetical")
-    if cached is not None and cached[0] == config.key():
-        return cached[1]
-    result = _decide_arithmetical_inner(ring, config)
-    ring._cache["arithmetical"] = (config.key(), result)
-    return result
+    return ring.memo(("arithmetical", config.key()),
+                     lambda: _decide_arithmetical_inner(ring, config))
 
 
 def _decide_arithmetical_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
@@ -338,12 +327,8 @@ class GaussianRingVerdict:
 
 
 def gaussian_ring_verdict(ring: FiniteRing, config: ClassifyConfig) -> GaussianRingVerdict:
-    cached = ring._cache.get("gaussian_ring")
-    if cached is not None and cached[0] == config.key():
-        return cached[1]
-    verdict = _gaussian_ring_inner(ring, config)
-    ring._cache["gaussian_ring"] = (config.key(), verdict)
-    return verdict
+    return ring.memo(("gaussian_ring", config.key()),
+                     lambda: _gaussian_ring_inner(ring, config))
 
 
 def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRingVerdict:
@@ -511,10 +496,8 @@ def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
     calc = content_calculus(ring)
     target = calc.lattice.ideal_id(ideal)
     members = ideal.indices
-    total = poly_count(members.size, degree)
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        cols = decode_poly_block(members, degree, start, min(start + chunk, total))
+    for start, stop in blocks(poly_count(members.size, degree), budget=1 << 16):
+        cols = decode_poly_block(members, degree, start, stop)
         hits = np.nonzero(calc.content_ids(cols) == target)[0]
         for h in hits:
             yield make_poly(ring, [int(c[h]) for c in cols])

@@ -154,15 +154,13 @@ class CorpusReport:
         }
 
 
-def run_corpus(config: CorpusConfig | None = None, progress=None) -> CorpusReport:
+def run_corpus(config: CorpusConfig | None = None) -> CorpusReport:
     config = config or CorpusConfig()
     out = CorpusReport(config)
     for ring in generate_corpus(config):
         report = classify(ring, config.classify)
         assert_corpus_invariants(report)
         out.reports.append(report)
-        if progress is not None:
-            progress(report)
     return out
 
 
@@ -236,13 +234,9 @@ def conjecture_row(ring: FiniteRing, config: ClassifyConfig) -> ConjectureRow:
     return row
 
 
-def run_conjecture(config: CorpusConfig | None = None,
-                   progress=None) -> ConjectureReport:
+def run_conjecture(config: CorpusConfig | None = None) -> ConjectureReport:
     config = config or CorpusConfig()
     report = ConjectureReport(config)
     for ring in generate_corpus(config):
-        row = conjecture_row(ring, config.classify)
-        report.rows.append(row)
-        if progress is not None:
-            progress(row)
+        report.rows.append(conjecture_row(ring, config.classify))
     return report

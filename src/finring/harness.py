@@ -229,8 +229,8 @@ class HarnessReport:
 
 def run_theorem_harness(config: ClassifyConfig | None = None,
                         bases: list[FiniteRing] | None = None,
-                        dimensions: tuple[int, ...] = DEFAULT_DIMENSIONS,
-                        progress=None) -> HarnessReport:
+                        dimensions: tuple[int, ...] = DEFAULT_DIMENSIONS
+                        ) -> HarnessReport:
     """Run both checks over every (local base, residue dimension) instance."""
     config = config or ClassifyConfig.from_env()
     bases = default_local_bases() if bases is None else bases
@@ -238,9 +238,6 @@ def run_theorem_harness(config: ClassifyConfig | None = None,
     for base in bases:
         for n in dimensions:
             ring = build_residue_idealization(base, n)
-            for check in (check_residue_idealization(base, n, config, ring),
-                          check_factor_descent(ring, config)):
-                report.results.append(check)
-                if progress is not None:
-                    progress(check)
+            report.results.append(check_residue_idealization(base, n, config, ring))
+            report.results.append(check_factor_descent(ring, config))
     return report

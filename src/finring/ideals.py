@@ -14,14 +14,12 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .rings import (FiniteModule, FiniteRing, ModuleSpec, QuotientRing, RingHom,
-                    RingSpec, element_units, free_module, module_sum)
+                    RingSpec, blocks, element_units, free_module, module_sum)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
 
 # the certified unit mask; perfbench traces it under this name as ideals.units
 element_units_guarded = element_units
-
-_CHUNK = 1 << 22
 
 
 def mask_from_indices(indices, n: int) -> int:
@@ -161,9 +159,8 @@ def ideal_quotient(i: Ideal, j: Ideal) -> Ideal:
     member[i.indices] = True
     jdx = j.indices
     keep = np.zeros(n, dtype=bool)
-    block = max(1, _CHUNK // max(1, jdx.size))
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
+    for start, stop in blocks(n, jdx.size):
+        rows = np.arange(start, stop, dtype=np.int64)
         keep[rows] = member[ring.mul_arr(rows[:, None], jdx[None, :])].all(axis=1)
     idx = np.nonzero(keep)[0]
     mask = mask_from_indices(idx, n)
@@ -244,27 +241,27 @@ class IdealLattice:
 
 def principal_ideal_masks(ring: FiniteRing) -> list[int]:
     """Mask of the principal ideal R·a for every element a, cached."""
-    cached = ring._cache.get("principal_masks")
-    if cached is not None:
-        return cached
+    return ring.memo("principal_masks", lambda: _principal_masks(ring))
+
+
+def _principal_masks(ring: FiniteRing) -> list[int]:
     n = ring.order
     masks = []
     cols = np.arange(n, dtype=np.int64)
-    block = max(1, _CHUNK // n)
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
+    for start, stop in blocks(n, n):
+        rows = np.arange(start, stop, dtype=np.int64)
         prods = ring.mul_arr(cols[None, :], rows[:, None])
         for r in range(rows.size):
             masks.append(mask_from_indices(prods[r], n))
-    ring._cache["principal_masks"] = masks
     return masks
 
 
 def enumerate_ideals(ring: FiniteRing, limit: int = LATTICE_LIMIT) -> IdealLattice:
     """Complete ideal lattice: principal ideals closed under pairwise sums."""
-    cached = ring._cache.get("lattice")
-    if cached is not None:
-        return cached
+    return ring.memo("lattice", lambda: _build_lattice(ring, limit))
+
+
+def _build_lattice(ring: FiniteRing, limit: int) -> IdealLattice:
     n = ring.order
     if n > limit:
         raise BoundExceededError(
@@ -287,9 +284,7 @@ def enumerate_ideals(ring: FiniteRing, limit: int = LATTICE_LIMIT) -> IdealLatti
         work = fresh
     order_key = sorted(seen, key=lambda m: (m.bit_count(), m))
     ideals = [Ideal(ring, m, minimal_generators(ring, m)) for m in order_key]
-    lattice = IdealLattice(ring, ideals)
-    ring._cache["lattice"] = lattice
-    return lattice
+    return IdealLattice(ring, ideals)
 
 
 def minimal_nonzero_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -302,9 +297,7 @@ def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
     ring = ideal.ring
     if ideal.is_zero():
         return True, ring.zero
-    pmasks = ring._cache.get("principal_masks") if ring.order <= LATTICE_LIMIT else None
-    if pmasks is None and ring.order <= LATTICE_LIMIT:
-        pmasks = principal_ideal_masks(ring)
+    pmasks = principal_ideal_masks(ring) if ring.order <= LATTICE_LIMIT else None
     for a in ideal.indices:
         a = int(a)
         if a == ring.zero:
@@ -356,27 +349,20 @@ def is_local(ring: FiniteRing) -> Ideal | None:
     addition (absorption r·m is automatic: a unit multiple of m would make m a
     unit).  The non-unit set is then itself the unique maximal ideal.
     """
-    cached = ring._cache.get("local")
-    if cached is not None:
-        return cached[0]
+    return ring.memo("local", lambda: _nonunit_ideal(ring))
+
+
+def _nonunit_ideal(ring: FiniteRing) -> Ideal | None:
     units = element_units(ring)
     nonunits = np.nonzero(~units)[0].astype(np.int64)
-    closed = True
-    block = max(1, _CHUNK // max(1, nonunits.size))
-    for start in range(0, nonunits.size, block):
-        rows = nonunits[start:start + block]
-        sums = ring.add_arr(rows[:, None], nonunits[None, :])
+    for start, stop in blocks(nonunits.size, nonunits.size):
+        sums = ring.add_arr(nonunits[start:stop, None], nonunits[None, :])
         if bool(units[sums].any()):
-            closed = False
-            break
-    result = None
-    if closed:
-        mask = mask_from_indices(nonunits, ring.order)
-        gens = (minimal_generators(ring, mask) if ring.order <= LATTICE_LIMIT
-                else tuple(int(x) for x in nonunits[1:2]))
-        result = Ideal(ring, mask, gens)
-    ring._cache["local"] = (result,)
-    return result
+            return None
+    mask = mask_from_indices(nonunits, ring.order)
+    gens = (minimal_generators(ring, mask) if ring.order <= LATTICE_LIMIT
+            else tuple(int(x) for x in nonunits[1:2]))
+    return Ideal(ring, mask, gens)
 
 
 def make_quotient(ring: FiniteRing, ideal: Ideal,
@@ -389,9 +375,8 @@ def make_quotient(ring: FiniteRing, ideal: Ideal,
     n = ring.order
     idx = ideal.indices
     rep_of = np.empty(n, dtype=np.int64)
-    block = max(1, _CHUNK // max(1, idx.size))
-    for start in range(0, n, block):
-        rows = np.arange(start, min(start + block, n), dtype=np.int64)
+    for start, stop in blocks(n, idx.size):
+        rows = np.arange(start, stop, dtype=np.int64)
         rep_of[rows] = ring.add_arr(rows[:, None], idx[None, :]).min(axis=1)
     reps = np.unique(rep_of)
     coset_id = np.searchsorted(reps, rep_of)
@@ -443,10 +428,11 @@ def residue_vector_space(base: FiniteRing, maximal: Ideal, n: int) -> FiniteModu
 
 def localize_at(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
     """R_m for finite R: the quotient by ker = {r : ∃ s ∉ m, s·r = 0}."""
-    cached = ring._cache.setdefault("localizations", {})
-    hit = cached.get(maximal.mask)
-    if hit is not None:
-        return hit
+    return ring.memo(("localizations", maximal.mask),
+                     lambda: _localize(ring, maximal))
+
+
+def _localize(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
     _require_maximal(ring, maximal)
     n = ring.order
     member = np.zeros(n, dtype=bool)
@@ -454,9 +440,8 @@ def localize_at(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom
     outside = np.nonzero(~member)[0].astype(np.int64)
     killed = np.zeros(n, dtype=bool)
     cols = np.arange(n, dtype=np.int64)
-    block = max(1, _CHUNK // n)
-    for start in range(0, outside.size, block):
-        rows = outside[start:start + block]
+    for start, stop in blocks(outside.size, n):
+        rows = outside[start:stop]
         killed |= (ring.mul_arr(rows[:, None], cols[None, :]) == ring.zero).any(axis=0)
     kmask = mask_from_indices(np.nonzero(killed)[0], n)
     kernel = Ideal(ring, kmask,
@@ -466,7 +451,6 @@ def localize_at(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom
     # locality was already established by _require_maximal
     if kmask != 1 and is_local(result[0]) is None:
         raise ConsistencyError(f"{ring.name}: localization is not local")
-    cached[maximal.mask] = result
     return result
 
 
@@ -625,8 +609,4 @@ class ContentCalculus:
 
 
 def content_calculus(ring: FiniteRing) -> ContentCalculus:
-    cached = ring._cache.get("content_calc")
-    if cached is None:
-        cached = ContentCalculus(ring)
-        ring._cache["content_calc"] = cached
-    return cached
+    return ring.memo("content_calc", lambda: ContentCalculus(ring))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .ideals import (Ideal, content_calculus, ideal_generated_by,
                      ideal_product, is_local)
-from .rings import FiniteRing, element_units
+from .rings import FiniteRing, blocks, element_units
 
 _PAIR_CHUNK = 1 << 18
 
@@ -141,10 +141,9 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     f_cols = [np.int64(c) for c in f.coeffs]
     cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
     for d in range(degree_bound + 1):
-        count = poly_count(nonunits.size, d)
-        for start in range(0, count, _PAIR_CHUNK):
-            g_cols = decode_poly_block(nonunits, d, start,
-                                       min(start + _PAIR_CHUNK, count))
+        for start, stop in blocks(poly_count(nonunits.size, d),
+                                  budget=_PAIR_CHUNK):
+            g_cols = decode_poly_block(nonunits, d, start, stop)
             expected = cf_row[calc.content_ids(g_cols)]
             actual = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
             bad = np.flatnonzero(actual != expected)
@@ -191,17 +190,15 @@ def has_square_zero_maximal(ring: FiniteRing) -> bool:
     coefficients in N gives fg coefficients inside N² = 0, so both sides of
     c(fg) = c(f)c(g) vanish.
     """
-    cached = ring._cache.get("sqz_maximal")
-    if cached is not None:
-        return cached
+    return ring.memo("sqz_maximal", lambda: _maximal_squares_to_zero(ring))
+
+
+def _maximal_squares_to_zero(ring: FiniteRing) -> bool:
     maximal = is_local(ring)
-    result = False
-    if maximal is not None:
-        idx = maximal.indices
-        prods = ring.mul_arr(idx[:, None], idx[None, :])
-        result = bool(np.all(prods == ring.zero))
-    ring._cache["sqz_maximal"] = result
-    return result
+    if maximal is None:
+        return False
+    idx = maximal.indices
+    return bool(np.all(ring.mul_arr(idx[:, None], idx[None, :]) == ring.zero))
 
 
 def affordable_degree(n: int, degree_bound: int, cap: int) -> int:
@@ -338,20 +335,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
             cands.append(None)
             continue
         budget -= total
-        cols, cids = [], []
-        for start in range(0, total, _PAIR_CHUNK):
-            block = decode_poly_block(nonunits, d, start,
-                                      min(start + _PAIR_CHUNK, total))
-            ids = calc.content_ids(block)
-            keep = ids != calc.unit_id
-            cols.append([c[keep] for c in block])
-            cids.append(ids[keep])
-        if cols:
-            merged = [np.concatenate([c[j] for c in cols]) for j in range(d + 1)]
-            cands.append((merged, np.concatenate(cids)))
-        else:
-            cands.append(([np.array([], dtype=np.int64)] * (d + 1),
-                          np.array([], dtype=np.int64)))
+        cands.append(_proper_content_candidates(calc, nonunits, d))
 
     pairs_checked = 0
     exhausted_t = -1
@@ -371,9 +355,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
                         f"pair search over {ring.name} exceeds cap {pair_cap}")
                 return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
             budget -= nf * ng
-            block = max(1, _PAIR_CHUNK // max(1, ng))
-            for fs in range(0, nf, block):
-                fe = min(fs + block, nf)
+            for fs, fe in blocks(nf, ng, _PAIR_CHUNK):
                 fc = [c[fs:fe, None] for c in f_cols]
                 gc = [c[None, :] for c in g_cols]
                 expected = calc.prod_ids(f_ids[fs:fe, None], g_ids[None, :])
@@ -391,6 +373,24 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
     return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
 
 
+def _proper_content_candidates(calc, nonunits: np.ndarray, degree: int):
+    """Columns and content ids of the degree-`degree` polynomials over
+    `nonunits` whose content is proper.  The decoded blocks die on return,
+    so they do not stay alive through the pair search."""
+    cols, cids = [], []
+    for start, stop in blocks(poly_count(nonunits.size, degree), budget=_PAIR_CHUNK):
+        block = decode_poly_block(nonunits, degree, start, stop)
+        ids = calc.content_ids(block)
+        keep = ids != calc.unit_id
+        cols.append([c[keep] for c in block])
+        cids.append(ids[keep])
+    if not cols:
+        return ([np.array([], dtype=np.int64)] * (degree + 1),
+                np.array([], dtype=np.int64))
+    return ([np.concatenate([c[j] for c in cols]) for j in range(degree + 1)],
+            np.concatenate(cids))
+
+
 def _sym_degree(exhausted_t: int, degree_bound: int) -> int:
     return max(-1, min(degree_bound, exhausted_t // 2))
 
@@ -403,20 +403,14 @@ def gaussian_violation_table(ring: FiniteRing, f_degree: int, g_degree: int):
     n = ring.order
     calc = content_calculus(ring)
     results: list[tuple[int, int, tuple[int, int] | None]] = []
-    f_block = max(1, 4096 // n)
     for df in range(f_degree + 1):
-        f_count = poly_count(n, df)
-        for fs in range(0, f_count, f_block):
-            fe = min(fs + f_block, f_count)
+        for fs, fe in blocks(poly_count(n, df), n, 4096):
             rows = fe - fs
             f_cols = decode_poly_block(np.arange(n), df, fs, fe)
             cf = calc.content_ids(f_cols)
             first: list[tuple[int, int] | None] = [None] * rows
-            g_block = max(1, _PAIR_CHUNK // rows)
             for dg in range(g_degree + 1):
-                g_count = poly_count(n, dg)
-                for gs in range(0, g_count, g_block):
-                    ge = min(gs + g_block, g_count)
+                for gs, ge in blocks(poly_count(n, dg), rows, _PAIR_CHUNK):
                     g_cols = decode_poly_block(np.arange(n), dg, gs, ge)
                     expected = calc.prod_ids(cf[:, None],
                                              calc.content_ids(g_cols)[None, :])

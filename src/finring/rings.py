@@ -19,10 +19,17 @@ from .errors import BoundExceededError, ConsistencyError, RingBuildError
 TABLE_LIMIT = 1024   # dense op tables are built below this order
 MODULE_LIMIT = 1024  # modules are always table-backed
 KIND_SCAN_LIMIT = 2**26   # cap on n^2 work for the generic unit scan
-
-_SCAN_CHUNK = 1 << 22     # products per block of the unit scan
+CHUNK = 1 << 22           # default element budget of one blockwise numpy step
 
 Literal = "int | tuple"  # element literals: ints for zmod/gf, tuples for pairs
+
+
+def blocks(count: int, width: int = 1, budget: int = CHUNK):
+    """(start, stop) ranges covering 0..count, max(1, budget // width) rows
+    each, so a block of rows against `width` columns stays within `budget`."""
+    step = max(1, budget // max(1, width))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
 
 
 def render_literal(lit) -> str:
@@ -159,6 +166,25 @@ class FiniteRing:
 
     def describe_element(self, i: int) -> str:
         return render_literal(self.decode_literal(i))
+
+    def memo(self, key, build):
+        """The fact filed under `key`, computed by `build()` on first use.
+
+        A key is a name, or a (name, subkey) pair filed in one dict per name
+        (``"localizations"`` maps maximal-ideal masks to localizations).
+        Nothing is stored when build raises.
+        """
+        if not isinstance(key, tuple):
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+        name, sub = key
+        table = self._cache.get(name, {})
+        if sub not in table:
+            value = build()
+            self._cache.setdefault(name, {})[sub] = value
+            return value
+        return table[sub]
 
     def __repr__(self) -> str:
         return f"<FiniteRing {self.name} order={self.order}>"
@@ -681,9 +707,10 @@ def unit_partition(ring: FiniteRing) -> UnitPartition:
     all n² products, refused above KIND_SCAN_LIMIT.  Either way all witnesses
     are checked with two O(n) multiplications before the partition is kept.
     """
-    cached = ring._cache.get("units")
-    if cached is not None:
-        return cached
+    return ring.memo("units", lambda: _certified_partition(ring))
+
+
+def _certified_partition(ring: FiniteRing) -> UnitPartition:
     found = (_trivext_witnesses(ring)
              if isinstance(ring, TrivialExtensionRing) else None)
     units, witness = found if found is not None else _scan_witnesses(ring)
@@ -694,9 +721,7 @@ def unit_partition(ring: FiniteRing) -> UnitPartition:
     if not (bool(np.all(witness[other] != ring.zero))
             and bool(np.all(ring.mul_arr(other, witness[other]) == ring.zero))):
         raise ConsistencyError(f"{ring.name}: zerodivisor witnesses failed to verify")
-    part = UnitPartition(units, witness)
-    ring._cache["units"] = part
-    return part
+    return UnitPartition(units, witness)
 
 
 def _scan_witnesses(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
@@ -709,9 +734,8 @@ def _scan_witnesses(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     cols = np.arange(n, dtype=np.int64)
     units = np.zeros(n, dtype=bool)
     witness = np.zeros(n, dtype=np.int64)
-    block = max(1, _SCAN_CHUNK // n)
-    for start in range(0, n, block):
-        rows = cols[start:start + block]
+    for start, stop in blocks(n, n):
+        rows = cols[start:stop]
         prods = ring.mul_arr(rows[:, None], cols[None, :])
         inverse = prods == ring.one
         units[rows] = inverse.any(axis=1)

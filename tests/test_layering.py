@@ -1,6 +1,8 @@
 """Package imports follow the layer order rings → ideals → polys → classify →
 corpus/harness/cli, so each fact (the unit/zerodivisor partition in
-rings.py, say) has one home below everything that reads it."""
+rings.py, say) has one home below everything that reads it.  The per-ring
+cache and the block-size rule of the numpy scans live in rings.py alone:
+other modules go through FiniteRing.memo and rings.blocks."""
 
 import ast
 from pathlib import Path
@@ -50,3 +52,37 @@ def test_layer_check_sees_nested_and_bare_imports(tmp_path):
                      "def f():\n"
                      "    from .ideals import Ideal\n")
     assert _package_imports(probe) == {"corpus", "ideals"}
+
+
+def _home_violations(path: Path) -> list[str]:
+    """Uses of the per-ring cache, and hand-rolled `max(1, a // b)` block
+    sizes, in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "_cache":
+            found.append(f"{path.stem}:{node.lineno}: _cache")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "max" and len(node.args) == 2
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 1
+                and isinstance(node.args[1], ast.BinOp)
+                and isinstance(node.args[1].op, ast.FloorDiv)):
+            found.append(f"{path.stem}:{node.lineno}: block size")
+    return found
+
+
+def test_cache_and_block_sizes_live_in_rings():
+    violations = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.stem != "rings":
+            violations += _home_violations(path)
+    assert violations == []
+
+
+def test_home_check_sees_cache_and_block_sizes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(ring, n):\n"
+                     "    ring._cache.get('lattice')\n"
+                     "    return max(1, CHUNK // max(1, n))\n")
+    assert sorted(_home_violations(probe)) == ["probe:2: _cache",
+                                               "probe:3: block size"]

@@ -219,12 +219,22 @@ def test_violation_table_matches_witness_search_non_local():
 def test_deep_degree_two_witness_frozen(monkeypatch, chunk):
     # frozen from the unpruned search: over Z8 ∝ Z8 this witness sits at
     # position 133185 of the full degree-2 order and 16929 of the non-unit
-    # order; chunk 500 makes the search cross 34 chunk boundaries to reach it
+    # order; chunk 500 makes the search decode 34 degree-2 chunks to reach it
     monkeypatch.setattr(polys, "_PAIR_CHUNK", chunk)
+    degree_two_blocks = []
+    decode = polys.decode_poly_block
+
+    def spy(alphabet, degree, start, stop):
+        if degree == 2:
+            degree_two_blocks.append((start, stop))
+        return decode(alphabet, degree, start, stop)
+
+    monkeypatch.setattr(polys, "decode_poly_block", spy)
     ext = _self_idealization(8)
     f = poly_from_literals(ext, [(0, 5), (4, 5), (4, 7)])
     g = gaussian_witness_search(f, 2)
     assert g.literals() == [(0, 1), (4, 1), (4, 1)]
+    assert len(degree_two_blocks) >= 16929 // chunk + 1
 
 
 def dedekind_mertens_violation_free(f, g):
