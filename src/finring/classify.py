@@ -23,10 +23,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError
-from .ideals import (Ideal, content_calculus, enumerate_ideals,
+from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
                      ideal_generated_by, ideal_product, is_local,
-                     is_locally_principal, is_principal, localize_at,
-                     mask_from_indices, maximal_ideals,
+                     is_locally_principal, localize_at, mask_from_indices,
+                     maximal_ideals, principal_in_local_ring,
                      zero_ideal_locally_irreducible)
 from .polys import (certify_gaussian, content, decode_poly_block,
                     has_square_zero_maximal, make_poly, poly_count, poly_mul,
@@ -40,13 +40,13 @@ SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Search bounds and determinism knobs shared by all deciders."""
+    """Search bounds of the Gaussian and pseudo-arithmetical deciders, the
+    seed echoed into reports, and the timing switch."""
 
     degree_bound: int = 3
     witness_cap: int = 2_000_000
     pair_cap: int = 30_000_000
     pseudo_candidate_cap: int = 256
-    lattice_limit: int = 4096
     seed: int = 0
     timing: bool = False
 
@@ -70,7 +70,7 @@ class ClassifyConfig:
 
     def key(self) -> tuple:
         return (self.degree_bound, self.witness_cap, self.pair_cap,
-                self.pseudo_candidate_cap, self.lattice_limit)
+                self.pseudo_candidate_cap)
 
     def public_dict(self) -> dict:
         return {
@@ -78,7 +78,7 @@ class ClassifyConfig:
             "witness_cap": self.witness_cap,
             "pair_cap": self.pair_cap,
             "pseudo_candidate_cap": self.pseudo_candidate_cap,
-            "lattice_limit": self.lattice_limit,
+            "lattice_limit": LATTICE_LIMIT,
             "seed": self.seed,
         }
 
@@ -189,7 +189,7 @@ def _vn_regular_scan(ring: FiniteRing) -> tuple[bool, int | None, str]:
     return True, None, "quasi_inverse_scan"
 
 
-def decide_semihereditary(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
+def decide_semihereditary(ring: FiniteRing) -> ConditionResult:
     """Every finitely generated ideal projective.
 
     Over a finite ring this collapses to von Neumann regularity (each local
@@ -203,7 +203,7 @@ def decide_semihereditary(ring: FiniteRing, config: ClassifyConfig) -> Condition
         return ConditionResult(False, cert,
                                witness={"element": _lit(ring, witness),
                                         "reason": method})
-    if ring.order <= config.lattice_limit:
+    if ring.order <= LATTICE_LIMIT:
         for m in maximal_ideals(ring):
             localized, _ = localize_at(ring, m)
             if len(enumerate_ideals(localized)) != 2:
@@ -236,14 +236,13 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 # arithmetical
 
 
-def decide_arithmetical(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
-    return ring.memo(("arithmetical", config.key()),
-                     lambda: _decide_arithmetical_inner(ring, config))
+def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
+    return ring.memo("arithmetical", lambda: _decide_arithmetical_inner(ring))
 
 
-def _decide_arithmetical_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
-    if ring.order <= config.lattice_limit:
-        lattice = enumerate_ideals(ring, config.lattice_limit)
+def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
+    if ring.order <= LATTICE_LIMIT:
+        lattice = enumerate_ideals(ring)
         for ideal in lattice.ideals:
             ok, counter = is_locally_principal(ideal)
             if not ok:
@@ -258,14 +257,15 @@ def _decide_arithmetical_inner(ring: FiniteRing, config: ClassifyConfig) -> Cond
                                        witness=witness)
         return ConditionResult(True, {"kind": "all_ideals_locally_principal",
                                       "ideal_count": len(lattice)})
-    return _arithmetical_large(ring, config)
+    return _arithmetical_large(ring)
 
 
-def _arithmetical_large(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
+def _arithmetical_large(ring: FiniteRing) -> ConditionResult:
     """Above the lattice bound only local trivial extensions are handled:
-    a two-generator ideal that no single element can generate is constructed
-    and verified non-principal exhaustively (local ⇒ locally principal =
-    principal), giving an honest negative verdict without a lattice."""
+    a two-generator ideal is constructed and shown non-principal by
+    Nakayama's lemma (`principal_in_local_ring`: neither generator alone
+    generates it), and in a local ring locally principal = principal, which
+    gives an honest negative verdict without a lattice."""
     if not isinstance(ring, TrivialExtensionRing) or is_local(ring) is None:
         raise BoundExceededError(
             f"arithmetical undecided: {ring.name} exceeds the lattice bound")
@@ -292,7 +292,7 @@ def _arithmetical_large(ring: FiniteRing, config: ClassifyConfig) -> ConditionRe
                 f"arithmetical undecided: no independent module vector in {ring.name}")
         gens = [e1, e2]
     ideal = ideal_generated_by(ring, gens)
-    ok, _ = is_principal(ideal)
+    ok, _ = principal_in_local_ring(ideal)
     if ok:
         raise BoundExceededError(
             f"arithmetical undecided: targeted ideal of {ring.name} is principal")
@@ -332,14 +332,11 @@ def gaussian_ring_verdict(ring: FiniteRing, config: ClassifyConfig) -> GaussianR
 
 
 def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRingVerdict:
-    # rule (a): arithmetical rings are Gaussian (implication chain)
-    if ring.order <= config.lattice_limit:
-        arith = decide_arithmetical(ring, config)
-        if arith.verdict is True:
+    if ring.order <= LATTICE_LIMIT:
+        # rule (a): arithmetical rings are Gaussian (implication chain)
+        if decide_arithmetical(ring).verdict is True:
             return GaussianRingVerdict("Yes", {"rule": "arithmetical"})
-
-    # rule (b): split a non-local ring into its local factors
-    if ring.order <= config.lattice_limit:
+        # rule (b): split a non-local ring into its local factors
         maximals = maximal_ideals(ring)
         if len(maximals) >= 2:
             return _gaussian_by_decomposition(ring, maximals, config)
@@ -368,7 +365,7 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRi
                                 "annihilation_checked": True})
 
     # bounded refutation search
-    if ring.order > config.lattice_limit:
+    if ring.order > LATTICE_LIMIT:
         raise BoundExceededError(
             f"Gaussian verdict for {ring.name} needs a pair search above the "
             "lattice bound")
@@ -405,7 +402,7 @@ def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfi
     if sorted(combined.tolist()) != list(range(ring.order)):
         raise ConsistencyError(f"{ring.name}: localization map is not bijective")
     hom = RingHom(ring, product, combined)
-    if not hom.verify(exhaustive_limit=config.lattice_limit):
+    if not hom.verify(exhaustive_limit=ring.order):
         raise ConsistencyError(
             f"{ring.name}: localization decomposition is not a ring hom")
     inverse = np.argsort(combined)
@@ -448,7 +445,7 @@ def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfi
 # Prüfer / total quotient ring
 
 
-def decide_pruefer(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
+def decide_pruefer(ring: FiniteRing) -> ConditionResult:
     """Every regular finitely generated ideal invertible.
 
     A regular ideal contains a non-zerodivisor, which the certified
@@ -457,8 +454,8 @@ def decide_pruefer(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
     proper one among them is an internal error.
     """
     units = element_units(ring)
-    if ring.order <= config.lattice_limit:
-        lattice = enumerate_ideals(ring, config.lattice_limit)
+    if ring.order <= LATTICE_LIMIT:
+        lattice = enumerate_ideals(ring)
         unit_mask = mask_from_indices(np.flatnonzero(units), ring.order)
         regular = [ideal for ideal in lattice.ideals if ideal.mask & unit_mask]
         if any(ideal.is_proper() for ideal in regular):
@@ -475,7 +472,7 @@ def decide_pruefer(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
     })
 
 
-def decide_total_quotient(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
+def decide_total_quotient(ring: FiniteRing) -> ConditionResult:
     """Every element a unit or a zerodivisor, read off the certified
     partition (the kind only names the scale: above KIND_SCAN_LIMIT pair
     products only a trivial extension's structural witnesses are possible)."""
@@ -515,11 +512,11 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
     exact Yes; otherwise candidates are searched under the configured caps
     and the verdict stays bounded.
     """
-    if ring.order > config.lattice_limit:
+    if ring.order > LATTICE_LIMIT:
         raise BoundExceededError(
             f"pseudo-arithmetical needs the ideal lattice; {ring.name} exceeds "
             "the bound")
-    lattice = enumerate_ideals(ring, config.lattice_limit)
+    lattice = enumerate_ideals(ring)
     non_lp: list[tuple[Ideal, dict]] = []
     for ideal in lattice.ideals:
         ok, counter = is_locally_principal(ideal)
@@ -592,9 +589,8 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
 # zero ideal locally irreducible
 
 
-def decide_zero_locally_irreducible(ring: FiniteRing,
-                                    config: ClassifyConfig) -> ConditionResult:
-    if ring.order > config.lattice_limit:
+def decide_zero_locally_irreducible(ring: FiniteRing) -> ConditionResult:
+    if ring.order > LATTICE_LIMIT:
         raise BoundExceededError(
             f"local irreducibility needs localization lattices; {ring.name} "
             "exceeds the bound")
@@ -635,15 +631,14 @@ def classify(ring: FiniteRing, config: ClassifyConfig | None = None
         return out
 
     run("reduced", decide_reduced, ring)
-    run("semihereditary", decide_semihereditary, ring, config)
+    run("semihereditary", decide_semihereditary, ring)
     run("weak_dim_class", decide_weak_dim, ring)
-    run("arithmetical", decide_arithmetical, ring, config)
+    run("arithmetical", decide_arithmetical, ring)
     gaussian = run("gaussian", gaussian_ring_verdict, ring, config)
-    run("pruefer", decide_pruefer, ring, config)
-    run("total_quotient_ring", decide_total_quotient, ring, config)
+    run("pruefer", decide_pruefer, ring)
+    run("total_quotient_ring", decide_total_quotient, ring)
     run("pseudo_arithmetical", decide_pseudo_arithmetical, ring, config, gaussian)
-    run("zero_ideal_locally_irreducible", decide_zero_locally_irreducible,
-        ring, config)
+    run("zero_ideal_locally_irreducible", decide_zero_locally_irreducible, ring)
 
     _assert_implication_chain(report)
     return report

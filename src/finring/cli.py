@@ -50,8 +50,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pseudo-candidate-cap", type=int, default=None,
                         help="per-ideal candidate cap in the pseudo-arithmetical "
                              "search")
-    parser.add_argument("--lattice-limit", type=int, default=None,
-                        help="largest ring order for full ideal enumeration")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for randomized audits (default 0)")
     parser.add_argument("--timing", action="store_true",
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _classify_config(args) -> ClassifyConfig:
     overrides = {}
     for attr in ("degree_bound", "witness_cap", "pair_cap",
-                 "pseudo_candidate_cap", "lattice_limit", "seed"):
+                 "pseudo_candidate_cap", "seed"):
         value = getattr(args, attr)
         if value is not None:
             overrides[attr] = value
@@ -143,8 +141,11 @@ def _corpus_config(args) -> CorpusConfig:
 def _emit(args, payload: dict, renderer) -> None:
     text = to_json(payload) if args.format == "json" else renderer(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -208,7 +209,7 @@ def cmd_theorems(args) -> int:
     config = _corpus_config(args)
     bases = default_local_bases()
     if args.zmod_max is not None or args.gf_max is not None:
-        from .rings import GFRing, ZmodRing
+        from .rings import ZmodRing
         bases = [b for b in bases
                  if (b.order <= config.zmod_max if isinstance(b, ZmodRing)
                      else b.order <= config.gf_max)]

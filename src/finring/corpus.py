@@ -216,7 +216,7 @@ class ConjectureReport:
 def conjecture_row(ring: FiniteRing, config: ClassifyConfig) -> ConjectureRow:
     gaussian = gaussian_ring_verdict(ring, config)
     pseudo = decide_pseudo_arithmetical(ring, config, gaussian)
-    zli = decide_zero_locally_irreducible(ring, config)
+    zli = decide_zero_locally_irreducible(ring)
     if pseudo.verdict == "BoundedYes":
         agreement = "Undecided"
     elif (pseudo.verdict == "Yes") == (zli.verdict is True):

@@ -111,8 +111,8 @@ def check_residue_idealization(base: FiniteRing, n: int,
             f"{ring.name}: maximal ideal fails to annihilate the residue space")
 
     # law 1: total quotient ring and Prüfer
-    tq = decide_total_quotient(ring, config)
-    pr = decide_pruefer(ring, config)
+    tq = decide_total_quotient(ring)
+    pr = decide_pruefer(ring)
     _law(result, "total_quotient_and_pruefer",
          tq.verdict is True and pr.verdict is True,
          {"total_quotient": tq.verdict, "pruefer": pr.verdict})
@@ -131,7 +131,7 @@ def check_residue_idealization(base: FiniteRing, n: int,
 
     # law 3: arithmetical iff the base is a field and n = 1
     expected = maximal.size == 1 and n == 1
-    arith = decide_arithmetical(ring, config)
+    arith = decide_arithmetical(ring)
     _law(result, "arithmetical_iff_field_base_line",
          (arith.verdict is True) == expected,
          {"verdict": arith.verdict, "expected": expected,
@@ -187,13 +187,13 @@ def check_factor_descent(ring: TrivialExtensionRing,
             _law(result, "gaussian_descends_to_factor", g_base.status == "Yes",
                  {"extension": g_ring.status, "factor": g_base.status})
 
-    arith_ring = decide_arithmetical(ring, config)
+    arith_ring = decide_arithmetical(ring)
     if arith_ring.verdict is not True:
         _skip(result, "arithmetical_descends_to_factor",
               {"extension": arith_ring.verdict,
                "note": "law is vacuous unless the extension is arithmetical"})
     else:
-        arith_base = decide_arithmetical(base, config)
+        arith_base = decide_arithmetical(base)
         _law(result, "arithmetical_descends_to_factor",
              arith_base.verdict is True,
              {"extension": arith_ring.verdict, "factor": arith_base.verdict})

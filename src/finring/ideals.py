@@ -256,16 +256,17 @@ def _principal_masks(ring: FiniteRing) -> list[int]:
     return masks
 
 
-def enumerate_ideals(ring: FiniteRing, limit: int = LATTICE_LIMIT) -> IdealLattice:
+def enumerate_ideals(ring: FiniteRing) -> IdealLattice:
     """Complete ideal lattice: principal ideals closed under pairwise sums."""
-    return ring.memo("lattice", lambda: _build_lattice(ring, limit))
+    return ring.memo("lattice", lambda: _build_lattice(ring))
 
 
-def _build_lattice(ring: FiniteRing, limit: int) -> IdealLattice:
+def _build_lattice(ring: FiniteRing) -> IdealLattice:
     n = ring.order
-    if n > limit:
+    if n > LATTICE_LIMIT:
         raise BoundExceededError(
-            f"ideal enumeration limited to order {limit}; {ring.name} has order {n}")
+            f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
+            f"has order {n}")
     pmasks = principal_ideal_masks(ring)
     seen: dict[int, None] = dict.fromkeys(pmasks)
     work = list(seen)
@@ -293,19 +294,39 @@ def minimal_nonzero_ideals(ring: FiniteRing) -> list[Ideal]:
 
 
 def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
-    """True with a witness generator iff some single element generates I."""
+    """True with a witness generator iff some single element generates I.
+
+    Reads the principal masks of all elements, so only at lattice scale;
+    above it see `principal_in_local_ring`.
+    """
     ring = ideal.ring
+    if ring.order > LATTICE_LIMIT:
+        raise BoundExceededError(
+            f"principality by member scan is limited to order {LATTICE_LIMIT}; "
+            f"{ring.name} has order {ring.order}")
     if ideal.is_zero():
         return True, ring.zero
-    pmasks = principal_ideal_masks(ring) if ring.order <= LATTICE_LIMIT else None
-    for a in ideal.indices:
-        a = int(a)
-        if a == ring.zero:
-            continue
-        mask = pmasks[a] if pmasks is not None else \
-            mask_from_indices(_principal_indices(ring, a), ring.order)
-        if mask == ideal.mask:
+    pmasks = principal_ideal_masks(ring)
+    for a in ideal.indices.tolist():
+        if a != ring.zero and pmasks[a] == ideal.mask:
             return True, a
+    return False, None
+
+
+def principal_in_local_ring(ideal: Ideal) -> tuple[bool, int | None]:
+    """Principality of a nonzero ideal of a local ring (R, m), with one O(n)
+    scan per listed generator instead of one per member.
+
+    By Nakayama's lemma I is principal iff one of its generators g1..gk
+    alone generates it: I/mI is spanned over R/m by the images of the gᵢ,
+    and it is nonzero because I ≠ 0; if I is principal that space has
+    dimension 1, so any gᵢ with a nonzero image spans it, i.e. gᵢ generates
+    I modulo mI, and therefore gᵢ generates I (Atiyah–Macdonald, Cor. 2.7).
+    The caller guarantees that the ring is local and the ideal nonzero.
+    """
+    for g in ideal.gens:
+        if principal_ideal(ideal.ring, g).mask == ideal.mask:
+            return True, g
     return False, None
 
 
@@ -603,9 +624,6 @@ class ContentCalculus:
         for col in coeff_cols[1:]:
             acc = self.sum_lut[acc, self.princ_id[np.asarray(col, dtype=np.int64)]]
         return acc
-
-    def ideal_of_id(self, pos: int) -> Ideal:
-        return self.lattice.ideals[pos]
 
 
 def content_calculus(ring: FiniteRing) -> ContentCalculus:

@@ -121,9 +121,6 @@ class FiniteRing:
     def name(self) -> str:
         return self.spec.label() if self.spec is not None else f"ring#{self.order}"
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def add(self, i: int, j: int) -> int:
         if self._tables is not None:
             return int(self._tables[0][i, j])
@@ -133,14 +130,6 @@ class FiniteRing:
         if self._tables is not None:
             return int(self._tables[1][i, j])
         return int(self._mul_impl(i, j))
-
-    def neg(self, i: int) -> int:
-        if self._tables is not None:
-            return int(self._tables[2][i])
-        return int(self._neg_impl(i))
-
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
 
     def add_arr(self, a, b):
         if self._tables is not None:
@@ -163,9 +152,6 @@ class FiniteRing:
 
     def decode_literal(self, i: int):
         raise NotImplementedError
-
-    def describe_element(self, i: int) -> str:
-        return render_literal(self.decode_literal(i))
 
     def memo(self, key, build):
         """The fact filed under `key`, computed by `build()` on first use.
@@ -293,28 +279,36 @@ def is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def gf_modulus(p: int, k: int, poly) -> tuple[int, ...]:
+    """The monic modulus (low coefficient first) of gf(p, k, poly), after
+    checking every parameter.  The order is checked before the primality and
+    irreducibility tests, whose costs grow as p^(1/2) and p^(k/2)."""
+    if k < 1:
+        raise RingBuildError(f"gf degree must be >= 1, got {k}")
+    if len(poly) != k + 1:
+        raise RingBuildError(f"gf modulus needs {k + 1} coefficients, got {len(poly)}")
+    if p > TABLE_LIMIT or p**k > TABLE_LIMIT:
+        raise RingBuildError(f"gf order {p}^{k} above the supported bound {TABLE_LIMIT}")
+    if not is_prime(p):
+        raise RingBuildError(f"gf characteristic {p} is not prime")
+    lead = poly[-1] % p
+    if lead == 0:
+        raise RingBuildError("gf modulus has zero leading coefficient")
+    inv = pow(lead, -1, p)
+    coeffs = tuple((c * inv) % p for c in poly)
+    if not is_irreducible_mod_p(coeffs, p):
+        raise RingBuildError(f"gf modulus {list(poly)} is reducible mod {p}")
+    return coeffs
+
+
 class GFRing(FiniteRing):
     """Galois field F_{p^k} as F_p[x]/(f); element index encodes digits base p."""
 
     def __init__(self, p: int, k: int, poly: tuple[int, ...], spec: RingSpec | None = None):
-        if not is_prime(p):
-            raise RingBuildError(f"gf characteristic must be prime, got {p}")
-        if k < 1:
-            raise RingBuildError(f"gf degree must be >= 1, got {k}")
-        coeffs = tuple(c % p for c in poly)
-        if len(coeffs) != k + 1 or coeffs[-1] == 0:
-            raise RingBuildError(f"gf modulus must have degree exactly {k} with unit lead")
-        if coeffs[-1] != 1:
-            inv = pow(coeffs[-1], -1, p)
-            coeffs = tuple((c * inv) % p for c in coeffs)
-        q = p**k
-        if q > TABLE_LIMIT:
-            raise RingBuildError(f"gf order {q} above the supported bound {TABLE_LIMIT}")
-        if not is_irreducible_mod_p(coeffs, p):
-            raise RingBuildError(f"gf modulus {list(poly)} is reducible mod {p}")
+        coeffs = gf_modulus(p, k, poly)
         self.p, self.k, self.modulus = p, k, coeffs[:-1]
         self._exp, self._log = self._build_log_tables(p, k, coeffs)
-        super().__init__(q, 1, spec or RingSpec("gf", (p, k, tuple(poly))))
+        super().__init__(p**k, 1, spec or RingSpec("gf", (p, k, tuple(poly))))
 
     @staticmethod
     def _build_log_tables(p, k, modulus):
@@ -487,18 +481,6 @@ class FiniteModule:
     def name(self) -> str:
         return self.spec.label() if self.spec is not None else f"module#{self.order}"
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def madd(self, i: int, j: int) -> int:
-        return int(self._madd[i, j])
-
-    def mneg(self, i: int) -> int:
-        return int(self._mneg[i])
-
-    def act(self, a: int, e: int) -> int:
-        return int(self._act[a, e])
-
     def madd_arr(self, a, b):
         return self._madd[a, b]
 
@@ -513,9 +495,6 @@ class FiniteModule:
 
     def decode_literal(self, i: int):
         return self._decode(i)
-
-    def describe_element(self, i: int) -> str:
-        return render_literal(self.decode_literal(i))
 
     def __repr__(self) -> str:
         return f"<FiniteModule {self.name} order={self.order} over {self.base.name}>"
@@ -648,12 +627,6 @@ class RingHom:
         self.map = np.asarray(index_map, dtype=np.int64)
         if self.map.shape != (source.order,):
             raise RingBuildError("hom map must cover every source element")
-
-    def __call__(self, i: int) -> int:
-        return int(self.map[i])
-
-    def apply_arr(self, a):
-        return self.map[a]
 
     def kernel_indices(self) -> np.ndarray:
         return np.nonzero(self.map == self.target.zero)[0]

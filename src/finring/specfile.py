@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from .errors import RingBuildError, SpecError
 from .ideals import ideal_generated_by, make_quotient, quotient_module
 from .rings import (FiniteModule, FiniteRing, GFRing, ModuleSpec, ProductRing,
-                    RingSpec, ZmodRing, free_module, is_irreducible_mod_p,
-                    is_prime, make_trivial_extension, module_sum)
+                    RingSpec, ZmodRing, free_module, gf_modulus,
+                    make_trivial_extension, module_sum)
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,10 @@ class _Parser:
             self.expect_sym("=")
             coeffs = self.int_list()
             self.expect_sym(")")
-            if not is_prime(p):
-                self.fail(f"gf characteristic {p} is not prime", kind)
-            if k < 1:
-                self.fail(f"gf degree must be >= 1, got {k}", kind)
-            if len(coeffs) != k + 1:
-                self.fail(f"gf modulus needs {k + 1} coefficients", kind)
-            if coeffs[-1] % p == 0:
-                self.fail("gf modulus has zero leading coefficient", kind)
-            if not is_irreducible_mod_p(tuple(coeffs), p):
-                self.fail(f"gf modulus {coeffs} is reducible mod {p}", kind)
+            try:
+                gf_modulus(p, k, coeffs)
+            except RingBuildError as exc:
+                self.fail(str(exc), kind)
             return RingSpec("gf", (p, k, tuple(coeffs)))
         if kind.text == "product":
             left = self.ring_ref()

@@ -197,8 +197,12 @@ def test_config_key_distinguishes_search_parameters():
 
 
 def test_bound_exceeded_when_lattice_capped():
+    # Z67 ∝ Z67 (order 4489) lies above the lattice bound, and no targeted
+    # non-principal ideal exists there (E has rank one)
+    z67 = ZmodRing(67)
+    ring = make_trivial_extension(z67, free_module(z67, 1))[0]
     with pytest.raises(BoundExceededError):
-        classify(ZmodRing(8), ClassifyConfig(lattice_limit=1))
+        classify(ring)
 
 
 def test_pseudo_arithmetical_direct_call():

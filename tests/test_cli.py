@@ -64,6 +64,15 @@ def test_classify_out_file(spec_path, tmp_path, capsys):
     assert json.loads(target.read_text())["ring"]["order"] == 8
 
 
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "corpus.json"
+    assert main(["corpus", "--max-order", "4", "--families", "zmod",
+                 "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "Traceback" not in err
+
+
 def test_classify_timing_adds_millis(spec_path, capsys):
     main(["classify", "--spec", spec_path, "--timing"])
     payload = json.loads(capsys.readouterr().out)
@@ -105,9 +114,15 @@ def test_exit_1_on_malformed_env(spec_path, monkeypatch, capsys):
 
 def test_exit_2_on_bound_exceeded(tmp_path, capsys):
     path = tmp_path / "big.spec"
-    path.write_text("ring a = zmod(8)\n")
-    assert main(["classify", "--spec", str(path), "--lattice-limit", "1"]) == 2
+    path.write_text("ring a = zmod(67)\nmodule e = free(a, 1)\n"
+                    "ring r = trivext(a, e)\n")  # order 4489 > LATTICE_LIMIT
+    assert main(["classify", "--spec", str(path)]) == 2
     assert "bound exceeded" in capsys.readouterr().err.lower()
+
+
+def test_lattice_limit_is_not_a_flag(spec_path, capsys):
+    assert main(["classify", "--spec", spec_path, "--lattice-limit", "1"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_exit_2_on_order_above_budget(tmp_path, monkeypatch, capsys):

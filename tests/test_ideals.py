@@ -7,8 +7,8 @@ tables and then frozen here.
 import numpy as np
 import pytest
 
-from finring.classify import ClassifyConfig, decide_pruefer
-from finring.errors import RingBuildError
+from finring.classify import decide_pruefer
+from finring.errors import BoundExceededError, RingBuildError
 from finring.ideals import (annihilator, content_calculus, enumerate_ideals,
                             ideal_generated_by, ideal_intersection,
                             ideal_product, ideal_quotient, ideal_sum,
@@ -16,7 +16,7 @@ from finring.ideals import (annihilator, content_calculus, enumerate_ideals,
                             is_principal, is_regular_ideal, localize_at,
                             make_quotient, maximal_ideals,
                             minimal_nonzero_ideals, principal_ideal,
-                            residue_vector_space,
+                            principal_in_local_ring, residue_vector_space,
                             zero_ideal_locally_irreducible)
 from finring.rings import (ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
@@ -98,6 +98,43 @@ def test_generated_ideal_closure():
     assert ok and gen in {2, 10}
 
 
+@pytest.mark.parametrize("base,rank,expected", [
+    (lambda: ZmodRing(4), 1, 12), (lambda: ZmodRing(8), 1, 252),
+    (lambda: ZmodRing(9), 1, 216), (lambda: standard_gf(2, 2), 2, 90),
+    (lambda: ZmodRing(2), 3, 21),
+], ids=["z4_z4", "z8_z8", "z9_z9", "gf4_gf4sq", "z2_z2cube"])
+def test_two_generator_nakayama_rule_matches_member_scan(base, rank, expected):
+    # in a local ring (g1, g2) is principal iff g1 or g2 alone generates it;
+    # `expected` counts the pairs g1 <= g2 whose ideal is not principal
+    ring_base = base()
+    ring = make_trivial_extension(ring_base, free_module(ring_base, rank))[0]
+    assert is_local(ring) is not None
+    non_principal = 0
+    for g1 in range(1, ring.order):
+        for g2 in range(g1, ring.order):
+            ideal = ideal_generated_by(ring, [g1, g2])
+            by_scan, _ = is_principal(ideal)
+            by_gens, gen = principal_in_local_ring(ideal)
+            assert by_gens == by_scan, (ring.name, g1, g2)
+            if by_gens:
+                assert principal_ideal(ring, gen).mask == ideal.mask
+            non_principal += not by_scan
+    assert non_principal == expected
+
+
+def test_is_principal_refuses_above_lattice_bound(monkeypatch):
+    from finring import ideals
+
+    def no_masks(_ring):
+        raise AssertionError("principal masks built above the lattice bound")
+
+    monkeypatch.setattr(ideals, "principal_ideal_masks", no_masks)
+    ring = ZmodRing(ideals.LATTICE_LIMIT + 3)
+    for ideal in (principal_ideal(ring, 2), ideal_generated_by(ring, [])):
+        with pytest.raises(BoundExceededError):
+            is_principal(ideal)
+
+
 def test_regular_and_invertible():
     z12 = ZmodRing(12)
     assert is_regular_ideal(principal_ideal(z12, 1))
@@ -109,7 +146,6 @@ def test_invertible_regular_unit_ideal_collapse_on_small_corpus(corpus_rings):
     # decide_pruefer counts the ideals that contain a unit; the general
     # invertibility definition must single out exactly those ideals, and
     # they must be the unit ideal alone
-    config = ClassifyConfig()
     small = [r for r in corpus_rings if r.order <= 16]
     assert len(small) > 20
     for ring in small:
@@ -120,7 +156,7 @@ def test_invertible_regular_unit_ideal_collapse_on_small_corpus(corpus_rings):
             has_unit = bool(units[ideal.indices].any())
             assert inv == has_unit == ideal.is_unit_ideal(), ring.name
             invertible += inv
-        cert = decide_pruefer(ring, config).certificate
+        cert = decide_pruefer(ring).certificate
         assert cert["regular_ideal_count"] == invertible == 1
 
 

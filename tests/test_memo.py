@@ -1,10 +1,13 @@
 """The per-ring memo: None is a fact worth keeping, a failed build leaves
-nothing behind, and verdicts are filed per search configuration."""
+nothing behind, and a verdict above the lattice bound is still certified."""
+
+import copy
 
 import pytest
 
-from finring.classify import ClassifyConfig, decide_arithmetical
-from finring.errors import BoundExceededError
+from finring.certs import replay_condition
+from finring.classify import decide_arithmetical
+from finring.errors import BoundExceededError, ConsistencyError
 from finring.ideals import enumerate_ideals, is_local
 from finring.rings import ZmodRing, free_module, make_trivial_extension
 
@@ -21,19 +24,26 @@ def test_non_local_verdict_is_memoised(monkeypatch):
 
 
 def test_failed_lattice_build_stores_nothing():
-    ring = ZmodRing(12)
-    with pytest.raises(BoundExceededError):
-        enumerate_ideals(ring, limit=8)
-    assert "lattice" not in ring._cache
-    assert len(enumerate_ideals(ring)) == 6
+    ring = ZmodRing(4099)  # above LATTICE_LIMIT
+    for _ in range(2):
+        with pytest.raises(BoundExceededError):
+            enumerate_ideals(ring)
+        assert "lattice" not in ring._cache
 
 
-@pytest.mark.parametrize("limits", [(32, 4096), (4096, 32)])
-def test_arithmetical_memo_is_keyed_by_config(limits):
-    base = ZmodRing(8)
-    ring = make_trivial_extension(base, free_module(base, 1))[0]
-    kinds = {32: "non_principal_ideal_local", 4096: "non_locally_principal_ideal"}
-    for limit in limits:
-        result = decide_arithmetical(ring, ClassifyConfig(lattice_limit=limit))
-        assert result.verdict is False
-        assert result.certificate["kind"] == kinds[limit]
+def test_arithmetical_above_lattice_bound():
+    # Z17 ∝ Z17² (order 4913) is decided by one targeted ideal 0 ∝ E, which
+    # neither of its two generators generates alone
+    z17 = ZmodRing(17)
+    ring = make_trivial_extension(z17, free_module(z17, 2))[0]
+    result = decide_arithmetical(ring)
+    assert result.verdict is False
+    assert result.certificate["kind"] == "non_principal_ideal_local"
+    assert decide_arithmetical(ring) is result
+    cond = result.to_dict()
+    assert len(cond["witness"]["ideal_gens"]) == 2
+    assert replay_condition(ring, "arithmetical", cond)
+    dropped = copy.deepcopy(cond)
+    dropped["witness"]["ideal_gens"] = dropped["witness"]["ideal_gens"][:1]
+    with pytest.raises(ConsistencyError):
+        replay_condition(ring, "arithmetical", dropped)

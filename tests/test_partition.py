@@ -39,7 +39,7 @@ def test_unit_count_matches_unit_group_oracle(build, units, zerodivisors, kind):
     ring = build()
     assert units == (ring.base_ring.order - 1) * ring.ext_module.order
     assert zerodivisors == ring.order - units
-    cert = decide_total_quotient(ring, ClassifyConfig()).certificate
+    cert = decide_total_quotient(ring).certificate
     assert cert == {"kind": kind, "unit_count": units,
                     "zerodivisor_count": zerodivisors}
 
@@ -56,7 +56,7 @@ def test_fallback_when_module_has_no_annihilator():
     ring = _z6_by_z3()
     assert ring.name == "trivext(zmod(6),quot_module(zmod(6),[3]))"
     assert rings._trivext_witnesses(ring) is None
-    cert = decide_total_quotient(ring, ClassifyConfig()).certificate
+    cert = decide_total_quotient(ring).certificate
     assert cert["unit_count"] == 6 and cert["zerodivisor_count"] == 12
     assert cert["kind"] == "unit_zerodivisor_partition"
 
@@ -98,7 +98,7 @@ def test_pruefer_refuses_a_proper_ideal_holding_a_unit(monkeypatch):
     wrong[2] = True
     monkeypatch.setattr(classify_module, "element_units", lambda _ring: wrong)
     with pytest.raises(ConsistencyError):
-        classify_module.decide_pruefer(ring, ClassifyConfig())
+        classify_module.decide_pruefer(ring)
 
 
 @pytest.mark.parametrize("base_order", [4, 6])

@@ -91,6 +91,20 @@ def test_parse_errors_with_positions(text, fragment, line, col):
         assert excinfo.value.col == col
 
 
+def test_oversized_gf_rejected_before_irreducibility(monkeypatch):
+    # x^31 + x^3 + 1 is irreducible over F_2, but gf(2,31) is far above the
+    # table bound; the exhaustive divisor test must not run
+    def fail(*_args):
+        raise AssertionError("irreducibility tested on an oversized field")
+
+    monkeypatch.setattr("finring.rings.is_irreducible_mod_p", fail)
+    poly = ", ".join(["1", "0", "0", "1"] + ["0"] * 27 + ["1"])
+    with pytest.raises(SpecError) as excinfo:
+        parse_ring_spec(f"ring a = gf(2, 31, poly=[{poly}])")
+    assert "order" in str(excinfo.value)
+    assert (excinfo.value.line, excinfo.value.col) == (1, 10)
+
+
 def test_trivext_module_base_must_match():
     text = """\
 ring a = zmod(4)
