@@ -15,6 +15,7 @@ certificate replay).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .classify import ClassifyConfig, classify, gaussian_ring_verdict
@@ -138,6 +139,15 @@ def _corpus_config(args) -> CorpusConfig:
     return CorpusConfig(**kwargs)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before any work starts."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write report: {path} is a directory")
+    if not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK):
+        raise UsageError(f"cannot write report: the directory of {path} is "
+                         f"missing or not writable")
+
+
 def _emit(args, payload: dict, renderer) -> None:
     text = to_json(payload) if args.format == "json" else renderer(payload)
     if args.out:
@@ -231,6 +241,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -1,11 +1,14 @@
 """Ideal arithmetic, lattice enumeration, localization, and irreducibility.
 
 Ideals are stored as membership bitmasks (Python ints) over element indices,
-with a cached numpy index array for vectorised arithmetic.  The full ideal
-lattice of a ring is computed by closing the principal ideals under pairwise
-sums, which stays cheap because finite rings have very few ideals compared to
-subsets.  Localization at a maximal ideal uses the annihilator-kernel quotient
-construction valid for finite rings.
+with a cached numpy index array for vectorised arithmetic.  Two ideals are
+additive subgroups, so their sum I + J = {x + y} takes one pass of |I|·|J|
+additions (`subgroup_sum_indices`); a span grows one principal ideal R·g at
+a time the same way.  The full ideal lattice of a ring is computed by closing
+the principal ideals under pairwise sums, which stays cheap because finite
+rings have very few ideals compared to subsets.  Localization at a maximal
+ideal uses the annihilator-kernel quotient construction valid for finite
+rings.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ class Ideal:
 
     __slots__ = ("ring", "mask", "gens", "_indices")
 
-    def __init__(self, ring: FiniteRing, mask: int, gens: tuple[int, ...]):
+    def __init__(self, ring: FiniteRing, mask: int, gens: tuple[int, ...],
+                 indices: np.ndarray | None = None):
         self.ring = ring
         self.mask = mask
         self.gens = gens
-        self._indices = None
+        self._indices = indices
 
     @property
     def indices(self) -> np.ndarray:
@@ -89,13 +93,29 @@ def _distinct_indices(n: int, values) -> np.ndarray:
 
 
 def additive_closure_indices(ring: FiniteRing, indices: np.ndarray) -> np.ndarray:
-    """Close an index set containing 0 under addition by repeated doubling."""
+    """Close an index set containing 0 under addition by repeated doubling.
+
+    Each round forms all |S|² sums, so this serves only sets that are not a
+    union of subgroups (the products of `ideal_product`); a sum of two
+    subgroups goes through `subgroup_sum_indices`."""
     cur = _distinct_indices(ring.order, np.asarray(indices, dtype=np.int64))
     while True:
         nxt = _distinct_indices(ring.order, ring.add_arr(cur[:, None], cur[None, :]))
         if nxt.size == cur.size:
             return nxt
         cur = nxt
+
+
+def subgroup_sum_indices(ring: FiniteRing, a: np.ndarray,
+                         b: np.ndarray) -> np.ndarray:
+    """Sorted members of A + B = {x + y} for two additive subgroups A and B,
+    in one blockwise pass of at most |A|·|B| sums."""
+    seen = np.zeros(ring.order, dtype=bool)
+    seen[a] = True                 # A + 0
+    b = b[~seen[b]]                # y ∈ A adds nothing new: A + y = A
+    for start, stop in blocks(a.size, b.size):
+        seen[ring.add_arr(a[start:stop, None], b[None, :])] = True
+    return np.flatnonzero(seen)
 
 
 def _principal_indices(ring: FiniteRing, a: int) -> np.ndarray:
@@ -109,15 +129,31 @@ def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
-    """Smallest ideal containing gens: union of multiples, closed under +."""
+    """Smallest ideal containing gens: R·g1 + R·g2 + …"""
     gens = tuple(int(g) for g in gens)
     clean = tuple(dict.fromkeys(g for g in gens if g != ring.zero))
-    if not clean:
-        return Ideal(ring, 1, ())
-    parts = [np.array([ring.zero], dtype=np.int64)]
-    parts.extend(_principal_indices(ring, g) for g in clean)
-    idx = additive_closure_indices(ring, np.concatenate(parts))
+    idx, _ = _grow_span(ring, clean, ring.order)
     return Ideal(ring, mask_from_indices(idx, ring.order), clean)
+
+
+def _grow_span(ring: FiniteRing, gens, target: int) -> tuple[np.ndarray, list[int]]:
+    """Members of R·g1 + R·g2 + …, adding one principal ideal at a time in
+    the order given and skipping a generator the span already holds; stops
+    once the span has `target` members.  Returns the span and the generators
+    that grew it."""
+    span = np.array([ring.zero], dtype=np.int64)
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[span] = True
+    kept: list[int] = []
+    for g in gens:
+        if span.size >= target:
+            break
+        if inside[g]:
+            continue
+        kept.append(g)
+        span = subgroup_sum_indices(ring, span, _principal_indices(ring, g))
+        inside[span] = True
+    return span, kept
 
 
 def _require_same_ring(i: Ideal, j: Ideal) -> None:
@@ -131,7 +167,7 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
         return Ideal(i.ring, i.mask, i.gens)
     if (i.mask | j.mask) == j.mask:
         return Ideal(j.ring, j.mask, j.gens)
-    idx = additive_closure_indices(i.ring, np.concatenate([i.indices, j.indices]))
+    idx = subgroup_sum_indices(i.ring, i.indices, j.indices)
     gens = tuple(dict.fromkeys(i.gens + j.gens))
     return Ideal(i.ring, mask_from_indices(idx, i.ring.order), gens)
 
@@ -176,16 +212,9 @@ def minimal_generators(ring: FiniteRing, mask: int) -> tuple[int, ...]:
     not yet inside the span of what was kept."""
     if mask == 1:
         return ()
-    gens: list[int] = []
-    cur = 1
-    for m in indices_from_mask(mask, ring.order):
-        if m == 0 or (cur >> int(m)) & 1:
-            continue
-        gens.append(int(m))
-        cur = ideal_generated_by(ring, gens).mask
-        if cur == mask:
-            break
-    if cur != mask:
+    members = indices_from_mask(mask, ring.order)
+    span, gens = _grow_span(ring, members.tolist(), members.size)
+    if mask_from_indices(span, ring.order) != mask:
         raise ConsistencyError(f"{ring.name}: mask {mask:#x} is not an ideal")
     return tuple(gens)
 
@@ -267,8 +296,9 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
         raise BoundExceededError(
             f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
             f"has order {n}")
-    pmasks = principal_ideal_masks(ring)
-    seen: dict[int, None] = dict.fromkeys(pmasks)
+    # mask -> member indices, so a sum never re-decodes its summands
+    seen = {m: indices_from_mask(m, n)
+            for m in dict.fromkeys(principal_ideal_masks(ring))}
     work = list(seen)
     while work:
         fresh = []
@@ -277,14 +307,15 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
                 union = known | w
                 if union in seen or union == known or union == w:
                     continue
-                idx = additive_closure_indices(ring, indices_from_mask(union, n))
+                idx = subgroup_sum_indices(ring, seen[known], seen[w])
                 m = mask_from_indices(idx, n)
                 if m not in seen:
-                    seen[m] = None
+                    seen[m] = idx
                     fresh.append(m)
         work = fresh
     order_key = sorted(seen, key=lambda m: (m.bit_count(), m))
-    ideals = [Ideal(ring, m, minimal_generators(ring, m)) for m in order_key]
+    ideals = [Ideal(ring, m, minimal_generators(ring, m), seen[m])
+              for m in order_key]
     return IdealLattice(ring, ideals)
 
 

@@ -73,6 +73,20 @@ def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unwritable_out_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    from finring import cli
+
+    def no_sweep(*_args):
+        raise AssertionError("the corpus ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run_corpus", no_sweep)
+    for target in (tmp_path / "missing" / "corpus.json", tmp_path):
+        assert main(["corpus", "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert "Traceback" not in err
+
+
 def test_classify_timing_adds_millis(spec_path, capsys):
     main(["classify", "--spec", spec_path, "--timing"])
     payload = json.loads(capsys.readouterr().out)

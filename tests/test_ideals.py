@@ -4,26 +4,41 @@ Expected values were computed by exhaustive enumeration over the element
 tables and then frozen here.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from finring.classify import decide_pruefer
+from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, RingBuildError
-from finring.ideals import (annihilator, content_calculus, enumerate_ideals,
+from finring.ideals import (additive_closure_indices, annihilator,
+                            content_calculus, enumerate_ideals,
                             ideal_generated_by, ideal_intersection,
                             ideal_product, ideal_quotient, ideal_sum,
                             is_invertible, is_local, is_locally_principal,
                             is_principal, is_regular_ideal, localize_at,
-                            make_quotient, maximal_ideals,
+                            make_quotient, mask_from_indices, maximal_ideals,
                             minimal_nonzero_ideals, principal_ideal,
                             principal_in_local_ring, residue_vector_space,
+                            subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
 from finring.rings import (ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
 
 
+# (mask, gens) of every lattice ideal of each corpus ring of order <= 16,
+# recorded from the doubling-closure generator scan
+LATTICE_GENS = Path(__file__).resolve().parent / "fixtures" / "lattice_gens.json"
+
+
 def _indices(ideal):
     return sorted(ideal.indices.tolist())
+
+
+def _small_corpus():
+    return generate_corpus(CorpusConfig(max_order=16))
 
 
 def _trivext(base_order: int, residue_dim: int | None):
@@ -48,6 +63,29 @@ def test_zmod12_lattice_frozen():
         [0, 2, 4, 6, 8, 10], [0, 3, 6, 9]]
     assert sorted(_indices(a) for a in minimal_nonzero_ideals(z12)) == [
         [0, 4, 8], [0, 6]]
+
+
+def test_lattice_gens_frozen():
+    expected = json.loads(LATTICE_GENS.read_text(encoding="utf-8"))
+    got = {ring.name: [[hex(i.mask), list(i.gens)]
+                       for i in enumerate_ideals(ring).ideals]
+           for ring in _small_corpus()}
+    assert got == expected
+
+
+def test_subgroup_sum_matches_doubling_closure():
+    pairs = 0
+    for ring in _small_corpus():
+        ideals = enumerate_ideals(ring).ideals
+        for p, i in enumerate(ideals):
+            for j in ideals[p:]:
+                one_pass = subgroup_sum_indices(ring, i.indices, j.indices)
+                doubled = additive_closure_indices(
+                    ring, np.concatenate([i.indices, j.indices]))
+                assert (mask_from_indices(one_pass, ring.order)
+                        == mask_from_indices(doubled, ring.order))
+                pairs += 1
+    assert pairs > 500
 
 
 def test_idealization_by_residue_field_lattice_frozen():

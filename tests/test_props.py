@@ -3,8 +3,9 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from finring.ideals import (content_calculus, ideal_generated_by,
-                            ideal_intersection, ideal_product, is_local,
+from finring.ideals import (additive_closure_indices, content_calculus,
+                            ideal_generated_by, ideal_intersection,
+                            ideal_product, is_local, mask_from_indices,
                             maximal_ideals, principal_ideal, push_ideal,
                             residue_vector_space)
 from finring.polys import (content, dedekind_mertens_check, make_poly,
@@ -93,6 +94,18 @@ def test_ideal_product_inside_intersection(ring, raw_gens):
     prod = ideal_product(left, right)
     cap = ideal_intersection(left, right)
     assert prod.mask & cap.mask == prod.mask
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rings(), st.lists(st.integers(min_value=0, max_value=63),
+                               max_size=4))
+def test_generated_ideal_is_closure_of_principal_union(ring, raw_gens):
+    gens = [g % ring.order for g in raw_gens]
+    union = np.concatenate([[ring.zero]] + [principal_ideal(ring, g).indices
+                                            for g in gens])
+    closed = additive_closure_indices(ring, union)
+    assert (ideal_generated_by(ring, gens).mask
+            == mask_from_indices(closed, ring.order))
 
 
 @settings(max_examples=30, deadline=None)
