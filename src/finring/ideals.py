@@ -175,7 +175,7 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
     _require_same_ring(i, j)
     prods = i.ring.mul_arr(i.indices[:, None], j.indices[None, :]).ravel()
-    idx = additive_closure_indices(i.ring, np.unique(prods))
+    idx = additive_closure_indices(i.ring, prods)
     mask = mask_from_indices(idx, i.ring.order)
     return Ideal(i.ring, mask, minimal_generators(i.ring, mask))
 
@@ -412,9 +412,7 @@ def _nonunit_ideal(ring: FiniteRing) -> Ideal | None:
         if bool(units[sums].any()):
             return None
     mask = mask_from_indices(nonunits, ring.order)
-    gens = (minimal_generators(ring, mask) if ring.order <= LATTICE_LIMIT
-            else tuple(int(x) for x in nonunits[1:2]))
-    return Ideal(ring, mask, gens)
+    return Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
 
 
 def make_quotient(ring: FiniteRing, ideal: Ideal,
@@ -578,11 +576,17 @@ def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
     Decided through the atom count of each localization (irreducible ⇔ at
     most one minimal nonzero ideal) and cross-checked against the direct
     lattice definition of irreducibility; disagreement is an internal error.
+
+    A local ring (R, m) is its own localization: every s ∉ m is a unit, so
+    the kernel {r : ∃ s ∉ m, s·r = 0} is zero and R_m = R.  Its shared
+    lattice is read directly, with no quotient copy and no second lattice.
+    Replay (`certs`) still localizes through `localize_at`'s kernel scan.
     """
+    local = is_local(ring)
     detail = []
     verdict = True
     for m in maximal_ideals(ring):
-        localized, _ = localize_at(ring, m)
+        localized = ring if local is not None else localize_at(ring, m)[0]
         lattice = enumerate_ideals(localized)
         atoms = lattice.atoms
         by_atoms = len(atoms) <= 1
@@ -606,8 +610,9 @@ class ContentCalculus:
     """Vectorised ideal-id arithmetic for polynomial content computations.
 
     Maps every ring element to the lattice id of its principal ideal, keeps an
-    eager id-level sum table and lazy per-row product tables, and evaluates
-    batched content comparisons without touching bitmasks in inner loops.
+    eager id-level sum table and a k × k product table whose rows are filled
+    on first use, and evaluates batched content comparisons without touching
+    bitmasks in inner loops.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -624,27 +629,25 @@ class ContentCalculus:
             for b in range(a, k):
                 sums[a, b] = sums[b, a] = self.lattice.sum_id(a, b)
         self.sum_lut = sums
-        self._prod_rows: dict[int, np.ndarray] = {}
+        # row a is valid once _filled[a]; unfilled rows are never read
+        self._prod = np.empty((k, k), dtype=np.int64)
+        self._filled = np.zeros(k, dtype=bool)
 
     def prod_row(self, a: int) -> np.ndarray:
-        row = self._prod_rows.get(a)
-        if row is None:
-            k = len(self.lattice)
-            row = np.array([self.lattice.product_id(a, b) for b in range(k)],
-                           dtype=np.int64)
-            self._prod_rows[a] = row
-        return row
+        if not self._filled[a]:
+            self._prod[a] = [self.lattice.product_id(a, b)
+                             for b in range(len(self.lattice))]
+            self._filled[a] = True
+        return self._prod[a]
 
     def prod_ids(self, a_ids: np.ndarray, b_ids: np.ndarray) -> np.ndarray:
         """Elementwise ideal products of two id arrays."""
         a_ids = np.asarray(a_ids, dtype=np.int64)
-        b_ids = np.asarray(b_ids, dtype=np.int64)
-        out = np.empty(np.broadcast(a_ids, b_ids).shape, dtype=np.int64)
-        a_b, b_b = np.broadcast_arrays(a_ids, b_ids)
-        for a in np.unique(a_b):
-            sel = a_b == a
-            out[sel] = self.prod_row(int(a))[b_b[sel]]
-        return out
+        wanted = np.zeros_like(self._filled)
+        wanted[a_ids] = True
+        for a in np.flatnonzero(wanted & ~self._filled).tolist():
+            self.prod_row(a)
+        return self._prod[a_ids, np.asarray(b_ids, dtype=np.int64)]
 
     def content_ids(self, coeff_cols: list[np.ndarray]) -> np.ndarray:
         """Content ideal ids for a batch of polynomials given as coefficient

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finring.classify import decide_pruefer
+from finring import ideals
+from finring.classify import classify, decide_pruefer
 from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, RingBuildError
 from finring.ideals import (additive_closure_indices, annihilator,
@@ -24,7 +25,7 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             principal_in_local_ring, residue_vector_space,
                             subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
-from finring.rings import (ZmodRing, element_units, free_module,
+from finring.rings import (QuotientRing, ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
 
 
@@ -216,6 +217,38 @@ def test_localize_requires_maximal():
         localize_at(z12, principal_ideal(z12, 4))  # (4) is not maximal
 
 
+def test_local_ring_localization_is_an_isomorphic_copy():
+    # the fact zero_ideal_locally_irreducible relies on: localizing a local
+    # ring at its maximal ideal by the full kernel scan kills nothing
+    checked = 0
+    for ring in _small_corpus():
+        maximal = is_local(ring)
+        if maximal is None:
+            continue
+        localized, hom = localize_at(ring, maximal)
+        assert isinstance(localized, QuotientRing), ring.name
+        assert maximal.mask in ring._cache["localizations"]
+        assert hom.kernel_indices().tolist() == [ring.zero]
+        own, copy = enumerate_ideals(ring), enumerate_ideals(localized)
+        assert localized.order == ring.order
+        assert len(copy.atoms) == len(own.atoms), ring.name
+        assert copy.field_like == own.field_like
+        checked += 1
+    assert checked > 20
+
+
+def test_classify_local_ring_reads_its_own_lattice(monkeypatch):
+    built = []
+    real = ideals._build_lattice
+    monkeypatch.setattr(ideals, "_build_lattice",
+                        lambda ring: built.append(ring) or real(ring))
+    ring = _trivext(4, None)  # Z4 ∝ Z4, local
+    report = classify(ring)
+    assert report.verdict("zero_ideal_locally_irreducible") is True
+    assert "localizations" not in ring._cache
+    assert built == [ring]
+
+
 def test_is_local_frozen():
     assert is_local(ZmodRing(6)) is None
     m = is_local(ZmodRing(8))
@@ -279,3 +312,20 @@ def test_content_calculus_tables():
     # content of the coefficient column [4, 6] is (2)
     cols = [np.array([4]), np.array([6])]
     assert calc.content_ids(cols)[0] == two_id
+
+    # the product table over the full id grid of every small corpus ring
+    for ring in _small_corpus():
+        calc = content_calculus(ring)
+        lattice = calc.lattice
+        ids = np.arange(len(lattice), dtype=np.int64)
+        expected = np.array([[lattice.product_id(a, b) for b in ids.tolist()]
+                             for a in ids.tolist()], dtype=np.int64)
+        # fill every other row first, then the rest, then read the full table
+        # once more with every row filled
+        odd = ids[1::2]
+        assert np.array_equal(calc.prod_ids(odd[:, None], ids[None, :]),
+                              expected[odd]), ring.name
+        for _ in range(2):
+            assert np.array_equal(calc.prod_ids(ids[:, None], ids[None, :]),
+                                  expected), ring.name
+        assert np.array_equal(calc.prod_row(0), expected[0])

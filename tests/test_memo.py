@@ -42,6 +42,8 @@ def test_arithmetical_above_lattice_bound():
     assert decide_arithmetical(ring) is result
     cond = result.to_dict()
     assert len(cond["witness"]["ideal_gens"]) == 2
+    # the maximal ideal 0 ∝ E needs both basis vectors of E = Z17²
+    assert len(cond["witness"]["maximal_gens"]) == 2
     assert replay_condition(ring, "arithmetical", cond)
     dropped = copy.deepcopy(cond)
     dropped["witness"]["ideal_gens"] = dropped["witness"]["ideal_gens"][:1]
