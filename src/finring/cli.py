@@ -52,7 +52,8 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-ideal candidate cap in the pseudo-arithmetical "
                              "search")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized audits (default 0)")
+                        help="echoed into the report's config; no computation "
+                             "reads it (default 0)")
     parser.add_argument("--timing", action="store_true",
                         help="include per-condition millis in reports "
                              "(disables byte-identical output)")

@@ -6,9 +6,12 @@ additive subgroups, so their sum I + J = {x + y} takes one pass of |I|·|J|
 additions (`subgroup_sum_indices`); a span grows one principal ideal R·g at
 a time the same way.  The full ideal lattice of a ring is computed by closing
 the principal ideals under pairwise sums, which stays cheap because finite
-rings have very few ideals compared to subsets.  Localization at a maximal
-ideal uses the annihilator-kernel quotient construction valid for finite
-rings.
+rings have very few ideals compared to subsets.  The principal ideals
+themselves take one product row per associate class, since R·(ua) = R·a for
+every unit u, and the cosets of a quotient are swept along a chain of
+subgroups, one generator's multiples at a time (`coset_minima`).
+Localization at a maximal ideal uses the annihilator-kernel quotient
+construction valid for finite rings.
 """
 
 from __future__ import annotations
@@ -269,19 +272,28 @@ class IdealLattice:
 
 
 def principal_ideal_masks(ring: FiniteRing) -> list[int]:
-    """Mask of the principal ideal R·a for every element a, cached."""
+    """Mask of the principal ideal R·a for every element a, cached.
+
+    One product row per associate class: the elements are visited in
+    ascending order, and an element no earlier row has reached gets its row
+    R·a, whose mask is also filed for every associate u·a (the entries of the
+    row at the units u), because R·(ua) = R·a.  The cost is (number of
+    classes)·n products instead of n².
+    """
     return ring.memo("principal_masks", lambda: _principal_masks(ring))
 
 
 def _principal_masks(ring: FiniteRing) -> list[int]:
     n = ring.order
-    masks = []
+    units = np.flatnonzero(element_units(ring))
     cols = np.arange(n, dtype=np.int64)
-    for start, stop in blocks(n, n):
-        rows = np.arange(start, stop, dtype=np.int64)
-        prods = ring.mul_arr(cols[None, :], rows[:, None])
-        for r in range(rows.size):
-            masks.append(mask_from_indices(prods[r], n))
+    masks: list = [None] * n
+    for a in range(n):
+        if masks[a] is None:
+            row = ring.mul_arr(cols, a)
+            mask = mask_from_indices(row, n)
+            for b in row[units].tolist():
+                masks[b] = mask
     return masks
 
 
@@ -415,6 +427,37 @@ def _nonunit_ideal(ring: FiniteRing) -> Ideal | None:
     return Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
 
 
+def coset_minima(ring: FiniteRing, idx: np.ndarray) -> np.ndarray:
+    """min(x + I) for every element x, where `idx` lists the members of an
+    additive subgroup I in ascending order.
+
+    Sweeps a chain of subgroups 0 = H₀ ⊂ H₁ ⊂ … ⊂ I, keeping rep[x] =
+    min(x + H) for the subgroup H spanned so far.  Since 0 is the least
+    index, rep[g] = 0 iff g ∈ H; such a g adds nothing and is skipped.
+    Otherwise let t be the first s ≥ 1 with s·g ∈ H; then H + ⟨g⟩ is the
+    disjoint union of the cosets s·g + H for s < t, so the new minimum is
+    the least of rep[x + s·g] over those s.  That costs n·(t − 1) additions
+    for a subgroup t times larger, at most n·|I| in all.
+    """
+    n = ring.order
+    cols = np.arange(n, dtype=np.int64)
+    rep = cols.copy()
+    size = 1                                   # |H|
+    for g in idx.tolist():
+        if size == idx.size:
+            break
+        if rep[g] == 0:
+            continue
+        old, shift, t = rep, g, 1              # shift = t·g
+        rep = old.copy()
+        while old[shift] != 0:
+            np.minimum(rep, old[ring.add_arr(cols, shift)], out=rep)
+            shift = ring.add(shift, g)
+            t += 1
+        size *= t
+    return rep
+
+
 def make_quotient(ring: FiniteRing, ideal: Ideal,
                   spec: RingSpec | None = None) -> tuple[QuotientRing, RingHom]:
     """Quotient on minimal coset representatives plus the projection hom."""
@@ -422,13 +465,8 @@ def make_quotient(ring: FiniteRing, ideal: Ideal,
         raise RingBuildError("quotient ideal belongs to a different ring")
     if ideal.is_unit_ideal():
         raise RingBuildError("cannot quotient by the unit ideal")
-    n = ring.order
-    idx = ideal.indices
-    rep_of = np.empty(n, dtype=np.int64)
-    for start, stop in blocks(n, idx.size):
-        rows = np.arange(start, stop, dtype=np.int64)
-        rep_of[rows] = ring.add_arr(rows[:, None], idx[None, :]).min(axis=1)
-    reps = np.unique(rep_of)
+    rep_of = coset_minima(ring, ideal.indices)
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
     coset_id = np.searchsorted(reps, rep_of)
     if spec is None and ring.spec is not None:
         spec = RingSpec("quotient", (tuple(ideal.gen_literals()),), (ring.spec,))
@@ -444,9 +482,8 @@ def quotient_module(base: FiniteRing, ideal: Ideal,
     if ideal.is_unit_ideal():
         raise RingBuildError("cannot build the zero quotient module A/A")
     n = base.order
-    idx = ideal.indices
-    rep_of = base.add_arr(np.arange(n, dtype=np.int64)[:, None], idx[None, :]).min(axis=1)
-    reps = np.unique(rep_of)
+    rep_of = coset_minima(base, ideal.indices)
+    reps = np.flatnonzero(rep_of == np.arange(n))
     coset = np.searchsorted(reps, rep_of)
     madd = coset[base.add_arr(reps[:, None], reps[None, :])]
     mneg = coset[base.neg_arr(reps)]
@@ -529,7 +566,7 @@ def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
 def push_ideal(hom: RingHom, ideal: Ideal) -> Ideal:
     """Image of an ideal under a surjective hom (already an ideal there)."""
     target = hom.target
-    idx = np.unique(hom.map[ideal.indices])
+    idx = _distinct_indices(target.order, hom.map[ideal.indices])
     mask = mask_from_indices(idx, target.order)
     gens = tuple(dict.fromkeys(
         int(hom.map[g]) for g in ideal.gens if hom.map[g] != target.zero))
