@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
                      is_locally_principal, localize_at, mask_from_indices,
                      maximal_ideals, principal_in_local_ring,
                      zero_ideal_locally_irreducible)
-from .polys import (certify_gaussian, content, decode_poly_block,
+from .polys import (RingPoly, certify_gaussians, content, decode_poly_block,
                     has_square_zero_maximal, make_poly, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
 from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
@@ -549,33 +550,31 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
                            "non_locally_principal_ideals": len(non_lp)},
             bound=config.degree_bound)
 
-    tried = refuted = inconclusive = 0
+    candidates: list[tuple[Ideal, RingPoly]] = []
     for ideal, _counter in non_lp:
-        per_ideal = 0
-        for degree in range(1, config.degree_bound + 1):
-            for f in _generator_layouts(ring, ideal, degree):
-                if per_ideal >= config.pseudo_candidate_cap:
-                    break
-                per_ideal += 1
-                tried += 1
-                verdict = certify_gaussian(f, config.degree_bound,
-                                           config.witness_cap)
-                if verdict.status == "certified":
-                    witness = {
-                        "f": f.literals(),
-                        "content_gens": _lits(ring, ideal.gens),
-                        "content_order": ideal.size,
-                        "gaussian_reason": {"rule": verdict.reason},
-                    }
-                    return ConditionResult(
-                        "No", {"kind": "certified_gaussian_with_bad_content"},
-                        witness=witness)
-                if verdict.status == "refuted":
-                    refuted += 1
-                else:
-                    inconclusive += 1
-            if per_ideal >= config.pseudo_candidate_cap:
-                break
+        layouts = (f for degree in range(1, config.degree_bound + 1)
+                   for f in _generator_layouts(ring, ideal, degree))
+        candidates += [(ideal, f) for f in
+                       islice(layouts, config.pseudo_candidate_cap)]
+    verdicts = certify_gaussians([f for _, f in candidates],
+                                 config.degree_bound, config.witness_cap)
+    tried = refuted = inconclusive = 0
+    for (ideal, f), verdict in zip(candidates, verdicts):
+        tried += 1
+        if verdict.status == "certified":
+            witness = {
+                "f": f.literals(),
+                "content_gens": _lits(ring, ideal.gens),
+                "content_order": ideal.size,
+                "gaussian_reason": {"rule": verdict.reason},
+            }
+            return ConditionResult(
+                "No", {"kind": "certified_gaussian_with_bad_content"},
+                witness=witness)
+        if verdict.status == "refuted":
+            refuted += 1
+        else:
+            inconclusive += 1
     return ConditionResult(
         "BoundedYes",
         {"kind": "bounded_candidate_search",

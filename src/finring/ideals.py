@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .rings import (FiniteModule, FiniteRing, ModuleSpec, QuotientRing, RingHom,
-                    RingSpec, blocks, element_units, free_module, module_sum)
+                    RingSpec, associate_leaders, blocks, element_units,
+                    free_module, module_sum)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
 
@@ -274,27 +275,21 @@ class IdealLattice:
 def principal_ideal_masks(ring: FiniteRing) -> list[int]:
     """Mask of the principal ideal R·a for every element a, cached.
 
-    One product row per associate class: the elements are visited in
-    ascending order, and an element no earlier row has reached gets its row
-    R·a, whose mask is also filed for every associate u·a (the entries of the
-    row at the units u), because R·(ua) = R·a.  The cost is (number of
-    classes)·n products instead of n².
+    One product row per associate class: R·a is computed at the class
+    leader (`associate_leaders`) and filed for every element of the class,
+    because R·(ua) = R·a.  The cost is (number of classes)·n products
+    instead of n².
     """
     return ring.memo("principal_masks", lambda: _principal_masks(ring))
 
 
 def _principal_masks(ring: FiniteRing) -> list[int]:
     n = ring.order
-    units = np.flatnonzero(element_units(ring))
+    leader = associate_leaders(ring)
     cols = np.arange(n, dtype=np.int64)
-    masks: list = [None] * n
-    for a in range(n):
-        if masks[a] is None:
-            row = ring.mul_arr(cols, a)
-            mask = mask_from_indices(row, n)
-            for b in row[units].tolist():
-                masks[b] = mask
-    return masks
+    masks = {a: mask_from_indices(ring.mul_arr(cols, a), n)
+             for a in np.flatnonzero(leader == cols).tolist()}
+    return [masks[a] for a in leader.tolist()]
 
 
 def enumerate_ideals(ring: FiniteRing) -> IdealLattice:

@@ -12,7 +12,14 @@ by degree ascending, then lexicographically on the coefficient tuple read
 from the leading coefficient down to the constant, leading coefficient
 nonzero.  The Gaussian searches enumerate non-unit coefficients only: by
 Dedekind–Mertens a g of unit content never violates c(fg) = c(f)c(g), so the
-first violation is unchanged.  Caps and bounds still count the full order.
+first violation is unchanged.  The single-polynomial search also takes its
+leading coefficients from the associate-class leaders only: for a unit u,
+u·g has the content of g and f·ug that of fg, so if g violates so does ug,
+which has the same degree and only non-unit coefficients; the first
+violation therefore leads with the least element of its class.  For the
+same reason u·f has the verdict and first witness of f, so a run of
+candidates needs one search per associate orbit (`certify_gaussians`).
+Caps and bounds still count the full order.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .ideals import (Ideal, content_calculus, ideal_generated_by,
                      ideal_product, is_local)
-from .rings import FiniteRing, blocks, element_units
+from .rings import FiniteRing, associate_leaders, blocks, element_units
 
 _PAIR_CHUNK = 1 << 18
 
@@ -87,16 +94,21 @@ def cumulative_poly_count(n: int, max_degree: int) -> int:
     return sum(poly_count(n, d) for d in range(max_degree + 1))
 
 
-def decode_poly_block(alphabet, degree: int, start: int, stop: int) -> list[np.ndarray]:
+def decode_poly_block(alphabet, degree: int, start: int, stop: int,
+                      lead=None) -> list[np.ndarray]:
     """Coefficient columns (low-first) of indices [start, stop) over `alphabet`.
 
-    A degree-d index is the base-u value (u = alphabet size) of the digit tuple
-    read leading-first, offset by u^d; digit k stands for alphabet[k].  Over
-    0..n-1 this is the pinned order, and any sorted sub-alphabet keeps it.
+    A degree-d index is the mixed-radix value of the digit tuple read
+    leading-first: the leading digit k stands for lead[k], every lower digit
+    k (base u = alphabet size) for alphabet[k].  `lead` defaults to the
+    nonzero letters alphabet[1:].  Over 0..n-1 this is the pinned order, and
+    any sorted sub-alphabet and sorted leading alphabet keep it.
     """
     u = alphabet.size
-    vals = np.arange(start, stop, dtype=np.int64) + u**degree
-    return [alphabet[(vals // u**j) % u] for j in range(degree + 1)]
+    lead = alphabet[1:] if lead is None else lead
+    vals = np.arange(start, stop, dtype=np.int64)
+    return ([alphabet[(vals // u**j) % u] for j in range(degree)]
+            + [lead[vals // u**degree]])
 
 
 def poly_at_index(ring: FiniteRing, degree: int, index: int) -> RingPoly:
@@ -122,7 +134,9 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                             cap: int = 2_000_000) -> RingPoly | None:
     """First g (pinned order, degree ≤ bound) with c(fg) ≠ c(f)c(g), or None.
 
-    Enumerates only g with non-unit coefficients (Dedekind–Mertens) and stops
+    Enumerates only g with non-unit coefficients (Dedekind–Mertens) whose
+    leading coefficient is an associate-class leader (if g violates, so does
+    u·g, so the first violation leads with the least of its class), and stops
     at the first violating chunk.  Raises BoundExceededError when the full,
     unpruned candidate count exceeds `cap`; callers wanting a clamped search
     use certify_gaussian.
@@ -137,13 +151,16 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     if f.is_zero():
         return None
     calc = content_calculus(ring)
-    nonunits = np.flatnonzero(~element_units(ring))
+    units = element_units(ring)
+    nonunits = np.flatnonzero(~units)
+    leads = np.flatnonzero((associate_leaders(ring) == np.arange(ring.order))
+                           & ~units)[1:]  # nonzero: drop the class {0}
     f_cols = [np.int64(c) for c in f.coeffs]
     cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
     for d in range(degree_bound + 1):
-        for start, stop in blocks(poly_count(nonunits.size, d),
+        for start, stop in blocks(leads.size * nonunits.size**d,
                                   budget=_PAIR_CHUNK):
-            g_cols = decode_poly_block(nonunits, d, start, stop)
+            g_cols = decode_poly_block(nonunits, d, start, stop, leads)
             expected = cf_row[calc.content_ids(g_cols)]
             actual = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
             bad = np.flatnonzero(actual != expected)
@@ -214,8 +231,8 @@ def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
                      ring_gaussian_certified: bool = False) -> GaussianVerdict:
     """Certify or refute a single polynomial's Gaussian property.
 
-    Sound rules in order: unit content (Dedekind–Mertens gives c(fg) = c(g)),
-    zero polynomial, local ring with square-zero maximal ideal, or a
+    Sound rules in order: zero polynomial, unit content (Dedekind–Mertens
+    gives c(fg) = c(g)), local ring with square-zero maximal ideal, or a
     ring-level Gaussian certificate supplied by the caller.  Otherwise a
     bounded witness search runs at the largest degree affordable under `cap`
     and the verdict carries that bound.
@@ -237,6 +254,31 @@ def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
     if witness is not None:
         return GaussianVerdict("refuted", witness=witness)
     return GaussianVerdict("bounded", bound=d_eff)
+
+
+def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000):
+    """Yield certify_gaussian(f, degree_bound, cap) for each f of `fs` in order,
+    with one certification per associate orbit.
+
+    For a unit u, c(uf·g) = c(fg) and c(uf) = c(f), so u·f has the verdict
+    and the same first witness as f.  An f that no earlier orbit has reached
+    is certified, and its verdict is filed for every associate u·f; a later
+    associate takes the filed verdict, and a reused refutation is re-verified
+    on its own f.  Verdicts are produced lazily, so a caller that stops early
+    certifies nothing beyond where it stopped.
+    """
+    filed: dict[tuple[int, ...], GaussianVerdict] = {}
+    for f in fs:
+        verdict = filed.get(f.coeffs)
+        if verdict is None:
+            verdict = certify_gaussian(f, degree_bound, cap)
+            units = np.flatnonzero(element_units(f.ring))
+            coeffs = np.array(f.coeffs, dtype=np.int64)
+            orbit = f.ring.mul_arr(units[:, None], coeffs[None, :])
+            filed.update(dict.fromkeys(map(tuple, orbit.tolist()), verdict))
+        elif verdict.status == "refuted":
+            _verify_violation(f, verdict.witness)
+        yield verdict
 
 
 def dedekind_mertens_check(f: RingPoly, g: RingPoly) -> bool:

@@ -748,6 +748,28 @@ def element_units(ring: FiniteRing) -> np.ndarray:
     return unit_partition(ring).units
 
 
+def associate_leaders(ring: FiniteRing) -> np.ndarray:
+    """``leader[a]`` is the least element of the associate class U·a, cached.
+
+    One ascending sweep: an element that no earlier class has reached is the
+    least of its own class, so it is a leader and files itself at every
+    associate u·a.  The cost is (number of classes)·|U| products, with the
+    units taken from the certified partition.  Associates generate the same
+    principal ideal and have the same content in any polynomial they scale,
+    so whatever depends only on R·a can be computed at the leaders alone.
+    """
+    return ring.memo("leaders", lambda: _associate_leaders(ring))
+
+
+def _associate_leaders(ring: FiniteRing) -> np.ndarray:
+    units = np.flatnonzero(unit_partition(ring).units)
+    leader = np.full(ring.order, -1, dtype=np.int64)
+    for a in range(ring.order):
+        if leader[a] < 0:
+            leader[ring.mul_arr(units, a)] = a
+    return leader
+
+
 def element_kind(ring: FiniteRing, a: int) -> str:
     """'unit' or 'zerodivisor' (0 counts as a zerodivisor); in a finite
     commutative ring exactly one holds, and the partition certifies which."""

@@ -11,6 +11,7 @@ from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
                               gaussian_ring_verdict)
 from finring.errors import BoundExceededError
 from finring.ideals import is_local, residue_vector_space
+from finring.polys import certify_gaussian, certify_gaussians
 from finring.reports import to_json
 from finring.rings import (ProductRing, ZmodRing, free_module,
                            make_trivial_extension, standard_gf)
@@ -211,3 +212,53 @@ def test_pseudo_arithmetical_direct_call():
         gaussian = gaussian_ring_verdict(ring, config)
         result = decide_pseudo_arithmetical(ring, config, gaussian)
         assert result.verdict == "No"
+
+
+# ---------------------------------------------------------------- orbit reuse
+
+
+def _self_idealization(order: int):
+    base = ZmodRing(order)
+    return make_trivial_extension(base, free_module(base, 1))[0]
+
+
+def _pseudo_search(monkeypatch, ring):
+    """decide_pseudo_arithmetical on `ring`, with the candidates it hands to
+    certify_gaussians and the number of certify_gaussian calls it makes."""
+    classify_module = importlib.import_module("finring.classify")
+    polys_module = importlib.import_module("finring.polys")
+    batched, calls = [], []
+    real_batch = classify_module.certify_gaussians
+    real_single = polys_module.certify_gaussian
+
+    def batch(fs, *args):
+        batched.extend(fs)
+        return real_batch(fs, *args)
+
+    def single(*args):
+        calls.append(args[0])
+        return real_single(*args)
+
+    monkeypatch.setattr(classify_module, "certify_gaussians", batch)
+    monkeypatch.setattr(polys_module, "certify_gaussian", single)
+    config = ClassifyConfig()
+    result = decide_pseudo_arithmetical(ring, config,
+                                        gaussian_ring_verdict(ring, config))
+    return result, batched, calls
+
+
+def test_orbit_reuse_matches_one_search_per_candidate(monkeypatch):
+    ring = _self_idealization(4)
+    _result, fs, calls = _pseudo_search(monkeypatch, ring)
+    monkeypatch.undo()
+    assert len(fs) == 256 and len(calls) == 84
+    assert list(certify_gaussians(fs)) == [certify_gaussian(f) for f in fs]
+
+
+def test_pseudo_arithmetical_one_search_per_orbit(monkeypatch):
+    result, fs, calls = _pseudo_search(monkeypatch, _self_idealization(8))
+    assert len(fs) == 768 and len(calls) == 216
+    assert result.verdict == "BoundedYes"
+    assert {k: result.certificate[k] for k in
+            ("candidates_tried", "refuted", "inconclusive")} == {
+        "candidates_tried": 768, "refuted": 768, "inconclusive": 0}

@@ -183,16 +183,16 @@ def test_ring_refutation_search_clean_on_gaussian_ring():
 # ---------------------------------------------------------------- exhaustive oracle
 
 
-def _assert_search_finds_oracle_witness(ring) -> int:
+def _assert_search_finds_oracle_witness(ring, g_degree: int = 1) -> int:
     """The pruned witness search returns, for every nonzero f of degree <= 1,
-    exactly the first witness of the unpruned oracle; returns how many f
-    have one."""
-    table = gaussian_violation_table(ring, 1, 1)
+    exactly the first witness of degree <= g_degree of the unpruned oracle;
+    returns how many f have one."""
+    table = gaussian_violation_table(ring, 1, g_degree)
     assert len(table) == ring.order ** 2 - 1  # all nonzero f of degree <= 1
     dirty = 0
     for df, fi, hit in table:
         f = poly_at_index(ring, df, fi)
-        direct = gaussian_witness_search(f, 1)
+        direct = gaussian_witness_search(f, g_degree)
         assert (direct is None) == (hit is None)
         if hit is not None:
             dirty += 1
@@ -215,26 +215,53 @@ def test_violation_table_matches_witness_search_non_local():
     assert _assert_search_finds_oracle_witness(ring) > 0
 
 
+def test_violation_table_matches_witness_search_degree_two():
+    # at g-degree 2 a pruned leading digit has free lower digits below it
+    assert _assert_search_finds_oracle_witness(_self_idealization(4), 2) > 0
+
+
 @pytest.mark.parametrize("chunk", [1 << 18, 500])
 def test_deep_degree_two_witness_frozen(monkeypatch, chunk):
     # frozen from the unpruned search: over Z8 ∝ Z8 this witness sits at
     # position 133185 of the full degree-2 order and 16929 of the non-unit
-    # order; chunk 500 makes the search decode 34 degree-2 chunks to reach it
+    # order.  Leading coefficients come from the 8 nonzero non-unit class
+    # leaders, and (4,1) is the 7th, so among the 8·32² pruned candidates
+    # the witness sits at 6·32² + 17·32 + 1 = 6689 (digits over the 32
+    # non-units); chunk 500 makes the search decode 14 degree-2 chunks
     monkeypatch.setattr(polys, "_PAIR_CHUNK", chunk)
     degree_two_blocks = []
     decode = polys.decode_poly_block
 
-    def spy(alphabet, degree, start, stop):
+    def spy(alphabet, degree, start, stop, lead=None):
         if degree == 2:
             degree_two_blocks.append((start, stop))
-        return decode(alphabet, degree, start, stop)
+        return decode(alphabet, degree, start, stop, lead)
 
     monkeypatch.setattr(polys, "decode_poly_block", spy)
     ext = _self_idealization(8)
     f = poly_from_literals(ext, [(0, 5), (4, 5), (4, 7)])
     g = gaussian_witness_search(f, 2)
     assert g.literals() == [(0, 1), (4, 1), (4, 1)]
-    assert len(degree_two_blocks) >= 16929 // chunk + 1
+    assert len(degree_two_blocks) >= 6689 // chunk + 1
+
+
+def test_witness_search_leads_with_class_leaders_only(monkeypatch):
+    # Z25 ∝ Z25 has 125 non-units, 7 of them nonzero class leaders: the
+    # degree-1 candidates are 7·125, not the 124·125 of every non-unit lead
+    decoded = []
+    decode = polys.decode_poly_block
+
+    def spy(alphabet, degree, start, stop, lead=None):
+        if degree == 1:
+            decoded.append(stop - start)
+        return decode(alphabet, degree, start, stop, lead)
+
+    monkeypatch.setattr(polys, "decode_poly_block", spy)
+    ext = _self_idealization(25)
+    f = poly_from_literals(ext, [(5, 0), (0, 1)])
+    g = gaussian_witness_search(f, 1)
+    assert g.literals() == [(20, 0), (0, 1)]  # frozen from the unpruned search
+    assert sum(decoded) <= 7 * 125
 
 
 def dedekind_mertens_violation_free(f, g):

@@ -1,9 +1,10 @@
-"""The orbit sweeps of the ideal layer against brute-force oracles.
+"""The orbit sweeps of the ring and ideal layers against brute-force oracles.
 
-`principal_ideal_masks` takes one product row per associate class and
-`coset_minima` sweeps a chain of subgroups; here both are compared with the
-full scans they replace, written out in the test, and their operation counts
-are bounded."""
+`associate_leaders` files each associate class from its least element,
+`principal_ideal_masks` takes one product row per class and `coset_minima`
+sweeps a chain of subgroups; here each is compared with the full scan it
+replaces, written out in the test, and their operation counts are
+bounded."""
 
 import json
 from pathlib import Path
@@ -14,8 +15,9 @@ from finring.corpus import CorpusConfig, generate_corpus
 from finring.ideals import (coset_minima, ideal_generated_by, indices_from_mask,
                             localize_at, make_quotient, mask_from_indices,
                             maximal_ideals, principal_ideal_masks)
-from finring.rings import (ProductRing, ZmodRing, element_units, free_module,
-                           make_trivial_extension, standard_gf)
+from finring.rings import (ProductRing, ZmodRing, associate_leaders,
+                           element_units, free_module, make_trivial_extension,
+                           standard_gf)
 
 LATTICE_GENS = Path(__file__).resolve().parent / "fixtures" / "lattice_gens.json"
 
@@ -62,6 +64,24 @@ def _counting(monkeypatch, ring, op):
     return seen
 
 
+def test_associate_leaders_match_orbit_minima(corpus_rings):
+    rings = [r for r in corpus_rings if r.order <= 64]
+    assert len(rings) == 170
+    for ring in rings + [_gf16_idealization(), _z2_power_four()]:
+        units = np.flatnonzero(element_units(ring))
+        minima = [int(ring.mul_arr(units, a).min()) for a in range(ring.order)]
+        assert associate_leaders(ring).tolist() == minima, ring.name
+
+
+def test_associate_leaders_one_unit_row_per_class(monkeypatch):
+    ring = _gf16_idealization()
+    units = element_units(ring)
+    seen = _counting(monkeypatch, ring, "mul_arr")
+    leader = associate_leaders(ring)
+    assert seen == [int(units.sum())] * 19
+    assert np.count_nonzero(leader == np.arange(ring.order)) == 19
+
+
 def test_principal_masks_match_product_scan(corpus_rings):
     rings = [r for r in corpus_rings if r.order <= 64]
     assert len(rings) == 170
@@ -75,7 +95,7 @@ def test_principal_masks_one_row_per_associate_class(monkeypatch):
     # GF16 ∝ GF16² has 19 associate classes: 0, the units, and one per line
     # of GF16² (the elements (0, e) up to a scalar)
     ring = _gf16_idealization()
-    element_units(ring)
+    associate_leaders(ring)  # its own cached sweep, counted above
     seen = _counting(monkeypatch, ring, "mul_arr")
     masks = principal_ideal_masks(ring)
     assert len(seen) == 19 and sum(seen) <= 19 * ring.order
