@@ -20,25 +20,14 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .rings import (FiniteModule, FiniteRing, ModuleSpec, QuotientRing, RingHom,
-                    RingSpec, associate_leaders, blocks, element_units,
-                    free_module, module_sum)
+                    RingSpec, associate_sweep, blocks, element_units,
+                    free_module, indices_from_mask, mask_from_indices,
+                    module_sum)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
 
 # the certified unit mask; perfbench traces it under this name as ideals.units
 element_units_guarded = element_units
-
-
-def mask_from_indices(indices, n: int) -> int:
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[np.asarray(indices, dtype=np.int64)] = 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def indices_from_mask(mask: int, n: int) -> np.ndarray:
-    raw = mask.to_bytes((n + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return np.nonzero(bits[:n])[0].astype(np.int64)
 
 
 class Ideal:
@@ -275,21 +264,12 @@ class IdealLattice:
 def principal_ideal_masks(ring: FiniteRing) -> list[int]:
     """Mask of the principal ideal R·a for every element a, cached.
 
-    One product row per associate class: R·a is computed at the class
-    leader (`associate_leaders`) and filed for every element of the class,
-    because R·(ua) = R·a.  The cost is (number of classes)·n products
-    instead of n².
+    Read from `rings.associate_sweep`, which takes one product row per
+    associate class and files its mask for the whole class, because
+    R·(ua) = R·a; the same sweep yields the class leaders.  The cost is
+    (number of classes)·n products instead of n².
     """
-    return ring.memo("principal_masks", lambda: _principal_masks(ring))
-
-
-def _principal_masks(ring: FiniteRing) -> list[int]:
-    n = ring.order
-    leader = associate_leaders(ring)
-    cols = np.arange(n, dtype=np.int64)
-    masks = {a: mask_from_indices(ring.mul_arr(cols, a), n)
-             for a in np.flatnonzero(leader == cols).tolist()}
-    return [masks[a] for a in leader.tolist()]
+    return associate_sweep(ring)[1]
 
 
 def enumerate_ideals(ring: FiniteRing) -> IdealLattice:

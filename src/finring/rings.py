@@ -32,6 +32,20 @@ def blocks(count: int, width: int = 1, budget: int = CHUNK):
         yield start, min(start + step, count)
 
 
+def mask_from_indices(indices, n: int) -> int:
+    """Membership bitmask (a Python int) of a set of indices in 0..n-1."""
+    bits = np.zeros(n, dtype=np.uint8)
+    bits[np.asarray(indices, dtype=np.int64)] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def indices_from_mask(mask: int, n: int) -> np.ndarray:
+    """Ascending indices of the set bits of a membership bitmask."""
+    raw = mask.to_bytes((n + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return np.nonzero(bits[:n])[0].astype(np.int64)
+
+
 def render_literal(lit) -> str:
     if isinstance(lit, tuple):
         return "(" + ",".join(render_literal(x) for x in lit) + ")"
@@ -751,23 +765,43 @@ def element_units(ring: FiniteRing) -> np.ndarray:
 def associate_leaders(ring: FiniteRing) -> np.ndarray:
     """``leader[a]`` is the least element of the associate class U·a, cached.
 
-    One ascending sweep: an element that no earlier class has reached is the
-    least of its own class, so it is a leader and files itself at every
-    associate u·a.  The cost is (number of classes)·|U| products, with the
-    units taken from the certified partition.  Associates generate the same
-    principal ideal and have the same content in any polynomial they scale,
-    so whatever depends only on R·a can be computed at the leaders alone.
+    Read from `associate_sweep`.  Associates generate the same principal
+    ideal and have the same content in any polynomial they scale, so
+    whatever depends only on R·a can be computed at the leaders alone.
     """
-    return ring.memo("leaders", lambda: _associate_leaders(ring))
+    return associate_sweep(ring)[0]
 
 
-def _associate_leaders(ring: FiniteRing) -> np.ndarray:
+def associate_sweep(ring: FiniteRing) -> tuple[np.ndarray, list[int]]:
+    """``(leader, principal)`` for every element a, from one cached sweep.
+
+    ``leader[a]`` is the least element of the associate class U·a and
+    ``principal[a]`` the membership mask of R·a.  The elements are visited
+    in ascending order; one that no earlier class has reached is the least
+    of its own class, so it is a leader and gets one product row R·a.  The
+    row's entries at the units u are the class U·a, and since R·(ua) = R·a
+    its mask is filed for every element of the class.  The cost is (number
+    of classes)·n products instead of n², with the units taken from the
+    certified partition.
+    """
+    return ring.memo("associates", lambda: _associate_sweep(ring))
+
+
+def _associate_sweep(ring: FiniteRing) -> tuple[np.ndarray, list[int]]:
+    n = ring.order
     units = np.flatnonzero(unit_partition(ring).units)
-    leader = np.full(ring.order, -1, dtype=np.int64)
-    for a in range(ring.order):
-        if leader[a] < 0:
-            leader[ring.mul_arr(units, a)] = a
-    return leader
+    cols = np.arange(n, dtype=np.int64)
+    leader = np.empty(n, dtype=np.int64)
+    masks: list = [None] * n
+    for a in range(n):
+        if masks[a] is None:
+            row = ring.mul_arr(cols, a)
+            mask = mask_from_indices(row, n)
+            assoc = row[units]
+            leader[assoc] = a
+            for b in assoc.tolist():
+                masks[b] = mask
+    return leader, masks
 
 
 def element_kind(ring: FiniteRing, a: int) -> str:

@@ -1,10 +1,10 @@
 """The orbit sweeps of the ring and ideal layers against brute-force oracles.
 
-`associate_leaders` files each associate class from its least element,
-`principal_ideal_masks` takes one product row per class and `coset_minima`
-sweeps a chain of subgroups; here each is compared with the full scan it
-replaces, written out in the test, and their operation counts are
-bounded."""
+`principal_ideal_masks` takes one product row per associate class, and the
+same sweep files each class's least element (`associate_leaders`);
+`coset_minima` sweeps a chain of subgroups.  Here each is compared with the
+full scan it replaces, written out in the test, and their operation counts
+are bounded."""
 
 import json
 from pathlib import Path
@@ -73,12 +73,15 @@ def test_associate_leaders_match_orbit_minima(corpus_rings):
         assert associate_leaders(ring).tolist() == minima, ring.name
 
 
-def test_associate_leaders_one_unit_row_per_class(monkeypatch):
+def test_leaders_come_with_the_principal_masks(monkeypatch):
+    # one sweep files both, so asking for the leaders first leaves the
+    # principal ideals no products to compute
     ring = _gf16_idealization()
-    units = element_units(ring)
+    element_units(ring)
     seen = _counting(monkeypatch, ring, "mul_arr")
     leader = associate_leaders(ring)
-    assert seen == [int(units.sum())] * 19
+    principal_ideal_masks(ring)
+    assert len(seen) == 19 and sum(seen) <= 19 * ring.order
     assert np.count_nonzero(leader == np.arange(ring.order)) == 19
 
 
@@ -95,7 +98,7 @@ def test_principal_masks_one_row_per_associate_class(monkeypatch):
     # GF16 ∝ GF16² has 19 associate classes: 0, the units, and one per line
     # of GF16² (the elements (0, e) up to a scalar)
     ring = _gf16_idealization()
-    associate_leaders(ring)  # its own cached sweep, counted above
+    element_units(ring)
     seen = _counting(monkeypatch, ring, "mul_arr")
     masks = principal_ideal_masks(ring)
     assert len(seen) == 19 and sum(seen) <= 19 * ring.order
