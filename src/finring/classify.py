@@ -29,9 +29,9 @@ from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
                      is_locally_principal, localize_at, mask_from_indices,
                      maximal_ideals, principal_in_local_ring,
                      zero_ideal_locally_irreducible)
-from .polys import (RingPoly, certify_gaussians, content, decode_poly_block,
-                    has_square_zero_maximal, make_poly, poly_count, poly_mul,
-                    ring_gaussian_refutation_search)
+from .polys import (RingPoly, certify_gaussians, content_spans,
+                    decode_poly_block, has_square_zero_maximal, make_poly,
+                    poly_count, ring_gaussian_refutation_search)
 from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
                     ProductRing, RingHom, TrivialExtensionRing, blocks,
                     element_units)
@@ -374,11 +374,11 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRi
         ring, config.degree_bound, config.pair_cap)
     if found is not None:
         f, g = found
+        lhs, rhs = content_spans(f, g)
         return GaussianRingVerdict(
             "No", {"rule": "content_violation",
-                   "product_content_order": content(poly_mul(f, g)).size,
-                   "content_product_order":
-                       ideal_product(content(f), content(g)).size},
+                   "product_content_order": lhs.size,
+                   "content_product_order": rhs.size},
             witness=(f, g))
     return GaussianRingVerdict(
         "BoundedYes", {"rule": "exhausted_search", "pairs_checked": pairs},
@@ -420,9 +420,8 @@ def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfi
                 scale *= later.order
             f = make_poly(ring, [int(inverse[c * scale]) for c in f_factor.coeffs])
             g = make_poly(ring, [int(inverse[c * scale]) for c in g_factor.coeffs])
-            lhs = content(poly_mul(f, g))
-            rhs = ideal_product(content(f), content(g))
-            if lhs.mask == rhs.mask:
+            lhs, rhs = content_spans(f, g)
+            if np.array_equal(lhs, rhs):
                 raise ConsistencyError(
                     f"{ring.name}: lifted Gaussian violation failed to verify")
             return GaussianRingVerdict(
@@ -511,7 +510,9 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
     Gaussian, the first layout is itself a certified witness and the verdict
     is an exact No; with no non-locally-principal ideals the verdict is an
     exact Yes; otherwise candidates are searched under the configured caps
-    and the verdict stays bounded.
+    and the verdict stays bounded.  An arithmetical ring has every ideal
+    locally principal, which its (memoized) verdict has already scanned,
+    so its Yes is read from there.
     """
     if ring.order > LATTICE_LIMIT:
         raise BoundExceededError(
@@ -519,10 +520,11 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
             "the bound")
     lattice = enumerate_ideals(ring)
     non_lp: list[tuple[Ideal, dict]] = []
-    for ideal in lattice.ideals:
-        ok, counter = is_locally_principal(ideal)
-        if not ok:
-            non_lp.append((ideal, counter))
+    if decide_arithmetical(ring).verdict is not True:
+        for ideal in lattice.ideals:
+            ok, counter = is_locally_principal(ideal)
+            if not ok:
+                non_lp.append((ideal, counter))
     if not non_lp:
         return ConditionResult("Yes", {"kind": "all_ideals_locally_principal",
                                        "ideal_count": len(lattice)})

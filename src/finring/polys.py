@@ -19,7 +19,13 @@ which has the same degree and only non-unit coefficients; the first
 violation therefore leads with the least element of its class.  For the
 same reason u·f has the verdict and first witness of f, so a run of
 candidates needs one search per associate orbit (`certify_gaussians`).
-Caps and bounds still count the full order.
+Caps and bounds still count the full order.  The pair search counts its
+budget per degree up front, on candidate counts alone, and decodes a
+degree's candidate table only when the first pair needs it.
+
+Every violation a search claims is re-checked on the spans of c(fg) and of
+c(f)c(g), grown from the coefficients one principal ideal at a time with
+no lattice ids, sum table or product table (`content_spans`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .ideals import (Ideal, content_calculus, ideal_generated_by,
+from .ideals import (Ideal, _grow_span, content_calculus, ideal_generated_by,
                      ideal_product, is_local)
 from .rings import FiniteRing, associate_leaders, blocks, element_units
 
@@ -171,11 +177,32 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     return None
 
 
+def content_spans(f: RingPoly, g: RingPoly) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted members of c(fg) and of c(f)c(g).
+
+    c(fg) is the span of the coefficients of fg.  c(f)c(g) is the span of
+    the products fᵢ·gⱼ, because the product of two ideals is generated by
+    the products of their generators.  Both spans grow through
+    `ideals._grow_span`, one principal ideal R·x = {r·x} at a time.
+
+    Shared with the searches it audits: the ring's add and mul, and the
+    subgroup sums that also built the lattice.  Not shared: lattice ids,
+    the `content_calculus` sum and product tables, `ideal_product` (which
+    fills that product table), and the cached principal masks and
+    associate classes.
+    """
+    ring = f.ring
+    lhs, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)
+    prods = ring.mul_arr(np.array(f.coeffs, dtype=np.int64)[:, None],
+                         np.array(g.coeffs, dtype=np.int64)[None, :])
+    rhs, _ = _grow_span(ring, prods.ravel().tolist(), ring.order)
+    return lhs, rhs
+
+
 def _verify_violation(f: RingPoly, g: RingPoly) -> None:
-    """Independent bitmask-level re-check of a claimed content violation."""
-    lhs = content(poly_mul(f, g))
-    rhs = ideal_product(content(f), content(g))
-    if lhs.mask == rhs.mask:
+    """Re-check of a claimed content violation on its own f and g."""
+    lhs, rhs = content_spans(f, g)
+    if np.array_equal(lhs, rhs):
         raise ConsistencyError(
             f"claimed Gaussian violation over {f.ring.name} fails re-verification")
 
@@ -301,58 +328,6 @@ def dedekind_mertens_check(f: RingPoly, g: RingPoly) -> bool:
     return lhs.mask == rhs.mask
 
 
-def dedekind_mertens_random_audit(ring: FiniteRing, pairs: int, seed: int,
-                                  max_degree: int = 2) -> int:
-    """Number of Dedekind–Mertens failures over `pairs` seeded random (f, g).
-
-    Coefficients are drawn uniformly (so actual degrees vary); pairs are
-    grouped by the degree of g and checked vectorised over ideal ids.
-    """
-    rng = np.random.default_rng(seed)
-    calc = content_calculus(ring)
-    n = ring.order
-    width = max_degree + 1
-    f_raw = rng.integers(0, n, size=(pairs, width), dtype=np.int64)
-    g_raw = rng.integers(0, n, size=(pairs, width), dtype=np.int64)
-
-    def degrees(mat):
-        nz = mat != 0
-        deg = np.full(pairs, -1, dtype=np.int64)
-        for j in range(width):
-            deg[nz[:, j]] = j
-        return deg
-
-    f_deg, g_deg = degrees(f_raw), degrees(g_raw)
-    failures = 0
-    for df in range(-1, width):
-        for dg in range(-1, width):
-            sel = np.nonzero((f_deg == df) & (g_deg == dg))[0]
-            if sel.size == 0:
-                continue
-            m = max(dg, 0)
-            f_cols = [f_raw[sel, j] for j in range(max(df, 0) + 1)]
-            g_cols = [g_raw[sel, j] for j in range(max(dg, 0) + 1)]
-            if df < 0:
-                cf = np.full(sel.size, calc.zero_id, dtype=np.int64)
-                cfg = cf.copy()
-            else:
-                cf = calc.content_ids(f_cols)
-                if dg < 0:
-                    cfg = np.full(sel.size, calc.zero_id, dtype=np.int64)
-                else:
-                    cfg = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
-            cg = (np.full(sel.size, calc.zero_id, dtype=np.int64) if dg < 0
-                  else calc.content_ids(g_cols))
-            lhs = cfg
-            for _ in range(m):
-                lhs = calc.prod_ids(lhs, cf)
-            rhs = cg
-            for _ in range(m + 1):
-                rhs = calc.prod_ids(rhs, cf)
-            failures += int(np.count_nonzero(lhs != rhs))
-    return failures
-
-
 def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
                                     pair_cap: int = 30_000_000):
     """Search all (f, g) pairs up to degree_bound for a content violation.
@@ -364,30 +339,39 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
     multiplicativity, so the first violation found equals the unpruned one.
     Raises BoundExceededError if the budget is exhausted before any total
     degree completes.
+
+    Each degree's non-unit candidates are charged to the budget up front,
+    on their count alone, and a degree that does not fit stops the search
+    when a pair first needs it.  A degree's table of proper-content
+    candidates is decoded when the first pair needs it, so a violation
+    found early never decodes the higher degrees.
     """
     calc = content_calculus(ring)
     budget = pair_cap
 
-    # non-unit candidate tuples per degree, filtered to proper content
     nonunits = np.flatnonzero(~element_units(ring))
-    cands: list[tuple[list[np.ndarray], np.ndarray]] = []
+    affordable = []
     for d in range(degree_bound + 1):
         total = poly_count(nonunits.size, d)
-        if total > budget:
-            cands.append(None)
-            continue
-        budget -= total
-        cands.append(_proper_content_candidates(calc, nonunits, d))
+        affordable.append(total <= budget)
+        if total <= budget:
+            budget -= total
+    cands: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
+
+    def candidates(d: int):
+        if d not in cands:
+            cands[d] = _proper_content_candidates(calc, nonunits, d)
+        return cands[d]
 
     pairs_checked = 0
     exhausted_t = -1
     for t in range(2 * degree_bound + 1):
         for df in range(max(0, t - degree_bound), min(degree_bound, t) + 1):
             dg = t - df
-            if cands[df] is None or cands[dg] is None:
+            if not (affordable[df] and affordable[dg]):
                 return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
-            f_cols, f_ids = cands[df]
-            g_cols, g_ids = cands[dg]
+            f_cols, f_ids = candidates(df)
+            g_cols, g_ids = candidates(dg)
             nf, ng = f_ids.size, g_ids.size
             if nf == 0 or ng == 0:
                 continue
@@ -435,35 +419,3 @@ def _proper_content_candidates(calc, nonunits: np.ndarray, degree: int):
 
 def _sym_degree(exhausted_t: int, degree_bound: int) -> int:
     return max(-1, min(degree_bound, exhausted_t // 2))
-
-
-def gaussian_violation_table(ring: FiniteRing, f_degree: int, g_degree: int):
-    """For every nonzero f of degree ≤ f_degree, the first violating g of
-    degree ≤ g_degree, reported as (f_degree, f_index, hit) with hit either
-    None or (g_degree, g_index).  This is the unpruned exhaustive oracle the
-    certificate audits compare against."""
-    n = ring.order
-    calc = content_calculus(ring)
-    results: list[tuple[int, int, tuple[int, int] | None]] = []
-    for df in range(f_degree + 1):
-        for fs, fe in blocks(poly_count(n, df), n, 4096):
-            rows = fe - fs
-            f_cols = decode_poly_block(np.arange(n), df, fs, fe)
-            cf = calc.content_ids(f_cols)
-            first: list[tuple[int, int] | None] = [None] * rows
-            for dg in range(g_degree + 1):
-                for gs, ge in blocks(poly_count(n, dg), rows, _PAIR_CHUNK):
-                    g_cols = decode_poly_block(np.arange(n), dg, gs, ge)
-                    expected = calc.prod_ids(cf[:, None],
-                                             calc.content_ids(g_cols)[None, :])
-                    actual = calc.content_ids(_convolve_columns(
-                        ring, [c[:, None] for c in f_cols],
-                        [c[None, :] for c in g_cols]))
-                    bad = actual != expected
-                    for r in np.nonzero(bad.any(axis=1))[0]:
-                        if first[int(r)] is None:
-                            col = int(np.argmax(bad[int(r)]))
-                            first[int(r)] = (dg, gs + col)
-            for k, hit in enumerate(first):
-                results.append((df, fs + k, hit))
-    return results

@@ -520,8 +520,12 @@ def free_module(base: FiniteRing, n: int, spec: ModuleSpec | None = None) -> Fin
         raise RingBuildError(f"free module rank must be >= 1, got {n}")
     if base.order > TABLE_LIMIT:
         raise RingBuildError("free modules need a table-backed base ring")
-    if base.order**n > MODULE_LIMIT:
-        raise RingBuildError(f"module order {base.order ** n} above bound {MODULE_LIMIT}")
+    # for n at least the bit length of the bound, 2**n alone exceeds it, so
+    # the power (unbounded in n) is formed only for small n
+    if (base.order > 1 and n >= MODULE_LIMIT.bit_length()
+            or base.order**n > MODULE_LIMIT):
+        raise RingBuildError(
+            f"module order {base.order}^{n} above bound {MODULE_LIMIT}")
     m = base.order
     order = m**n
     idx = np.arange(order, dtype=np.int64)
@@ -558,6 +562,9 @@ def module_sum(e: FiniteModule, f: FiniteModule, spec: ModuleSpec | None = None)
         raise RingBuildError("module sum needs a common base ring")
     m = f.order
     order = e.order * m
+    if order > MODULE_LIMIT:  # before the order x order addition table
+        raise RingBuildError(
+            f"module order {e.order}*{m} above bound {MODULE_LIMIT}")
     idx = np.arange(order, dtype=np.int64)
     hi, lo = idx // m, idx % m
     madd = e.madd_arr(hi[:, None], hi[None, :]) * m + f.madd_arr(lo[:, None], lo[None, :])

@@ -1,0 +1,94 @@
+"""Test oracles: the unpruned exhaustive Gaussian violation table and the
+seeded Dedekind–Mertens audit that the witness searches are checked against.
+No program path calls them."""
+
+import numpy as np
+
+from finring.ideals import content_calculus
+from finring.polys import (_PAIR_CHUNK, _convolve_columns, decode_poly_block,
+                           poly_count)
+from finring.rings import FiniteRing, blocks
+
+
+def dedekind_mertens_random_audit(ring: FiniteRing, pairs: int, seed: int,
+                                  max_degree: int = 2) -> int:
+    """Number of Dedekind–Mertens failures over `pairs` seeded random (f, g).
+
+    Coefficients are drawn uniformly (so actual degrees vary); pairs are
+    grouped by the degree of g and checked vectorised over ideal ids.
+    """
+    rng = np.random.default_rng(seed)
+    calc = content_calculus(ring)
+    n = ring.order
+    width = max_degree + 1
+    f_raw = rng.integers(0, n, size=(pairs, width), dtype=np.int64)
+    g_raw = rng.integers(0, n, size=(pairs, width), dtype=np.int64)
+
+    def degrees(mat):
+        nz = mat != 0
+        deg = np.full(pairs, -1, dtype=np.int64)
+        for j in range(width):
+            deg[nz[:, j]] = j
+        return deg
+
+    f_deg, g_deg = degrees(f_raw), degrees(g_raw)
+    failures = 0
+    for df in range(-1, width):
+        for dg in range(-1, width):
+            sel = np.nonzero((f_deg == df) & (g_deg == dg))[0]
+            if sel.size == 0:
+                continue
+            m = max(dg, 0)
+            f_cols = [f_raw[sel, j] for j in range(max(df, 0) + 1)]
+            g_cols = [g_raw[sel, j] for j in range(max(dg, 0) + 1)]
+            if df < 0:
+                cf = np.full(sel.size, calc.zero_id, dtype=np.int64)
+                cfg = cf.copy()
+            else:
+                cf = calc.content_ids(f_cols)
+                if dg < 0:
+                    cfg = np.full(sel.size, calc.zero_id, dtype=np.int64)
+                else:
+                    cfg = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
+            cg = (np.full(sel.size, calc.zero_id, dtype=np.int64) if dg < 0
+                  else calc.content_ids(g_cols))
+            lhs = cfg
+            for _ in range(m):
+                lhs = calc.prod_ids(lhs, cf)
+            rhs = cg
+            for _ in range(m + 1):
+                rhs = calc.prod_ids(rhs, cf)
+            failures += int(np.count_nonzero(lhs != rhs))
+    return failures
+
+
+def gaussian_violation_table(ring: FiniteRing, f_degree: int, g_degree: int):
+    """For every nonzero f of degree ≤ f_degree, the first violating g of
+    degree ≤ g_degree, reported as (f_degree, f_index, hit) with hit either
+    None or (g_degree, g_index).  This is the unpruned exhaustive oracle the
+    certificate audits compare against."""
+    n = ring.order
+    calc = content_calculus(ring)
+    results: list[tuple[int, int, tuple[int, int] | None]] = []
+    for df in range(f_degree + 1):
+        for fs, fe in blocks(poly_count(n, df), n, 4096):
+            rows = fe - fs
+            f_cols = decode_poly_block(np.arange(n), df, fs, fe)
+            cf = calc.content_ids(f_cols)
+            first: list[tuple[int, int] | None] = [None] * rows
+            for dg in range(g_degree + 1):
+                for gs, ge in blocks(poly_count(n, dg), rows, _PAIR_CHUNK):
+                    g_cols = decode_poly_block(np.arange(n), dg, gs, ge)
+                    expected = calc.prod_ids(cf[:, None],
+                                             calc.content_ids(g_cols)[None, :])
+                    actual = calc.content_ids(_convolve_columns(
+                        ring, [c[:, None] for c in f_cols],
+                        [c[None, :] for c in g_cols]))
+                    bad = actual != expected
+                    for r in np.nonzero(bad.any(axis=1))[0]:
+                        if first[int(r)] is None:
+                            col = int(np.argmax(bad[int(r)]))
+                            first[int(r)] = (dg, gs + col)
+            for k, hit in enumerate(first):
+                results.append((df, fs + k, hit))
+    return results

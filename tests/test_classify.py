@@ -7,10 +7,11 @@ import time
 import pytest
 
 from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
-                              classify, decide_pseudo_arithmetical,
+                              classify, decide_arithmetical,
+                              decide_pseudo_arithmetical,
                               gaussian_ring_verdict)
 from finring.errors import BoundExceededError
-from finring.ideals import is_local, residue_vector_space
+from finring.ideals import enumerate_ideals, is_local, residue_vector_space
 from finring.polys import certify_gaussian, certify_gaussians
 from finring.reports import to_json
 from finring.rings import (ProductRing, ZmodRing, free_module,
@@ -212,6 +213,28 @@ def test_pseudo_arithmetical_direct_call():
         gaussian = gaussian_ring_verdict(ring, config)
         result = decide_pseudo_arithmetical(ring, config, gaussian)
         assert result.verdict == "No"
+
+
+def test_pseudo_arithmetical_yes_read_from_arithmetical(monkeypatch,
+                                                      corpus_rings):
+    # an arithmetical ring has every ideal locally principal, and its cached
+    # verdict has scanned them all: no second scan, the same certificate
+    classify_module = importlib.import_module("finring.classify")
+    config = ClassifyConfig()
+    rings = [r for r in corpus_rings if r.order <= 16
+             and decide_arithmetical(r).verdict is True]
+    assert len(rings) > 10
+    calls = []
+    real = classify_module.is_locally_principal
+    monkeypatch.setattr(classify_module, "is_locally_principal",
+                        lambda ideal: calls.append(ideal) or real(ideal))
+    for ring in rings:
+        result = decide_pseudo_arithmetical(
+            ring, config, gaussian_ring_verdict(ring, config))
+        assert result.verdict == "Yes"
+        assert result.certificate == {"kind": "all_ideals_locally_principal",
+                                      "ideal_count": len(enumerate_ideals(ring))}
+    assert calls == []
 
 
 # ---------------------------------------------------------------- orbit reuse

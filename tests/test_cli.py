@@ -134,6 +134,19 @@ def test_exit_2_on_bound_exceeded(tmp_path, capsys):
     assert "bound exceeded" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("modules", [
+    "module e = free(a, 100000)\n",
+    "module b = free(a, 5)\nmodule e = sum(b, b)\n",   # 1024 · 1024
+])
+def test_exit_1_on_module_above_bound(tmp_path, capsys, modules):
+    path = tmp_path / "module.spec"
+    path.write_text("ring a = zmod(4)\n" + modules + "ring r = trivext(a, e)\n")
+    assert main(["classify", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "above bound 1024" in err
+    assert "Traceback" not in err
+
+
 def test_lattice_limit_is_not_a_flag(spec_path, capsys):
     assert main(["classify", "--spec", spec_path, "--lattice-limit", "1"]) == 1
     assert "usage error" in capsys.readouterr().err

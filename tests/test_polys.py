@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from finring import polys
-from finring.errors import RingBuildError
-from finring.ideals import (ideal_generated_by, is_local, is_principal,
-                            principal_ideal, residue_vector_space)
-from finring.polys import (RingPoly, certify_gaussian, content,
+from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
+from finring.ideals import (ContentCalculus, content_calculus,
+                            ideal_generated_by, ideal_product, is_local,
+                            is_principal, principal_ideal,
+                            residue_vector_space)
+from finring.polys import (RingPoly, certify_gaussian, content, content_spans,
                            cumulative_poly_count, dedekind_mertens_check,
-                           dedekind_mertens_random_audit,
-                           gaussian_violation_table, gaussian_witness_search,
-                           has_square_zero_maximal, make_poly, poly_at_index,
-                           poly_count, poly_from_literals, poly_mul,
+                           gaussian_witness_search, has_square_zero_maximal,
+                           make_poly, poly_at_index, poly_count,
+                           poly_from_literals, poly_mul,
                            ring_gaussian_refutation_search)
 from finring.rings import (ProductRing, ZmodRing, free_module,
                            make_trivial_extension, standard_gf)
+from oracles import dedekind_mertens_random_audit, gaussian_violation_table
 
 
 def _residue_idealization(order: int, dim: int = 1):
@@ -178,6 +180,95 @@ def test_ring_refutation_search_clean_on_gaussian_ring():
     hit, exhausted, checked = ring_gaussian_refutation_search(ZmodRing(8), 2)
     assert hit is None
     assert exhausted >= 2
+
+
+def _spy_candidate_degrees(monkeypatch) -> list[int]:
+    """Degrees whose candidate table the pair search decodes, in call order."""
+    degrees: list[int] = []
+    original = polys._proper_content_candidates
+
+    def spy(calc, nonunits, degree):
+        degrees.append(degree)
+        return original(calc, nonunits, degree)
+
+    monkeypatch.setattr(polys, "_proper_content_candidates", spy)
+    return degrees
+
+
+def test_pair_search_decodes_only_the_degrees_it_reads(monkeypatch):
+    # Z8 ∝ Z8 violates at total degree 2, so the 1,015,808 degree-3
+    # candidates are never decoded; pair and witness frozen at eager tables
+    degrees = _spy_candidate_degrees(monkeypatch)
+    hit, exhausted, checked = ring_gaussian_refutation_search(
+        _self_idealization(8), 3)
+    assert [p.coeffs for p in hit] == [(16, 1), (16, 1)]
+    assert exhausted is None and checked == 1_308_417
+    assert set(degrees) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("order, pair_cap, frozen, decoded", [
+    (8, 1_000, (0, 961), {0}),            # degrees 1..3 do not fit
+    (8, 100_000, (0, 62_465), {0, 1, 2}),  # degree 3 does not fit
+    (4, 500, (0, 49), {0, 1}),            # degrees 2 and 3 do not fit
+])
+def test_pair_search_budget_counted_up_front(monkeypatch, order, pair_cap,
+                                             frozen, decoded):
+    # (exhausted degree, pairs_checked) frozen at eager tables
+    degrees = _spy_candidate_degrees(monkeypatch)
+    hit, exhausted, checked = ring_gaussian_refutation_search(
+        _self_idealization(order), 3, pair_cap)
+    assert hit is None
+    assert (exhausted, checked) == frozen
+    assert set(degrees) == decoded
+
+
+def test_pair_search_cap_below_first_degree_raises():
+    with pytest.raises(BoundExceededError):
+        ring_gaussian_refutation_search(_self_idealization(4), 3, 100)
+
+
+def test_content_spans_equal_ideal_objects(corpus_rings):
+    # c(fg) from its coefficients, c(f)c(g) from the products fᵢgⱼ
+    for ring in (r for r in corpus_rings if r.order <= 8):
+        n = ring.order
+        ps = [poly_at_index(ring, d, i) for d in (0, 1)
+              for i in range(poly_count(n, d))] + [make_poly(ring, [])]
+        cs = {f.coeffs: content(f) for f in ps}
+        products = {}   # the expected c(f)c(g) depends on the contents only
+        for f in ps:
+            for g in ps:
+                key = (cs[f.coeffs].mask, cs[g.coeffs].mask)
+                if key not in products:
+                    products[key] = ideal_product(cs[f.coeffs], cs[g.coeffs])
+                lhs, rhs = content_spans(f, g)
+                assert np.array_equal(lhs, content(poly_mul(f, g)).indices)
+                assert np.array_equal(rhs, products[key].indices)
+
+
+def test_verify_violation_rejects_a_clean_pair():
+    ring = ZmodRing(4)
+    two = poly_from_literals(ring, [2])
+    with pytest.raises(ConsistencyError):
+        polys._verify_violation(two, two)
+    f = poly_from_literals(_self_idealization(8), [(2, 0), (0, 1)])
+    polys._verify_violation(f, f)   # a real violation passes
+
+
+def test_searches_reject_a_fabricated_violation(monkeypatch):
+    # content ids that swap the zero ideal with (2) claim c(2·2) ≠ c(2)c(2)
+    # over the Gaussian ring Z4; the span re-check refuses the claim
+    ring = ZmodRing(4)
+    calc = content_calculus(ring)
+    swap = np.arange(len(calc.lattice))
+    two_id = int(calc.princ_id[2])
+    swap[[calc.zero_id, two_id]] = [two_id, calc.zero_id]
+    original = ContentCalculus.content_ids
+    monkeypatch.setattr(ContentCalculus, "content_ids",
+                        lambda self, cols: swap[original(self, cols)])
+    with pytest.raises(ConsistencyError):
+        gaussian_witness_search(poly_from_literals(ring, [2]), 1)
+    with pytest.raises(ConsistencyError):
+        ring_gaussian_refutation_search(ring, 1)
 
 
 # ---------------------------------------------------------------- exhaustive oracle

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from finring.errors import RingBuildError
-from finring.rings import (GFRing, ProductRing, ZmodRing, element_kind,
-                           element_units, free_module, is_irreducible_mod_p,
-                           is_prime, make_trivial_extension, module_sum,
-                           standard_gf, verify_module_axioms,
-                           verify_ring_axioms, zero_module)
+from finring.rings import (FiniteModule, GFRing, ProductRing, ZmodRing,
+                           element_kind, element_units, free_module,
+                           is_irreducible_mod_p, is_prime,
+                           make_trivial_extension, module_sum, standard_gf,
+                           verify_module_axioms, verify_ring_axioms,
+                           zero_module)
 from finring.ideals import (is_local, make_quotient, principal_ideal,
                             residue_vector_space)
 
@@ -171,6 +172,24 @@ def test_free_module_and_sum_axioms():
     assert summed.order == 16
     assert verify_module_axioms(summed)
     assert zero_module(z4).order == 1
+
+
+def test_free_module_rank_refused_before_the_power():
+    # 4^100000 has more digits than int-to-str conversion allows
+    with pytest.raises(RingBuildError, match=r"4\^100000 above bound 1024"):
+        free_module(ZmodRing(4), 100_000)
+
+
+def test_module_sum_refused_before_its_tables(monkeypatch):
+    z2 = ZmodRing(2)
+    e, f = free_module(z2, 6), free_module(z2, 5)   # 64 · 32 = 2048
+    calls = []
+    real = FiniteModule.madd_arr
+    monkeypatch.setattr(FiniteModule, "madd_arr",
+                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    with pytest.raises(RingBuildError, match="above bound 1024"):
+        module_sum(e, f)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- axioms & homs
