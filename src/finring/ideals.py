@@ -4,8 +4,8 @@ Ideals are stored as membership bitmasks (Python ints) over element indices,
 with a cached numpy index array for vectorised arithmetic.  Two ideals are
 additive subgroups, so their sum I + J = {x + y} takes one pass of |I|·|J|
 additions (`subgroup_sum_indices`); a span grows one principal ideal R·g at
-a time the same way.  The full ideal lattice of a ring is computed by closing
-the principal ideals under pairwise sums, which stays cheap because finite
+a time the same way.  The full ideal lattice of a ring is computed by adding
+each principal ideal to each ideal found, which stays cheap because finite
 rings have very few ideals compared to subsets.  The principal ideals
 themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
@@ -213,24 +213,28 @@ def minimal_generators(ring: FiniteRing, mask: int) -> tuple[int, ...]:
 
 
 class IdealLattice:
-    """All ideals of a ring, sorted by (size, mask), with lattice metadata."""
+    """All ideals of a ring, sorted by (size, mask), with lattice metadata.
+    `join[i, c]` is the id of ideals[i] + P for the principal ideal P of
+    column c, and `princ_col[x]` is the column of R·x."""
 
-    def __init__(self, ring: FiniteRing, ideals: list[Ideal]):
+    def __init__(self, ring: FiniteRing, ideals: list[Ideal], join: np.ndarray,
+                 princ_col: np.ndarray):
         self.ring = ring
         self.ideals = ideals
+        self.join = join
+        self.princ_col = princ_col
         self.by_mask = {i.mask: pos for pos, i in enumerate(ideals)}
-        self.zero_ideal = ideals[0]
-        self.unit_ideal = ideals[-1]
-        proper = [i for i in ideals if i.is_proper()]
-        nonzero_proper = [i for i in proper if not i.is_zero()]
-        self.atoms = [i for i in nonzero_proper
-                      if not any(j.mask != i.mask and (j.mask & i.mask) == j.mask
-                                 for j in nonzero_proper)]
-        self.maximals = [i for i in proper
-                         if not any(j.mask != i.mask and (j.mask | i.mask) == j.mask
-                                    for j in proper)]
+        ids = np.arange(len(ideals))
+        proper = ids != ids[-1]
+        inside = join == ids[:, None]          # column P lies inside ideal i
+        # an atom is generated by any of its nonzero elements, so it is a
+        # principal ideal holding no principal ideal but 0 and itself
+        atom = np.isin(ids, join[0]) & proper & (inside.sum(axis=1) == 2)
+        # M is maximal iff M + R·a is M or R for every element a
+        maximal = proper & (inside | (join == ids[-1])).all(axis=1)
+        self.atoms = [ideals[i] for i in np.flatnonzero(atom)]
+        self.maximals = [ideals[i] for i in np.flatnonzero(maximal)]
         self.field_like = len(ideals) == 2
-        self._sum_ids: dict[tuple[int, int], int] = {}
         self._prod_ids: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
@@ -240,16 +244,6 @@ class IdealLattice:
         pos = self.by_mask.get(ideal.mask)
         if pos is None:
             raise ConsistencyError(f"{self.ring.name}: ideal missing from lattice")
-        return pos
-
-    def sum_id(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = (a, b) if a < b else (b, a)
-        pos = self._sum_ids.get(key)
-        if pos is None:
-            pos = self.ideal_id(ideal_sum(self.ideals[a], self.ideals[b]))
-            self._sum_ids[key] = pos
         return pos
 
     def product_id(self, a: int, b: int) -> int:
@@ -262,18 +256,14 @@ class IdealLattice:
 
 
 def principal_ideal_masks(ring: FiniteRing) -> list[int]:
-    """Mask of the principal ideal R·a for every element a, cached.
-
-    Read from `rings.associate_sweep`, which takes one product row per
-    associate class and files its mask for the whole class, because
-    R·(ua) = R·a; the same sweep yields the class leaders.  The cost is
-    (number of classes)·n products instead of n².
-    """
+    """Mask of the principal ideal R·a for every element a, cached: read from
+    `rings.associate_sweep`, one product row per associate class."""
     return associate_sweep(ring)[1]
 
 
 def enumerate_ideals(ring: FiniteRing) -> IdealLattice:
-    """Complete ideal lattice: principal ideals closed under pairwise sums."""
+    """Complete ideal lattice: every ideal is a sum of principal ideals, so
+    adding each principal ideal to each ideal found reaches them all."""
     return ring.memo("lattice", lambda: _build_lattice(ring))
 
 
@@ -283,27 +273,33 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
         raise BoundExceededError(
             f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
             f"has order {n}")
+    pmasks = principal_ideal_masks(ring)
+    cols = list(dict.fromkeys(pmasks))     # the principal ideals, one per column
+    col_of = {m: c for c, m in enumerate(cols)}
     # mask -> member indices, so a sum never re-decodes its summands
-    seen = {m: indices_from_mask(m, n)
-            for m in dict.fromkeys(principal_ideal_masks(ring))}
-    work = list(seen)
-    while work:
-        fresh = []
-        for known in list(seen):
-            for w in work:
-                union = known | w
-                if union in seen or union == known or union == w:
-                    continue
-                idx = subgroup_sum_indices(ring, seen[known], seen[w])
+    seen = {m: indices_from_mask(m, n) for m in cols}
+    rows: dict[int, list[int]] = {}        # mask of I -> masks of I + P
+    queue = list(seen)
+    for w in queue:                        # grows as new ideals turn up
+        row = rows[w] = []
+        for p in cols:
+            m = w | p                      # I + P when the union is an ideal
+            if m not in seen and p in rows and w in col_of:
+                m = rows[p][col_of[w]]     # P + W, filed in P's row
+            if m not in seen:
+                idx = subgroup_sum_indices(ring, seen[w], seen[p])
                 m = mask_from_indices(idx, n)
                 if m not in seen:
                     seen[m] = idx
-                    fresh.append(m)
-        work = fresh
+                    queue.append(m)
+            row.append(m)
     order_key = sorted(seen, key=lambda m: (m.bit_count(), m))
+    pos = {m: i for i, m in enumerate(order_key)}
     ideals = [Ideal(ring, m, minimal_generators(ring, m), seen[m])
               for m in order_key]
-    return IdealLattice(ring, ideals)
+    join = np.array([[pos[m] for m in rows[w]] for w in order_key], dtype=np.int64)
+    princ_col = np.array([col_of[m] for m in pmasks], dtype=np.int64)
+    return IdealLattice(ring, ideals, join, princ_col)
 
 
 def minimal_nonzero_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -386,20 +382,35 @@ def is_local(ring: FiniteRing) -> Ideal | None:
 
     A finite commutative ring is local iff its non-units are closed under
     addition (absorption r·m is automatic: a unit multiple of m would make m a
-    unit).  The non-unit set is then itself the unique maximal ideal.
+    unit).  The non-unit set is then itself the unique maximal ideal.  The
+    test grows the non-units' additive span one cyclic subgroup ⟨g⟩ at a time,
+    g the first non-unit outside it (so it at least doubles); a unit in the
+    span refutes locality.
     """
     return ring.memo("local", lambda: _nonunit_ideal(ring))
 
 
 def _nonunit_ideal(ring: FiniteRing) -> Ideal | None:
     units = element_units(ring)
-    nonunits = np.nonzero(~units)[0].astype(np.int64)
-    for start, stop in blocks(nonunits.size, nonunits.size):
-        sums = ring.add_arr(nonunits[start:stop, None], nonunits[None, :])
-        if bool(units[sums].any()):
+    nonunits = np.flatnonzero(~units)
+    span = np.array([ring.zero], dtype=np.int64)
+    while (outside := nonunits[~np.isin(nonunits, span, kind="table")]).size:
+        span = subgroup_sum_indices(ring, span, _cyclic_indices(ring, int(outside[0])))
+        if units[span].any():
             return None
     mask = mask_from_indices(nonunits, ring.order)
     return Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
+
+
+def _cyclic_indices(ring: FiniteRing, g: int) -> np.ndarray:
+    """Members of ⟨g⟩: the multiples 0..(m−1)·g, shifted by m·g until 0 recurs."""
+    multiples = np.array([ring.zero, g], dtype=np.int64)
+    while True:
+        shifted = ring.add_arr(multiples, ring.add(int(multiples[-1]), g))
+        back = np.flatnonzero(shifted == ring.zero)
+        if back.size:
+            return np.concatenate([multiples, shifted[:back[0]]])
+        multiples = np.concatenate([multiples, shifted])
 
 
 def coset_minima(ring: FiniteRing, idx: np.ndarray) -> np.ndarray:
@@ -602,7 +613,7 @@ def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
         lattice = enumerate_ideals(localized)
         atoms = lattice.atoms
         by_atoms = len(atoms) <= 1
-        direct = is_irreducible(lattice.zero_ideal)
+        direct = is_irreducible(lattice.ideals[0])
         if by_atoms != direct:
             raise ConsistencyError(
                 f"{ring.name}: atom count and direct irreducibility disagree "
@@ -621,26 +632,18 @@ def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
 class ContentCalculus:
     """Vectorised ideal-id arithmetic for polynomial content computations.
 
-    Maps every ring element to the lattice id of its principal ideal, keeps an
-    eager id-level sum table and a k × k product table whose rows are filled
-    on first use, and evaluates batched content comparisons without touching
-    bitmasks in inner loops.
+    Maps every ring element to the lattice id of its principal ideal, reads
+    contents from the lattice's join table, keeps a k × k product table whose
+    rows are filled on first use, and evaluates batched content comparisons
+    without touching bitmasks in inner loops.
     """
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
-        self.lattice = enumerate_ideals(ring)
-        pmasks = principal_ideal_masks(ring)
-        self.princ_id = np.array([self.lattice.by_mask[m] for m in pmasks],
-                                 dtype=np.int64)
-        k = len(self.lattice)
-        self.zero_id = self.lattice.by_mask[1]
-        self.unit_id = self.lattice.ideal_id(self.lattice.unit_ideal)
-        sums = np.empty((k, k), dtype=np.int64)
-        for a in range(k):
-            for b in range(a, k):
-                sums[a, b] = sums[b, a] = self.lattice.sum_id(a, b)
-        self.sum_lut = sums
+        self.lattice = lattice = enumerate_ideals(ring)
+        k = len(lattice)
+        self.zero_id, self.unit_id = 0, k - 1
+        self.princ_id = lattice.join[0, lattice.princ_col]
         # row a is valid once _filled[a]; unfilled rows are never read
         self._prod = np.empty((k, k), dtype=np.int64)
         self._filled = np.zeros(k, dtype=bool)
@@ -666,9 +669,10 @@ class ContentCalculus:
         columns (one array per degree slot, equal lengths)."""
         if not coeff_cols:
             return np.array([], dtype=np.int64)
+        join, princ_col = self.lattice.join, self.lattice.princ_col
         acc = self.princ_id[np.asarray(coeff_cols[0], dtype=np.int64)]
         for col in coeff_cols[1:]:
-            acc = self.sum_lut[acc, self.princ_id[np.asarray(col, dtype=np.int64)]]
+            acc = join[acc, princ_col[np.asarray(col, dtype=np.int64)]]
         return acc
 
 

@@ -25,7 +25,7 @@ degree's candidate table only when the first pair needs it.
 
 Every violation a search claims is re-checked on the spans of c(fg) and of
 c(f)c(g), grown from the coefficients one principal ideal at a time with
-no lattice ids, sum table or product table (`content_spans`).
+no lattice ids, join table or product table (`content_spans`).
 """
 
 from __future__ import annotations
@@ -187,9 +187,9 @@ def content_spans(f: RingPoly, g: RingPoly) -> tuple[np.ndarray, np.ndarray]:
 
     Shared with the searches it audits: the ring's add and mul, and the
     subgroup sums that also built the lattice.  Not shared: lattice ids,
-    the `content_calculus` sum and product tables, `ideal_product` (which
-    fills that product table), and the cached principal masks and
-    associate classes.
+    the lattice's join table, the `content_calculus` product table,
+    `ideal_product` (which fills that product table), and the cached
+    principal masks and associate classes.
     """
     ring = f.ring
     lhs, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)

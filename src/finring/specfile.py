@@ -27,6 +27,8 @@ from .rings import (FiniteModule, FiniteRing, GFRing, ModuleSpec, ProductRing,
                     RingSpec, ZmodRing, free_module, gf_modulus,
                     make_trivial_extension, module_sum)
 
+MAX_INT_DIGITS = 18   # above every supported order and rank; literals fit int64
+
 
 @dataclass(frozen=True)
 class Token:
@@ -67,6 +69,8 @@ def _tokenize(text: str) -> list[Token]:
             i += 1
             while i < len(text) and text[i].isdigit():
                 i += 1
+            if i - start > MAX_INT_DIGITS + (ch == "-"):
+                raise SpecError(f"integer literal longer than {MAX_INT_DIGITS} digits", line, col)
             tokens.append(Token("INT", text[start:i], line, col))
             col += i - start
             continue
@@ -164,7 +168,7 @@ class _Parser:
         else:
             if self.program.target is None:
                 self.fail("poly statement before any ring", head)
-            lits = self.literal_list()
+            lits = tuple(self.bracketed(self.literal))
             self.program.polys[name] = (self.program.target, lits)
 
     def ring_ref(self) -> RingSpec:
@@ -199,7 +203,7 @@ class _Parser:
             if key.text != "poly":
                 self.fail("gf needs poly=[...]", key)
             self.expect_sym("=")
-            coeffs = self.int_list()
+            coeffs = self.bracketed(self.expect_int)
             self.expect_sym(")")
             try:
                 gf_modulus(p, k, coeffs)
@@ -262,29 +266,24 @@ class _Parser:
         if key.text != "gens":
             self.fail("expected gens=[...]", key)
         self.expect_sym("=")
-        return self.literal_list()
+        return tuple(self.bracketed(self.literal))
 
-    def int_list(self) -> list[int]:
+    def bracketed(self, item) -> list:
+        """'[' item, item, … ']', possibly empty."""
         self.expect_sym("[")
         out = []
         if not (self.peek().kind == "SYM" and self.peek().text == "]"):
-            out.append(self.expect_int())
-            while self.peek().kind == "SYM" and self.peek().text == ",":
-                self.take()
-                out.append(self.expect_int())
+            out = self.separated(item)
         self.expect_sym("]")
         return out
 
-    def literal_list(self) -> tuple:
-        self.expect_sym("[")
-        out = []
-        if not (self.peek().kind == "SYM" and self.peek().text == "]"):
-            out.append(self.literal())
-            while self.peek().kind == "SYM" and self.peek().text == ",":
-                self.take()
-                out.append(self.literal())
-        self.expect_sym("]")
-        return tuple(out)
+    def separated(self, item) -> list:
+        """item (',' item)*"""
+        out = [item()]
+        while self.peek().kind == "SYM" and self.peek().text == ",":
+            self.take()
+            out.append(item())
+        return out
 
     def literal(self):
         tok = self.peek()
@@ -292,10 +291,7 @@ class _Parser:
             return int(self.take().text)
         if tok.kind == "SYM" and tok.text == "(":
             self.take()
-            items = [self.literal()]
-            while self.peek().kind == "SYM" and self.peek().text == ",":
-                self.take()
-                items.append(self.literal())
+            items = self.separated(self.literal)
             self.expect_sym(")")
             if len(items) < 2:
                 self.fail("tuple literal needs at least two components", tok)

@@ -1,13 +1,42 @@
 """Test oracles: the unpruned exhaustive Gaussian violation table and the
-seeded Dedekind–Mertens audit that the witness searches are checked against.
-No program path calls them."""
+seeded Dedekind–Mertens audit that the witness searches are checked against,
+the pairwise atom and maximal scans of an ideal lattice, and the pairwise
+locality test.  No program path calls them."""
 
 import numpy as np
 
-from finring.ideals import content_calculus
+from finring.ideals import IdealLattice, content_calculus
 from finring.polys import (_PAIR_CHUNK, _convolve_columns, decode_poly_block,
                            poly_count)
-from finring.rings import FiniteRing, blocks
+from finring.rings import FiniteRing, blocks, element_units, mask_from_indices
+
+
+def atoms_by_pairwise_scan(lattice: IdealLattice) -> list:
+    """Nonzero proper ideals with no other nonzero proper ideal inside."""
+    nonzero_proper = [i for i in lattice.ideals
+                      if i.is_proper() and not i.is_zero()]
+    return [i for i in nonzero_proper
+            if not any(j.mask != i.mask and (j.mask & i.mask) == j.mask
+                       for j in nonzero_proper)]
+
+
+def maximals_by_pairwise_scan(lattice: IdealLattice) -> list:
+    """Proper ideals with no other proper ideal above."""
+    proper = [i for i in lattice.ideals if i.is_proper()]
+    return [i for i in proper
+            if not any(j.mask != i.mask and (j.mask | i.mask) == j.mask
+                       for j in proper)]
+
+
+def nonunit_mask_by_pairwise_sums(ring: FiniteRing) -> int | None:
+    """Mask of the non-units when every sum of two of them is a non-unit
+    (the ring is local), else None; |N|² additions."""
+    units = element_units(ring)
+    nonunits = np.flatnonzero(~units)
+    for start, stop in blocks(nonunits.size, nonunits.size):
+        if units[ring.add_arr(nonunits[start:stop, None], nonunits[None, :])].any():
+            return None
+    return mask_from_indices(nonunits, ring.order)
 
 
 def dedekind_mertens_random_audit(ring: FiniteRing, pairs: int, seed: int,

@@ -169,6 +169,17 @@ def test_exit_2_on_order_above_budget(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_exit_1_on_overlong_integer_literal(tmp_path, capsys):
+    # a digit run past Python's int() conversion limit is refused as a
+    # spec error at its position, before any conversion
+    path = tmp_path / "digits.spec"
+    path.write_text("ring a = zmod(" + "9" * 5000 + ")\n")
+    assert main(["classify", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 1, col 15" in err
+    assert "Traceback" not in err
+
+
 def test_exit_3_on_internal_inconsistency(spec_path, monkeypatch, capsys):
     from finring import cli
     from finring.errors import ConsistencyError

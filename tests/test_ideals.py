@@ -27,11 +27,15 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             zero_ideal_locally_irreducible)
 from finring.rings import (QuotientRing, ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
+from finring.specfile import build_target, parse_ring_spec
+from oracles import (atoms_by_pairwise_scan, maximals_by_pairwise_scan,
+                     nonunit_mask_by_pairwise_sums)
 
 
 # (mask, gens) of every lattice ideal of each corpus ring of order <= 16,
 # recorded from the doubling-closure generator scan
 LATTICE_GENS = Path(__file__).resolve().parent / "fixtures" / "lattice_gens.json"
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def _indices(ideal):
@@ -114,6 +118,37 @@ def test_field_idealization_lattice_frozen():
     ext, _, _ = make_trivial_extension(base, free_module(base, 2))
     assert sorted(i.size for i in enumerate_ideals(ext).ideals) == [1, 2, 2, 2, 4, 8]
     assert len(minimal_nonzero_ideals(ext)) == 3
+
+
+def test_join_table_is_the_sum_with_each_principal_ideal():
+    checked = 0
+    for ring in _small_corpus():
+        lattice = enumerate_ideals(ring)
+        for a in range(ring.order):
+            principal = principal_ideal(ring, a)
+            col = lattice.princ_col[a]
+            for pos, ideal in enumerate(lattice.ideals):
+                expected = lattice.ideal_id(ideal_sum(ideal, principal))
+                assert lattice.join[pos, col] == expected, ring.name
+                checked += 1
+    assert checked > 2000
+
+
+def test_atoms_and_maximals_match_pairwise_scans(corpus_rings):
+    assert len(corpus_rings) == 170
+    for ring in corpus_rings:
+        lattice = enumerate_ideals(ring)
+        assert lattice.atoms == atoms_by_pairwise_scan(lattice), ring.name
+        assert lattice.maximals == maximals_by_pairwise_scan(lattice), ring.name
+
+
+def test_f2_trivext5_lattice_pinned():
+    ring = build_target(parse_ring_spec(
+        (SPECS / "f2_trivext5.ring").read_text(encoding="utf-8")))
+    lattice = enumerate_ideals(ring)
+    assert ring.order == 64
+    assert (len(lattice), len(lattice.atoms), len(lattice.maximals)) == (375, 31, 1)
+    assert lattice.join.shape == (375, 33)
 
 
 # ---------------------------------------------------------------- ideal algebra
@@ -256,6 +291,36 @@ def test_is_local_frozen():
     assert is_local(standard_gf(3, 2)).size == 1
 
 
+def test_is_local_matches_pairwise_sums(corpus_rings):
+    local = 0
+    for ring in corpus_rings:
+        maximal = is_local(ring)
+        expected = nonunit_mask_by_pairwise_sums(ring)
+        assert (maximal.mask if maximal else None) == expected, ring.name
+        local += maximal is not None
+    assert 0 < local < len(corpus_rings)
+
+
+def test_is_local_adds_linearly_on_z1024_trivext(monkeypatch):
+    # order 2^20 with 2^19 non-units: adding every pair of them would take
+    # 2^38 additions; the span of cyclic subgroups needs fewer than n
+    ring = build_target(parse_ring_spec(
+        "ring a = zmod(1024); module e = free(a, 1); ring r = trivext(a, e)"))
+    element_units(ring)
+    # the generator list of the maximal ideal is a separate scan
+    monkeypatch.setattr(ideals, "minimal_generators", lambda ring, mask: ())
+    real, added = ring.add_arr, [0]
+
+    def counted(a, b):
+        added[0] += np.broadcast(a, b).size
+        assert added[0] <= ring.order, "locality test adds more than n elements"
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "add_arr", counted)
+    maximal = is_local(ring)
+    assert maximal is not None and maximal.size == ring.order // 2
+
+
 def test_locally_principal_on_non_principal_ideal():
     ext = _trivext(4, 1)
     dec_ok = ideal_generated_by(
@@ -329,3 +394,20 @@ def test_content_calculus_tables():
             assert np.array_equal(calc.prod_ids(ids[:, None], ids[None, :]),
                                   expected), ring.name
         assert np.array_equal(calc.prod_row(0), expected[0])
+
+
+
+def test_content_calculus_makes_no_sums_once_the_lattice_exists(monkeypatch):
+    ring = _trivext(4, 2)  # Z4 ∝ (Z4/2)²
+    lattice = enumerate_ideals(ring)
+
+    def no_sum(*_args):
+        raise AssertionError("a sum was taken after the lattice was built")
+
+    monkeypatch.setattr(ideals, "ideal_sum", no_sum)
+    monkeypatch.setattr(ideals, "subgroup_sum_indices", no_sum)
+    cols = [np.arange(ring.order), np.arange(ring.order)[::-1]]
+    ids = content_calculus(ring).content_ids(cols)
+    monkeypatch.undo()
+    for x, y, got in zip(*cols, ids.tolist()):
+        assert lattice.ideals[got] == ideal_generated_by(ring, [x, y])

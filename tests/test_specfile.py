@@ -80,6 +80,8 @@ ring r = trivext(k, e)
     ("ring a = zmod(4) ring b = zmod(9)", "expected end of statement", 1, 18),
     ("ring a = zmod(4)\npoly f = [(1)]", "tuple literal", 2, 11),
     ("ring a = zmod(4)?", "unexpected character", 1, 17),
+    ("ring a = zmod(1" + "0" * 18 + ")", "longer than 18 digits", 1, 15),
+    ("ring a = zmod(4); poly f = [-" + "1" * 19 + "]", "longer than 18 digits", 1, 29),
     ("# only a comment", "declares no ring", None, None),
 ])
 def test_parse_errors_with_positions(text, fragment, line, col):
