@@ -642,7 +642,7 @@ class ContentCalculus:
         self.ring = ring
         self.lattice = lattice = enumerate_ideals(ring)
         k = len(lattice)
-        self.zero_id, self.unit_id = 0, k - 1
+        self.zero_id = 0
         self.princ_id = lattice.join[0, lattice.princ_col]
         # row a is valid once _filled[a]; unfilled rows are never read
         self._prod = np.empty((k, k), dtype=np.int64)

@@ -19,9 +19,14 @@ which has the same degree and only non-unit coefficients; the first
 violation therefore leads with the least element of its class.  For the
 same reason u·f has the verdict and first witness of f, so a run of
 candidates needs one search per associate orbit (`certify_gaussians`).
-Caps and bounds still count the full order.  The pair search counts its
-budget per degree up front, on candidate counts alone, and decodes a
-degree's candidate table only when the first pair needs it.
+A constant factor a never violates either, since c(a·g) = (a)·c(g), so
+the witness search starts at degree 1 and the pair search counts the pairs
+with a constant factor without evaluating them.  Caps and bounds still
+count the full order.  The pair search runs on local rings only, where its
+candidates are the polynomials over the maximal ideal N, all of proper
+content: it takes their counts in closed form, charges its budget per
+degree up front on those counts, and decodes a degree's candidate table
+only when a pair of two non-constant degrees first evaluates it.
 
 Every violation a search claims is re-checked on the spans of c(fg) and of
 c(f)c(g), grown from the coefficients one principal ideal at a time with
@@ -140,7 +145,8 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                             cap: int = 2_000_000) -> RingPoly | None:
     """First g (pinned order, degree ≤ bound) with c(fg) ≠ c(f)c(g), or None.
 
-    Enumerates only g with non-unit coefficients (Dedekind–Mertens) whose
+    Enumerates only g of degree ≥ 1 (a constant a never violates, since
+    c(f·a) = (a)·c(f)) with non-unit coefficients (Dedekind–Mertens) whose
     leading coefficient is an associate-class leader (if g violates, so does
     u·g, so the first violation leads with the least of its class), and stops
     at the first violating chunk.  Raises BoundExceededError when the full,
@@ -163,7 +169,7 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                            & ~units)[1:]  # nonzero: drop the class {0}
     f_cols = [np.int64(c) for c in f.coeffs]
     cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
-    for d in range(degree_bound + 1):
+    for d in range(1, degree_bound + 1):
         for start, stop in blocks(leads.size * nonunits.size**d,
                                   budget=_PAIR_CHUNK):
             g_cols = decode_poly_block(nonunits, d, start, stop, leads)
@@ -238,11 +244,13 @@ def has_square_zero_maximal(ring: FiniteRing) -> bool:
 
 
 def _maximal_squares_to_zero(ring: FiniteRing) -> bool:
+    """N² = 0 iff N·g = 0 for each generator g of N: |gens|·|N| products."""
     maximal = is_local(ring)
     if maximal is None:
         return False
-    idx = maximal.indices
-    return bool(np.all(ring.mul_arr(idx[:, None], idx[None, :]) == ring.zero))
+    gens = np.array(maximal.gens, dtype=np.int64)
+    return bool(np.all(ring.mul_arr(maximal.indices[:, None], gens[None, :])
+                       == ring.zero))
 
 
 def affordable_degree(n: int, degree_bound: int, cap: int) -> int:
@@ -334,25 +342,30 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
 
     Returns (witness_pair_or_None, exhausted_symmetric_degree, pairs_checked).
     Pairs are ordered by total degree, then deg f, then f, then g in the
-    pinned polynomial order.  Candidates whose content is the unit ideal are
-    skipped: Dedekind–Mertens shows a unit-content factor can never violate
-    multiplicativity, so the first violation found equals the unpruned one.
-    Raises BoundExceededError if the budget is exhausted before any total
-    degree completes.
+    pinned polynomial order.  Raises BoundExceededError if the budget is
+    exhausted before any total degree completes, and RingBuildError on a
+    non-local ring (the Gaussian decider splits those into local factors).
 
-    Each degree's non-unit candidates are charged to the budget up front,
-    on their count alone, and a degree that does not fit stops the search
-    when a pair first needs it.  A degree's table of proper-content
-    candidates is decoded when the first pair needs it, so a violation
-    found early never decodes the higher degrees.
+    The candidates are the polynomials over the maximal ideal N: by
+    Dedekind–Mertens a unit-content factor never violates, and over a local
+    ring every polynomial over N has proper content, so degree d has exactly
+    poly_count(|N|, d) candidates.  Each degree is charged to the budget up
+    front on that count, and a degree that does not fit stops the search
+    when a pair first needs it.  A pair with a constant factor a never
+    violates, because c(a·g) = (a)·c(g); such pairs are counted into the
+    budget and pairs_checked but never evaluated.  A degree's candidate
+    table is decoded only when a pair of two non-constant degrees first
+    evaluates it.
     """
+    maximal = is_local(ring)
+    if maximal is None:
+        raise RingBuildError(f"pair search over {ring.name} needs a local ring")
     calc = content_calculus(ring)
+    nonunits = maximal.indices
+    counts = [poly_count(nonunits.size, d) for d in range(degree_bound + 1)]
     budget = pair_cap
-
-    nonunits = np.flatnonzero(~element_units(ring))
     affordable = []
-    for d in range(degree_bound + 1):
-        total = poly_count(nonunits.size, d)
+    for total in counts:
         affordable.append(total <= budget)
         if total <= budget:
             budget -= total
@@ -370,9 +383,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
             dg = t - df
             if not (affordable[df] and affordable[dg]):
                 return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
-            f_cols, f_ids = candidates(df)
-            g_cols, g_ids = candidates(dg)
-            nf, ng = f_ids.size, g_ids.size
+            nf, ng = counts[df], counts[dg]
             if nf == 0 or ng == 0:
                 continue
             if nf * ng > budget:
@@ -381,6 +392,11 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
                         f"pair search over {ring.name} exceeds cap {pair_cap}")
                 return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
             budget -= nf * ng
+            if df == 0 or dg == 0:
+                pairs_checked += nf * ng
+                continue
+            f_cols, f_ids = candidates(df)
+            g_cols, g_ids = candidates(dg)
             for fs, fe in blocks(nf, ng, _PAIR_CHUNK):
                 fc = [c[fs:fe, None] for c in f_cols]
                 gc = [c[None, :] for c in g_cols]
@@ -401,20 +417,10 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
 
 def _proper_content_candidates(calc, nonunits: np.ndarray, degree: int):
     """Columns and content ids of the degree-`degree` polynomials over
-    `nonunits` whose content is proper.  The decoded blocks die on return,
-    so they do not stay alive through the pair search."""
-    cols, cids = [], []
-    for start, stop in blocks(poly_count(nonunits.size, degree), budget=_PAIR_CHUNK):
-        block = decode_poly_block(nonunits, degree, start, stop)
-        ids = calc.content_ids(block)
-        keep = ids != calc.unit_id
-        cols.append([c[keep] for c in block])
-        cids.append(ids[keep])
-    if not cols:
-        return ([np.array([], dtype=np.int64)] * (degree + 1),
-                np.array([], dtype=np.int64))
-    return ([np.concatenate([c[j] for c in cols]) for j in range(degree + 1)],
-            np.concatenate(cids))
+    `nonunits`, the maximal ideal of a local ring: every one of them has
+    proper content."""
+    cols = decode_poly_block(nonunits, degree, 0, poly_count(nonunits.size, degree))
+    return cols, calc.content_ids(cols)
 
 
 def _sym_degree(exhausted_t: int, degree_bound: int) -> int:

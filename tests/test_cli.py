@@ -134,6 +134,18 @@ def test_exit_2_on_bound_exceeded(tmp_path, capsys):
     assert "bound exceeded" in capsys.readouterr().err.lower()
 
 
+def test_exit_2_on_large_local_ring_with_a_square_nonzero_maximal(tmp_path, capsys):
+    # Z1024 ∝ Z1024 has order 2^20 and 2^19 non-units: N² = 0 is tested on
+    # the generators of N, not on all |N|² products
+    path = tmp_path / "z1024.spec"
+    path.write_text("ring a = zmod(1024)\nmodule e = free(a, 1)\n"
+                    "ring r = trivext(a, e)\n")
+    assert main(["classify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bound exceeded" in err.lower()
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("modules", [
     "module e = free(a, 100000)\n",
     "module b = free(a, 5)\nmodule e = sum(b, b)\n",   # 1024 · 1024

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from finring import polys
+from finring.classify import ClassifyConfig
 from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
 from finring.ideals import (ContentCalculus, content_calculus,
                             ideal_generated_by, ideal_product, is_local,
@@ -104,6 +105,17 @@ def test_square_zero_maximal_rule_scope():
     assert not has_square_zero_maximal(ZmodRing(8))      # M^2 != 0
 
 
+def test_square_zero_maximal_matches_all_products(corpus_rings):
+    # read from the generators of N; the oracle multiplies every pair
+    for ring in corpus_rings:
+        maximal = is_local(ring)
+        if maximal is None:
+            continue
+        idx = maximal.indices
+        every = np.all(ring.mul_arr(idx[:, None], idx[None, :]) == ring.zero)
+        assert has_square_zero_maximal(ring) == bool(every), ring.name
+
+
 def test_certify_unit_content_and_zero():
     z8 = ZmodRing(8)
     unit = certify_gaussian(poly_from_literals(z8, [3, 2]))
@@ -196,20 +208,22 @@ def _spy_candidate_degrees(monkeypatch) -> list[int]:
 
 
 def test_pair_search_decodes_only_the_degrees_it_reads(monkeypatch):
-    # Z8 ∝ Z8 violates at total degree 2, so the 1,015,808 degree-3
-    # candidates are never decoded; pair and witness frozen at eager tables
+    # Z8 ∝ Z8 violates at total degree 2, in its (1, 1) pairs: the pairs
+    # with a constant factor are counted, not decoded, and the 1,015,808
+    # degree-3 candidates are never decoded; pair and witness frozen at
+    # eager tables
     degrees = _spy_candidate_degrees(monkeypatch)
     hit, exhausted, checked = ring_gaussian_refutation_search(
         _self_idealization(8), 3)
     assert [p.coeffs for p in hit] == [(16, 1), (16, 1)]
     assert exhausted is None and checked == 1_308_417
-    assert set(degrees) == {0, 1, 2}
+    assert set(degrees) == {1}
 
 
 @pytest.mark.parametrize("order, pair_cap, frozen, decoded", [
-    (8, 1_000, (0, 961), {0}),            # degrees 1..3 do not fit
-    (8, 100_000, (0, 62_465), {0, 1, 2}),  # degree 3 does not fit
-    (4, 500, (0, 49), {0, 1}),            # degrees 2 and 3 do not fit
+    (8, 1_000, (0, 961), set()),          # degrees 1..3 do not fit
+    (8, 100_000, (0, 62_465), set()),     # degree 3 does not fit
+    (4, 500, (0, 49), set()),             # degrees 2 and 3 do not fit
 ])
 def test_pair_search_budget_counted_up_front(monkeypatch, order, pair_cap,
                                              frozen, decoded):
@@ -225,6 +239,66 @@ def test_pair_search_budget_counted_up_front(monkeypatch, order, pair_cap,
 def test_pair_search_cap_below_first_degree_raises():
     with pytest.raises(BoundExceededError):
         ring_gaussian_refutation_search(_self_idealization(4), 3, 100)
+
+
+def test_pair_search_counts_constant_factor_pairs(monkeypatch):
+    # Z25 ∝ Z25 at the default bounds: the 3,859,376 pairs of total degree
+    # ≤ 1 all have a constant factor, and the (0, 2) pairs do not fit the
+    # budget, so nothing is decoded or convolved
+    degrees = _spy_candidate_degrees(monkeypatch)
+    convolutions = []
+    convolve = polys._convolve_columns
+
+    def spy(ring, f_cols, g_cols):
+        convolutions.append(len(f_cols))
+        return convolve(ring, f_cols, g_cols)
+
+    monkeypatch.setattr(polys, "_convolve_columns", spy)
+    config = ClassifyConfig()
+    result = ring_gaussian_refutation_search(
+        _self_idealization(25), config.degree_bound, config.pair_cap)
+    assert result == (None, 0, 3_859_376)
+    assert degrees == [] and convolutions == []
+
+
+def test_pair_search_refuses_a_non_local_ring():
+    ring = ProductRing(_self_idealization(4), ZmodRing(2))
+    with pytest.raises(RingBuildError):
+        ring_gaussian_refutation_search(ring, 1)
+
+
+def test_constant_factor_never_violates(corpus_rings):
+    # c(a·g) = (a)·c(g): over the local corpus rings of order ≤ 16, every
+    # non-unit constant a and every g of degree ≤ 1 over the non-units
+    # have equal spans, so the searches may skip constant factors
+    for ring in (r for r in corpus_rings if r.order <= 16):
+        maximal = is_local(ring)
+        if maximal is None:
+            continue
+        nonunits = maximal.indices
+        gs = [make_poly(ring, [int(c[0]) for c in
+                               polys.decode_poly_block(nonunits, d, i, i + 1)])
+              for d in (0, 1) for i in range(poly_count(nonunits.size, d))]
+        for a in nonunits.tolist():
+            for g in gs:
+                lhs, rhs = content_spans(make_poly(ring, [a]), g)
+                assert np.array_equal(lhs, rhs), (ring.name, a, g.coeffs)
+
+
+def test_witness_search_never_decodes_constants(monkeypatch):
+    degrees = []
+    decode = polys.decode_poly_block
+
+    def spy(alphabet, degree, start, stop, lead=None):
+        degrees.append(degree)
+        return decode(alphabet, degree, start, stop, lead)
+
+    monkeypatch.setattr(polys, "decode_poly_block", spy)
+    ext = _self_idealization(4)
+    assert gaussian_witness_search(poly_from_literals(ext, [(0, 1)]), 2) is None
+    g = gaussian_witness_search(poly_from_literals(ext, [(2, 0), (0, 1)]), 2)
+    assert g is not None
+    assert degrees and 0 not in degrees
 
 
 def test_content_spans_equal_ideal_objects(corpus_rings):
