@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .ideals import (enumerate_ideals, ideal_generated_by, ideal_product,
                      is_local, is_locally_principal, localize_at,
-                     maximal_ideals, minimal_nonzero_ideals, principal_ideal,
-                     push_ideal)
+                     maximal_ideals, principal_ideal, push_ideal)
 from .polys import content, make_poly, poly_mul
 from .rings import (FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
                     blocks, element_units)
@@ -58,6 +57,12 @@ def _is_principal_direct(ideal) -> bool:
         if principal_ideal(ring, int(t)).mask == ideal.mask:
             return True
     return False
+
+
+def _every_ideal_locally_principal(ring: FiniteRing) -> bool:
+    """Re-scan the whole lattice for an ideal that is not locally principal."""
+    return all(is_locally_principal(ideal)[0]
+               for ideal in enumerate_ideals(ring).ideals)
 
 
 def _require_local(ring: FiniteRing, name: str):
@@ -152,11 +157,8 @@ def _replay_non_locally_principal(ring: FiniteRing, witness: dict,
 
 def replay_arithmetical(ring: FiniteRing, result: dict) -> bool:
     if result["verdict"] is True:
-        lattice = enumerate_ideals(ring)
-        for ideal in lattice.ideals:
-            ok, _ = is_locally_principal(ideal)
-            if not ok:
-                _fail(ring, "arithmetical", "a non-locally-principal ideal exists")
+        if not _every_ideal_locally_principal(ring):
+            _fail(ring, "arithmetical", "a non-locally-principal ideal exists")
         return True
     _replay_non_locally_principal(ring, result["witness"], "arithmetical")
     return True
@@ -176,11 +178,8 @@ def _replay_square_zero_maximal(ring: FiniteRing, name: str) -> None:
 def _replay_gaussian_yes(ring: FiniteRing, certificate: dict) -> None:
     rule = certificate["rule"]
     if rule == "arithmetical":
-        lattice = enumerate_ideals(ring)
-        for ideal in lattice.ideals:
-            ok, _ = is_locally_principal(ideal)
-            if not ok:
-                _fail(ring, "gaussian", "arithmetical premise fails")
+        if not _every_ideal_locally_principal(ring):
+            _fail(ring, "gaussian", "arithmetical premise fails")
     elif rule == "local_square_zero_maximal":
         _replay_square_zero_maximal(ring, "gaussian")
     elif rule == "gaussian_base_idealization":
@@ -303,12 +302,9 @@ def replay_total_quotient(ring: FiniteRing, result: dict) -> bool:
 def replay_pseudo_arithmetical(ring: FiniteRing, result: dict) -> bool:
     verdict = result["verdict"]
     if verdict == "Yes":
-        lattice = enumerate_ideals(ring)
-        for ideal in lattice.ideals:
-            ok, _ = is_locally_principal(ideal)
-            if not ok:
-                _fail(ring, "pseudo_arithmetical",
-                      "a non-locally-principal ideal exists")
+        if not _every_ideal_locally_principal(ring):
+            _fail(ring, "pseudo_arithmetical",
+                  "a non-locally-principal ideal exists")
         return True
     if verdict == "BoundedYes":
         if result.get("bound") is None:
@@ -337,6 +333,8 @@ def replay_pseudo_arithmetical(ring: FiniteRing, result: dict) -> bool:
 
 
 def replay_zero_locally_irreducible(ring: FiniteRing, result: dict) -> bool:
+    """Check every field of every row against the lattice of a localization
+    built by the full kernel scan (the decider reads socles instead)."""
     name = "zero_ideal_locally_irreducible"
     rows = result["certificate"]["localizations"]
     if len(rows) != len(maximal_ideals(ring)):
@@ -345,11 +343,16 @@ def replay_zero_locally_irreducible(ring: FiniteRing, result: dict) -> bool:
     for row in rows:
         maximal = ideal_generated_by(ring, _encode_all(ring, row["maximal_gens"]))
         localized, _ = localize_at(ring, maximal)
-        atoms = minimal_nonzero_ideals(localized)
+        lattice = enumerate_ideals(localized)
+        atoms = lattice.atoms
         if len(atoms) != row["atom_count"]:
             _fail(ring, name, "atom count mismatch")
         if localized.order != row["localization_order"]:
             _fail(ring, name, "localization order mismatch")
+        if row["field_like"] is not (len(lattice) == 2):
+            _fail(ring, name, "field_like contradicts the localization's lattice")
+        if row["irreducible"] is not (len(atoms) <= 1):
+            _fail(ring, name, "irreducible contradicts the recomputed atom count")
         if len(atoms) >= 2:
             saw_reducible = True
             if (atoms[0].mask & atoms[1].mask) != 1:

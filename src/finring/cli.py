@@ -51,9 +51,6 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pseudo-candidate-cap", type=int, default=None,
                         help="per-ideal candidate cap in the pseudo-arithmetical "
                              "search")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="echoed into the report's config; no computation "
-                             "reads it (default 0)")
     parser.add_argument("--timing", action="store_true",
                         help="include per-condition millis in reports "
                              "(disables byte-identical output)")
@@ -111,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _classify_config(args) -> ClassifyConfig:
     overrides = {}
     for attr in ("degree_bound", "witness_cap", "pair_cap",
-                 "pseudo_candidate_cap", "seed"):
+                 "pseudo_candidate_cap"):
         value = getattr(args, attr)
         if value is not None:
             overrides[attr] = value

@@ -1,4 +1,5 @@
-"""Ideal arithmetic, lattice enumeration, localization, and irreducibility.
+"""Ideal arithmetic, lattice enumeration, localization, and the socle test
+of zero-ideal irreducibility.
 
 Ideals are stored as membership bitmasks (Python ints) over element indices,
 with a cached numpy index array for vectorised arithmetic.  Two ideals are
@@ -11,7 +12,10 @@ themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
 subgroups, one generator's multiples at a time (`coset_minima`).
 Localization at a maximal ideal uses the annihilator-kernel quotient
-construction valid for finite rings.
+construction valid for finite rings.  Two facts about a localization are
+read from its maximal ideal n alone, with no lattice: it is a field iff
+n = 0, and its zero ideal is irreducible iff the socle (0 : n) has at most
+one dimension over R/n.
 """
 
 from __future__ import annotations
@@ -234,7 +238,6 @@ class IdealLattice:
         maximal = proper & (inside | (join == ids[-1])).all(axis=1)
         self.atoms = [ideals[i] for i in np.flatnonzero(atom)]
         self.maximals = [ideals[i] for i in np.flatnonzero(maximal)]
-        self.field_like = len(ideals) == 2
         self._prod_ids: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
@@ -300,11 +303,6 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
     join = np.array([[pos[m] for m in rows[w]] for w in order_key], dtype=np.int64)
     princ_col = np.array([col_of[m] for m in pmasks], dtype=np.int64)
     return IdealLattice(ring, ideals, join, princ_col)
-
-
-def minimal_nonzero_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Atoms of the ideal lattice (unit ideal excluded; empty for fields)."""
-    return enumerate_ideals(ring).atoms
 
 
 def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
@@ -581,52 +579,44 @@ def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
     return True, None
 
 
-def is_irreducible(ideal: Ideal) -> bool:
-    """No pair J, K strictly above I with J ∩ K = I."""
-    lattice = enumerate_ideals(ideal.ring)
-    above = [j for j in lattice.ideals
-             if j.mask != ideal.mask and (j.mask & ideal.mask) == ideal.mask]
-    for p, j in enumerate(above):
-        for k in above[p + 1:]:
-            if (j.mask & k.mask) == ideal.mask:
-                return False
-    return True
-
-
 def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
     """Is the zero ideal irreducible in every localization at a maximal ideal?
 
-    Decided through the atom count of each localization (irreducible ⇔ at
-    most one minimal nonzero ideal) and cross-checked against the direct
-    lattice definition of irreducibility; disagreement is an internal error.
+    Each local factor (R_m, n) is read from its socle (0 : n), the elements
+    that kill every generator of n.  Its lines over R/n are the minimal
+    nonzero ideals, so atom_count = (|soc| − 1)/(|R/n| − 1), and the zero
+    ideal is irreducible iff atom_count ≤ 1.  A field (n = 0) has no atom:
+    its socle is the ring itself, which the lattice does not count.  A
+    remainder in the division is an internal error.
 
     A local ring (R, m) is its own localization: every s ∉ m is a unit, so
-    the kernel {r : ∃ s ∉ m, s·r = 0} is zero and R_m = R.  Its shared
-    lattice is read directly, with no quotient copy and no second lattice.
-    Replay (`certs`) still localizes through `localize_at`'s kernel scan.
+    the kernel {r : ∃ s ∉ m, s·r = 0} is zero and R_m = R.  No lattice is
+    built; replay (`certs`) counts the atoms of each localization's lattice.
     """
     local = is_local(ring)
     detail = []
-    verdict = True
     for m in maximal_ideals(ring):
         localized = ring if local is not None else localize_at(ring, m)[0]
-        lattice = enumerate_ideals(localized)
-        atoms = lattice.atoms
-        by_atoms = len(atoms) <= 1
-        direct = is_irreducible(lattice.ideals[0])
-        if by_atoms != direct:
+        maximal = is_local(localized)
+        elements = np.arange(localized.order, dtype=np.int64)
+        socle = np.ones(localized.order, dtype=bool)
+        for g in maximal.gens:
+            socle &= localized.mul_arr(elements, g) == localized.zero
+        residue = localized.order // maximal.size
+        atoms, rest = divmod(int(np.count_nonzero(socle)) - 1, residue - 1)
+        if rest:
             raise ConsistencyError(
-                f"{ring.name}: atom count and direct irreducibility disagree "
-                f"at a localization of order {localized.order}")
+                f"{ring.name}: socle of a localization of order "
+                f"{localized.order} is not a space over its residue field")
+        atoms = 0 if maximal.is_zero() else atoms
         detail.append({
             "maximal_gens": m.gen_literals(),
             "localization_order": localized.order,
-            "atom_count": len(atoms),
-            "field_like": lattice.field_like,
-            "irreducible": by_atoms,
+            "atom_count": atoms,
+            "field_like": maximal.is_zero(),
+            "irreducible": atoms <= 1,
         })
-        verdict = verdict and by_atoms
-    return verdict, detail
+    return all(d["irreducible"] for d in detail), detail
 
 
 class ContentCalculus:

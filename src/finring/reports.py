@@ -1,7 +1,7 @@
 """Report serialization: deterministic JSON plus markdown tables.
 
 JSON output preserves dict insertion order (which every report type pins) and
-never sorts keys, so identical config + seed yields byte-identical bytes.
+never sorts keys, so an identical config yields byte-identical bytes.
 numpy scalars that leak into report dicts are converted, not rejected.
 """
 

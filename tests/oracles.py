@@ -1,11 +1,13 @@
 """Test oracles: the unpruned exhaustive Gaussian violation table and the
 seeded Dedekind–Mertens audit that the witness searches are checked against,
-the pairwise atom and maximal scans of an ideal lattice, and the pairwise
-locality test.  No program path calls them."""
+the pairwise atom and maximal scans of an ideal lattice, the pairwise
+irreducibility test, and the pairwise locality test.  No program path calls
+them."""
 
 import numpy as np
 
-from finring.ideals import IdealLattice, content_calculus
+from finring.ideals import (Ideal, IdealLattice, content_calculus,
+                            enumerate_ideals)
 from finring.polys import (_PAIR_CHUNK, _convolve_columns, decode_poly_block,
                            poly_count)
 from finring.rings import FiniteRing, blocks, element_units, mask_from_indices
@@ -26,6 +28,18 @@ def maximals_by_pairwise_scan(lattice: IdealLattice) -> list:
     return [i for i in proper
             if not any(j.mask != i.mask and (j.mask | i.mask) == j.mask
                        for j in proper)]
+
+
+def is_irreducible(ideal: Ideal) -> bool:
+    """No pair J, K strictly above I with J ∩ K = I."""
+    lattice = enumerate_ideals(ideal.ring)
+    above = [j for j in lattice.ideals
+             if j.mask != ideal.mask and (j.mask & ideal.mask) == ideal.mask]
+    for p, j in enumerate(above):
+        for k in above[p + 1:]:
+            if (j.mask & k.mask) == ideal.mask:
+                return False
+    return True
 
 
 def nonunit_mask_by_pairwise_sums(ring: FiniteRing) -> int | None:

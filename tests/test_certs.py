@@ -134,3 +134,17 @@ def test_unknown_condition_name_rejected():
     payload = _round_trip(classify(ZmodRing(4)))
     with pytest.raises(ConsistencyError):
         replay_condition(ZmodRing(4), "mystery", payload["conditions"]["reduced"])
+
+
+@pytest.mark.parametrize("field", ["field_like", "irreducible"])
+@pytest.mark.parametrize("key", ["zmod30", "product_mixed"])
+def test_tampered_zero_ideal_row_rejected(key, field):
+    ring = RINGS[key]()
+    name = "zero_ideal_locally_irreducible"
+    cond = _round_trip(classify(ring))["conditions"][name]
+    for pos in range(len(cond["certificate"]["localizations"])):
+        bad = copy.deepcopy(cond)
+        row = bad["certificate"]["localizations"][pos]
+        row[field] = not row[field]
+        with pytest.raises(ConsistencyError):
+            replay_condition(ring, name, bad)

@@ -164,6 +164,14 @@ def test_lattice_limit_is_not_a_flag(spec_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_seed_is_not_a_flag(spec_path, capsys):
+    assert main(["classify", "--spec", spec_path, "--seed", "3"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    # reports still echo the constant the flag used to set
+    assert main(["classify", "--spec", spec_path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+
+
 def test_exit_2_on_order_above_budget(tmp_path, monkeypatch, capsys):
     # zmod(10^11) builds without tables; classify must refuse it before any
     # decider allocates a per-element array

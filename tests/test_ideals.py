@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from finring import ideals
-from finring.classify import classify, decide_pruefer
+from finring.classify import (classify, decide_pruefer,
+                              decide_zero_locally_irreducible)
 from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, RingBuildError
 from finring.ideals import (additive_closure_indices, annihilator,
@@ -21,15 +22,14 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             is_invertible, is_local, is_locally_principal,
                             is_principal, is_regular_ideal, localize_at,
                             make_quotient, mask_from_indices, maximal_ideals,
-                            minimal_nonzero_ideals, principal_ideal,
-                            principal_in_local_ring, residue_vector_space,
-                            subgroup_sum_indices,
+                            principal_ideal, principal_in_local_ring,
+                            residue_vector_space, subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
 from finring.rings import (QuotientRing, ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
-from oracles import (atoms_by_pairwise_scan, maximals_by_pairwise_scan,
-                     nonunit_mask_by_pairwise_sums)
+from oracles import (atoms_by_pairwise_scan, is_irreducible,
+                     maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums)
 
 
 # (mask, gens) of every lattice ideal of each corpus ring of order <= 16,
@@ -66,7 +66,7 @@ def test_zmod12_lattice_frozen():
     assert sorted(i.size for i in lattice.ideals) == [1, 2, 3, 4, 6, 12]
     assert sorted(_indices(m) for m in maximal_ideals(z12)) == [
         [0, 2, 4, 6, 8, 10], [0, 3, 6, 9]]
-    assert sorted(_indices(a) for a in minimal_nonzero_ideals(z12)) == [
+    assert sorted(_indices(a) for a in enumerate_ideals(z12).atoms) == [
         [0, 4, 8], [0, 6]]
 
 
@@ -99,7 +99,7 @@ def test_idealization_by_residue_field_lattice_frozen():
     assert sorted(i.size for i in lattice.ideals) == [1, 2, 2, 2, 4, 8]
     dec = ext.decode_literal
     atoms = sorted(sorted(dec(x) for x in a.indices.tolist())
-                   for a in minimal_nonzero_ideals(ext))
+                   for a in enumerate_ideals(ext).atoms)
     assert atoms == [[(0, 0), (0, 1)], [(0, 0), (2, 0)], [(0, 0), (2, 1)]]
 
 
@@ -107,7 +107,7 @@ def test_self_idealization_lattice_frozen():
     ext = _trivext(4, None)  # Z/4 idealized by itself, order 16
     lattice = enumerate_ideals(ext)
     assert sorted(i.size for i in lattice.ideals) == [1, 2, 4, 4, 4, 8, 16]
-    atoms = minimal_nonzero_ideals(ext)
+    atoms = lattice.atoms
     assert len(atoms) == 1
     dec = ext.decode_literal
     assert sorted(dec(x) for x in atoms[0].indices.tolist()) == [(0, 0), (0, 2)]
@@ -117,7 +117,7 @@ def test_field_idealization_lattice_frozen():
     base = standard_gf(2, 1)
     ext, _, _ = make_trivial_extension(base, free_module(base, 2))
     assert sorted(i.size for i in enumerate_ideals(ext).ideals) == [1, 2, 2, 2, 4, 8]
-    assert len(minimal_nonzero_ideals(ext)) == 3
+    assert len(enumerate_ideals(ext).atoms) == 3
 
 
 def test_join_table_is_the_sum_with_each_principal_ideal():
@@ -267,21 +267,72 @@ def test_local_ring_localization_is_an_isomorphic_copy():
         own, copy = enumerate_ideals(ring), enumerate_ideals(localized)
         assert localized.order == ring.order
         assert len(copy.atoms) == len(own.atoms), ring.name
-        assert copy.field_like == own.field_like
+        assert (len(copy) == 2) == (len(own) == 2), ring.name
         checked += 1
     assert checked > 20
 
 
-def test_classify_local_ring_reads_its_own_lattice(monkeypatch):
+def _count_lattice_builds(monkeypatch) -> list:
     built = []
     real = ideals._build_lattice
     monkeypatch.setattr(ideals, "_build_lattice",
                         lambda ring: built.append(ring) or real(ring))
+    return built
+
+
+def test_classify_local_ring_reads_its_own_lattice(monkeypatch):
+    built = _count_lattice_builds(monkeypatch)
     ring = _trivext(4, None)  # Z4 ∝ Z4, local
     report = classify(ring)
     assert report.verdict("zero_ideal_locally_irreducible") is True
     assert "localizations" not in ring._cache
     assert built == [ring]
+    # a non-local ring is localized, but no localization gets a lattice
+    for n in (6, 12):
+        built.clear()
+        ring = ZmodRing(n)
+        report = classify(ring)
+        assert report.verdict("zero_ideal_locally_irreducible") is True
+        assert ring._cache["localizations"]
+        assert built == [ring]
+
+
+def test_classify_corpus_builds_one_lattice_per_ring(monkeypatch):
+    built = _count_lattice_builds(monkeypatch)
+    rings = generate_corpus(CorpusConfig())
+    for ring in rings:
+        classify(ring)
+    assert len(rings) == 170
+    assert sorted(map(id, built)) == sorted(map(id, rings))
+
+
+def test_socle_matches_lattice_on_every_local_factor():
+    factors = 0
+    for ring in generate_corpus(CorpusConfig(max_order=256)):
+        local = is_local(ring) is not None
+        verdict, rows = zero_ideal_locally_irreducible(ring)
+        for m, row in zip(maximal_ideals(ring), rows, strict=True):
+            factor = ring if local else localize_at(ring, m)[0]
+            lattice = enumerate_ideals(factor)
+            assert row["localization_order"] == factor.order, ring.name
+            assert row["atom_count"] == len(lattice.atoms), ring.name
+            assert row["field_like"] == (len(lattice) == 2), ring.name
+            assert row["irreducible"] == is_irreducible(lattice.ideals[0])
+            factors += 1
+        assert verdict == all(row["irreducible"] for row in rows)
+    assert factors == 1092
+
+
+def test_zero_ideal_irreducibility_above_the_lattice_bound():
+    # Z17 ∝ Z17² has order 4913: local, so its socle answers with no lattice
+    ring = build_target(parse_ring_spec(
+        "ring a = zmod(17); module e = free(a, 2); ring r = trivext(a, e)"))
+    assert ring.order > ideals.LATTICE_LIMIT
+    result = decide_zero_locally_irreducible(ring)
+    assert result.verdict is False
+    # the socle is the maximal ideal 0 ∝ E: (17² − 1)/(17 − 1) lines
+    assert result.witness["atom_count"] == 18
+    assert "lattice" not in ring._cache
 
 
 def test_is_local_frozen():

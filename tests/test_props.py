@@ -136,11 +136,11 @@ def test_content_ids_match_direct_content(ring):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=2 ** 30))
-def test_classify_json_deterministic_for_seed(order, seed):
+@given(st.integers(min_value=2, max_value=20))
+def test_classify_json_deterministic_for_seed(order):
     from finring.classify import ClassifyConfig, classify
     from finring.reports import to_json
-    config = ClassifyConfig(seed=seed % 1000)
+    config = ClassifyConfig()
     a = to_json(classify(ZmodRing(order), config).to_dict())
     b = to_json(classify(ZmodRing(order), config).to_dict())
     assert a == b
