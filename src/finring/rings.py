@@ -4,7 +4,10 @@ Every ring exposes total operations on element indices ``0..order-1``, both
 scalar and numpy-vectorised.  Available constructions: integers mod n, Galois
 fields, direct products, quotients by an ideal, and trivial (square-zero)
 extensions of a ring by a module.  Rings of order <= TABLE_LIMIT carry dense
-operation tables; larger rings evaluate structurally on demand, which keeps
+operation tables, and modules always do.  The tables of products, trivial
+extensions and modules are composed from their factors' tables (`compose`);
+integers mod n, Galois fields and quotients evaluate theirs structurally.
+Above TABLE_LIMIT, rings evaluate structurally on demand, which keeps
 extensions with a few tens of thousands of elements workable.
 """
 
@@ -30,6 +33,17 @@ def blocks(count: int, width: int = 1, budget: int = CHUNK):
     step = max(1, budget // max(1, width))
     for start in range(0, count, step):
         yield start, min(start + step, count)
+
+
+def compose(hi: np.ndarray, lo: np.ndarray, m: int) -> np.ndarray:
+    """``hi·m + lo`` broadcast into one new int64 array, formed in place: the
+    table of the pair index x·m + y from a table over x and one over y.
+    Callers pass views whose axes interleave (``hi[:, None, :, None]`` and
+    ``lo[None, :, None, :]`` for an operation table) and reshape the result."""
+    out = np.empty(np.broadcast_shapes(hi.shape, lo.shape), dtype=np.int64)
+    np.multiply(hi, m, out=out)
+    out += lo
+    return out
 
 
 def mask_from_indices(indices, n: int) -> int:
@@ -110,15 +124,17 @@ class FiniteRing:
         self.one = one
         self.spec = spec
         self._cache: dict = {}
-        self._tables = None
-        if order <= TABLE_LIMIT:
-            idx = np.arange(order, dtype=np.int64)
-            add = np.asarray(self._add_impl(idx[:, None], idx[None, :]), dtype=np.int64)
-            mul = np.asarray(self._mul_impl(idx[:, None], idx[None, :]), dtype=np.int64)
-            neg = np.asarray(self._neg_impl(idx), dtype=np.int64)
-            self._tables = (add, mul, neg)
+        self._tables = self._build_tables() if order <= TABLE_LIMIT else None
         if self.one == self.zero:
             raise RingBuildError("ring has 1 = 0")
+
+    def _build_tables(self):
+        """The (add, mul, neg) int64 tables over every index, evaluated
+        structurally; products and trivial extensions compose theirs."""
+        idx = np.arange(self.order, dtype=np.int64)
+        return (np.asarray(self._add_impl(idx[:, None], idx[None, :]), dtype=np.int64),
+                np.asarray(self._mul_impl(idx[:, None], idx[None, :]), dtype=np.int64),
+                np.asarray(self._neg_impl(idx), dtype=np.int64))
 
     # subclasses implement the structural operations; they must accept both
     # plain ints and numpy arrays (broadcasting allowed)
@@ -425,6 +441,13 @@ class ProductRing(FiniteRing):
             spec = RingSpec("product", (), (left.spec, right.spec))
         super().__init__(left.order * right.order, one, spec)
 
+    def _build_tables(self):
+        n, m = self.order, self._m
+        (ladd, lmul, lneg), (radd, rmul, rneg) = self.left._tables, self.right._tables
+        return (compose(ladd[:, None, :, None], radd[None, :, None, :], m).reshape(n, n),
+                compose(lmul[:, None, :, None], rmul[None, :, None, :], m).reshape(n, n),
+                compose(lneg[:, None], rneg[None, :], m).reshape(n))
+
     def _add_impl(self, a, b):
         m = self._m
         return self.left.add_arr(a // m, b // m) * m + self.right.add_arr(a % m, b % m)
@@ -527,18 +550,11 @@ def free_module(base: FiniteRing, n: int, spec: ModuleSpec | None = None) -> Fin
         raise RingBuildError(
             f"module order {base.order}^{n} above bound {MODULE_LIMIT}")
     m = base.order
-    order = m**n
-    idx = np.arange(order, dtype=np.int64)
     weights = [m ** (n - 1 - i) for i in range(n)]
-    madd = np.zeros((order, order), dtype=np.int64)
-    act = np.zeros((base.order, order), dtype=np.int64)
-    mneg = np.zeros(order, dtype=np.int64)
-    a_all = np.arange(base.order, dtype=np.int64)
-    for w in weights:
-        d = (idx // w) % m
-        madd += base.add_arr(d[:, None], d[None, :]) * w
-        mneg += base.neg_arr(d) * w
-        act += base.mul_arr(a_all[:, None], d[None, :]) * w
+    add, mul, neg = base._tables
+    column = tables = (add, neg, mul)  # the base ring as a module over itself
+    for _ in range(n - 1):
+        tables = _sum_tables(tables, column)
 
     def encode(lit):
         if n == 1 and not isinstance(lit, tuple):
@@ -553,7 +569,18 @@ def free_module(base: FiniteRing, n: int, spec: ModuleSpec | None = None) -> Fin
 
     if spec is None:
         spec = ModuleSpec("free", (n,), (base.spec,))
-    return FiniteModule(base, madd, mneg, act, spec, encode, decode)
+    return FiniteModule(base, *tables, spec, encode, decode)
+
+
+def _sum_tables(e: tuple, f: tuple) -> tuple:
+    """The (madd, mneg, act) tables of E ⊕ F on indices x·|F| + y, composed
+    from the (madd, mneg, act) tables of E and of F."""
+    (emadd, emneg, eact), (fmadd, fmneg, fact) = e, f
+    m = len(fmneg)
+    n = len(emneg) * m
+    return (compose(emadd[:, None, :, None], fmadd[None, :, None, :], m).reshape(n, n),
+            compose(emneg[:, None], fmneg[None, :], m).reshape(n),
+            compose(eact[:, :, None], fact[:, None, :], m).reshape(len(eact), n))
 
 
 def module_sum(e: FiniteModule, f: FiniteModule, spec: ModuleSpec | None = None) -> FiniteModule:
@@ -565,12 +592,7 @@ def module_sum(e: FiniteModule, f: FiniteModule, spec: ModuleSpec | None = None)
     if order > MODULE_LIMIT:  # before the order x order addition table
         raise RingBuildError(
             f"module order {e.order}*{m} above bound {MODULE_LIMIT}")
-    idx = np.arange(order, dtype=np.int64)
-    hi, lo = idx // m, idx % m
-    madd = e.madd_arr(hi[:, None], hi[None, :]) * m + f.madd_arr(lo[:, None], lo[None, :])
-    mneg = e.mneg_arr(hi) * m + f.mneg_arr(lo)
-    a_all = np.arange(e.base.order, dtype=np.int64)
-    act = e.act_arr(a_all[:, None], hi[None, :]) * m + f.act_arr(a_all[:, None], lo[None, :])
+    madd, mneg, act = _sum_tables((e._madd, e._mneg, e._act), (f._madd, f._mneg, f._act))
 
     def encode(lit):
         if not isinstance(lit, tuple) or len(lit) != 2:
@@ -610,6 +632,19 @@ class TrivialExtensionRing(FiniteRing):
         if spec is None:
             spec = RingSpec("trivext", (), (base.spec, module.spec))
         super().__init__(base.order * module.order, base.one * module.order, spec)
+
+    def _build_tables(self):
+        n, m = self.order, self._m
+        badd, bmul, bneg = self.base_ring._tables
+        mod = self.ext_module
+        act = mod._act
+        add = compose(badd[:, None, :, None], mod._madd[None, :, None, :], m)
+        # (a,e)(a',e') = (aa', a·e' + a'·e): one gather from madd at
+        # act[a, e']·m + act[a', e], plus aa'·m
+        mul = mod._madd.ravel()[compose(act[:, None, None, :], act.T[None, :, :, None], m)]
+        mul += bmul[:, None, :, None] * m
+        neg = compose(bneg[:, None], mod._mneg[None, :], m)
+        return add.reshape(n, n), mul.reshape(n, n), neg.reshape(n)
 
     def _add_impl(self, a, b):
         m = self._m

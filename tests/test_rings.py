@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from finring import rings
 from finring.errors import RingBuildError
-from finring.rings import (FiniteModule, GFRing, ProductRing, ZmodRing,
+from finring.rings import (GFRing, ProductRing, ZmodRing,
                            element_kind, element_units, free_module,
                            is_irreducible_mod_p, is_prime,
                            make_trivial_extension, module_sum, standard_gf,
@@ -184,12 +185,14 @@ def test_module_sum_refused_before_its_tables(monkeypatch):
     z2 = ZmodRing(2)
     e, f = free_module(z2, 6), free_module(z2, 5)   # 64 · 32 = 2048
     calls = []
-    real = FiniteModule.madd_arr
-    monkeypatch.setattr(FiniteModule, "madd_arr",
-                        lambda self, a, b: calls.append(1) or real(self, a, b))
+    real = rings.compose
+    monkeypatch.setattr(rings, "compose",
+                        lambda *args: calls.append(1) or real(*args))
     with pytest.raises(RingBuildError, match="above bound 1024"):
         module_sum(e, f)
     assert calls == []
+    module_sum(e, free_module(z2, 4))   # 64 · 16 = 1024: the spy sees it
+    assert calls
 
 
 # ---------------------------------------------------------------- axioms & homs
