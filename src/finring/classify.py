@@ -404,7 +404,7 @@ def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfi
     if sorted(combined.tolist()) != list(range(ring.order)):
         raise ConsistencyError(f"{ring.name}: localization map is not bijective")
     hom = RingHom(ring, product, combined)
-    if not hom.verify(exhaustive_limit=ring.order):
+    if not hom.verify():
         raise ConsistencyError(
             f"{ring.name}: localization decomposition is not a ring hom")
     inverse = np.argsort(combined)

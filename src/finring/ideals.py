@@ -1,21 +1,23 @@
 """Ideal arithmetic, lattice enumeration, localization, and the socle test
 of zero-ideal irreducibility.
 
-Ideals are stored as membership bitmasks (Python ints) over element indices,
-with a cached numpy index array for vectorised arithmetic.  Two ideals are
-additive subgroups, so their sum I + J = {x + y} takes one pass of |I|·|J|
-additions (`subgroup_sum_indices`); a span grows one principal ideal R·g at
-a time the same way.  The full ideal lattice of a ring is computed by adding
-each principal ideal to each ideal found, which stays cheap because finite
-rings have very few ideals compared to subsets.  The principal ideals
+Ideals are stored as membership bitmasks (Python ints) over element indices
+plus generators, with a cached numpy index array for vectorised arithmetic.
+Two ideals are additive subgroups, so their sum I + J = {x + y} takes one
+pass of |I|·|J| additions (`subgroup_sum_indices`); a span grows one
+principal ideal R·g at a time the same way, and I·J is the span of the
+products of generators.  The full ideal lattice of a ring is computed by
+adding each principal ideal to each ideal found, which stays cheap because
+finite rings have very few ideals compared to subsets.  The principal ideals
 themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
 subgroups, one generator's multiples at a time (`coset_minima`).
 Localization at a maximal ideal uses the annihilator-kernel quotient
-construction valid for finite rings.  Two facts about a localization are
-read from its maximal ideal n alone, with no lattice: it is a field iff
-n = 0, and its zero ideal is irreducible iff the socle (0 : n) has at most
-one dimension over R/n.
+construction valid for finite rings.  Principality in a local ring is read
+from the generators (Nakayama), and two facts about a localization from its
+maximal ideal n alone, with no lattice: it is a field iff n = 0, and its
+zero ideal is irreducible iff the socle (0 : n) has one dimension at most
+over R/n.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ element_units_guarded = element_units
 
 
 class Ideal:
-    """An ideal of a finite ring: membership bitmask plus a generator list."""
+    """An ideal of a finite ring: membership bitmask plus generators; every
+    constructor keeps I = R·g1 + … + R·gk (no generators for I = 0)."""
 
     __slots__ = ("ring", "mask", "gens", "_indices")
 
@@ -93,7 +96,7 @@ def additive_closure_indices(ring: FiniteRing, indices: np.ndarray) -> np.ndarra
     """Close an index set containing 0 under addition by repeated doubling.
 
     Each round forms all |S|² sums, so this serves only sets that are not a
-    union of subgroups (the products of `ideal_product`); a sum of two
+    union of subgroups (replay's member products, `certs`); a sum of two
     subgroups goes through `subgroup_sum_indices`."""
     cur = _distinct_indices(ring.order, np.asarray(indices, dtype=np.int64))
     while True:
@@ -126,11 +129,10 @@ def principal_ideal(ring: FiniteRing, a: int) -> Ideal:
 
 
 def ideal_generated_by(ring: FiniteRing, gens) -> Ideal:
-    """Smallest ideal containing gens: R·g1 + R·g2 + …"""
-    gens = tuple(int(g) for g in gens)
-    clean = tuple(dict.fromkeys(g for g in gens if g != ring.zero))
-    idx, _ = _grow_span(ring, clean, ring.order)
-    return Ideal(ring, mask_from_indices(idx, ring.order), clean)
+    """Smallest ideal containing gens: R·g1 + R·g2 + …, listing as its
+    generators the ones that grew the span."""
+    idx, kept = _grow_span(ring, (int(g) for g in gens), ring.order)
+    return Ideal(ring, mask_from_indices(idx, ring.order), tuple(kept), idx)
 
 
 def _grow_span(ring: FiniteRing, gens, target: int) -> tuple[np.ndarray, list[int]]:
@@ -170,11 +172,11 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 
 
 def ideal_product(i: Ideal, j: Ideal) -> Ideal:
+    """I·J is generated by the products g·h of the generators of I and J."""
     _require_same_ring(i, j)
-    prods = i.ring.mul_arr(i.indices[:, None], j.indices[None, :]).ravel()
-    idx = additive_closure_indices(i.ring, prods)
-    mask = mask_from_indices(idx, i.ring.order)
-    return Ideal(i.ring, mask, minimal_generators(i.ring, mask))
+    prods = i.ring.mul_arr(np.array(i.gens, dtype=np.int64)[:, None],
+                           np.array(j.gens, dtype=np.int64)[None, :])
+    return ideal_generated_by(i.ring, prods.ravel().tolist())
 
 
 def ideal_intersection(i: Ideal, j: Ideal) -> Ideal:
@@ -238,7 +240,6 @@ class IdealLattice:
         maximal = proper & (inside | (join == ids[-1])).all(axis=1)
         self.atoms = [ideals[i] for i in np.flatnonzero(atom)]
         self.maximals = [ideals[i] for i in np.flatnonzero(maximal)]
-        self._prod_ids: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -247,14 +248,6 @@ class IdealLattice:
         pos = self.by_mask.get(ideal.mask)
         if pos is None:
             raise ConsistencyError(f"{self.ring.name}: ideal missing from lattice")
-        return pos
-
-    def product_id(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        pos = self._prod_ids.get(key)
-        if pos is None:
-            pos = self.ideal_id(ideal_product(self.ideals[a], self.ideals[b]))
-            self._prod_ids[key] = pos
         return pos
 
 
@@ -309,7 +302,7 @@ def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
     """True with a witness generator iff some single element generates I.
 
     Reads the principal masks of all elements, so only at lattice scale;
-    above it see `principal_in_local_ring`.
+    the deciders use `principal_in_local_ring`.
     """
     ring = ideal.ring
     if ring.order > LATTICE_LIMIT:
@@ -326,16 +319,18 @@ def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
 
 
 def principal_in_local_ring(ideal: Ideal) -> tuple[bool, int | None]:
-    """Principality of a nonzero ideal of a local ring (R, m), with one O(n)
-    scan per listed generator instead of one per member.
+    """Principality of an ideal of a local ring (R, m), with one O(n) scan
+    per listed generator instead of one per member.
 
     By Nakayama's lemma I is principal iff one of its generators g1..gk
     alone generates it: I/mI is spanned over R/m by the images of the gᵢ,
     and it is nonzero because I ≠ 0; if I is principal that space has
     dimension 1, so any gᵢ with a nonzero image spans it, i.e. gᵢ generates
     I modulo mI, and therefore gᵢ generates I (Atiyah–Macdonald, Cor. 2.7).
-    The caller guarantees that the ring is local and the ideal nonzero.
+    The caller guarantees that the ring is local; the zero ideal is R·0.
     """
+    if ideal.is_zero():
+        return True, ideal.ring.zero
     for g in ideal.gens:
         if principal_ideal(ideal.ring, g).mask == ideal.mask:
             return True, g
@@ -360,9 +355,7 @@ def is_invertible(ideal: Ideal) -> bool:
     invertible = False
     units = element_units(ring)
     for j in lattice.ideals:
-        prod = lattice.ideals[lattice.product_id(lattice.ideal_id(ideal),
-                                                 lattice.ideal_id(j))]
-        ok, gen = is_principal(prod)
+        ok, gen = is_principal(ideal_product(ideal, j))
         if ok and gen is not None and units[gen]:
             invertible = True
             break
@@ -515,8 +508,7 @@ def _localize(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
         rows = outside[start:stop]
         killed |= (ring.mul_arr(rows[:, None], cols[None, :]) == ring.zero).any(axis=0)
     kmask = mask_from_indices(np.nonzero(killed)[0], n)
-    kernel = Ideal(ring, kmask,
-                   minimal_generators(ring, kmask) if n <= LATTICE_LIMIT else ())
+    kernel = Ideal(ring, kmask, minimal_generators(ring, kmask))
     result = make_quotient(ring, kernel)
     # a zero kernel means the quotient is an isomorphic copy of a ring whose
     # locality was already established by _require_maximal
@@ -563,17 +555,18 @@ def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
     Returns (verdict, counterexample) where the counterexample names the
     maximal ideal whose localization receives a non-principal image.  For a
     local ring the localization at the maximal ideal has zero kernel, so the
-    check collapses to plain principality.
+    check collapses to plain principality, read from the generators; the
+    images of the generators generate a pushed ideal.
     """
     ring = ideal.ring
     local = is_local(ring)
     if local is not None:
-        ok, _ = is_principal(ideal)
+        ok, _ = principal_in_local_ring(ideal)
         return (True, None) if ok else (False, {"maximal": local, "pushed": ideal})
     for m in maximal_ideals(ring):
         localized, hom = localize_at(ring, m)
         pushed = push_ideal(hom, ideal)
-        ok, _ = is_principal(pushed)
+        ok, _ = principal_in_local_ring(pushed)
         if not ok:
             return False, {"maximal": m, "pushed": pushed}
     return True, None
@@ -624,8 +617,9 @@ class ContentCalculus:
 
     Maps every ring element to the lattice id of its principal ideal, reads
     contents from the lattice's join table, keeps a k × k product table whose
-    rows are filled on first use, and evaluates batched content comparisons
-    without touching bitmasks in inner loops.
+    rows are filled on first use (the one cache of `ideal_product`), and
+    evaluates batched content comparisons without touching bitmasks in inner
+    loops.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -640,8 +634,9 @@ class ContentCalculus:
 
     def prod_row(self, a: int) -> np.ndarray:
         if not self._filled[a]:
-            self._prod[a] = [self.lattice.product_id(a, b)
-                             for b in range(len(self.lattice))]
+            lattice = self.lattice
+            self._prod[a] = [lattice.ideal_id(ideal_product(lattice.ideals[a], j))
+                             for j in lattice.ideals]
             self._filled[a] = True
         return self._prod[a]
 

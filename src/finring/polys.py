@@ -191,11 +191,11 @@ def content_spans(f: RingPoly, g: RingPoly) -> tuple[np.ndarray, np.ndarray]:
     the products of their generators.  Both spans grow through
     `ideals._grow_span`, one principal ideal R·x = {r·x} at a time.
 
-    Shared with the searches it audits: the ring's add and mul, and the
-    subgroup sums that also built the lattice.  Not shared: lattice ids,
-    the lattice's join table, the `content_calculus` product table,
-    `ideal_product` (which fills that product table), and the cached
-    principal masks and associate classes.
+    Shared with the searches it audits: the ring's add and mul, the
+    subgroup sums that also built the lattice, and `_grow_span`, which also
+    fills the `content_calculus` product table through `ideal_product`.
+    Not shared: lattice ids, the lattice's join table, the product table
+    itself, and the cached principal masks and associate classes.
     """
     ring = f.ring
     lhs, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)

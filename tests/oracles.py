@@ -1,13 +1,13 @@
 """Test oracles: the unpruned exhaustive Gaussian violation table and the
 seeded Dedekind–Mertens audit that the witness searches are checked against,
 the pairwise atom and maximal scans of an ideal lattice, the pairwise
-irreducibility test, and the pairwise locality test.  No program path calls
-them."""
+irreducibility test, the pairwise locality test, and the member-product
+closure of an ideal product.  No program path calls them."""
 
 import numpy as np
 
-from finring.ideals import (Ideal, IdealLattice, content_calculus,
-                            enumerate_ideals)
+from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
+                            content_calculus, enumerate_ideals)
 from finring.polys import (_PAIR_CHUNK, _convolve_columns, decode_poly_block,
                            poly_count)
 from finring.rings import FiniteRing, blocks, element_units, mask_from_indices
@@ -40,6 +40,14 @@ def is_irreducible(ideal: Ideal) -> bool:
             if (j.mask & k.mask) == ideal.mask:
                 return False
     return True
+
+
+def product_mask_by_member_closure(i: Ideal, j: Ideal) -> int:
+    """Mask of I·J as the additive closure of every product x·y with x ∈ I
+    and y ∈ J: |I|·|J| products, read from no generator list."""
+    ring = i.ring
+    prods = ring.mul_arr(i.indices[:, None], j.indices[None, :]).ravel()
+    return mask_from_indices(additive_closure_indices(ring, prods), ring.order)
 
 
 def nonunit_mask_by_pairwise_sums(ring: FiniteRing) -> int | None:

@@ -23,13 +23,15 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             is_principal, is_regular_ideal, localize_at,
                             make_quotient, mask_from_indices, maximal_ideals,
                             principal_ideal, principal_in_local_ring,
-                            residue_vector_space, subgroup_sum_indices,
+                            push_ideal, residue_vector_space,
+                            subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
 from finring.rings import (QuotientRing, ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (atoms_by_pairwise_scan, is_irreducible,
-                     maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums)
+                     maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums,
+                     product_mask_by_member_closure)
 
 
 # (mask, gens) of every lattice ideal of each corpus ring of order <= 16,
@@ -172,27 +174,56 @@ def test_generated_ideal_closure():
     assert ok and gen in {2, 10}
 
 
-@pytest.mark.parametrize("base,rank,expected", [
-    (lambda: ZmodRing(4), 1, 12), (lambda: ZmodRing(8), 1, 252),
-    (lambda: ZmodRing(9), 1, 216), (lambda: standard_gf(2, 2), 2, 90),
-    (lambda: ZmodRing(2), 3, 21),
-], ids=["z4_z4", "z8_z8", "z9_z9", "gf4_gf4sq", "z2_z2cube"])
-def test_two_generator_nakayama_rule_matches_member_scan(base, rank, expected):
-    # in a local ring (g1, g2) is principal iff g1 or g2 alone generates it;
-    # `expected` counts the pairs g1 <= g2 whose ideal is not principal
-    ring_base = base()
+def _two_generator_ideals(ring_base, rank):
+    """(g1, g2) for every pair g1 <= g2 of nonzero elements of the local
+    ring ring_base ∝ ring_base^rank."""
     ring = make_trivial_extension(ring_base, free_module(ring_base, rank))[0]
     assert is_local(ring) is not None
-    non_principal = 0
     for g1 in range(1, ring.order):
         for g2 in range(g1, ring.order):
-            ideal = ideal_generated_by(ring, [g1, g2])
-            by_scan, _ = is_principal(ideal)
-            by_gens, gen = principal_in_local_ring(ideal)
-            assert by_gens == by_scan, (ring.name, g1, g2)
-            if by_gens:
-                assert principal_ideal(ring, gen).mask == ideal.mask
-            non_principal += not by_scan
+            yield ideal_generated_by(ring, [g1, g2])
+
+
+def _local_corpus_lattice_ideals():
+    for ring in generate_corpus(CorpusConfig()):
+        if is_local(ring) is not None:
+            yield from enumerate_ideals(ring).ideals
+
+
+def _pushed_corpus_ideals():
+    """Every lattice ideal pushed into each localization of a non-local
+    ring: the inputs of `is_locally_principal` on such a ring.  The corpus
+    rings of order <= 16 are all arithmetical; (Z4 ∝ F2) × F4 is not."""
+    spec = (SPECS / "z4f2_x_f4.ring").read_text(encoding="utf-8")
+    for ring in [*_small_corpus(), build_target(parse_ring_spec(spec))]:
+        if is_local(ring) is None:
+            for m in maximal_ideals(ring):
+                hom = localize_at(ring, m)[1]
+                for ideal in enumerate_ideals(ring).ideals:
+                    yield push_ideal(hom, ideal)
+
+
+@pytest.mark.parametrize("ideals_of,expected", [
+    (lambda: _two_generator_ideals(ZmodRing(4), 1), 12),
+    (lambda: _two_generator_ideals(ZmodRing(8), 1), 252),
+    (lambda: _two_generator_ideals(ZmodRing(9), 1), 216),
+    (lambda: _two_generator_ideals(standard_gf(2, 2), 2), 90),
+    (lambda: _two_generator_ideals(ZmodRing(2), 3), 21),
+    (_local_corpus_lattice_ideals, 63),
+    (_pushed_corpus_ideals, 2),
+], ids=["z4_z4", "z8_z8", "z9_z9", "gf4_gf4sq", "z2_z2cube",
+        "local_corpus_lattices", "pushed_into_localizations"])
+def test_two_generator_nakayama_rule_matches_member_scan(ideals_of, expected):
+    # in a local ring an ideal is principal iff one of its listed generators
+    # alone generates it; `expected` counts the ideals that are not principal
+    non_principal = 0
+    for ideal in ideals_of():
+        by_scan, _ = is_principal(ideal)
+        by_gens, gen = principal_in_local_ring(ideal)
+        assert by_gens == by_scan, (ideal.ring.name, ideal.gens)
+        if by_gens:
+            assert principal_ideal(ideal.ring, gen).mask == ideal.mask
+        non_principal += not by_scan
     assert non_principal == expected
 
 
@@ -410,7 +441,33 @@ def test_make_quotient_and_residue_space():
         assert np.all(space.act_arr(np.int64(a), np.arange(4)) == 0)
 
 
+def test_product_of_square_zero_ideal_multiplies_generator_pairs(monkeypatch):
+    # 0 ∝ E in Z31 ∝ Z31² has 961 members and two generators; its square is
+    # the span of the 4 generator products, not of 961² member products
+    ring = build_target(parse_ring_spec(
+        "ring a = zmod(31); module e = free(a, 2); ring r = trivext(a, e)"))
+    m = ring.ext_module.order
+    ext = ideal_generated_by(ring, range(m))
+    assert ext.size == m and len(ext.gens) == 2
+    real, multiplied = ring.mul_arr, [0]
+
+    def counted(a, b):
+        multiplied[0] += np.broadcast(a, b).size
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "mul_arr", counted)
+    assert ideal_product(ext, ext).is_zero()
+    assert 0 < multiplied[0] <= len(ext.gens) ** 2
+
+
 # ---------------------------------------------------------------- content calculus
+
+
+def _products_by_member_closure(lattice) -> np.ndarray:
+    """k × k ids of every product of two lattice ideals, by the oracle."""
+    return np.array([[lattice.by_mask[product_mask_by_member_closure(i, j)]
+                      for j in lattice.ideals] for i in lattice.ideals],
+                    dtype=np.int64)
 
 
 def test_content_calculus_tables():
@@ -434,8 +491,7 @@ def test_content_calculus_tables():
         calc = content_calculus(ring)
         lattice = calc.lattice
         ids = np.arange(len(lattice), dtype=np.int64)
-        expected = np.array([[lattice.product_id(a, b) for b in ids.tolist()]
-                             for a in ids.tolist()], dtype=np.int64)
+        expected = _products_by_member_closure(lattice)
         # fill every other row first, then the rest, then read the full table
         # once more with every row filled
         odd = ids[1::2]
@@ -446,6 +502,22 @@ def test_content_calculus_tables():
                                   expected), ring.name
         assert np.array_equal(calc.prod_row(0), expected[0])
 
+
+def test_product_table_reads_no_join_entry(monkeypatch):
+    # the Gaussian searches compare c(fg), read from the join table, with
+    # c(f)·c(g) from the product table; one wrong join entry must leave the
+    # product side as it is
+    for ring in _small_corpus():
+        lattice = enumerate_ideals(ring)
+        k = len(lattice)
+        join = lattice.join.copy()
+        join[k // 2, -1] = (join[k // 2, -1] + 1) % k
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "join", join)
+            calc = ideals.ContentCalculus(ring)
+            ids = np.arange(k, dtype=np.int64)
+            table = calc.prod_ids(ids[:, None], ids[None, :])
+        assert np.array_equal(table, _products_by_member_closure(lattice)), ring.name
 
 
 def test_content_calculus_makes_no_sums_once_the_lattice_exists(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finring import rings
-from finring.errors import RingBuildError
+from finring.errors import BoundExceededError, RingBuildError
 from finring.rings import (GFRing, ProductRing, ZmodRing,
                            element_kind, element_units, free_module,
                            is_irreducible_mod_p, is_prime,
@@ -227,6 +227,15 @@ def test_hom_verify_rejects_non_hom():
     assert not bad.verify()
     good = RingHom(z4, z4, np.arange(4, dtype=np.int64))
     assert good.verify()
+
+
+def test_hom_verify_refuses_above_the_pair_cap():
+    # every row is checked, so a source above the cap is refused, not sampled
+    from finring.rings import KIND_SCAN_LIMIT, RingHom
+    big = ZmodRing(8193)
+    assert big.order ** 2 > KIND_SCAN_LIMIT
+    with pytest.raises(BoundExceededError):
+        RingHom(big, big, np.arange(big.order, dtype=np.int64)).verify()
 
 
 def test_hom_requires_total_map():
