@@ -26,9 +26,9 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError
 from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
                      ideal_generated_by, ideal_product, is_local,
-                     is_locally_principal, localize_at, mask_from_indices,
-                     maximal_ideals, principal_in_local_ring,
-                     zero_ideal_locally_irreducible)
+                     is_locally_principal, local_factors, localize_at,
+                     mask_from_indices, maximal_ideals,
+                     principal_in_local_ring, zero_ideal_locally_irreducible)
 from .polys import (RingPoly, certify_gaussians, content_spans,
                     decode_poly_block, has_square_zero_maximal, make_poly,
                     poly_count, ring_gaussian_refutation_search)
@@ -197,7 +197,7 @@ def decide_semihereditary(ring: FiniteRing) -> ConditionResult:
     Over a finite ring this collapses to von Neumann regularity (each local
     factor must be a field), which the primary decider computes; at lattice
     scale a positive verdict additionally verifies that every localization
-    is a field, i.e. that its maximal ideal is zero.
+    is a field: read as a corner eR, its maximal ideal m ∩ eR is zero.
     """
     ok, witness, method = vn_regular_status(ring)
     cert: dict = {"kind": "vn_regular_collapse", "method": method}
@@ -206,9 +206,8 @@ def decide_semihereditary(ring: FiniteRing) -> ConditionResult:
                                witness={"element": _lit(ring, witness),
                                         "reason": method})
     if ring.order <= LATTICE_LIMIT:
-        for m in maximal_ideals(ring):
-            localized, _ = localize_at(ring, m)
-            if not is_local(localized).is_zero():
+        for m, _e, corner in local_factors(ring):
+            if m.mask & corner != 1:
                 raise ConsistencyError(
                     f"{ring.name}: von Neumann regular but a localization "
                     "is not a field")
@@ -252,8 +251,8 @@ def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
                     "ideal_gens": _lits(ring, ideal.gens),
                     "ideal_order": ideal.size,
                     "maximal_gens": _lits(ring, counter["maximal"].gens),
-                    "pushed_order": counter["pushed"].size,
-                    "localization_order": counter["pushed"].ring.order,
+                    "pushed_order": counter["pushed_order"],
+                    "localization_order": counter["localization_order"],
                 }
                 return ConditionResult(False, {"kind": "non_locally_principal_ideal"},
                                        witness=witness)
@@ -540,7 +539,7 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
                         "content_order": ideal.size,
                         "non_principal_at": {
                             "maximal_gens": _lits(ring, counter["maximal"].gens),
-                            "localization_order": counter["pushed"].ring.order,
+                            "localization_order": counter["localization_order"],
                         },
                         "gaussian_reason": {"rule": "ring_certified_gaussian",
                                             "ring_certificate": gaussian.certificate},
@@ -594,7 +593,7 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
 def decide_zero_locally_irreducible(ring: FiniteRing) -> ConditionResult:
     """Read from each local factor's socle, so a local ring gets a verdict at
     any order; a non-local ring above the lattice bound still raises inside
-    `maximal_ideals`."""
+    `local_factors`, which takes its maximal ideals from the lattice."""
     verdict, detail = zero_ideal_locally_irreducible(ring)
     cert = {"kind": "localization_atom_counts", "localizations": detail}
     if verdict:

@@ -1,5 +1,5 @@
-"""Ideal arithmetic, lattice enumeration, localization, and the socle test
-of zero-ideal irreducibility.
+"""Ideal arithmetic, lattice enumeration, local factors, localization, and
+the socle test of zero-ideal irreducibility.
 
 Ideals are stored as membership bitmasks (Python ints) over element indices
 plus generators, with a cached numpy index array for vectorised arithmetic.
@@ -12,15 +12,19 @@ finite rings have very few ideals compared to subsets.  The principal ideals
 themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
 subgroups, one generator's multiples at a time (`coset_minima`).
-Localization at a maximal ideal uses the annihilator-kernel quotient
-construction valid for finite rings.  Principality in a local ring is read
-from the generators (Nakayama), and two facts about a localization from its
-maximal ideal n alone, with no lattice: it is a field iff n = 0, and its
-zero ideal is irreducible iff the socle (0 : n) has one dimension at most
-over R/n.
+
+The deciders read each localization R_m as a corner eR of R itself, e the
+primitive idempotent outside m (`local_factors`): the image of an ideal I
+is I ∩ eR, a mask AND, and no quotient ring is built.  Principality there is
+read from the generators (Nakayama), and zero-ideal irreducibility from the
+socle of the corner's maximal ideal.  `localize_at`, the quotient by the
+annihilator kernel, stays for replay and for the Gaussian decomposition,
+whose lifted witnesses go through coset representatives.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .rings import (FiniteModule, FiniteRing, ModuleSpec, QuotientRing, RingHom,
                     RingSpec, associate_sweep, blocks, element_units,
                     free_module, indices_from_mask, mask_from_indices,
-                    module_sum)
+                    module_sum, primitive_idempotents)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
 
@@ -302,7 +306,7 @@ def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
     """True with a witness generator iff some single element generates I.
 
     Reads the principal masks of all elements, so only at lattice scale;
-    the deciders use `principal_in_local_ring`.
+    the deciders test the generators instead (Nakayama).
     """
     ring = ideal.ring
     if ring.order > LATTICE_LIMIT:
@@ -371,24 +375,30 @@ def is_invertible(ideal: Ideal) -> bool:
 def is_local(ring: FiniteRing) -> Ideal | None:
     """The unique maximal ideal when one exists, else None.
 
-    A finite commutative ring is local iff its non-units are closed under
-    addition (absorption r·m is automatic: a unit multiple of m would make m a
-    unit).  The non-unit set is then itself the unique maximal ideal.  The
-    test grows the non-units' additive span one cyclic subgroup ⟨g⟩ at a time,
-    g the first non-unit outside it (so it at least doubles); a unit in the
-    span refutes locality.
+    A finite commutative ring is local iff 1 is its only primitive
+    idempotent, so a ring with more is answered at once.  In a local ring the
+    non-units are closed under addition (absorption r·m is automatic: a unit
+    multiple of m would make m a unit), and the non-unit set is the unique
+    maximal ideal.  That closure is checked as a runtime invariant: the
+    non-units' additive span grows one cyclic subgroup ⟨g⟩ at a time, g the
+    first non-unit outside it (so it at least doubles), and a unit in the
+    span raises ConsistencyError.
     """
     return ring.memo("local", lambda: _nonunit_ideal(ring))
 
 
 def _nonunit_ideal(ring: FiniteRing) -> Ideal | None:
+    if len(primitive_idempotents(ring)) > 1:
+        return None
     units = element_units(ring)
     nonunits = np.flatnonzero(~units)
     span = np.array([ring.zero], dtype=np.int64)
     while (outside := nonunits[~np.isin(nonunits, span, kind="table")]).size:
         span = subgroup_sum_indices(ring, span, _cyclic_indices(ring, int(outside[0])))
         if units[span].any():
-            return None
+            raise ConsistencyError(
+                f"{ring.name}: 1 is the only primitive idempotent, but the "
+                "non-units are not closed under addition")
     mask = mask_from_indices(nonunits, ring.order)
     return Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
 
@@ -509,12 +519,7 @@ def _localize(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
         killed |= (ring.mul_arr(rows[:, None], cols[None, :]) == ring.zero).any(axis=0)
     kmask = mask_from_indices(np.nonzero(killed)[0], n)
     kernel = Ideal(ring, kmask, minimal_generators(ring, kmask))
-    result = make_quotient(ring, kernel)
-    # a zero kernel means the quotient is an isomorphic copy of a ring whose
-    # locality was already established by _require_maximal
-    if kmask != 1 and is_local(result[0]) is None:
-        raise ConsistencyError(f"{ring.name}: localization is not local")
-    return result
+    return make_quotient(ring, kernel)
 
 
 def _require_maximal(ring: FiniteRing, ideal: Ideal) -> None:
@@ -549,64 +554,118 @@ def push_ideal(hom: RingHom, ideal: Ideal) -> Ideal:
     return Ideal(target, mask, gens)
 
 
-def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
-    """Principal after pushing into every localization R_m.
+class LocalFactor(NamedTuple):
+    """The localization R_m read as a corner of R: the maximal ideal m, the
+    primitive idempotent e outside m, and the mask of the corner eR ≅ R_m."""
 
-    Returns (verdict, counterexample) where the counterexample names the
-    maximal ideal whose localization receives a non-principal image.  For a
-    local ring the localization at the maximal ideal has zero kernel, so the
-    check collapses to plain principality, read from the generators; the
-    images of the generators generate a pushed ideal.
+    maximal: Ideal
+    idempotent: int
+    corner: int
+
+
+def local_factors(ring: FiniteRing) -> list[LocalFactor]:
+    """One local factor per maximal ideal, in the lattice's order, cached.
+
+    R is the product of its corners eR over its primitive idempotents e,
+    and r ↦ e·r is the projection onto the factor R_m whose maximal ideal m
+    is the one that misses e (Atiyah–Macdonald, Thm 8.7).  Each m is the
+    lattice's own `Ideal`, and eR is the principal mask of e.  A local ring
+    is its own single factor, e = 1 and eR = R, found with no lattice and no
+    principal mask, so at any order.  Runtime invariant:
+    there are as many primitive idempotents as maximal ideals, each maximal
+    ideal misses exactly one of them, no two miss the same one, and they
+    sum to 1; any failure raises ConsistencyError.
     """
-    ring = ideal.ring
+    return ring.memo("local_factors", lambda: _local_factors(ring))
+
+
+def _local_factors(ring: FiniteRing) -> list[LocalFactor]:
     local = is_local(ring)
     if local is not None:
-        ok, _ = principal_in_local_ring(ideal)
-        return (True, None) if ok else (False, {"maximal": local, "pushed": ideal})
-    for m in maximal_ideals(ring):
-        localized, hom = localize_at(ring, m)
-        pushed = push_ideal(hom, ideal)
-        ok, _ = principal_in_local_ring(pushed)
-        if not ok:
-            return False, {"maximal": m, "pushed": pushed}
+        return [LocalFactor(local, ring.one, (1 << ring.order) - 1)]
+    idempotents = primitive_idempotents(ring).tolist()
+    maximals = enumerate_ideals(ring).maximals
+    pmasks = principal_ideal_masks(ring)
+    factors = []
+    for m in maximals:
+        outside = [e for e in idempotents if not m.contains(e)]
+        if len(outside) != 1:
+            raise ConsistencyError(
+                f"{ring.name}: a maximal ideal misses {len(outside)} primitive "
+                "idempotents instead of one")
+        factors.append(LocalFactor(m, outside[0], pmasks[outside[0]]))
+    total = ring.zero
+    for e in idempotents:
+        total = ring.add(total, e)
+    if (len(idempotents) != len(maximals) or total != ring.one
+            or len({f.idempotent for f in factors}) != len(factors)):
+        raise ConsistencyError(
+            f"{ring.name}: {len(idempotents)} primitive idempotents do not "
+            f"split the ring into its {len(maximals)} local factors")
+    return factors
+
+
+def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
+    """Principal in every localization R_m, each read as a corner eR.
+
+    The image of I in eR ≅ R_m is eI = I ∩ eR, a mask AND.  It is generated
+    by the e·g for the generators g of I, so by Nakayama it is principal iff
+    one of them alone generates it, i.e. iff the principal mask of some e·g
+    equals I ∩ eR.  Returns (verdict, counterexample), where the
+    counterexample names the first maximal ideal whose factor receives a
+    non-principal image, with the orders of that image (`pushed_order`) and
+    of the factor (`localization_order`).  Reads the principal masks, so
+    only at lattice scale.
+    """
+    ring = ideal.ring
+    pmasks = principal_ideal_masks(ring)
+    for m, e, corner in local_factors(ring):
+        image = ideal.mask & corner
+        if image != 1 and not any(pmasks[ring.mul(e, g)] == image
+                                  for g in ideal.gens):
+            return False, {"maximal": m, "pushed_order": image.bit_count(),
+                           "localization_order": corner.bit_count()}
     return True, None
 
 
 def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
     """Is the zero ideal irreducible in every localization at a maximal ideal?
 
-    Each local factor (R_m, n) is read from its socle (0 : n), the elements
-    that kill every generator of n.  Its lines over R/n are the minimal
-    nonzero ideals, so atom_count = (|soc| − 1)/(|R/n| − 1), and the zero
-    ideal is irreducible iff atom_count ≤ 1.  A field (n = 0) has no atom:
-    its socle is the ring itself, which the lattice does not count.  A
-    remainder in the division is an internal error.
+    Each local factor R_m is read as its corner eR (`local_factors`), a
+    local ring with identity e and maximal ideal n = m ∩ eR, which the e·g
+    for the generators g of m generate.  Its socle (0 : n) is the set of
+    x ∈ eR with x·(e·g) = 0 for every g.  The socle's lines over eR/n are
+    the minimal nonzero ideals, so atom_count = (|soc| − 1)/(|eR/n| − 1),
+    and the zero ideal is irreducible iff atom_count ≤ 1.  A field (n = 0)
+    has no atom: its socle is the ring itself, which the lattice does not
+    count.  A remainder in the division is an internal error.
 
-    A local ring (R, m) is its own localization: every s ∉ m is a unit, so
-    the kernel {r : ∃ s ∉ m, s·r = 0} is zero and R_m = R.  No lattice is
-    built; replay (`certs`) counts the atoms of each localization's lattice.
+    A local ring is its own factor (e = 1, eR = R), whose elements are read
+    as the index range, so no lattice is built at any order; replay
+    (`certs`) counts the atoms of each localization's lattice.
     """
-    local = is_local(ring)
+    n = ring.order
     detail = []
-    for m in maximal_ideals(ring):
-        localized = ring if local is not None else localize_at(ring, m)[0]
-        maximal = is_local(localized)
-        elements = np.arange(localized.order, dtype=np.int64)
-        socle = np.ones(localized.order, dtype=bool)
-        for g in maximal.gens:
-            socle &= localized.mul_arr(elements, g) == localized.zero
-        residue = localized.order // maximal.size
+    for m, e, corner in local_factors(ring):
+        elements = (np.arange(n, dtype=np.int64) if e == ring.one
+                    else indices_from_mask(corner, n))
+        socle = np.ones(elements.size, dtype=bool)
+        for g in m.gens:
+            socle &= ring.mul_arr(elements, ring.mul(e, g)) == ring.zero
+        maximal_size = (m.mask & corner).bit_count()
+        residue = elements.size // maximal_size
         atoms, rest = divmod(int(np.count_nonzero(socle)) - 1, residue - 1)
         if rest:
             raise ConsistencyError(
-                f"{ring.name}: socle of a localization of order "
-                f"{localized.order} is not a space over its residue field")
-        atoms = 0 if maximal.is_zero() else atoms
+                f"{ring.name}: socle of a local factor of order "
+                f"{elements.size} is not a space over its residue field")
+        field_like = maximal_size == 1
+        atoms = 0 if field_like else atoms
         detail.append({
             "maximal_gens": m.gen_literals(),
-            "localization_order": localized.order,
+            "localization_order": int(elements.size),
             "atom_count": atoms,
-            "field_like": maximal.is_zero(),
+            "field_like": field_like,
             "irreducible": atoms <= 1,
         })
     return all(d["irreducible"] for d in detail), detail

@@ -806,6 +806,27 @@ def element_units(ring: FiniteRing) -> np.ndarray:
     return unit_partition(ring).units
 
 
+def primitive_idempotents(ring: FiniteRing) -> np.ndarray:
+    """The primitive idempotents of the ring in ascending order, cached.
+
+    The idempotents are the solutions of a² = a, read from one O(n)
+    product.  A nonzero idempotent e is primitive when no nonzero
+    idempotent f ≠ e lies below it (e·f = f), which takes |E|² products
+    for the 2^k idempotents of a ring with k local factors.  The ring is
+    the product of its corners eR over these e (Atiyah–Macdonald, Thm 8.7).
+    """
+    return ring.memo("idempotents", lambda: _primitive_idempotents(ring))
+
+
+def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
+    idx = np.arange(ring.order, dtype=np.int64)
+    idem = idx[(ring.mul_arr(idx, idx) == idx) & (idx != ring.zero)]
+    prods = ring.mul_arr(idem[:, None], idem[None, :])
+    # below[e, f]: f is a nonzero idempotent other than e with e·f = f
+    below = (prods == idem[None, :]) & (idem[:, None] != idem[None, :])
+    return idem[~below.any(axis=1)]
+
+
 def associate_leaders(ring: FiniteRing) -> np.ndarray:
     """``leader[a]`` is the least element of the associate class U·a, cached.
 

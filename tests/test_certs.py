@@ -2,7 +2,9 @@
 after a JSON round-trip, and corrupted certificates must be rejected."""
 
 import copy
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,9 @@ from finring.ideals import is_local, residue_vector_space
 from finring.reports import to_json
 from finring.rings import (ProductRing, ZmodRing, free_module,
                            make_trivial_extension, standard_gf)
+from finring.specfile import build_target, parse_ring_spec
+
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def _round_trip(report) -> dict:
@@ -34,6 +39,11 @@ def _product_mixed():
     return ProductRing(_residue_idealization(4), standard_gf(2, 2))
 
 
+def _spec_ring(name: str):
+    return build_target(parse_ring_spec(
+        (SPECS / f"{name}.ring").read_text(encoding="utf-8")))
+
+
 RINGS = {
     "zmod4": lambda: ZmodRing(4),
     "zmod30": lambda: ZmodRing(30),
@@ -42,6 +52,7 @@ RINGS = {
     "residue_ideal_z9": lambda: _residue_idealization(9),
     "self_ideal_z4": _self_idealization,
     "product_mixed": _product_mixed,
+    "f2sq_x_z12": lambda: _spec_ring("f2sq_x_z12"),
 }
 
 
@@ -148,3 +159,35 @@ def test_tampered_zero_ideal_row_rejected(key, field):
         row[field] = not row[field]
         with pytest.raises(ConsistencyError):
             replay_condition(ring, name, bad)
+
+
+def test_non_local_witnesses_replay():
+    # (F2 ∝ F2²) × Z12 has three local factors, of orders 3, 8 and 4; the
+    # order-8 one, F2 ∝ F2², carries every negative witness
+    ring = _spec_ring("f2sq_x_z12")
+    payload = _round_trip(classify(ring))
+    conditions = payload["conditions"]
+    arith = conditions["arithmetical"]["witness"]
+    assert (arith["pushed_order"], arith["localization_order"]) == (4, 8)
+    pseudo = conditions["pseudo_arithmetical"]
+    assert pseudo["verdict"] == "No"
+    assert pseudo["witness"]["non_principal_at"]["localization_order"] == 8
+    rows = conditions["zero_ideal_locally_irreducible"]["certificate"]
+    assert [(r["localization_order"], r["atom_count"])
+            for r in rows["localizations"]] == [(3, 0), (8, 3), (4, 1)]
+    assert replay_report(ring, payload) == len(CONDITION_ORDER)
+
+
+def test_replay_rejects_a_stubbed_locally_principal_check(monkeypatch):
+    # replay localizes on its own, so a deciders' primitive that calls every
+    # ideal locally principal cannot vouch for the verdicts it caused
+    certs = importlib.import_module("finring.certs")
+    assert not hasattr(certs, "is_locally_principal")
+    for name in ("finring.ideals", "finring.classify"):
+        monkeypatch.setattr(importlib.import_module(name),
+                            "is_locally_principal", lambda ideal: (True, None))
+    ring = _residue_idealization(4, 2)    # Z4 ∝ (Z4/2)², not arithmetical
+    payload = _round_trip(classify(ring))
+    assert payload["conditions"]["arithmetical"]["verdict"] is True
+    with pytest.raises(ConsistencyError):
+        replay_report(ring, payload)

@@ -1,4 +1,4 @@
-"""Ideal lattice, localization, and content-calculus oracles.
+"""Ideal lattice, local factors, localization, and content-calculus oracles.
 
 Expected values were computed by exhaustive enumeration over the element
 tables and then frozen here.
@@ -10,24 +10,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finring import ideals
+from finring import certs, ideals
 from finring.classify import (classify, decide_pruefer,
                               decide_zero_locally_irreducible)
 from finring.corpus import CorpusConfig, generate_corpus
-from finring.errors import BoundExceededError, RingBuildError
+from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
 from finring.ideals import (additive_closure_indices, annihilator,
                             content_calculus, enumerate_ideals,
                             ideal_generated_by, ideal_intersection,
                             ideal_product, ideal_quotient, ideal_sum,
                             is_invertible, is_local, is_locally_principal,
-                            is_principal, is_regular_ideal, localize_at,
-                            make_quotient, mask_from_indices, maximal_ideals,
+                            is_principal, is_regular_ideal, local_factors,
+                            localize_at, make_quotient, mask_from_indices, maximal_ideals,
                             principal_ideal, principal_in_local_ring,
                             push_ideal, residue_vector_space,
                             subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
-from finring.rings import (QuotientRing, ZmodRing, element_units, free_module,
-                           make_trivial_extension, standard_gf)
+from finring.rings import (ProductRing, QuotientRing, ZmodRing, element_units,
+                           free_module, make_trivial_extension,
+                           primitive_idempotents, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (atoms_by_pairwise_scan, is_irreducible,
                      maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums,
@@ -318,13 +319,14 @@ def test_classify_local_ring_reads_its_own_lattice(monkeypatch):
     assert report.verdict("zero_ideal_locally_irreducible") is True
     assert "localizations" not in ring._cache
     assert built == [ring]
-    # a non-local ring is localized, but no localization gets a lattice
+    # a non-local ring is read from its corners: no localization is built,
+    # and no lattice but its own
     for n in (6, 12):
         built.clear()
         ring = ZmodRing(n)
         report = classify(ring)
         assert report.verdict("zero_ideal_locally_irreducible") is True
-        assert ring._cache["localizations"]
+        assert "localizations" not in ring._cache
         assert built == [ring]
 
 
@@ -335,6 +337,92 @@ def test_classify_corpus_builds_one_lattice_per_ring(monkeypatch):
         classify(ring)
     assert len(rings) == 170
     assert sorted(map(id, built)) == sorted(map(id, rings))
+
+
+def test_classify_corpus_localizes_nothing(monkeypatch):
+    # every decider reads its local factors as corners; only the Gaussian
+    # decomposition localizes, and no default-corpus ring reaches it
+    localized = []
+    real = ideals._localize
+    monkeypatch.setattr(ideals, "_localize",
+                        lambda ring, m: localized.append(ring) or real(ring, m))
+    rings = generate_corpus(CorpusConfig())
+    for ring in rings:
+        classify(ring)
+    assert len(rings) == 170
+    assert localized == []
+
+
+# ---------------------------------------------------------------- local factors
+
+
+def test_primitive_idempotents_frozen():
+    assert primitive_idempotents(ZmodRing(8)).tolist() == [1]
+    assert primitive_idempotents(ZmodRing(6)).tolist() == [3, 4]
+    assert primitive_idempotents(ZmodRing(12)).tolist() == [4, 9]
+    assert primitive_idempotents(ZmodRing(30)).tolist() == [6, 10, 15]
+    # (a, b) ↦ index a·|F4| + b, so (1, 0) = 4 and (0, 1) = 1
+    ring = ProductRing(ZmodRing(4), standard_gf(2, 2))
+    assert primitive_idempotents(ring).tolist() == [1, 4]
+
+
+def test_local_factors_frozen():
+    z12 = ZmodRing(12)
+    factors = local_factors(z12)
+    # in lattice order: (3) misses 4, whose corner 4·Z12 = {0, 4, 8} is
+    # Z3; (2) misses 9, whose corner {0, 3, 6, 9} is Z4
+    assert [_indices(f.maximal) for f in factors] == [
+        [0, 3, 6, 9], [0, 2, 4, 6, 8, 10]]
+    assert [f.idempotent for f in factors] == [4, 9]
+    assert [ideals.indices_from_mask(f.corner, 12).tolist()
+            for f in factors] == [[0, 4, 8], [0, 3, 6, 9]]
+    z8 = ZmodRing(8)
+    (local,) = local_factors(z8)
+    assert local.maximal is is_local(z8) and local.idempotent == z8.one
+    assert local.corner == (1 << 8) - 1
+
+
+@pytest.mark.parametrize("wrong", [[3], [4], [3, 4, 1]],
+                         ids=["one_missing", "other_missing", "extra"])
+def test_local_factors_invariant_rejects_a_wrong_idempotent_set(monkeypatch,
+                                                                 wrong):
+    ring = ZmodRing(6)
+    assert is_local(ring) is None
+    monkeypatch.setattr(ideals, "primitive_idempotents",
+                        lambda _ring: np.array(wrong, dtype=np.int64))
+    with pytest.raises(ConsistencyError):
+        local_factors(ring)
+
+
+def test_local_factors_match_localization():
+    # the deciders read corners; replay localizes by the kernel quotient
+    # (`certs`).  Both must see the same maximals, factor orders, verdicts
+    # and counterexamples.
+    spec = (SPECS / "z4f2_x_f4.ring").read_text(encoding="utf-8")
+    rings = [*generate_corpus(CorpusConfig(max_order=256)),
+             build_target(parse_ring_spec(spec))]
+    non_local = non_principal = 0
+    for ring in rings:
+        lattice = enumerate_ideals(ring)
+        factors = local_factors(ring)
+        assert [f.maximal.mask for f in factors] == \
+            [m.mask for m in lattice.maximals], ring.name
+        assert [f.maximal.gens for f in factors] == \
+            [m.gens for m in lattice.maximals], ring.name
+        for m, _e, corner in factors:
+            assert corner.bit_count() == localize_at(ring, m)[0].order, ring.name
+        non_local += len(factors) > 1
+        for ideal in lattice.ideals:
+            ok, counter = is_locally_principal(ideal)
+            ok_q, counter_q = certs._locally_principal_by_localization(ideal)
+            assert ok == ok_q, (ring.name, ideal.gens)
+            if not ok:
+                assert counter["maximal"].mask == counter_q["maximal"].mask
+                assert counter["pushed_order"] == counter_q["pushed_order"]
+                assert (counter["localization_order"]
+                        == counter_q["localization_order"])
+                non_principal += 1
+    assert (len(rings), non_local, non_principal) == (452, 399, 147)
 
 
 def test_socle_matches_lattice_on_every_local_factor():
