@@ -16,9 +16,12 @@ first violation is unchanged.  The single-polynomial search also takes its
 leading coefficients from the associate-class leaders only: for a unit u,
 u·g has the content of g and f·ug that of fg, so if g violates so does ug,
 which has the same degree and only non-unit coefficients; the first
-violation therefore leads with the least element of its class.  For the
-same reason u·f has the verdict and first witness of f, so a run of
-candidates needs one search per associate orbit (`certify_gaussians`).
+violation therefore leads with the least element of its class.  More
+generally, for units u, v and any c the substitution φ: x ↦ vx + c is an
+automorphism of R[x] with c(φh) = c(h), so f and u·f(vx + c) have the same
+status, and a violating g for f becomes the violating g(vx + c) for
+u·f(vx + c); a run of candidates needs one search per orbit of these maps
+(`certify_gaussians`).
 A constant factor a never violates either, since c(a·g) = (a)·c(g), so
 the witness search starts at degree 1 and the pair search counts the pairs
 with a constant factor without evaluating them.  Caps and bounds still
@@ -35,6 +38,7 @@ no lattice ids, join table or product table (`content_spans`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +46,8 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .ideals import (Ideal, _grow_span, content_calculus, ideal_generated_by,
                      ideal_product, is_local)
-from .rings import FiniteRing, associate_leaders, blocks, element_units
+from .rings import (FiniteRing, associate_leaders, blocks, element_units,
+                    group_generators, unit_partition)
 
 _PAIR_CHUNK = 1 << 18
 
@@ -292,28 +297,138 @@ def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
 
 
 def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000):
-    """Yield certify_gaussian(f, degree_bound, cap) for each f of `fs` in order,
-    with one certification per associate orbit.
+    """Yield, for each f of `fs` in order, a verdict with the status of
+    certify_gaussian(f, degree_bound, cap), certifying once per
+    affine-substitution orbit.
 
-    For a unit u, c(uf·g) = c(fg) and c(uf) = c(f), so u·f has the verdict
-    and the same first witness as f.  An f that no earlier orbit has reached
-    is certified, and its verdict is filed for every associate u·f; a later
-    associate takes the filed verdict, and a reused refutation is re-verified
-    on its own f.  Verdicts are produced lazily, so a caller that stops early
-    certifies nothing beyond where it stopped.
+    For a unit v and any c, φ: x ↦ vx + c is an automorphism of R[x], and
+    c(φh) = c(h), because φ and its inverse x ↦ v⁻¹(x − c) each take the
+    coefficients of one polynomial into the ideal generated by those of the
+    other.  With a unit u, c(u·φh) = c(h) too, so f and f' = u·f(vx + c)
+    have the same status, and a g violating for f gives the violating
+    g(vx + c) for f', of the same degree.  The candidates fall into orbits
+    under these maps (`_affine_orbits`); the first candidate of an orbit is
+    certified, and every later one takes its verdict; a refutation takes the
+    witness carried over by `_substitute`, which is re-verified on its own f
+    and need not be the first witness of f in the pinned order.
+    Verdicts are produced lazily, so a caller that stops early certifies
+    nothing beyond where it stopped.
     """
-    filed: dict[tuple[int, ...], GaussianVerdict] = {}
-    for f in fs:
-        verdict = filed.get(f.coeffs)
-        if verdict is None:
-            verdict = certify_gaussian(f, degree_bound, cap)
-            units = np.flatnonzero(element_units(f.ring))
-            coeffs = np.array(f.coeffs, dtype=np.int64)
-            orbit = f.ring.mul_arr(units[:, None], coeffs[None, :])
-            filed.update(dict.fromkeys(map(tuple, orbit.tolist()), verdict))
-        elif verdict.status == "refuted":
-            _verify_violation(f, verdict.witness)
+    fs = list(fs)
+    if not fs:
+        return
+    root, dilation, shift = _affine_orbits(fs)
+    filed: dict[int, GaussianVerdict] = {}
+    for i, f in enumerate(fs):
+        r = int(root[i])
+        if r == i:
+            verdict = filed[i] = certify_gaussian(f, degree_bound, cap)
+        else:
+            verdict = filed[r]
+            if verdict.status == "refuted":
+                g = _substitute(verdict.witness, int(dilation[i]), int(shift[i]))
+                _verify_violation(f, g)
+                verdict = GaussianVerdict("refuted", witness=g)
         yield verdict
+
+
+def _dilate_columns(ring: FiniteRing, cols, v: int) -> list:
+    """Coefficient columns (low-first) of f(vx) from those of f."""
+    out, power = [cols[0]], v
+    for col in cols[1:]:
+        out.append(ring.mul_arr(col, power))
+        power = ring.mul(power, v)
+    return out
+
+
+def _shift_columns(ring: FiniteRing, cols, c: int) -> list:
+    """Coefficient columns (low-first) of f(x + c) from those of f, by
+    repeated Horner steps: d(d+1)/2 products and sums at degree d."""
+    out = list(cols)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = ring.add_arr(out[j], ring.mul_arr(out[j + 1], c))
+    return out
+
+
+def _substitute(g: RingPoly, v: int, c: int) -> RingPoly:
+    """g(vx + c), on the coefficients as scalars."""
+    ring = g.ring
+    return make_poly(ring, _dilate_columns(ring, _shift_columns(ring, g.coeffs, c), v))
+
+
+def _codes(cols, n: int) -> np.ndarray:
+    """Σ colsᵢ·nⁱ, by Horner's rule."""
+    code = cols[-1]
+    for col in cols[-2::-1]:
+        code = code * n + col
+    return code
+
+
+def _affine_orbits(fs: list[RingPoly]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(root, v, c)``: each fs[i] is u·fs[root[i]](v[i]·x + c[i]) for a
+    unit u, and root[i] is the first candidate of the orbit of fs[i] within
+    `fs`.
+
+    Each candidate is coded as Σ fᵢ·nⁱ.  The images of all candidates under
+    f ↦ u·f and f ↦ f(vx), for u and v in `group_generators(ring, "units")`,
+    and under f ↦ f(x + c), for c in `group_generators(ring, "additive")`,
+    are computed columnwise and looked up among the candidate codes; a hit
+    is an edge, walked either way.  The orbits within `fs` are the connected
+    components: the least index is propagated along the edges, and every
+    candidate that takes a smaller one takes its (v, c) composed with the
+    edge's.  Each round walks every edge once, at O(len(fs) · generators),
+    until a round changes nothing; the edges are kept in numpy arrays.  When
+    the codes do not fit in int64 (n^(d+1) ≥ 2^63 at degree d), every
+    candidate is its own orbit.
+    """
+    ring = fs[0].ring
+    n, size = ring.order, len(fs)
+    width = max(len(f.coeffs) for f in fs)
+    root = np.arange(size, dtype=np.int64)
+    dilation = np.full(size, ring.one, dtype=np.int64)
+    shift = np.zeros(size, dtype=np.int64)
+    if n**width >= 2**63:
+        return root, dilation, shift
+    padded = (f.coeffs + (0,) * (width - len(f.coeffs)) for f in fs)
+    cols = np.fromiter(itertools.chain.from_iterable(padded), dtype=np.int64,
+                       count=size * width).reshape(size, width).T
+    codes = _codes(cols, n)
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+
+    inverse = unit_partition(ring).witness
+    units, adds = group_generators(ring, "units"), group_generators(ring, "additive")
+    # (images, w, e) for one generator at a time
+    moves = itertools.chain(
+        ((ring.mul_arr(cols, u), ring.one, ring.zero) for u in units.tolist()),
+        ((_dilate_columns(ring, cols, v), v, ring.zero) for v in units.tolist()),
+        ((_shift_columns(ring, cols, c), ring.one, c) for c in adds.tolist()))
+    steps = []  # (s, t, w, e): f_t = u·f_s(wx + e) for each pair s[j], t[j]
+    for images, w, e in moves:
+        image_codes = _codes(images, n)
+        at = np.minimum(np.searchsorted(sorted_codes, image_codes), size - 1)
+        hit = np.flatnonzero(sorted_codes[at] == image_codes)
+        target = order[at[hit]]
+        keep = hit != target
+        s, t = hit[keep], target[keep]
+        # walked back: f_s = u⁻¹·f_t(w⁻¹x − w⁻¹e)
+        w_inv = int(inverse[w])
+        steps += [(s, t, w, e), (t, s, w_inv, int(ring.neg_arr(ring.mul(w_inv, e))))]
+    # each move is a bijection, so no candidate is offered two roots in a step
+    changed = True
+    while changed:
+        changed = False
+        for s, t, w, e in steps:
+            gain = np.flatnonzero(root[s] < root[t])
+            if gain.size:
+                giver, taker = s[gain], t[gain]
+                v = dilation[giver]
+                root[taker] = root[giver]
+                shift[taker] = ring.add_arr(ring.mul_arr(v, e), shift[giver])
+                dilation[taker] = ring.mul_arr(v, w)
+                changed = True
+    return root, dilation, shift
 
 
 def dedekind_mertens_check(f: RingPoly, g: RingPoly) -> bool:

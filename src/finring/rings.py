@@ -827,6 +827,44 @@ def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
     return idem[~below.any(axis=1)]
 
 
+def group_generators(ring: FiniteRing, group: str) -> np.ndarray:
+    """Greedy generators of ``"additive"`` (R, +) or ``"units"`` U, cached.
+
+    The members are visited in ascending order, and one outside the
+    subgroup H generated so far becomes a generator g.  ⟨H, g⟩ is
+    H·{1, g, g², …} (written multiplicatively), grown by doubling from
+    K = H and s = g: K ← K ∪ K·s and s ← s², until K stops growing.  Each
+    generator at least doubles H, so there are at most log₂|G| of them,
+    and each costs O(|G| log |G|) operations.
+    """
+    return ring.memo(("generators", group), lambda: _greedy_generators(ring, group))
+
+
+def _greedy_generators(ring: FiniteRing, group: str) -> np.ndarray:
+    if group == "additive":
+        members, op, identity = np.ones(ring.order, dtype=bool), ring.add_arr, ring.zero
+    elif group == "units":
+        members, op, identity = unit_partition(ring).units, ring.mul_arr, ring.one
+    else:
+        raise ValueError(f"unknown group {group!r}")
+    reached = np.zeros(ring.order, dtype=bool)
+    reached[identity] = True
+    subgroup = np.array([identity], dtype=np.int64)
+    gens = []
+    while True:
+        left = np.flatnonzero(members & ~reached)
+        if not left.size:
+            return np.array(gens, dtype=np.int64)
+        step = left[0]
+        gens.append(step)
+        while True:
+            reached[op(subgroup, step)] = True
+            grown = np.flatnonzero(reached)
+            if grown.size == subgroup.size:
+                break
+            subgroup, step = grown, op(step, step)
+
+
 def associate_leaders(ring: FiniteRing) -> np.ndarray:
     """``leader[a]`` is the least element of the associate class U·a, cached.
 

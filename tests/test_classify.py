@@ -4,15 +4,17 @@ import importlib
 import json
 import time
 
+import numpy as np
 import pytest
 
+from finring import polys
 from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
                               classify, decide_arithmetical,
                               decide_pseudo_arithmetical,
                               gaussian_ring_verdict)
-from finring.errors import BoundExceededError
+from finring.errors import BoundExceededError, ConsistencyError
 from finring.ideals import enumerate_ideals, is_local, residue_vector_space
-from finring.polys import certify_gaussian, certify_gaussians
+from finring.polys import certify_gaussian, certify_gaussians, content_spans
 from finring.reports import to_json
 from finring.rings import (ProductRing, ZmodRing, free_module,
                            make_trivial_extension, standard_gf)
@@ -270,18 +272,51 @@ def _pseudo_search(monkeypatch, ring):
     return result, batched, calls
 
 
+def _assert_same_statuses(fs, verdicts):
+    """Each verdict has the status plain certification gives its f, and
+    each refutation's witness violates on its own f."""
+    assert [v.status for v in verdicts] == [certify_gaussian(f).status
+                                            for f in fs]
+    for f, verdict in zip(fs, verdicts):
+        if verdict.status == "refuted":
+            lhs, rhs = content_spans(f, verdict.witness)
+            assert not np.array_equal(lhs, rhs)
+
+
 def test_orbit_reuse_matches_one_search_per_candidate(monkeypatch):
     ring = _self_idealization(4)
     _result, fs, calls = _pseudo_search(monkeypatch, ring)
     monkeypatch.undo()
-    assert len(fs) == 256 and len(calls) == 84
-    assert list(certify_gaussians(fs)) == [certify_gaussian(f) for f in fs]
+    assert len(fs) == 256 and len(calls) == 32
+    _assert_same_statuses(fs, list(certify_gaussians(fs)))
 
 
 def test_pseudo_arithmetical_one_search_per_orbit(monkeypatch):
     result, fs, calls = _pseudo_search(monkeypatch, _self_idealization(8))
-    assert len(fs) == 768 and len(calls) == 216
+    assert len(fs) == 768 and len(calls) == 56
     assert result.verdict == "BoundedYes"
     assert {k: result.certificate[k] for k in
             ("candidates_tried", "refuted", "inconclusive")} == {
         "candidates_tried": 768, "refuted": 768, "inconclusive": 0}
+
+
+def test_orbit_filing_keeps_every_status(monkeypatch, corpus_rings):
+    # every corpus ring that reaches the witness search, and Z16 ∝ Z16, whose
+    # 1,792 candidates end refuted or bounded
+    searched = set()
+    for ring in [*corpus_rings, _self_idealization(16)]:
+        _result, fs, _calls = _pseudo_search(monkeypatch, ring)
+        monkeypatch.undo()
+        if fs:
+            searched.add(ring.name)
+            _assert_same_statuses(fs, list(certify_gaussians(fs)))
+    assert {_self_idealization(k).name for k in (4, 8, 16)} <= searched
+
+
+def test_orbit_filing_rejects_an_untransformed_witness(monkeypatch):
+    # reusing the first witness of an orbit as it stands fails re-verification
+    _result, fs, _calls = _pseudo_search(monkeypatch, _self_idealization(8))
+    monkeypatch.undo()
+    monkeypatch.setattr(polys, "_substitute", lambda g, v, c: g)
+    with pytest.raises(ConsistencyError):
+        list(certify_gaussians(fs))

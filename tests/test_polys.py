@@ -17,7 +17,7 @@ from finring.polys import (RingPoly, certify_gaussian, content, content_spans,
                            make_poly, poly_at_index, poly_count,
                            poly_from_literals, poly_mul,
                            ring_gaussian_refutation_search)
-from finring.rings import (ProductRing, ZmodRing, free_module,
+from finring.rings import (ProductRing, ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
 from oracles import dedekind_mertens_random_audit, gaussian_violation_table
 
@@ -441,3 +441,62 @@ def dedekind_mertens_violation_free(f, g):
 def test_violation_table_all_clean_on_gaussian_ring():
     table = gaussian_violation_table(ZmodRing(9), 2, 2)
     assert all(hit is None for _, _, hit in table)
+
+
+# ---------------------------------------------------------------- affine orbits
+
+
+def _substituted(f: RingPoly, v: int, c: int) -> RingPoly:
+    """f(vx + c) as Σ fᵢ·(vx + c)ⁱ, the powers taken by poly_mul."""
+    ring = f.ring
+    out = [ring.zero] * len(f.coeffs)
+    power = make_poly(ring, [ring.one])
+    for a in f.coeffs:
+        for k, b in enumerate(power.coeffs):
+            out[k] = ring.add(out[k], ring.mul(a, b))
+        power = poly_mul(power, make_poly(ring, [c, v]))
+    return make_poly(ring, out)
+
+
+def _orbit(f: RingPoly) -> set:
+    """Coefficient tuples of every u·f(vx + c), by brute force."""
+    ring = f.ring
+    units = np.flatnonzero(element_units(ring)).tolist()
+    images = [_substituted(f, v, c) for v in units for c in range(ring.order)]
+    return {tuple(ring.mul(u, a) for a in h.coeffs) for h in images for u in units}
+
+
+def _polys(ring, degrees):
+    return [poly_at_index(ring, d, i) for d in degrees
+            for i in range(poly_count(ring.order, d))]
+
+
+def test_substitute_matches_powers_of_the_linear_form():
+    z3 = ZmodRing(3)
+    for ring in (ZmodRing(5), ZmodRing(8),
+                 make_trivial_extension(z3, free_module(z3, 1))[0]):
+        units = np.flatnonzero(element_units(ring)).tolist()
+        for f in _polys(ring, (1, 2))[::7]:
+            for v in units:
+                for c in range(ring.order):
+                    assert polys._substitute(f, v, c) == _substituted(f, v, c)
+
+
+def test_affine_orbits_are_the_orbits_within_the_list():
+    z3 = ZmodRing(3)
+    for ring, degrees in ((ZmodRing(5), (1, 2)), (ZmodRing(8), (1,)),
+                          (make_trivial_extension(z3, free_module(z3, 1))[0], (1,))):
+        full = _polys(ring, degrees)
+        # the whole list is closed under the maps; every third one is not
+        units = np.flatnonzero(element_units(ring)).tolist()
+        for fs, closed in ((full, True), (full[::3], False)):
+            root, dilation, shift = polys._affine_orbits(fs)
+            for i, f in enumerate(fs):
+                r = int(root[i])
+                assert r <= i and root[r] == r
+                image = _substituted(fs[r], int(dilation[i]), int(shift[i]))
+                assert f.coeffs in {tuple(ring.mul(u, a) for a in image.coeffs)
+                                    for u in units}
+                if closed:
+                    orbit = _orbit(f)
+                    assert r == min(j for j, g in enumerate(fs) if g.coeffs in orbit)

@@ -243,3 +243,44 @@ def test_hom_requires_total_map():
     z4 = ZmodRing(4)
     with pytest.raises(RingBuildError):
         RingHom(z4, z4, np.array([0, 1], dtype=np.int64))
+
+
+# ---------------------------------------------------------------- generators
+
+
+def _closure(start: int, gens: np.ndarray, op, n: int) -> np.ndarray:
+    """Mask of everything reached from `start` by applying `op` with the
+    generators, one step at a time."""
+    reached = np.zeros(n, dtype=bool)
+    reached[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        step = np.unique(op(frontier[:, None], gens[None, :]))
+        frontier = step[~reached[step]]
+        reached[frontier] = True
+    return reached
+
+
+def test_group_generators_regenerate_their_groups(corpus_rings):
+    z25 = ZmodRing(25)
+    for ring in [*corpus_rings, make_trivial_extension(z25, free_module(z25, 1))[0]]:
+        n = ring.order
+        adds = rings.group_generators(ring, "additive")
+        units = rings.group_generators(ring, "units")
+        assert bool(_closure(ring.zero, adds, ring.add_arr, n).all())
+        unit_mask = element_units(ring)
+        assert bool(unit_mask[units].all())
+        assert np.array_equal(_closure(ring.one, units, ring.mul_arr, n), unit_mask)
+        # each generator at least doubles the subgroup before it
+        assert 2 ** adds.size <= n and 2 ** units.size <= int(unit_mask.sum())
+        assert rings.group_generators(ring, "units") is units  # cached
+
+
+def test_group_generators_frozen():
+    z8 = ZmodRing(8)
+    ring = make_trivial_extension(z8, free_module(z8, 1))[0]
+    assert rings.group_generators(ring, "additive").tolist() == [1, 8]
+    assert rings.group_generators(ring, "units").tolist() == [9, 24, 40]
+    assert rings.group_generators(ZmodRing(12), "units").tolist() == [5, 7]
+    with pytest.raises(ValueError):
+        rings.group_generators(z8, "multiplicative")
