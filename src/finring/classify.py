@@ -26,7 +26,8 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError
 from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
                      ideal_generated_by, ideal_product, is_local,
-                     is_locally_principal, local_factors, localize_at,
+                     is_locally_principal, least_generator_count,
+                     local_factors, localize_at,
                      mask_from_indices, maximal_ideals,
                      principal_in_local_ring, zero_ideal_locally_irreducible)
 from .polys import (RingPoly, certify_gaussians, content_spans,
@@ -489,7 +490,10 @@ def decide_total_quotient(ring: FiniteRing) -> ConditionResult:
 
 def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
     """Yield polynomials of exact `degree` whose coefficients lie in the ideal
-    and generate it, in the pinned enumeration order."""
+    and generate it, in the pinned enumeration order; none when its d + 1
+    coefficients are fewer than the ideal needs generators."""
+    if degree + 1 < least_generator_count(ideal):
+        return
     calc = content_calculus(ring)
     target = calc.lattice.ideal_id(ideal)
     members = ideal.indices

@@ -6,9 +6,11 @@ plus generators, with a cached numpy index array for vectorised arithmetic.
 Two ideals are additive subgroups, so their sum I + J = {x + y} takes one
 pass of |I|·|J| additions (`subgroup_sum_indices`); a span grows one
 principal ideal R·g at a time the same way, and I·J is the span of the
-products of generators.  The full ideal lattice of a ring is computed by
-adding each principal ideal to each ideal found, which stays cheap because
-finite rings have very few ideals compared to subsets.  The principal ideals
+products of generators.  The full ideal lattice of a ring closes the
+principal ideals under adding a principal ideal, which stays cheap because
+finite rings have very few ideals compared to subsets; most of its join
+entries are read from rows already filed (by associativity), and each
+ideal's generators are walked along those rows.  The principal ideals
 themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
 subgroups, one generator's multiples at a time (`coset_minima`).
@@ -263,7 +265,14 @@ def principal_ideal_masks(ring: FiniteRing) -> list[int]:
 
 def enumerate_ideals(ring: FiniteRing) -> IdealLattice:
     """Complete ideal lattice: every ideal is a sum of principal ideals, so
-    adding each principal ideal to each ideal found reaches them all."""
+    adding each principal ideal to each ideal found reaches them all.
+
+    A join entry W + P takes a subgroup sum only when no filed row answers
+    it: the union W | P when that is an ideal, P + W from P's row when W is
+    principal, or (W′ + P) + P′ when W was first found as W′ + P′ (and once
+    more for W′ + P).  Generators are walked along the rows
+    (`_walk_generators`), so the lattice does no ring arithmetic after its
+    sums."""
     return ring.memo("lattice", lambda: _build_lattice(ring))
 
 
@@ -278,28 +287,55 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
     col_of = {m: c for c, m in enumerate(cols)}
     # mask -> member indices, so a sum never re-decodes its summands
     seen = {m: indices_from_mask(m, n) for m in cols}
-    rows: dict[int, list[int]] = {}        # mask of I -> masks of I + P
+    rows: dict[int, list] = {}             # mask of I -> masks of I + P
+    unfiled = [None] * len(cols)           # the row of an ideal not reached yet
+    parent: dict[int, tuple[int, int]] = {}  # W -> (W', c') with W = W' + P_c'
     queue = list(seen)
     for w in queue:                        # grows as new ideals turn up
-        row = rows[w] = []
-        for p in cols:
+        row = rows[w] = unfiled.copy()
+        for c, p in enumerate(cols):
             m = w | p                      # I + P when the union is an ideal
             if m not in seen and p in rows and w in col_of:
                 m = rows[p][col_of[w]]     # P + W, filed in P's row
+            # W + P = (W' + P) + P', read from the row of W' + P; while that
+            # row is unfiled, W' + P is split the same way once more
+            x, cx = w, c
+            for _ in range(2):
+                if m in seen or x not in parent:
+                    break
+                x0, c0 = parent[x]
+                x, cx = rows[x0][cx], c0   # None while W's own row is open
+                m = rows.get(x, unfiled)[cx]
             if m not in seen:
                 idx = subgroup_sum_indices(ring, seen[w], seen[p])
                 m = mask_from_indices(idx, n)
                 if m not in seen:
                     seen[m] = idx
+                    parent[m] = (w, c)
                     queue.append(m)
-            row.append(m)
+            row[c] = m
     order_key = sorted(seen, key=lambda m: (m.bit_count(), m))
     pos = {m: i for i, m in enumerate(order_key)}
-    ideals = [Ideal(ring, m, minimal_generators(ring, m), seen[m])
-              for m in order_key]
+    ideals = [Ideal(ring, m, _walk_generators(ring, m, rows, col_of, pmasks),
+                    seen[m]) for m in order_key]
     join = np.array([[pos[m] for m in rows[w]] for w in order_key], dtype=np.int64)
     princ_col = np.array([col_of[m] for m in pmasks], dtype=np.int64)
     return IdealLattice(ring, ideals, join, princ_col)
+
+
+def _walk_generators(ring: FiniteRing, mask: int, rows: dict[int, list[int]],
+                     col_of: dict[int, int], pmasks: list[int]) -> tuple[int, ...]:
+    """`minimal_generators` read from the lattice's join rows: from 0, add
+    R·g for the least member g outside the span until the span is `mask`."""
+    cur, gens = 1, []
+    while cur != mask:
+        rest = mask & ~cur
+        g = (rest & -rest).bit_length() - 1
+        gens.append(g)
+        cur = rows[cur][col_of[pmasks[g]]]
+        if cur | mask != mask:
+            raise ConsistencyError(f"{ring.name}: mask {mask:#x} is not an ideal")
+    return tuple(gens)
 
 
 def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
@@ -626,6 +662,34 @@ def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
             return False, {"maximal": m, "pushed_order": image.bit_count(),
                            "localization_order": corner.bit_count()}
     return True, None
+
+
+def least_generator_count(ideal: Ideal) -> int:
+    """μ(I), the fewest elements that generate I, read from the lattice.
+
+    On each local factor, a corner eR with maximal ideal n = m ∩ eR, the
+    space (I ∩ eR)/(m·I ∩ eR) over eR/n has dimension μ(I ∩ eR) (Nakayama),
+    and generators of the factors' images combine into generators of I.
+    m·I is the span of the products of generators, summed along the join
+    table.
+    """
+    ring = ideal.ring
+    lattice = enumerate_ideals(ring)
+    count = 0
+    for m, _e, corner in local_factors(ring):
+        span = 0                           # the zero ideal sorts first
+        for g in m.gens:
+            for h in ideal.gens:
+                span = lattice.join[span, lattice.princ_col[ring.mul(g, h)]]
+        quotient = ((ideal.mask & corner).bit_count()
+                    // (lattice.ideals[span].mask & corner).bit_count())
+        residue = corner.bit_count() // (m.mask & corner).bit_count()
+        dim = 0
+        while quotient > 1:
+            quotient //= residue
+            dim += 1
+        count = max(count, dim)
+    return count
 
 
 def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:

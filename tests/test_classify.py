@@ -3,20 +3,22 @@
 import importlib
 import json
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from finring import polys
+from finring import ideals, polys
 from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
                               classify, decide_arithmetical,
                               decide_pseudo_arithmetical,
                               gaussian_ring_verdict)
 from finring.errors import BoundExceededError, ConsistencyError
 from finring.ideals import enumerate_ideals, is_local, residue_vector_space
-from finring.polys import certify_gaussian, certify_gaussians, content_spans
+from finring.polys import (certify_gaussian, certify_gaussians, content_spans,
+                          poly_count)
 from finring.reports import to_json
-from finring.rings import (ProductRing, ZmodRing, free_module,
+from finring.rings import (ProductRing, ZmodRing, blocks, free_module,
                            make_trivial_extension, standard_gf)
 
 
@@ -29,6 +31,9 @@ def _residue_idealization(order: int, dim: int = 1):
 def _field_idealization(p: int, k: int, dim: int):
     base = standard_gf(p, k)
     return make_trivial_extension(base, free_module(base, dim))[0]
+
+
+classify_module = importlib.import_module("finring.classify")
 
 
 def _verdicts(report):
@@ -320,3 +325,58 @@ def test_orbit_filing_rejects_an_untransformed_witness(monkeypatch):
     monkeypatch.setattr(polys, "_substitute", lambda g, v, c: g)
     with pytest.raises(ConsistencyError):
         list(certify_gaussians(fs))
+
+
+# ---------------------------------------------------------------- generator layouts
+
+
+def _layouts_by_full_scan(ring, ideal, degree):
+    """Every polynomial of exact `degree` with coefficients in the ideal and
+    content the ideal, with no generator-count shortcut."""
+    calc = ideals.content_calculus(ring)
+    target = calc.lattice.ideal_id(ideal)
+    for start, stop in blocks(poly_count(ideal.size, degree), budget=1 << 16):
+        cols = polys.decode_poly_block(ideal.indices, degree, start, stop)
+        for h in np.nonzero(calc.content_ids(cols) == target)[0]:
+            yield [int(c[h]) for c in cols]
+
+
+def test_generator_layouts_keep_every_candidate_list(corpus_rings):
+    # the candidate lists decide_pseudo_arithmetical builds, with and
+    # without skipping the degrees too short to generate the ideal
+    config = ClassifyConfig()
+    listed = skipped = 0
+    for ring in corpus_rings:
+        if decide_arithmetical(ring).verdict is True:
+            continue
+        for ideal in enumerate_ideals(ring).ideals:
+            if ideals.is_locally_principal(ideal)[0]:
+                continue
+            degrees = range(1, config.degree_bound + 1)
+            fast = (list(f.coeffs) for d in degrees
+                    for f in classify_module._generator_layouts(ring, ideal, d))
+            full = (f for d in degrees for f in _layouts_by_full_scan(ring, ideal, d))
+            cap = config.pseudo_candidate_cap
+            assert list(islice(fast, cap)) == list(islice(full, cap)), ring.name
+            listed += 1
+            skipped += sum(d + 1 < ideals.least_generator_count(ideal)
+                           for d in degrees)
+    assert listed > 50 and skipped > 0
+
+
+def test_generator_layouts_skip_degrees_below_the_generator_count(monkeypatch):
+    # the maximal ideal of F2 ∝ F2^5 needs 5 generators: no layout of
+    # degree ≤ 3 has enough coefficients, and none is decoded
+    ring = _field_idealization(2, 1, 5)
+    maximal = enumerate_ideals(ring).maximals[0]
+    decoded = []
+    real = classify_module.decode_poly_block
+
+    def counted(*args):
+        decoded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(classify_module, "decode_poly_block", counted)
+    for degree in (1, 2, 3):
+        assert list(classify_module._generator_layouts(ring, maximal, degree)) == []
+    assert decoded == []

@@ -4,6 +4,8 @@ Expected values were computed by exhaustive enumeration over the element
 tables and then frozen here.
 """
 
+import functools
+import itertools
 import json
 from pathlib import Path
 
@@ -123,18 +125,43 @@ def test_field_idealization_lattice_frozen():
     assert len(enumerate_ideals(ext).atoms) == 3
 
 
+def _spec_ring(name: str):
+    return build_target(parse_ring_spec(
+        (SPECS / f"{name}.ring").read_text(encoding="utf-8")))
+
+
 def test_join_table_is_the_sum_with_each_principal_ideal():
+    # F2 ∝ F2^5 and Z4 ∝ Z4^3 fill most of their join entries by
+    # associativity, (W' + P) + P' for W = W' + P', instead of by a sum
     checked = 0
-    for ring in _small_corpus():
+    for ring in _small_corpus() + [_spec_ring("f2_trivext5"),
+                                   _spec_ring("z4_trivext3")]:
         lattice = enumerate_ideals(ring)
+        columns = {}                       # column -> one element of its P
         for a in range(ring.order):
             principal = principal_ideal(ring, a)
             col = lattice.princ_col[a]
+            assert lattice.ideals[lattice.join[0, col]] == principal, ring.name
+            columns.setdefault(col, principal)
+        assert sorted(columns) == list(range(lattice.join.shape[1]))
+        for col, principal in columns.items():
             for pos, ideal in enumerate(lattice.ideals):
                 expected = lattice.ideal_id(ideal_sum(ideal, principal))
                 assert lattice.join[pos, col] == expected, ring.name
                 checked += 1
-    assert checked > 2000
+    assert checked > 20000
+
+
+def test_walked_generators_are_the_greedy_generators():
+    rings = generate_corpus(CorpusConfig(max_order=256)) + [
+        _spec_ring("f2_trivext5"), _spec_ring("z4_trivext3"),
+        _spec_ring("z64_trivext")]
+    checked = 0
+    for ring in rings:
+        for ideal in enumerate_ideals(ring).ideals:
+            assert ideal.gens == ideals.minimal_generators(ring, ideal.mask), ring.name
+            checked += 1
+    assert checked > 5000
 
 
 def test_atoms_and_maximals_match_pairwise_scans(corpus_rings):
@@ -146,12 +173,24 @@ def test_atoms_and_maximals_match_pairwise_scans(corpus_rings):
 
 
 def test_f2_trivext5_lattice_pinned():
-    ring = build_target(parse_ring_spec(
-        (SPECS / "f2_trivext5.ring").read_text(encoding="utf-8")))
+    ring = _spec_ring("f2_trivext5")
     lattice = enumerate_ideals(ring)
     assert ring.order == 64
     assert (len(lattice), len(lattice.atoms), len(lattice.maximals)) == (375, 31, 1)
     assert lattice.join.shape == (375, 33)
+
+
+@functools.cache
+def _z4_trivext4():
+    """Z4 ∝ Z4^4, order 1024: the largest lattice the tests build."""
+    return build_target(parse_ring_spec(
+        "ring a = zmod(4); module e = free(a, 4); ring r = trivext(a, e)"))
+
+
+def test_z4_trivext4_lattice_pinned():
+    lattice = enumerate_ideals(_z4_trivext4())
+    assert (len(lattice), len(lattice.atoms), len(lattice.maximals)) == (2291, 15, 1)
+    assert lattice.join.shape == (2291, 153)
 
 
 # ---------------------------------------------------------------- ideal algebra
@@ -501,6 +540,35 @@ def test_locally_principal_on_non_principal_ideal():
     # the ring is local, so locally principal would mean principal
     assert not locally
     assert row is not None
+
+
+def _least_generator_count_by_search(lattice, ideal) -> int:
+    """Fewest principal ideals whose sum is `ideal`, tried by size."""
+    target = lattice.ideal_id(ideal)
+    inside = [c for c in range(lattice.join.shape[1])
+              if lattice.ideals[lattice.join[0, c]].mask | ideal.mask == ideal.mask]
+    spans = {0}
+    for count in itertools.count():
+        if target in spans:
+            return count
+        spans = {int(lattice.join[s, c]) for s in spans for c in inside}
+
+
+def test_least_generator_count_matches_search():
+    counts = []
+    for ring in _small_corpus() + [_trivext(4, 3)]:
+        lattice = enumerate_ideals(ring)
+        for ideal in lattice.ideals:
+            expected = _least_generator_count_by_search(lattice, ideal)
+            assert ideals.least_generator_count(ideal) == expected, ring.name
+            counts.append(expected)
+    assert max(counts) == 4
+
+
+def test_least_generator_count_of_maximal_ideals_frozen():
+    # m/m² has dimension 5 in both: F2^5, and (2Z4 ⊕ Z4^4)/(0 ⊕ 2Z4^4)
+    for ring in (_spec_ring("f2_trivext5"), _z4_trivext4()):
+        assert ideals.least_generator_count(maximal_ideals(ring)[0]) == 5
 
 
 def test_zero_ideal_locally_irreducible_frozen():
