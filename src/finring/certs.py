@@ -180,7 +180,11 @@ def _replay_non_locally_principal(ring: FiniteRing, witness: dict,
 
 def replay_arithmetical(ring: FiniteRing, result: dict) -> bool:
     if result["verdict"] is True:
-        if not _every_ideal_locally_principal(ring):
+        # a local ring is arithmetical iff its maximal ideal is principal
+        if result["certificate"]["kind"] == "principal_maximal_ideal":
+            if not _is_principal_direct(_require_local(ring, "arithmetical")):
+                _fail(ring, "arithmetical", "maximal ideal is not principal")
+        elif not _every_ideal_locally_principal(ring):
             _fail(ring, "arithmetical", "a non-locally-principal ideal exists")
         return True
     _replay_non_locally_principal(ring, result["witness"], "arithmetical")

@@ -7,7 +7,8 @@ quotient ring, local irreducibility of the zero ideal) are two-valued with a
 witness on the negative side.  Gaussian and pseudo-arithmetical have no known
 finite decision procedure, so they are three-valued: Yes via a sound
 structural rule, No via a re-verified witness, or BoundedYes carrying the
-exhausted search bound.  classify() asserts the implication chain
+exhausted search bound.  Arithmetical is decided at every order by whether
+each local factor's maximal ideal is principal.  classify() asserts the chain
 
     semihereditary ⇒ weak dimension Zero ⇒ arithmetical ⇒ Gaussian ⇒ Prüfer
 
@@ -25,11 +26,10 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError
 from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
-                     ideal_generated_by, ideal_product, is_local,
+                     first_nonprincipal_maximal, is_local,
                      is_locally_principal, least_generator_count,
-                     local_factors, localize_at,
-                     mask_from_indices, maximal_ideals,
-                     principal_in_local_ring, zero_ideal_locally_irreducible)
+                     local_factors, localize_at, mask_from_indices,
+                     maximal_ideals, zero_ideal_locally_irreducible)
 from .polys import (RingPoly, certify_gaussians, content_spans,
                     decode_poly_block, has_square_zero_maximal, make_poly,
                     poly_count, ring_gaussian_refutation_search)
@@ -239,73 +239,49 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 
 
 def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
+    """Read from `first_nonprincipal_maximal`.  At lattice scale a `False`
+    witness is the first lattice ideal that is not locally principal;
+    above it the ring is local (or `local_factors` raises) and the witness
+    is its maximal ideal, since there locally principal is principal."""
     return ring.memo("arithmetical", lambda: _decide_arithmetical_inner(ring))
 
 
 def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
-    if ring.order <= LATTICE_LIMIT:
-        lattice = enumerate_ideals(ring)
-        for ideal in lattice.ideals:
-            ok, counter = is_locally_principal(ideal)
-            if not ok:
-                witness = {
-                    "ideal_gens": _lits(ring, ideal.gens),
-                    "ideal_order": ideal.size,
-                    "maximal_gens": _lits(ring, counter["maximal"].gens),
-                    "pushed_order": counter["pushed_order"],
-                    "localization_order": counter["localization_order"],
-                }
-                return ConditionResult(False, {"kind": "non_locally_principal_ideal"},
-                                       witness=witness)
+    bad = first_nonprincipal_maximal(ring)
+    if ring.order > LATTICE_LIMIT:
+        if bad is None:
+            return ConditionResult(True, {"kind": "principal_maximal_ideal"})
+        gens = _lits(ring, bad.maximal.gens)
+        witness = {"ideal_gens": gens, "ideal_order": bad.maximal.size,
+                   "maximal_gens": gens,
+                   "note": "ring is local, so locally principal equals principal"}
+        return ConditionResult(False, {"kind": "non_principal_ideal_local"},
+                               witness=witness)
+    if bad is None:
         return ConditionResult(True, {"kind": "all_ideals_locally_principal",
-                                      "ideal_count": len(lattice)})
-    return _arithmetical_large(ring)
+                                      "ideal_count": len(enumerate_ideals(ring))})
+    for ideal, counter in _non_locally_principal(ring):   # the first one
+        witness = {
+            "ideal_gens": _lits(ring, ideal.gens),
+            "ideal_order": ideal.size,
+            "maximal_gens": _lits(ring, counter["maximal"].gens),
+            "pushed_order": counter["pushed_order"],
+            "localization_order": counter["localization_order"],
+        }
+        return ConditionResult(False, {"kind": "non_locally_principal_ideal"},
+                               witness=witness)
+    raise ConsistencyError(
+        f"{ring.name}: a local factor's maximal ideal is not principal, but "
+        "every lattice ideal is locally principal")
 
 
-def _arithmetical_large(ring: FiniteRing) -> ConditionResult:
-    """Above the lattice bound only local trivial extensions are handled:
-    a two-generator ideal is constructed and shown non-principal by
-    Nakayama's lemma (`principal_in_local_ring`: neither generator alone
-    generates it), and in a local ring locally principal = principal, which
-    gives an honest negative verdict without a lattice."""
-    if not isinstance(ring, TrivialExtensionRing) or is_local(ring) is None:
-        raise BoundExceededError(
-            f"arithmetical undecided: {ring.name} exceeds the lattice bound")
-    base, module = ring.base_ring, ring.ext_module
-    m_base = is_local(base)
-    if m_base is None:
-        raise BoundExceededError(
-            f"arithmetical undecided: base of {ring.name} is not local")
-    m = module.order
-    if m_base.size > 1:
-        sq = ideal_product(m_base, m_base)
-        outside = [int(a) for a in m_base.indices if not sq.contains(int(a))]
-        if not outside:
-            raise BoundExceededError(
-                f"arithmetical undecided: maximal ideal of {base.name} is idempotent")
-        gens = [outside[0] * m, 1]
-    else:
-        e1 = 1
-        span = set(int(x) for x in
-                   module.act_arr(np.arange(base.order, dtype=np.int64), e1))
-        e2 = next((e for e in range(1, m) if e not in span), None)
-        if e2 is None:
-            raise BoundExceededError(
-                f"arithmetical undecided: no independent module vector in {ring.name}")
-        gens = [e1, e2]
-    ideal = ideal_generated_by(ring, gens)
-    ok, _ = principal_in_local_ring(ideal)
-    if ok:
-        raise BoundExceededError(
-            f"arithmetical undecided: targeted ideal of {ring.name} is principal")
-    witness = {
-        "ideal_gens": _lits(ring, ideal.gens),
-        "ideal_order": ideal.size,
-        "maximal_gens": _lits(ring, is_local(ring).gens),
-        "note": "ring is local, so locally principal equals principal",
-    }
-    return ConditionResult(False, {"kind": "non_principal_ideal_local"},
-                           witness=witness)
+def _non_locally_principal(ring: FiniteRing):
+    """Each lattice ideal that is not locally principal, with its
+    counterexample from `is_locally_principal`, in lattice order."""
+    for ideal in enumerate_ideals(ring).ideals:
+        ok, counter = is_locally_principal(ideal)
+        if not ok:
+            yield ideal, counter
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +312,7 @@ def gaussian_ring_verdict(ring: FiniteRing, config: ClassifyConfig) -> GaussianR
 def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRingVerdict:
     if ring.order <= LATTICE_LIMIT:
         # rule (a): arithmetical rings are Gaussian (implication chain)
-        if decide_arithmetical(ring).verdict is True:
+        if first_nonprincipal_maximal(ring) is None:
             return GaussianRingVerdict("Yes", {"rule": "arithmetical"})
         # rule (b): split a non-local ring into its local factors
         maximals = maximal_ideals(ring)
@@ -515,20 +491,12 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
     is an exact No; with no non-locally-principal ideals the verdict is an
     exact Yes; otherwise candidates are searched under the configured caps
     and the verdict stays bounded.  An arithmetical ring has every ideal
-    locally principal, which its (memoized) verdict has already scanned,
-    so its Yes is read from there.
+    locally principal, so its ideals are not scanned.  The lattice refuses
+    a ring above its bound.
     """
-    if ring.order > LATTICE_LIMIT:
-        raise BoundExceededError(
-            f"pseudo-arithmetical needs the ideal lattice; {ring.name} exceeds "
-            "the bound")
     lattice = enumerate_ideals(ring)
-    non_lp: list[tuple[Ideal, dict]] = []
-    if decide_arithmetical(ring).verdict is not True:
-        for ideal in lattice.ideals:
-            ok, counter = is_locally_principal(ideal)
-            if not ok:
-                non_lp.append((ideal, counter))
+    non_lp = ([] if decide_arithmetical(ring).verdict is True
+              else list(_non_locally_principal(ring)))
     if not non_lp:
         return ConditionResult("Yes", {"kind": "all_ideals_locally_principal",
                                        "ideal_count": len(lattice)})

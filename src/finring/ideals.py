@@ -18,10 +18,10 @@ subgroups, one generator's multiples at a time (`coset_minima`).
 The deciders read each localization R_m as a corner eR of R itself, e the
 primitive idempotent outside m (`local_factors`): the image of an ideal I
 is I ∩ eR, a mask AND, and no quotient ring is built.  Principality there is
-read from the generators (Nakayama), and zero-ideal irreducibility from the
-socle of the corner's maximal ideal.  `localize_at`, the quotient by the
-annihilator kernel, stays for replay and for the Gaussian decomposition,
-whose lifted witnesses go through coset representatives.
+read from the generators (Nakayama), arithmeticity from the corners' maximal
+ideals, and zero-ideal irreducibility from their socles.  `localize_at`, the
+quotient by the annihilator kernel, stays for replay and for the Gaussian
+decomposition, whose lifted witnesses go through coset representatives.
 """
 
 from __future__ import annotations
@@ -368,6 +368,7 @@ def principal_in_local_ring(ideal: Ideal) -> tuple[bool, int | None]:
     dimension 1, so any gᵢ with a nonzero image spans it, i.e. gᵢ generates
     I modulo mI, and therefore gᵢ generates I (Atiyah–Macdonald, Cor. 2.7).
     The caller guarantees that the ring is local; the zero ideal is R·0.
+    Only replay and the tests call it; the deciders test inside corners.
     """
     if ideal.is_zero():
         return True, ideal.ring.zero
@@ -662,6 +663,22 @@ def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
             return False, {"maximal": m, "pushed_order": image.bit_count(),
                            "localization_order": corner.bit_count()}
     return True, None
+
+
+def first_nonprincipal_maximal(ring: FiniteRing) -> LocalFactor | None:
+    """The first local factor whose maximal ideal n = m ∩ eR is not
+    principal, or None, cached.  R is arithmetical iff it is None: each R_m
+    must be a chain ring (Jensen, Acta Math. Hungar. 17, 1966), and an
+    Artinian local ring is one iff n is principal (Atiyah–Macdonald, Prop.
+    8.8).  The e·g for the generators g of m generate n, so by Nakayama n
+    is principal iff it is 0 or equals some R·(e·g): one product row per
+    generator and no lattice, so a local ring is decided at any order."""
+    def principal(m: Ideal, e: int, corner: int) -> bool:
+        image = m.mask & corner
+        return image == 1 or any(
+            principal_ideal(ring, ring.mul(e, g)).mask == image for g in m.gens)
+    return ring.memo("nonprincipal_maximal", lambda: next(
+        (f for f in local_factors(ring) if not principal(*f)), None))
 
 
 def least_generator_count(ideal: Ideal) -> int:

@@ -1,13 +1,15 @@
 """Test oracles: the unpruned exhaustive Gaussian violation table and the
 seeded Dedekind–Mertens audit that the witness searches are checked against,
-the pairwise atom and maximal scans of an ideal lattice, the pairwise
-irreducibility test, the pairwise locality test, and the member-product
-closure of an ideal product.  No program path calls them."""
+the pairwise atom and maximal scans of an ideal lattice, the lattice scan of
+arithmeticity, the pairwise irreducibility test, the pairwise locality test,
+and the member-product closure of an ideal product.  No program path calls
+them."""
 
 import numpy as np
 
 from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
-                            content_calculus, enumerate_ideals)
+                            content_calculus, enumerate_ideals,
+                            is_locally_principal)
 from finring.polys import (_PAIR_CHUNK, _convolve_columns, decode_poly_block,
                            poly_count)
 from finring.rings import FiniteRing, blocks, element_units, mask_from_indices
@@ -28,6 +30,12 @@ def maximals_by_pairwise_scan(lattice: IdealLattice) -> list:
     return [i for i in proper
             if not any(j.mask != i.mask and (j.mask | i.mask) == j.mask
                        for j in proper)]
+
+
+def arithmetical_by_lattice_scan(ring: FiniteRing) -> bool:
+    """The definition: every ideal of the lattice is locally principal."""
+    return all(is_locally_principal(ideal)[0]
+               for ideal in enumerate_ideals(ring).ideals)
 
 
 def is_irreducible(ideal: Ideal) -> bool:

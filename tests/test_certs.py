@@ -178,16 +178,31 @@ def test_non_local_witnesses_replay():
     assert replay_report(ring, payload) == len(CONDITION_ORDER)
 
 
-def test_replay_rejects_a_stubbed_locally_principal_check(monkeypatch):
-    # replay localizes on its own, so a deciders' primitive that calls every
-    # ideal locally principal cannot vouch for the verdicts it caused
-    certs = importlib.import_module("finring.certs")
-    assert not hasattr(certs, "is_locally_principal")
+def _stub_in_deciders(monkeypatch, attr: str, stub) -> None:
     for name in ("finring.ideals", "finring.classify"):
-        monkeypatch.setattr(importlib.import_module(name),
-                            "is_locally_principal", lambda ideal: (True, None))
+        monkeypatch.setattr(importlib.import_module(name), attr, stub)
+
+
+def test_replay_rejects_a_stubbed_arithmetical_rule(monkeypatch):
+    # replay re-scans every ideal by its own localization, so a deciders'
+    # rule that calls every maximal ideal principal cannot vouch for the
+    # verdicts it caused
+    certs = importlib.import_module("finring.certs")
+    assert not hasattr(certs, "first_nonprincipal_maximal")
+    _stub_in_deciders(monkeypatch, "first_nonprincipal_maximal", lambda ring: None)
     ring = _residue_idealization(4, 2)    # Z4 ∝ (Z4/2)², not arithmetical
     payload = _round_trip(classify(ring))
     assert payload["conditions"]["arithmetical"]["verdict"] is True
     with pytest.raises(ConsistencyError):
         replay_report(ring, payload)
+
+
+def test_classify_rejects_a_stubbed_locally_principal_check(monkeypatch):
+    # the rule finds a non-principal maximal ideal, so the lattice scan for
+    # the witness must find an ideal that is not locally principal
+    certs = importlib.import_module("finring.certs")
+    assert not hasattr(certs, "is_locally_principal")
+    _stub_in_deciders(monkeypatch, "is_locally_principal",
+                      lambda ideal: (True, None))
+    with pytest.raises(ConsistencyError, match="every lattice ideal"):
+        classify(_residue_idealization(4, 2))

@@ -4,22 +4,30 @@ import importlib
 import json
 import time
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from finring import ideals, polys
+from finring.certs import replay_condition
 from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
                               classify, decide_arithmetical,
                               decide_pseudo_arithmetical,
                               gaussian_ring_verdict)
+from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, ConsistencyError
-from finring.ideals import enumerate_ideals, is_local, residue_vector_space
+from finring.ideals import (enumerate_ideals, first_nonprincipal_maximal,
+                            is_local, residue_vector_space)
 from finring.polys import (certify_gaussian, certify_gaussians, content_spans,
                           poly_count)
 from finring.reports import to_json
 from finring.rings import (ProductRing, ZmodRing, blocks, free_module,
                            make_trivial_extension, standard_gf)
+from finring.specfile import build_target, parse_ring_spec
+from oracles import arithmetical_by_lattice_scan
+
+SPECS = Path(__file__).resolve().parent / "specs"
 
 
 def _residue_idealization(order: int, dim: int = 1):
@@ -180,6 +188,74 @@ def test_gaussian_millis_include_ring_verdict(monkeypatch):
     assert report.conditions["gaussian"].millis >= 20
 
 
+# ---------------------------------------------------------------- arithmetical
+
+
+def _spec_ring(name: str):
+    return build_target(parse_ring_spec(
+        (SPECS / f"{name}.ring").read_text(encoding="utf-8")))
+
+
+def _self_extension(p: int, rank: int):
+    base = ZmodRing(p)
+    return make_trivial_extension(base, free_module(base, rank))[0]
+
+
+def test_arithmetical_rule_matches_the_lattice_scan():
+    # R is arithmetical iff each local factor's maximal ideal is principal
+    rings = [*generate_corpus(CorpusConfig(max_order=256)),
+             *(_spec_ring(path.stem) for path in sorted(SPECS.glob("*.ring")))]
+    verdicts = []
+    for ring in rings:
+        rule = first_nonprincipal_maximal(ring) is None
+        assert rule == arithmetical_by_lattice_scan(ring), ring.name
+        verdicts.append(rule)
+    assert (len(verdicts), sum(verdicts)) == (457, 430)
+
+
+@pytest.mark.parametrize("make, verdict, kind", [
+    (lambda: _self_extension(67, 1), True, "principal_maximal_ideal"),
+    (lambda: ZmodRing(4099), True, "principal_maximal_ideal"),
+    (lambda: _self_extension(17, 2), False, "non_principal_ideal_local"),
+    (lambda: _self_extension(31, 2), False, "non_principal_ideal_local"),
+], ids=["z67_trivext", "z4099", "z17_trivext2", "z31_trivext2"])
+def test_arithmetical_above_the_lattice_bound(make, verdict, kind):
+    ring = make()
+    assert ring.order > ideals.LATTICE_LIMIT
+    cond = decide_arithmetical(ring).to_dict()
+    assert (cond["verdict"], cond["certificate"]["kind"]) == (verdict, kind)
+    assert replay_condition(ring, "arithmetical", cond)
+    assert "lattice" not in ring._cache
+    if verdict is False:
+        # the witness is the maximal ideal itself
+        m = is_local(ring)
+        assert cond["witness"]["ideal_gens"] == m.gen_literals()
+        assert cond["witness"]["ideal_order"] == m.size
+        assert cond["witness"]["maximal_gens"] == m.gen_literals()
+    if ring.order == 31**3:                   # the witness bytes are pinned
+        lits = [(0, (0, 1)), (0, (1, 0))]
+        assert cond["witness"] == {
+            "ideal_gens": lits, "ideal_order": 961, "maximal_gens": lits,
+            "note": "ring is local, so locally principal equals principal"}
+
+
+def test_replay_rejects_a_flipped_principal_maximal_ideal():
+    ring = _self_extension(17, 2)
+    cond = decide_arithmetical(ring).to_dict()
+    flipped = {"verdict": True, "certificate": {"kind": "principal_maximal_ideal"}}
+    assert cond["verdict"] is False
+    with pytest.raises(ConsistencyError):
+        replay_condition(ring, "arithmetical", flipped)
+
+
+def test_arithmetical_refuses_a_non_local_ring_above_the_bound():
+    # the maximal ideals of a non-local ring still come from its lattice
+    ring = ProductRing(_self_extension(17, 1), ZmodRing(17))
+    assert ring.order > ideals.LATTICE_LIMIT
+    with pytest.raises(BoundExceededError):
+        decide_arithmetical(ring)
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -206,8 +282,9 @@ def test_config_key_distinguishes_search_parameters():
 
 
 def test_bound_exceeded_when_lattice_capped():
-    # Z67 ∝ Z67 (order 4489) lies above the lattice bound, and no targeted
-    # non-principal ideal exists there (E has rank one)
+    # Z67 ∝ Z67 (order 4489) lies above the lattice bound: arithmetical
+    # reads its principal maximal ideal, but pseudo-arithmetical needs the
+    # lattice
     z67 = ZmodRing(67)
     ring = make_trivial_extension(z67, free_module(z67, 1))[0]
     with pytest.raises(BoundExceededError):
@@ -224,8 +301,8 @@ def test_pseudo_arithmetical_direct_call():
 
 def test_pseudo_arithmetical_yes_read_from_arithmetical(monkeypatch,
                                                       corpus_rings):
-    # an arithmetical ring has every ideal locally principal, and its cached
-    # verdict has scanned them all: no second scan, the same certificate
+    # an arithmetical ring has every ideal locally principal, so no ideal is
+    # scanned, and the certificate is the arithmetical one
     classify_module = importlib.import_module("finring.classify")
     config = ClassifyConfig()
     rings = [r for r in corpus_rings if r.order <= 16

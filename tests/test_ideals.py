@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finring import certs, ideals
+from finring import certs, ideals, specfile
 from finring.classify import (classify, decide_pruefer,
                               decide_zero_locally_irreducible)
 from finring.corpus import CorpusConfig, generate_corpus
@@ -367,6 +367,19 @@ def test_classify_local_ring_reads_its_own_lattice(monkeypatch):
         assert report.verdict("zero_ideal_locally_irreducible") is True
         assert "localizations" not in ring._cache
         assert built == [ring]
+
+
+def test_gaussian_decomposition_builds_no_factor_lattice(monkeypatch):
+    # Gaussian rule (a) reads each factor's maximal ideal, not its lattice
+    built = _count_lattice_builds(monkeypatch)
+    for cache in ("_RING_CACHE", "_MODULE_CACHE"):     # fresh rings
+        monkeypatch.setattr(specfile, cache, {})
+    for name, order in (("z4f2_x_f4", 32), ("f2sq_x_z12", 96)):
+        built.clear()
+        ring = _spec_ring(name)
+        report = classify(ring)
+        assert "local_factor_decomposition" in json.dumps(report.to_dict())
+        assert [r.order for r in built] == [order]
 
 
 def test_classify_corpus_builds_one_lattice_per_ring(monkeypatch):

@@ -8,7 +8,9 @@ import pytest
 from finring.certs import replay_condition
 from finring.classify import decide_arithmetical
 from finring.errors import BoundExceededError, ConsistencyError
-from finring.ideals import enumerate_ideals, is_local
+from finring import ideals
+from finring.ideals import (enumerate_ideals, first_nonprincipal_maximal,
+                            is_local)
 from finring.rings import ZmodRing, free_module, make_trivial_extension
 
 
@@ -32,8 +34,8 @@ def test_failed_lattice_build_stores_nothing():
 
 
 def test_arithmetical_above_lattice_bound():
-    # Z17 ∝ Z17² (order 4913) is decided by one targeted ideal 0 ∝ E, which
-    # neither of its two generators generates alone
+    # Z17 ∝ Z17² (order 4913) is local, and its maximal ideal 0 ∝ E, the
+    # witness, is generated by neither of its two generators alone
     z17 = ZmodRing(17)
     ring = make_trivial_extension(z17, free_module(z17, 2))[0]
     result = decide_arithmetical(ring)
@@ -49,3 +51,17 @@ def test_arithmetical_above_lattice_bound():
     dropped["witness"]["ideal_gens"] = dropped["witness"]["ideal_gens"][:1]
     with pytest.raises(ConsistencyError):
         replay_condition(ring, "arithmetical", dropped)
+
+
+def test_nonprincipal_maximal_rule_is_memoised(monkeypatch):
+    # decide_arithmetical and Gaussian rule (a) both read the rule
+    z17 = ZmodRing(17)
+    ring = make_trivial_extension(z17, free_module(z17, 2))[0]
+    factor = first_nonprincipal_maximal(ring)
+    assert factor is not None and factor.maximal is is_local(ring)
+    calls = []
+    real = ideals.principal_ideal
+    monkeypatch.setattr(ideals, "principal_ideal",
+                        lambda *args: calls.append(args) or real(*args))
+    assert first_nonprincipal_maximal(ring) is factor
+    assert calls == []
