@@ -38,6 +38,7 @@ from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
                     element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
+SEARCH_BOUNDS = ("degree_bound", "witness_cap", "pair_cap", "pseudo_candidate_cap")
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,12 @@ class ClassifyConfig:
     pair_cap: int = 30_000_000
     pseudo_candidate_cap: int = 256
     timing: bool = False
+
+    def __post_init__(self):
+        for name in SEARCH_BOUNDS:
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @staticmethod
     def from_env(**overrides) -> "ClassifyConfig":
@@ -70,8 +77,7 @@ class ClassifyConfig:
         return config
 
     def key(self) -> tuple:
-        return (self.degree_bound, self.witness_cap, self.pair_cap,
-                self.pseudo_candidate_cap)
+        return tuple(getattr(self, name) for name in SEARCH_BOUNDS)
 
     def public_dict(self) -> dict:
         """The search bounds, plus two constants that reports have always

@@ -18,7 +18,8 @@ import argparse
 import os
 import sys
 
-from .classify import ClassifyConfig, classify, gaussian_ring_verdict
+from .classify import (SEARCH_BOUNDS, ClassifyConfig, classify,
+                       gaussian_ring_verdict)
 from .corpus import CorpusConfig, DEFAULT_FAMILIES, generate_corpus, \
     run_conjecture, run_corpus
 from .errors import (BoundExceededError, ConsistencyError, RingBuildError,
@@ -107,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _classify_config(args) -> ClassifyConfig:
     overrides = {}
-    for attr in ("degree_bound", "witness_cap", "pair_cap",
-                 "pseudo_candidate_cap"):
+    for attr in SEARCH_BOUNDS:
         value = getattr(args, attr)
         if value is not None:
             overrides[attr] = value
@@ -116,9 +116,9 @@ def _classify_config(args) -> ClassifyConfig:
         overrides["timing"] = True
     try:
         return ClassifyConfig.from_env(**overrides)
-    except BoundExceededError as exc:
-        # from_env only raises for a malformed cap value, which is a usage
-        # problem, not a genuine bound excess
+    except (BoundExceededError, ValueError) as exc:
+        # from_env only raises for a malformed or negative bound, which is a
+        # usage problem, not a genuine bound excess
         raise UsageError(str(exc)) from exc
 
 

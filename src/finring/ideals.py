@@ -15,13 +15,17 @@ themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
 subgroups, one generator's multiples at a time (`coset_minima`).
 
-The deciders read each localization R_m as a corner eR of R itself, e the
-primitive idempotent outside m (`local_factors`): the image of an ideal I
-is I ∩ eR, a mask AND, and no quotient ring is built.  Principality there is
-read from the generators (Nakayama), arithmeticity from the corners' maximal
-ideals, and zero-ideal irreducibility from their socles.  `localize_at`, the
-quotient by the annihilator kernel, stays for replay and for the Gaussian
-decomposition, whose lifted witnesses go through coset representatives.
+`local_factors` is the one home of locality and the maximal ideals.  A
+ring with one primitive idempotent is local, its maximal ideal the
+non-units, which `minimal_generators` checks to be an ideal; a ring with
+several reads them from the lattice, one per idempotent.  The deciders read
+each localization R_m as that factor's corner eR, e the primitive idempotent
+outside m: the image of an ideal I is I ∩ eR, a mask AND, and no quotient
+ring is built.  Principality there is read from the generators (Nakayama),
+arithmeticity from the corners' maximal ideals, and zero-ideal
+irreducibility from their socles.  `localize_at`, the quotient by the
+annihilator kernel, stays for replay and for the Gaussian decomposition,
+whose lifted witnesses go through coset representatives.
 """
 
 from __future__ import annotations
@@ -413,42 +417,13 @@ def is_local(ring: FiniteRing) -> Ideal | None:
     """The unique maximal ideal when one exists, else None.
 
     A finite commutative ring is local iff 1 is its only primitive
-    idempotent, so a ring with more is answered at once.  In a local ring the
-    non-units are closed under addition (absorption r·m is automatic: a unit
-    multiple of m would make m a unit), and the non-unit set is the unique
-    maximal ideal.  That closure is checked as a runtime invariant: the
-    non-units' additive span grows one cyclic subgroup ⟨g⟩ at a time, g the
-    first non-unit outside it (so it at least doubles), and a unit in the
-    span raises ConsistencyError.
+    idempotent, so a ring with more is answered at once, with no lattice;
+    otherwise the maximal ideal is that of its single local factor
+    (`local_factors`), where the closure invariant is checked.
     """
-    return ring.memo("local", lambda: _nonunit_ideal(ring))
-
-
-def _nonunit_ideal(ring: FiniteRing) -> Ideal | None:
     if len(primitive_idempotents(ring)) > 1:
         return None
-    units = element_units(ring)
-    nonunits = np.flatnonzero(~units)
-    span = np.array([ring.zero], dtype=np.int64)
-    while (outside := nonunits[~np.isin(nonunits, span, kind="table")]).size:
-        span = subgroup_sum_indices(ring, span, _cyclic_indices(ring, int(outside[0])))
-        if units[span].any():
-            raise ConsistencyError(
-                f"{ring.name}: 1 is the only primitive idempotent, but the "
-                "non-units are not closed under addition")
-    mask = mask_from_indices(nonunits, ring.order)
-    return Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
-
-
-def _cyclic_indices(ring: FiniteRing, g: int) -> np.ndarray:
-    """Members of ⟨g⟩: the multiples 0..(m−1)·g, shifted by m·g until 0 recurs."""
-    multiples = np.array([ring.zero, g], dtype=np.int64)
-    while True:
-        shifted = ring.add_arr(multiples, ring.add(int(multiples[-1]), g))
-        back = np.flatnonzero(shifted == ring.zero)
-        if back.size:
-            return np.concatenate([multiples, shifted[:back[0]]])
-        multiples = np.concatenate([multiples, shifted])
+    return local_factors(ring)[0].maximal
 
 
 def coset_minima(ring: FiniteRing, idx: np.ndarray) -> np.ndarray:
@@ -562,23 +537,12 @@ def _localize(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
 def _require_maximal(ring: FiniteRing, ideal: Ideal) -> None:
     if ideal.ring is not ring:
         raise RingBuildError("ideal belongs to a different ring")
-    if not ideal.is_proper():
-        raise RingBuildError("the unit ideal is not maximal")
-    local = is_local(ring)
-    if local is not None:
-        if local.mask != ideal.mask:
-            raise RingBuildError("not the maximal ideal of this local ring")
-        return
-    lattice = enumerate_ideals(ring)
-    if ideal.mask not in {m.mask for m in lattice.maximals}:
+    if all(f.maximal.mask != ideal.mask for f in local_factors(ring)):
         raise RingBuildError("ideal is not maximal")
 
 
 def maximal_ideals(ring: FiniteRing) -> list[Ideal]:
-    local = is_local(ring)
-    if local is not None:
-        return [local]
-    return enumerate_ideals(ring).maximals
+    return [f.maximal for f in local_factors(ring)]
 
 
 def push_ideal(hom: RingHom, ideal: Ideal) -> Ideal:
@@ -601,26 +565,35 @@ class LocalFactor(NamedTuple):
 
 
 def local_factors(ring: FiniteRing) -> list[LocalFactor]:
-    """One local factor per maximal ideal, in the lattice's order, cached.
+    """One local factor per maximal ideal, cached: the one home of locality
+    and of the maximal ideals, which `is_local` and `maximal_ideals` read.
 
     R is the product of its corners eR over its primitive idempotents e,
     and r ↦ e·r is the projection onto the factor R_m whose maximal ideal m
-    is the one that misses e (Atiyah–Macdonald, Thm 8.7).  Each m is the
-    lattice's own `Ideal`, and eR is the principal mask of e.  A local ring
-    is its own single factor, e = 1 and eR = R, found with no lattice and no
-    principal mask, so at any order.  Runtime invariant:
-    there are as many primitive idempotents as maximal ideals, each maximal
-    ideal misses exactly one of them, no two miss the same one, and they
-    sum to 1; any failure raises ConsistencyError.
+    is the one that misses e (Atiyah–Macdonald, Thm 8.7).
+
+    With one primitive idempotent R is local, its own factor with e = 1 and
+    eR = R, and m is the set of non-units (a unit r·x would make x a unit),
+    found with no lattice, so at any order.  Runtime invariant: the span
+    that `minimal_generators` grows from the R·x, x a non-unit, is exactly
+    the non-units, i.e. they are closed under addition.
+
+    With several, each m is the lattice's own `Ideal`, in the lattice's
+    order, and eR is the principal mask of e.  Runtime invariant: there are
+    as many primitive idempotents as maximal ideals, each maximal ideal
+    misses exactly one of them, no two miss the same one, and they sum to
+    1.  Either invariant failing raises ConsistencyError.
     """
     return ring.memo("local_factors", lambda: _local_factors(ring))
 
 
 def _local_factors(ring: FiniteRing) -> list[LocalFactor]:
-    local = is_local(ring)
-    if local is not None:
-        return [LocalFactor(local, ring.one, (1 << ring.order) - 1)]
     idempotents = primitive_idempotents(ring).tolist()
+    if len(idempotents) <= 1:
+        nonunits = np.flatnonzero(~element_units(ring))
+        mask = mask_from_indices(nonunits, ring.order)
+        maximal = Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
+        return [LocalFactor(maximal, ring.one, (1 << ring.order) - 1)]
     maximals = enumerate_ideals(ring).maximals
     pmasks = principal_ideal_masks(ring)
     factors = []

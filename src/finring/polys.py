@@ -259,12 +259,15 @@ def _maximal_squares_to_zero(ring: FiniteRing) -> bool:
 
 
 def affordable_degree(n: int, degree_bound: int, cap: int) -> int:
-    """Largest d ≤ degree_bound whose cumulative candidate count fits the cap."""
-    best = -1
+    """Largest d ≤ degree_bound whose cumulative candidate count fits the cap.
+
+    The count grows with d, so the first degree over the cap ends the scan."""
+    total = 0
     for d in range(degree_bound + 1):
-        if cumulative_poly_count(n, d) <= cap:
-            best = d
-    return best
+        total += poly_count(n, d)
+        if total > cap:
+            return d - 1
+    return degree_bound
 
 
 def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
@@ -477,13 +480,16 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
         raise RingBuildError(f"pair search over {ring.name} needs a local ring")
     calc = content_calculus(ring)
     nonunits = maximal.indices
-    counts = [poly_count(nonunits.size, d) for d in range(degree_bound + 1)]
+    # the affordable degrees, each charged to the budget; the counts grow
+    # with d, so the first degree that does not fit ends the list
+    counts: list[int] = []
     budget = pair_cap
-    affordable = []
-    for total in counts:
-        affordable.append(total <= budget)
-        if total <= budget:
-            budget -= total
+    for d in range(degree_bound + 1):
+        total = poly_count(nonunits.size, d)
+        if total > budget:
+            break
+        counts.append(total)
+        budget -= total
     cands: dict[int, tuple[list[np.ndarray], np.ndarray]] = {}
 
     def candidates(d: int):
@@ -496,7 +502,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
     for t in range(2 * degree_bound + 1):
         for df in range(max(0, t - degree_bound), min(degree_bound, t) + 1):
             dg = t - df
-            if not (affordable[df] and affordable[dg]):
+            if max(df, dg) >= len(counts):
                 return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
             nf, ng = counts[df], counts[dg]
             if nf == 0 or ng == 0:

@@ -276,6 +276,14 @@ def test_config_from_env_malformed(monkeypatch):
         ClassifyConfig.from_env()
 
 
+@pytest.mark.parametrize("field", ["degree_bound", "witness_cap", "pair_cap",
+                                   "pseudo_candidate_cap"])
+def test_config_rejects_a_negative_search_bound(field):
+    assert getattr(ClassifyConfig(**{field: 0}), field) == 0
+    with pytest.raises(ValueError, match=field):
+        ClassifyConfig(**{field: -1})
+
+
 def test_config_key_distinguishes_search_parameters():
     assert ClassifyConfig().key() != ClassifyConfig(degree_bound=2).key()
     assert ClassifyConfig().key() == ClassifyConfig().key()

@@ -2,11 +2,18 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finring
 from finring.classify import SEARCH_CAP_ENV
 from finring.cli import main
+
+Z32_TRIVEXT = str(Path(__file__).resolve().parent / "specs" / "z32_trivext.ring")
 
 
 SPEC = """\
@@ -124,6 +131,37 @@ def test_exit_1_on_usage_error(capsys):
 def test_exit_1_on_malformed_env(spec_path, monkeypatch, capsys):
     monkeypatch.setenv(SEARCH_CAP_ENV, "banana")
     assert main(["classify", "--spec", spec_path]) == 1
+
+
+@pytest.mark.parametrize("flags, env_cap", [
+    (["--degree-bound", "-1"], None),
+    (["--witness-cap", "-1"], None),
+    (["--pair-cap", "-1"], None),
+    (["--pseudo-candidate-cap", "-1"], None),
+    ([], "-5"),
+], ids=["degree_bound", "witness_cap", "pair_cap", "pseudo_candidate_cap",
+        "env_cap"])
+def test_exit_1_on_negative_search_bound(flags, env_cap, monkeypatch, capsys):
+    if env_cap is not None:
+        monkeypatch.setenv(SEARCH_CAP_ENV, env_cap)
+    assert main(["classify", "--spec", Z32_TRIVEXT, *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+def test_huge_degree_bound_finishes():
+    # the degree counts stop at the first degree over the cap instead of
+    # summing big integers for every degree up to the bound
+    env = {k: v for k, v in os.environ.items() if k != SEARCH_CAP_ENV}
+    env["PYTHONPATH"] = str(Path(finring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from finring.cli import main; sys.exit(main())",
+         "classify", "--spec", Z32_TRIVEXT, "--degree-bound", "100000"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["config"]["degree_bound"] == 100000
 
 
 def test_exit_2_on_bound_exceeded(tmp_path, capsys):

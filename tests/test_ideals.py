@@ -461,6 +461,11 @@ def test_local_factors_match_localization():
             [m.mask for m in lattice.maximals], ring.name
         assert [f.maximal.gens for f in factors] == \
             [m.gens for m in lattice.maximals], ring.name
+        assert maximal_ideals(ring) == [f.maximal for f in factors], ring.name
+        if len(factors) == 1:
+            assert is_local(ring) is factors[0].maximal, ring.name
+        else:
+            assert is_local(ring) is None, ring.name
         for m, _e, corner in factors:
             assert corner.bit_count() == localize_at(ring, m)[0].order, ring.name
         non_local += len(factors) > 1
@@ -525,7 +530,7 @@ def test_is_local_matches_pairwise_sums(corpus_rings):
 
 def test_is_local_adds_linearly_on_z1024_trivext(monkeypatch):
     # order 2^20 with 2^19 non-units: adding every pair of them would take
-    # 2^38 additions; the span of cyclic subgroups needs fewer than n
+    # 2^38 additions; locality itself adds nothing outside the generator scan
     ring = build_target(parse_ring_spec(
         "ring a = zmod(1024); module e = free(a, 1); ring r = trivext(a, e)"))
     element_units(ring)
@@ -541,6 +546,16 @@ def test_is_local_adds_linearly_on_z1024_trivext(monkeypatch):
     monkeypatch.setattr(ring, "add_arr", counted)
     maximal = is_local(ring)
     assert maximal is not None and maximal.size == ring.order // 2
+
+
+def test_local_closure_invariant_rejects_a_unit_among_the_non_units():
+    # Z8 ∝ Z8 is local; with one of its units cleared in the cached unit
+    # mask, the span of the "non-units" takes in a unit and is not that set
+    ring = _trivext(8, None)
+    units = element_units(ring)
+    units[np.flatnonzero(units)[-1]] = False
+    with pytest.raises(ConsistencyError):
+        is_local(ring)
 
 
 def test_locally_principal_on_non_principal_ideal():

@@ -172,6 +172,18 @@ def test_certify_bounded_when_search_exhausts():
         assert verdict.bound is not None and verdict.bound >= 0
 
 
+def test_affordable_degree_matches_the_full_scan():
+    def full_scan(n, degree_bound, cap):
+        return max([-1] + [d for d in range(degree_bound + 1)
+                           if cumulative_poly_count(n, d) <= cap])
+
+    for n in (1, 2, 3, 4, 9):
+        for degree_bound in range(-1, 7):
+            for cap in (0, 1, 2, 5, 15, 100, 1_000, 10**6):
+                assert (polys.affordable_degree(n, degree_bound, cap)
+                        == full_scan(n, degree_bound, cap)), (n, degree_bound, cap)
+
+
 # ---------------------------------------------------------------- ring-level search
 
 
@@ -234,6 +246,12 @@ def test_pair_search_budget_counted_up_front(monkeypatch, order, pair_cap,
     assert hit is None
     assert (exhausted, checked) == frozen
     assert set(degrees) == decoded
+
+
+def test_pair_search_stops_counting_at_the_first_unaffordable_degree():
+    # a degree bound far past the budget searches what degree 3 searched
+    assert ring_gaussian_refutation_search(
+        _self_idealization(8), 100_000, 100_000) == (None, 0, 62_465)
 
 
 def test_pair_search_cap_below_first_degree_raises():
