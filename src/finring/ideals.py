@@ -35,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .rings import (FiniteModule, FiniteRing, ModuleSpec, QuotientRing, RingHom,
-                    RingSpec, associate_sweep, blocks, element_units,
+from .rings import (CHUNK, FiniteModule, FiniteRing, ModuleSpec, QuotientRing,
+                    RingHom, RingSpec, associate_sweep, blocks, element_units,
                     free_module, indices_from_mask, mask_from_indices,
                     module_sum, primitive_idempotents)
 
@@ -118,14 +118,56 @@ def additive_closure_indices(ring: FiniteRing, indices: np.ndarray) -> np.ndarra
 
 def subgroup_sum_indices(ring: FiniteRing, a: np.ndarray,
                          b: np.ndarray) -> np.ndarray:
-    """Sorted members of A + B = {x + y} for two additive subgroups A and B,
-    in one blockwise pass of at most |A|·|B| sums."""
+    """Sorted members of A + B = {x + y} for two additive subgroups A and B.
+
+    When the sums of A with the members of B outside A fit one block
+    (`rings.CHUNK`), one pass forms them all.  Above that, A grows by cyclic
+    subgroups of B, in about |A + B| sums however few cosets of A the
+    members of B fall into (`_subgroup_sum_by_cycles`)."""
     seen = np.zeros(ring.order, dtype=bool)
     seen[a] = True                 # A + 0
     b = b[~seen[b]]                # y ∈ A adds nothing new: A + y = A
-    for start, stop in blocks(a.size, b.size):
-        seen[ring.add_arr(a[start:stop, None], b[None, :])] = True
+    if a.size * b.size > CHUNK:
+        return _subgroup_sum_by_cycles(ring, a, b)
+    seen[ring.add_arr(a[:, None], b[None, :])] = True
     return np.flatnonzero(seen)
+
+
+def _subgroup_sum_by_cycles(ring: FiniteRing, a: np.ndarray,
+                            b: np.ndarray) -> np.ndarray:
+    """Sorted members of A + B, grown from the span S = A by one cyclic
+    subgroup ⟨y⟩ at a time, y the least member of B not reached yet.
+
+    S + ⟨y⟩ is the disjoint union of the cosets S + k·y for k < t, t the
+    least k ≥ 1 with k·y ∈ S, so each step forms each of its |S|·t members
+    once.  The span at least doubles per step, so the chain makes fewer
+    than 2·|A + B| sums in all."""
+    seen = np.zeros(ring.order, dtype=bool)
+    seen[a] = True
+    span = np.flatnonzero(seen)
+    rest = b[~seen[b]]
+    while rest.size:
+        multiples = _cyclic_multiples(ring, int(rest[0]), seen)
+        for start, stop in blocks(span.size, multiples.size):
+            seen[ring.add_arr(span[start:stop, None], multiples[None, :])] = True
+        span = np.flatnonzero(seen)
+        rest = rest[~seen[rest]]
+    return span
+
+
+def _cyclic_multiples(ring: FiniteRing, y: int, seen: np.ndarray) -> np.ndarray:
+    """0, y, 2y, …, (t − 1)·y for the least t ≥ 1 with t·y in the subgroup
+    marked in `seen`, by doubling: k·y for m ≤ k < 2m is m·y plus the
+    multiples below m."""
+    multiples = np.array([ring.zero], dtype=np.int64)
+    step = y                       # multiples.size · y
+    while True:
+        more = ring.add_arr(multiples, step)
+        back = np.flatnonzero(seen[more])
+        if back.size:
+            return np.concatenate([multiples, more[:back[0]]])
+        multiples = np.concatenate([multiples, more])
+        step = ring.add(step, step)
 
 
 def _principal_indices(ring: FiniteRing, a: int) -> np.ndarray:

@@ -31,9 +31,21 @@ content: it takes their counts in closed form, charges its budget per
 degree up front on those counts, and decodes a degree's candidate table
 only when a pair of two non-constant degrees first evaluates it.
 
-Every violation a search claims is re-checked on the spans of c(fg) and of
-c(f)c(g), grown from the coefficients one principal ideal at a time with
-no lattice ids, join table or product table (`content_spans`).
+Both searches stop at their first violation and evaluate their candidates
+in growing blocks (`rings.blocks` with ``grow``): the first block holds
+about 1,024 elements, or one row of pairs when a row is wider, each later
+one doubles up to the full budget, and a remainder smaller than the next
+block joins the block before it.  The blocks are contiguous and run in the
+pinned order, so the first violation, and the totals of a search that runs
+to its end, do not depend on the block sizes.  The witness candidates do
+not depend on f: a degree whose candidates fit one block is decoded, with
+its content ids, once per ring (`_witness_block`).
+
+Every violation a search claims is re-checked on its own f and g: the span
+of c(fg) is grown from the coefficients one principal ideal at a time, and
+some product fᵢgⱼ must lie outside it.  Since c(fg) ⊆ c(f)c(g), that holds
+exactly when the spans of c(fg) and c(f)c(g) differ (`content_spans`).
+The re-check uses no lattice ids, join table or product table.
 """
 
 from __future__ import annotations
@@ -153,10 +165,10 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     Enumerates only g of degree ≥ 1 (a constant a never violates, since
     c(f·a) = (a)·c(f)) with non-unit coefficients (Dedekind–Mertens) whose
     leading coefficient is an associate-class leader (if g violates, so does
-    u·g, so the first violation leads with the least of its class), and stops
-    at the first violating chunk.  Raises BoundExceededError when the full,
-    unpruned candidate count exceeds `cap`; callers wanting a clamped search
-    use certify_gaussian.
+    u·g, so the first violation leads with the least of its class), in
+    growing blocks, and stops at the first violating block.  Raises
+    BoundExceededError when the full, unpruned candidate count exceeds
+    `cap`; callers wanting a clamped search use certify_gaussian.
     """
     ring = f.ring
     if degree_bound < 0:
@@ -168,17 +180,14 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     if f.is_zero():
         return None
     calc = content_calculus(ring)
-    units = element_units(ring)
-    nonunits = np.flatnonzero(~units)
-    leads = np.flatnonzero((associate_leaders(ring) == np.arange(ring.order))
-                           & ~units)[1:]  # nonzero: drop the class {0}
+    nonunits, leads = _witness_alphabet(ring)
     f_cols = [np.int64(c) for c in f.coeffs]
     cf_row = calc.prod_row(int(calc.content_ids([[c] for c in f.coeffs])[0]))
     for d in range(1, degree_bound + 1):
         for start, stop in blocks(leads.size * nonunits.size**d,
-                                  budget=_PAIR_CHUNK):
-            g_cols = decode_poly_block(nonunits, d, start, stop, leads)
-            expected = cf_row[calc.content_ids(g_cols)]
+                                  budget=_PAIR_CHUNK, grow=True):
+            g_cols, g_ids = _witness_block(ring, d, start, stop)
+            expected = cf_row[g_ids]
             actual = calc.content_ids(_convolve_columns(ring, f_cols, g_cols))
             bad = np.flatnonzero(actual != expected)
             if bad.size:
@@ -186,6 +195,35 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
                 _verify_violation(f, g)
                 return g
     return None
+
+
+def _witness_alphabet(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """(non-units, nonzero non-unit associate-class leaders): the
+    coefficients and the leading coefficients of the witness candidates."""
+    def build():
+        units = element_units(ring)
+        leaders = associate_leaders(ring) == np.arange(ring.order)
+        # nonzero: drop the class {0}
+        return np.flatnonzero(~units), np.flatnonzero(leaders & ~units)[1:]
+    return ring.memo("witness_alphabet", build)
+
+
+def _witness_block(ring: FiniteRing, degree: int, start: int, stop: int):
+    """Columns and content ids of the witness candidates [start, stop) of
+    `degree`.  They do not depend on f: a degree whose candidates fit one
+    block (`_PAIR_CHUNK`) is decoded once per ring and sliced, and a larger
+    one is decoded block by block."""
+    nonunits, leads = _witness_alphabet(ring)
+    count = leads.size * nonunits.size**degree
+
+    def decode(lo: int, hi: int):
+        cols = decode_poly_block(nonunits, degree, lo, hi, leads)
+        return cols, content_calculus(ring).content_ids(cols)
+
+    if count > _PAIR_CHUNK:
+        return decode(start, stop)
+    cols, ids = ring.memo(("witness_candidates", degree), lambda: decode(0, count))
+    return [c[start:stop] for c in cols], ids[start:stop]
 
 
 def content_spans(f: RingPoly, g: RingPoly) -> tuple[np.ndarray, np.ndarray]:
@@ -204,18 +242,32 @@ def content_spans(f: RingPoly, g: RingPoly) -> tuple[np.ndarray, np.ndarray]:
     """
     ring = f.ring
     lhs, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)
-    prods = ring.mul_arr(np.array(f.coeffs, dtype=np.int64)[:, None],
-                         np.array(g.coeffs, dtype=np.int64)[None, :])
-    rhs, _ = _grow_span(ring, prods.ravel().tolist(), ring.order)
+    rhs, _ = _grow_span(ring, _coefficient_products(f, g).tolist(), ring.order)
     return lhs, rhs
 
 
+def _coefficient_products(f: RingPoly, g: RingPoly) -> np.ndarray:
+    """The products fᵢ·gⱼ, flattened."""
+    return f.ring.mul_arr(np.array(f.coeffs, dtype=np.int64)[:, None],
+                          np.array(g.coeffs, dtype=np.int64)[None, :]).ravel()
+
+
 def _verify_violation(f: RingPoly, g: RingPoly) -> None:
-    """Re-check of a claimed content violation on its own f and g."""
-    lhs, rhs = content_spans(f, g)
-    if np.array_equal(lhs, rhs):
+    """Re-check of a claimed content violation on its own f and g: some
+    product fᵢ·gⱼ must lie outside the span of c(fg).
+
+    c(fg) ⊆ c(f)c(g) always holds, and c(f)c(g) is the span of the fᵢ·gⱼ,
+    so a product outside c(fg) is exactly a pair whose spans differ in
+    `content_spans`; only c(fg) is grown, through `ideals._grow_span`, with
+    no lattice ids, join table or product table.
+    """
+    ring = f.ring
+    span, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)
+    inside = np.zeros(ring.order, dtype=bool)
+    inside[span] = True
+    if inside[_coefficient_products(f, g)].all():
         raise ConsistencyError(
-            f"claimed Gaussian violation over {f.ring.name} fails re-verification")
+            f"claimed Gaussian violation over {ring.name} fails re-verification")
 
 
 @dataclass(frozen=True)
@@ -460,9 +512,11 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
 
     Returns (witness_pair_or_None, exhausted_symmetric_degree, pairs_checked).
     Pairs are ordered by total degree, then deg f, then f, then g in the
-    pinned polynomial order.  Raises BoundExceededError if the budget is
-    exhausted before any total degree completes, and RingBuildError on a
-    non-local ring (the Gaussian decider splits those into local factors).
+    pinned polynomial order; on a hit, pairs_checked counts the pairs before
+    the violating one, plus that one.  Raises BoundExceededError if the
+    budget is exhausted before any total degree completes, and
+    RingBuildError on a non-local ring (the Gaussian decider splits those
+    into local factors).
 
     The candidates are the polynomials over the maximal ideal N: by
     Dedekind–Mertens a unit-content factor never violates, and over a local
@@ -518,20 +572,20 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
                 continue
             f_cols, f_ids = candidates(df)
             g_cols, g_ids = candidates(dg)
-            for fs, fe in blocks(nf, ng, _PAIR_CHUNK):
+            for fs, fe in blocks(nf, ng, _PAIR_CHUNK, grow=True):
                 fc = [c[fs:fe, None] for c in f_cols]
                 gc = [c[None, :] for c in g_cols]
                 expected = calc.prod_ids(f_ids[fs:fe, None], g_ids[None, :])
                 actual = calc.content_ids(_convolve_columns(ring, fc, gc))
                 bad = np.nonzero(actual != expected)
-                pairs_checked += (fe - fs) * ng
                 if bad[0].size:
                     fi = int(bad[0][0]) + fs  # nonzero is row-major: first pair
                     gi = int(bad[1][0])
                     f = make_poly(ring, [int(c[fi]) for c in f_cols])
                     g = make_poly(ring, [int(c[gi]) for c in g_cols])
                     _verify_violation(f, g)
-                    return (f, g), None, pairs_checked
+                    return (f, g), None, pairs_checked + fi * ng + gi + 1
+            pairs_checked += nf * ng
         exhausted_t = t
     return None, _sym_degree(exhausted_t, degree_bound), pairs_checked
 

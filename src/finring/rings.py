@@ -23,16 +23,36 @@ TABLE_LIMIT = 1024   # dense op tables are built below this order
 MODULE_LIMIT = 1024  # modules are always table-backed
 KIND_SCAN_LIMIT = 2**26   # cap on n^2 work for the generic unit scan
 CHUNK = 1 << 22           # default element budget of one blockwise numpy step
+FIRST_BLOCK = 1 << 10     # element budget of the first block of a growing schedule
 
 Literal = "int | tuple"  # element literals: ints for zmod/gf, tuples for pairs
 
 
-def blocks(count: int, width: int = 1, budget: int = CHUNK):
-    """(start, stop) ranges covering 0..count, max(1, budget // width) rows
-    each, so a block of rows against `width` columns stays within `budget`."""
-    step = max(1, budget // max(1, width))
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
+def blocks(count: int, width: int = 1, budget: int = CHUNK,
+           grow: bool = False):
+    """Contiguous (start, stop) ranges covering 0..count in order, at most
+    max(1, budget // width) rows each, so a block of rows against `width`
+    columns stays within `budget`.
+
+    With `grow`, the first block holds max(1, FIRST_BLOCK // width) rows
+    (one row when a row is wider) and each later one twice as many, up to
+    that cap; a block also takes in the rows after it when they are fewer
+    than the next block would hold and the cap allows.  A scan that stops
+    at its first hit then evaluates a few times the rows up to the hit (or
+    one capped block past it), not a whole capped block, while a scan that
+    runs to the end takes about log2(count / FIRST_BLOCK) blocks more."""
+    width = max(1, width)
+    step = max(1, budget // width)
+    rows = min(step, max(1, FIRST_BLOCK // width)) if grow else step
+    start = 0
+    while start < count:
+        stop = min(start + rows, count)
+        if grow:
+            rows = min(2 * rows, step)
+            if count - stop < rows and count - start <= step:
+                stop = count
+        yield start, stop
+        start = stop
 
 
 def compose(hi: np.ndarray, lo: np.ndarray, m: int) -> np.ndarray:

@@ -98,6 +98,42 @@ def test_subgroup_sum_matches_doubling_closure():
     assert pairs > 500
 
 
+def test_subgroup_sum_by_cycles_matches_the_single_pass(corpus_rings):
+    # the chain subgroup_sum_indices takes above one block of sums, on
+    # every pair of principal ideals of the corpus rings of order <= 32
+    pairs = 0
+    for ring in (r for r in corpus_rings if r.order <= 32):
+        principal = {}
+        for x in range(ring.order):
+            p = principal_ideal(ring, x)
+            principal.setdefault(p.mask, p.indices)
+        for a in principal.values():
+            for b in principal.values():
+                assert np.array_equal(ideals._subgroup_sum_by_cycles(ring, a, b),
+                                      subgroup_sum_indices(ring, a, b))
+                pairs += 1
+    assert pairs > 1000
+
+
+def test_maximal_ideal_of_z1024_trivext_sums_by_cycles(monkeypatch):
+    # its generator list grows R·(0,1), 1,024 members, by R·(2,0), 2^18
+    # members: a single pass would take 2^28 sums for a span of 2^19, the
+    # cyclic chain fewer than 2^20, and the locality test at most 2^20 more
+    ring = build_target(parse_ring_spec(
+        "ring a = zmod(1024); module e = free(a, 1); ring r = trivext(a, e)"))
+    real, added = ring.add_arr, [0]
+
+    def counted(a, b):
+        added[0] += np.broadcast(a, b).size
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "add_arr", counted)
+    maximal = is_local(ring)
+    assert maximal.size == 524_288
+    assert maximal.gen_literals() == [(0, 1), (2, 0)]
+    assert added[0] <= 2 * ring.order
+
+
 def test_idealization_by_residue_field_lattice_frozen():
     ext = _trivext(4, 1)  # order 8, local, non-arithmetical candidate source
     lattice = enumerate_ideals(ext)

@@ -1,6 +1,8 @@
 """Polynomial content calculus: multiplication, Dedekind–Mertens, Gaussian
 certification, and the exhaustive violation oracle they are audited against."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -223,12 +225,14 @@ def test_pair_search_decodes_only_the_degrees_it_reads(monkeypatch):
     # Z8 ∝ Z8 violates at total degree 2, in its (1, 1) pairs: the pairs
     # with a constant factor are counted, not decoded, and the 1,015,808
     # degree-3 candidates are never decoded; pair and witness frozen at
-    # eager tables
+    # eager tables.  The count is the pairs up to and including the hit,
+    # row 8 and column 8 of the 992 × 992 (1, 1) pairs:
+    # 1,046,529 + 8·992 + 8 + 1
     degrees = _spy_candidate_degrees(monkeypatch)
     hit, exhausted, checked = ring_gaussian_refutation_search(
         _self_idealization(8), 3)
     assert [p.coeffs for p in hit] == [(16, 1), (16, 1)]
-    assert exhausted is None and checked == 1_308_417
+    assert exhausted is None and checked == 1_054_474
     assert set(degrees) == {1}
 
 
@@ -283,6 +287,85 @@ def test_pair_search_refuses_a_non_local_ring():
     ring = ProductRing(_self_idealization(4), ZmodRing(2))
     with pytest.raises(RingBuildError):
         ring_gaussian_refutation_search(ring, 1)
+
+
+def _one_block_per_degree(monkeypatch):
+    """Make the searches evaluate each degree in one block."""
+    monkeypatch.setattr(polys, "blocks", lambda count, width=1, budget=0,
+                        grow=False: [(0, count)] if count else [])
+
+
+def _outcomes(monkeypatch, search, inputs) -> tuple[list, list]:
+    """search(x) for each x of `inputs`, with polynomials as coefficient
+    tuples, under the growing blocks and under one block per degree."""
+    def outcome(found):
+        if isinstance(found, RingPoly):
+            return found.coeffs
+        if isinstance(found, tuple):
+            hit, exhausted, checked = found
+            return (hit and tuple(p.coeffs for p in hit), exhausted, checked)
+        return found
+
+    growing = [outcome(search(x)) for x in inputs]
+    with monkeypatch.context() as m:
+        _one_block_per_degree(m)
+        whole = [outcome(search(x)) for x in inputs]
+    return growing, whole
+
+
+def _z8_orbit_roots(monkeypatch) -> list[RingPoly]:
+    """The first candidate of each affine orbit among the pseudo-arithmetical
+    candidates of Z8 ∝ Z8, as classify hands them to certify_gaussians."""
+    classify_module = importlib.import_module("finring.classify")
+    handed = []
+    certify = classify_module.certify_gaussians
+
+    def spy(fs, degree_bound, cap):
+        handed.extend(fs)
+        return certify(handed, degree_bound, cap)
+
+    with monkeypatch.context() as m:
+        m.setattr(classify_module, "certify_gaussians", spy)
+        classify_module.classify(_self_idealization(8))
+    root, _, _ = polys._affine_orbits(handed)
+    return [f for i, f in enumerate(handed) if root[i] == i]
+
+
+def test_growing_blocks_keep_the_pair_search_outcome(monkeypatch, corpus_rings):
+    # the blocks are contiguous and run in the pinned order: the same first
+    # violation and pairs_checked, or the same exhausted degree and total
+    local = [r for r in corpus_rings if r.order <= 16 and is_local(r) is not None]
+    growing, whole = _outcomes(
+        monkeypatch, lambda ring: ring_gaussian_refutation_search(ring, 2), local)
+    assert growing == whole
+    assert any(hit is not None for hit, _, _ in growing)
+    growing, whole = _outcomes(
+        monkeypatch, lambda ring: ring_gaussian_refutation_search(ring, 3),
+        [_self_idealization(8)])
+    assert growing == whole == [(((16, 1), (16, 1)), None, 1_054_474)]
+
+
+def test_growing_blocks_keep_the_witness_search_outcome(monkeypatch, corpus_rings):
+    fs = []
+    for ring in (r for r in corpus_rings if r.order <= 16):
+        maximal = is_local(ring)
+        if maximal is not None:
+            nonunits = maximal.indices
+            fs += [make_poly(ring, [int(c[0]) for c in polys.decode_poly_block(
+                       nonunits, 1, i, i + 1)])
+                   for i in range(poly_count(nonunits.size, 1))]
+    roots = _z8_orbit_roots(monkeypatch)
+    found = []
+    for inputs in (fs, roots):
+        growing, whole = _outcomes(
+            monkeypatch,
+            lambda f: gaussian_witness_search(f, polys.affordable_degree(
+                f.ring.order, 3, 2_000_000)), inputs)
+        assert growing == whole
+        found += growing
+    # the 56 roots are all refuted, 31 of them at degree 2
+    assert len(roots) == 56 and sum(len(g) == 3 for g in growing) == 31
+    assert None in found
 
 
 def test_constant_factor_never_violates(corpus_rings):
@@ -344,6 +427,31 @@ def test_verify_violation_rejects_a_clean_pair():
         polys._verify_violation(two, two)
     f = poly_from_literals(_self_idealization(8), [(2, 0), (0, 1)])
     polys._verify_violation(f, f)   # a real violation passes
+
+
+def test_verify_violation_raises_exactly_on_equal_spans(corpus_rings):
+    # one grown span and the products against it, against both spans: no
+    # pair of degree <= 1 over a corpus ring of order <= 8 violates, so the
+    # pairs over the maximal ideal of Z4 ∝ Z4 add some that do
+    sets = [_polys(r, (0, 1)) for r in corpus_rings if r.order <= 8]
+    ext = _self_idealization(4)
+    nonunits = is_local(ext).indices
+    sets.append([make_poly(ext, [int(c[0]) for c in polys.decode_poly_block(
+                     nonunits, d, i, i + 1)])
+                 for d in (0, 1) for i in range(poly_count(nonunits.size, d))])
+    violations = 0
+    for ps in sets:
+        for f in ps:
+            for g in ps:
+                lhs, rhs = content_spans(f, g)
+                try:
+                    polys._verify_violation(f, g)
+                    raised = False
+                except ConsistencyError:
+                    raised = True
+                assert raised == np.array_equal(lhs, rhs), (f, g)
+                violations += not raised
+    assert violations > 0
 
 
 def test_searches_reject_a_fabricated_violation(monkeypatch):
