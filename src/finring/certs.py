@@ -194,21 +194,16 @@ def replay_arithmetical(ring: FiniteRing, result: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _replay_square_zero_maximal(ring: FiniteRing, name: str) -> None:
-    maximal = _require_local(ring, name)
-    members = maximal.indices
-    prods = ring.mul_arr(members[:, None], members[None, :])
-    if bool(np.any(prods != ring.zero)):
-        _fail(ring, name, "maximal ideal does not square to zero")
-
-
 def _replay_gaussian_yes(ring: FiniteRing, certificate: dict) -> None:
     rule = certificate["rule"]
     if rule == "arithmetical":
         if not _every_ideal_locally_principal(ring):
             _fail(ring, "gaussian", "arithmetical premise fails")
     elif rule == "local_square_zero_maximal":
-        _replay_square_zero_maximal(ring, "gaussian")
+        members = _require_local(ring, "gaussian").indices
+        prods = ring.mul_arr(members[:, None], members[None, :])
+        if bool(np.any(prods != ring.zero)):
+            _fail(ring, "gaussian", "maximal ideal does not square to zero")
     elif rule == "gaussian_base_idealization":
         if not isinstance(ring, TrivialExtensionRing):
             _fail(ring, "gaussian", "ring is not a trivial extension")
@@ -352,8 +347,6 @@ def replay_pseudo_arithmetical(ring: FiniteRing, result: dict) -> bool:
     reason = witness["gaussian_reason"]
     if reason["rule"] == "ring_certified_gaussian":
         _replay_gaussian_yes(ring, reason["ring_certificate"])
-    elif reason["rule"] == "local_square_zero_maximal":
-        _replay_square_zero_maximal(ring, "pseudo_arithmetical")
     else:
         _fail(ring, "pseudo_arithmetical",
               f"Gaussian reason {reason['rule']!r} is not a sound rule for a "

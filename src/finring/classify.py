@@ -13,10 +13,15 @@ each local factor's maximal ideal is principal.  classify() asserts the chain
     semihereditary ⇒ weak dimension Zero ⇒ arithmetical ⇒ Gaussian ⇒ Prüfer
 
 at the exact-verdict level and raises ConsistencyError on any violation.
+
+Every decider, `gaussian_ring_verdict` included, returns a frozen
+ConditionResult; the cached ones hand back the same object on each call, so
+classify() with timing on records `millis` on a copy.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -92,7 +97,7 @@ class ClassifyConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionResult:
     verdict: object  # bool, or a string for enum-valued conditions
     certificate: dict
@@ -294,32 +299,30 @@ def _non_locally_principal(ring: FiniteRing):
 # Gaussian (ring level)
 
 
-@dataclass
-class GaussianRingVerdict:
-    status: str                 # "Yes" | "No" | "BoundedYes"
-    certificate: dict
-    witness: tuple | None = None   # (f, g) RingPolys when refuted
-    bound: int | None = None
-
-    def to_condition(self) -> ConditionResult:
-        witness = None
-        if self.witness is not None:
-            f, g = self.witness
-            witness = {"f": f.literals(), "g": g.literals()}
-        return ConditionResult(self.status, self.certificate,
-                               witness=witness, bound=self.bound)
-
-
-def gaussian_ring_verdict(ring: FiniteRing, config: ClassifyConfig) -> GaussianRingVerdict:
+def gaussian_ring_verdict(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
+    """Yes, No or BoundedYes; a No's witness is a violating pair {f, g}."""
     return ring.memo(("gaussian_ring", config.key()),
                      lambda: _gaussian_ring_inner(ring, config))
 
 
-def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRingVerdict:
+def _refutation(f: RingPoly, g: RingPoly, **certificate) -> ConditionResult:
+    """The No for a pair (f, g) with c(fg) ≠ c(f)c(g), checked here."""
+    lhs, rhs = content_spans(f, g)
+    if np.array_equal(lhs, rhs):
+        raise ConsistencyError(
+            f"{f.ring.name}: claimed Gaussian violation failed to verify")
+    return ConditionResult(
+        "No", {"rule": "content_violation", **certificate,
+               "product_content_order": lhs.size,
+               "content_product_order": rhs.size},
+        witness={"f": f.literals(), "g": g.literals()})
+
+
+def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
     if ring.order <= LATTICE_LIMIT:
         # rule (a): arithmetical rings are Gaussian (implication chain)
         if first_nonprincipal_maximal(ring) is None:
-            return GaussianRingVerdict("Yes", {"rule": "arithmetical"})
+            return ConditionResult("Yes", {"rule": "arithmetical"})
         # rule (b): split a non-local ring into its local factors
         maximals = maximal_ideals(ring)
         if len(maximals) >= 2:
@@ -327,7 +330,7 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRi
 
     # rule (c): local with square-zero maximal ideal
     if has_square_zero_maximal(ring):
-        return GaussianRingVerdict(
+        return ConditionResult(
             "Yes", {"rule": "local_square_zero_maximal",
                     "maximal_order": is_local(ring).size})
 
@@ -341,8 +344,8 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRi
                                   np.arange(module.order, dtype=np.int64)[None, :])
             if bool(np.all(acts == module.mzero)):
                 base_verdict = gaussian_ring_verdict(base, config)
-                if base_verdict.status == "Yes":
-                    return GaussianRingVerdict(
+                if base_verdict.verdict == "Yes":
+                    return ConditionResult(
                         "Yes", {"rule": "gaussian_base_idealization",
                                 "base": base.name,
                                 "base_certificate": base_verdict.certificate,
@@ -356,33 +359,26 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> GaussianRi
     found, sym_degree, pairs = ring_gaussian_refutation_search(
         ring, config.degree_bound, config.pair_cap)
     if found is not None:
-        f, g = found
-        lhs, rhs = content_spans(f, g)
-        return GaussianRingVerdict(
-            "No", {"rule": "content_violation",
-                   "product_content_order": lhs.size,
-                   "content_product_order": rhs.size},
-            witness=(f, g))
-    return GaussianRingVerdict(
+        return _refutation(*found)
+    return ConditionResult(
         "BoundedYes", {"rule": "exhausted_search", "pairs_checked": pairs},
         bound=sym_degree)
 
 
 def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfig
-                               ) -> GaussianRingVerdict:
-    """Certify via a verified isomorphism R ≅ Π R_m and per-factor verdicts."""
+                               ) -> ConditionResult:
+    """Certify via a verified isomorphism R ≅ Π R_m and per-factor verdicts.
+    A factor's violating pair is read back from its literals and lifted
+    along the inverse isomorphism, with every other coordinate zero."""
     factors = []
-    maps = []
+    combined = np.zeros(ring.order, dtype=np.int64)
     for m in maximals:
         localized, hom = localize_at(ring, m)
         factors.append(localized)
-        maps.append(hom.map)
+        combined = combined * localized.order + hom.map
     product = factors[0]
     for extra in factors[1:]:
         product = ProductRing(product, extra, spec=None)
-    combined = np.zeros(ring.order, dtype=np.int64)
-    for fmap, factor in zip(maps, factors):
-        combined = combined * factor.order + fmap
     if sorted(combined.tolist()) != list(range(ring.order)):
         raise ConsistencyError(f"{ring.name}: localization map is not bijective")
     hom = RingHom(ring, product, combined)
@@ -392,36 +388,22 @@ def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfi
     inverse = np.argsort(combined)
 
     sub_verdicts = [gaussian_ring_verdict(f, config) for f in factors]
-    detail = [{"localization_order": f.order, "status": v.status,
-               "certificate": v.certificate}
-              for f, v in zip(factors, sub_verdicts)]
-    for pos, verdict in enumerate(sub_verdicts):
-        if verdict.status == "No":
-            f_factor, g_factor = verdict.witness
-            scale = 1
-            for later in factors[pos + 1:]:
-                scale *= later.order
-            f = make_poly(ring, [int(inverse[c * scale]) for c in f_factor.coeffs])
-            g = make_poly(ring, [int(inverse[c * scale]) for c in g_factor.coeffs])
-            lhs, rhs = content_spans(f, g)
-            if np.array_equal(lhs, rhs):
-                raise ConsistencyError(
-                    f"{ring.name}: lifted Gaussian violation failed to verify")
-            return GaussianRingVerdict(
-                "No", {"rule": "content_violation",
-                       "lifted_from_localization_order": factors[pos].order,
-                       "product_content_order": lhs.size,
-                       "content_product_order": rhs.size},
-                witness=(f, g))
-    if all(v.status == "Yes" for v in sub_verdicts):
-        return GaussianRingVerdict(
-            "Yes", {"rule": "local_factor_decomposition",
-                    "isomorphism_checked": True, "factors": detail})
-    bound = min(v.bound for v in sub_verdicts if v.status == "BoundedYes")
-    return GaussianRingVerdict(
-        "BoundedYes", {"rule": "local_factor_decomposition",
-                       "isomorphism_checked": True, "factors": detail},
-        bound=bound)
+    for pos, (factor, verdict) in enumerate(zip(factors, sub_verdicts)):
+        if verdict.verdict == "No":
+            scale = math.prod(later.order for later in factors[pos + 1:])
+            f, g = (make_poly(ring, [int(inverse[factor.encode_literal(lit) * scale])
+                                     for lit in verdict.witness[key]])
+                    for key in ("f", "g"))
+            return _refutation(f, g, lifted_from_localization_order=factor.order)
+    certificate = {"rule": "local_factor_decomposition", "isomorphism_checked": True,
+                   "factors": [{"localization_order": f.order, "status": v.verdict,
+                                "certificate": v.certificate}
+                               for f, v in zip(factors, sub_verdicts)]}
+    if all(v.verdict == "Yes" for v in sub_verdicts):
+        return ConditionResult("Yes", certificate)
+    return ConditionResult(
+        "BoundedYes", certificate,
+        bound=min(v.bound for v in sub_verdicts if v.verdict == "BoundedYes"))
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +468,20 @@ def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
             yield make_poly(ring, [int(c[h]) for c in cols])
 
 
-def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
-                               gaussian: GaussianRingVerdict) -> ConditionResult:
+def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
+                               ) -> ConditionResult:
     """Does every Gaussian polynomial have locally principal content?
 
     Any violating polynomial has content equal to some non-locally-principal
     ideal I and coefficients inside I, so candidates are exactly the
     generator layouts of such ideals.  When the whole ring is certified
-    Gaussian, the first layout is itself a certified witness and the verdict
-    is an exact No; with no non-locally-principal ideals the verdict is an
-    exact Yes; otherwise candidates are searched under the configured caps
-    and the verdict stays bounded.  An arithmetical ring has every ideal
-    locally principal, so its ideals are not scanned.  The lattice refuses
-    a ring above its bound.
+    Gaussian (`gaussian_ring_verdict`, read from the ring's cache), the
+    first layout is itself a certified witness and the verdict is an exact
+    No; with no non-locally-principal ideals the verdict is an exact Yes;
+    otherwise candidates are searched under the configured caps and the
+    verdict stays bounded.  An arithmetical ring has every ideal locally
+    principal, so its ideals are not scanned.  The lattice refuses a ring
+    above its bound.
     """
     lattice = enumerate_ideals(ring)
     non_lp = ([] if decide_arithmetical(ring).verdict is True
@@ -507,7 +490,8 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
         return ConditionResult("Yes", {"kind": "all_ideals_locally_principal",
                                        "ideal_count": len(lattice)})
 
-    if gaussian.status == "Yes":
+    gaussian = gaussian_ring_verdict(ring, config)
+    if gaussian.verdict == "Yes":
         for ideal, counter in non_lp:
             for degree in range(1, config.degree_bound + 1):
                 for f in _generator_layouts(ring, ideal, degree):
@@ -530,27 +514,21 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
                            "non_locally_principal_ideals": len(non_lp)},
             bound=config.degree_bound)
 
-    candidates: list[tuple[Ideal, RingPoly]] = []
+    candidates: list[RingPoly] = []
     for ideal, _counter in non_lp:
         layouts = (f for degree in range(1, config.degree_bound + 1)
                    for f in _generator_layouts(ring, ideal, degree))
-        candidates += [(ideal, f) for f in
-                       islice(layouts, config.pseudo_candidate_cap)]
-    verdicts = certify_gaussians([f for _, f in candidates],
-                                 config.degree_bound, config.witness_cap)
-    tried = refuted = inconclusive = 0
-    for (ideal, f), verdict in zip(candidates, verdicts):
-        tried += 1
+        candidates += islice(layouts, config.pseudo_candidate_cap)
+    verdicts = certify_gaussians(candidates, config.degree_bound,
+                                 config.witness_cap)
+    refuted = inconclusive = 0
+    for f, verdict in zip(candidates, verdicts):
         if verdict.status == "certified":
-            witness = {
-                "f": f.literals(),
-                "content_gens": _lits(ring, ideal.gens),
-                "content_order": ideal.size,
-                "gaussian_reason": {"rule": verdict.reason},
-            }
-            return ConditionResult(
-                "No", {"kind": "certified_gaussian_with_bad_content"},
-                witness=witness)
+            # a candidate's content is proper and nonzero, and a local ring
+            # with square-zero maximal ideal is certified Gaussian (rule (c))
+            raise ConsistencyError(
+                f"{ring.name}: candidate {f.literals()} certified Gaussian "
+                f"({verdict.reason}) in a ring not certified Gaussian")
         if verdict.status == "refuted":
             refuted += 1
         else:
@@ -559,7 +537,7 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig,
         "BoundedYes",
         {"kind": "bounded_candidate_search",
          "non_locally_principal_ideals": len(non_lp),
-         "candidates_tried": tried, "refuted": refuted,
+         "candidates_tried": len(candidates), "refuted": refuted,
          "inconclusive": inconclusive},
         bound=config.degree_bound)
 
@@ -599,23 +577,23 @@ def classify(ring: FiniteRing, config: ClassifyConfig | None = None
             f"order {TABLE_LIMIT * MODULE_LIMIT}")
     report = ClassificationReport(ring.name, ring.order, config)
 
-    def run(name: str, fn, *args):
-        start = time.perf_counter() if config.timing else None
-        out = fn(*args)
-        result = out.to_condition() if isinstance(out, GaussianRingVerdict) else out
-        if start is not None:
-            result.millis = round((time.perf_counter() - start) * 1000.0, 3)
+    def run(name: str, fn, *args) -> None:
+        # deciders cache their results on the ring, so timing goes on a copy
+        start = time.perf_counter()
+        result = fn(*args)
+        if config.timing:
+            result = replace(result, millis=round(
+                (time.perf_counter() - start) * 1000.0, 3))
         report.conditions[name] = result
-        return out
 
     run("reduced", decide_reduced, ring)
     run("semihereditary", decide_semihereditary, ring)
     run("weak_dim_class", decide_weak_dim, ring)
     run("arithmetical", decide_arithmetical, ring)
-    gaussian = run("gaussian", gaussian_ring_verdict, ring, config)
+    run("gaussian", gaussian_ring_verdict, ring, config)
     run("pruefer", decide_pruefer, ring)
     run("total_quotient_ring", decide_total_quotient, ring)
-    run("pseudo_arithmetical", decide_pseudo_arithmetical, ring, config, gaussian)
+    run("pseudo_arithmetical", decide_pseudo_arithmetical, ring, config)
     run("zero_ideal_locally_irreducible", decide_zero_locally_irreducible, ring)
 
     _assert_implication_chain(report)

@@ -29,8 +29,8 @@ from .harness import (DEFAULT_DIMENSIONS, check_factor_descent,
 from .polys import certify_gaussian, make_poly
 from .reports import (classification_markdown, conjecture_markdown,
                       corpus_markdown, harness_markdown, to_json)
-from .rings import TrivialExtensionRing
-from .specfile import build_ring, parse_ring_spec
+from .rings import TrivialExtensionRing, ZmodRing
+from .specfile import build_ring, build_target, parse_ring_spec
 
 
 class UsageError(Exception):
@@ -166,8 +166,7 @@ def cmd_classify(args) -> int:
         raise UsageError(f"cannot read spec file: {exc}") from exc
     program = parse_ring_spec(text)
     config = _classify_config(args)
-    ring = build_ring(program.rings[program.target])
-    report = classify(ring, config)
+    report = classify(build_target(program), config)
     payload = report.to_dict()
     if program.polys:
         payload["polynomials"] = _poly_section(program, config)
@@ -180,7 +179,7 @@ def _poly_section(program, config: ClassifyConfig) -> dict:
     for name, (ring_id, lits) in program.polys.items():
         owner = build_ring(program.rings[ring_id])
         f = make_poly(owner, [owner.encode_literal(l) for l in lits])
-        certified_ring = gaussian_ring_verdict(owner, config).status == "Yes"
+        certified_ring = gaussian_ring_verdict(owner, config).verdict == "Yes"
         verdict = certify_gaussian(f, config.degree_bound, config.witness_cap,
                                    ring_gaussian_certified=certified_ring)
         entry: dict = {"ring": owner.name, "coefficients": f.literals(),
@@ -217,7 +216,6 @@ def cmd_theorems(args) -> int:
     config = _corpus_config(args)
     bases = default_local_bases()
     if args.zmod_max is not None or args.gf_max is not None:
-        from .rings import ZmodRing
         bases = [b for b in bases
                  if (b.order <= config.zmod_max if isinstance(b, ZmodRing)
                      else b.order <= config.gf_max)]

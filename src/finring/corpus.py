@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .certs import replay_condition
 from .classify import (ClassificationReport, ClassifyConfig, classify,
                        decide_pseudo_arithmetical,
-                       decide_zero_locally_irreducible, gaussian_ring_verdict)
+                       decide_zero_locally_irreducible)
 from .errors import ConsistencyError
 from .harness import build_residue_idealization
 from .ideals import is_local
@@ -214,8 +214,7 @@ class ConjectureReport:
 
 
 def conjecture_row(ring: FiniteRing, config: ClassifyConfig) -> ConjectureRow:
-    gaussian = gaussian_ring_verdict(ring, config)
-    pseudo = decide_pseudo_arithmetical(ring, config, gaussian)
+    pseudo = decide_pseudo_arithmetical(ring, config)
     zli = decide_zero_locally_irreducible(ring)
     if pseudo.verdict == "BoundedYes":
         agreement = "Undecided"

@@ -120,14 +120,14 @@ def check_residue_idealization(base: FiniteRing, n: int,
     # law 2: Gaussian transfers between base and extension (exact verdicts)
     g_base = gaussian_ring_verdict(base, config)
     g_ring = gaussian_ring_verdict(ring, config)
-    if "BoundedYes" in (g_base.status, g_ring.status):
+    if "BoundedYes" in (g_base.verdict, g_ring.verdict):
         _skip(result, "gaussian_transfer",
-              {"base": g_base.status, "extension": g_ring.status,
+              {"base": g_base.verdict, "extension": g_ring.verdict,
                "note": "bounded verdict on at least one side"})
     else:
         _law(result, "gaussian_transfer",
-             (g_ring.status == "Yes") == (g_base.status == "Yes"),
-             {"base": g_base.status, "extension": g_ring.status})
+             (g_ring.verdict == "Yes") == (g_base.verdict == "Yes"),
+             {"base": g_base.verdict, "extension": g_ring.verdict})
 
     # law 3: arithmetical iff the base is a field and n = 1
     expected = maximal.size == 1 and n == 1
@@ -173,19 +173,19 @@ def check_factor_descent(ring: TrivialExtensionRing,
         return result
 
     g_ring = gaussian_ring_verdict(ring, config)
-    if g_ring.status != "Yes":
+    if g_ring.verdict != "Yes":
         _skip(result, "gaussian_descends_to_factor",
-              {"extension": g_ring.status, "note": "law is vacuous unless the "
+              {"extension": g_ring.verdict, "note": "law is vacuous unless the "
                "extension is certified Gaussian"})
     else:
         g_base = gaussian_ring_verdict(base, config)
-        if g_base.status == "BoundedYes":
+        if g_base.verdict == "BoundedYes":
             _skip(result, "gaussian_descends_to_factor",
-                  {"extension": g_ring.status, "factor": g_base.status,
+                  {"extension": g_ring.verdict, "factor": g_base.verdict,
                    "note": "factor verdict is bounded; never asserted"})
         else:
-            _law(result, "gaussian_descends_to_factor", g_base.status == "Yes",
-                 {"extension": g_ring.status, "factor": g_base.status})
+            _law(result, "gaussian_descends_to_factor", g_base.verdict == "Yes",
+                 {"extension": g_ring.verdict, "factor": g_base.verdict})
 
     arith_ring = decide_arithmetical(ring)
     if arith_ring.verdict is not True:

@@ -128,8 +128,6 @@ class ModuleSpec:
         if self.kind == "sum":
             a, b = self.children
             return f"sum({a.label()},{b.label()})"
-        if self.kind == "zero":
-            return f"zero({self.children[0].label()})"
         raise ValueError(f"unknown module spec kind {self.kind!r}")
 
 
@@ -625,15 +623,6 @@ def module_sum(e: FiniteModule, f: FiniteModule, spec: ModuleSpec | None = None)
     if spec is None:
         spec = ModuleSpec("sum", (), (e.spec, f.spec))
     return FiniteModule(e.base, madd, mneg, act, spec, encode, decode)
-
-
-def zero_module(base: FiniteRing) -> FiniteModule:
-    """The zero module; trivial extension by it reproduces the base ring."""
-    one = np.zeros((1, 1), dtype=np.int64)
-    return FiniteModule(base, one, np.zeros(1, dtype=np.int64),
-                        np.zeros((base.order, 1), dtype=np.int64),
-                        ModuleSpec("zero", (), (base.spec,)),
-                        lambda lit: 0, lambda i: 0)
 
 
 class TrivialExtensionRing(FiniteRing):

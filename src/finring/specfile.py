@@ -300,7 +300,7 @@ class _Parser:
 
 
 def module_base_spec(spec: ModuleSpec) -> RingSpec:
-    if spec.kind in ("free", "quot_module", "zero"):
+    if spec.kind in ("free", "quot_module"):
         return spec.children[0]
     return module_base_spec(spec.children[0])
 

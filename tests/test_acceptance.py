@@ -198,7 +198,7 @@ def test_criterion_8_oracle_equivalence(acceptance_lines, corpus_rings, classify
     exact = bounded = 0
     dm_failures = 0
     for ring in small:
-        ring_certified = gaussian_ring_verdict(ring, classify_config).status == "Yes"
+        ring_certified = gaussian_ring_verdict(ring, classify_config).verdict == "Yes"
         for df, fi, hit in gaussian_violation_table(ring, 2, 2):
             f = poly_at_index(ring, df, fi)
             verdict = certify_gaussian(f, degree_bound=2,

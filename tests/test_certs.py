@@ -49,10 +49,12 @@ RINGS = {
     "zmod30": lambda: ZmodRing(30),
     "gf9": lambda: standard_gf(3, 2),
     "residue_ideal_z4": lambda: _residue_idealization(4),
+    "residue_ideal_z8": lambda: _residue_idealization(8),
     "residue_ideal_z9": lambda: _residue_idealization(9),
     "self_ideal_z4": _self_idealization,
     "product_mixed": _product_mixed,
     "f2sq_x_z12": lambda: _spec_ring("f2sq_x_z12"),
+    "z4sq_x_z2": lambda: _spec_ring("z4sq_x_z2"),
 }
 
 

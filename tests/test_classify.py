@@ -123,12 +123,34 @@ def test_product_decomposition_rule():
     # verdict must come from the verified local-factor decomposition.
     ring = ProductRing(_residue_idealization(4), standard_gf(2, 2))
     verdict = gaussian_ring_verdict(ring, ClassifyConfig())
-    assert verdict.status == "Yes"
+    assert verdict.verdict == "Yes"
     assert verdict.certificate["rule"] == "local_factor_decomposition"
     assert verdict.certificate["isomorphism_checked"] is True
     factors = verdict.certificate["factors"]
     assert sorted(f["localization_order"] for f in factors) == [4, 8]
     assert all(f["status"] == "Yes" for f in factors)
+
+
+def test_product_decomposition_lifts_a_factor_refutation():
+    # Z4 ∝ Z4 is not Gaussian, so neither is (Z4 ∝ Z4) × Z2: its violating
+    # pair is lifted from the factor of order 16 (tests/test_certs.py
+    # replays it)
+    cond = gaussian_ring_verdict(_spec_ring("z4sq_x_z2"), ClassifyConfig()).to_dict()
+    assert cond["verdict"] == "No"
+    assert cond["certificate"]["lifted_from_localization_order"] == 16
+
+
+def test_product_decomposition_keeps_a_factor_bound():
+    # under this pair cap Z8 ∝ F2 exhausts its search at total degree 1, so
+    # (Z8 ∝ F2) × Z2 is BoundedYes with that bound and both factors' rows
+    ring = ProductRing(_residue_idealization(8), ZmodRing(2))
+    cond = gaussian_ring_verdict(ring, ClassifyConfig(pair_cap=100_000)).to_dict()
+    assert (cond["verdict"], cond["bound"]) == ("BoundedYes", 1)
+    assert cond["certificate"]["rule"] == "local_factor_decomposition"
+    assert [(f["localization_order"], f["status"], f["certificate"]["rule"])
+            for f in cond["certificate"]["factors"]] == [
+        (16, "BoundedYes", "exhausted_search"), (2, "Yes", "arithmetical")]
+    assert replay_condition(ring, "gaussian", json.loads(to_json(cond)))
 
 
 # ---------------------------------------------------------------- chain + structure
@@ -174,6 +196,15 @@ def test_millis_only_with_timing():
     assert all("millis" in c for c in timed["conditions"].values())
 
 
+def test_timed_run_leaves_later_reports_untimed():
+    # deciders cache their results on the ring; a timed run must not write
+    # its timings into them
+    ring = ZmodRing(12)
+    classify(ring, ClassifyConfig(timing=True))
+    again = to_json(classify(ring, ClassifyConfig()).to_dict())
+    assert again == to_json(classify(ZmodRing(12), ClassifyConfig()).to_dict())
+
+
 def test_gaussian_millis_include_ring_verdict(monkeypatch):
     # the package re-exports classify(), which shadows the module attribute
     classify_module = importlib.import_module("finring.classify")
@@ -210,7 +241,7 @@ def test_arithmetical_rule_matches_the_lattice_scan():
         rule = first_nonprincipal_maximal(ring) is None
         assert rule == arithmetical_by_lattice_scan(ring), ring.name
         verdicts.append(rule)
-    assert (len(verdicts), sum(verdicts)) == (457, 430)
+    assert (len(verdicts), sum(verdicts)) == (458, 430)
 
 
 @pytest.mark.parametrize("make, verdict, kind", [
@@ -302,8 +333,7 @@ def test_bound_exceeded_when_lattice_capped():
 def test_pseudo_arithmetical_direct_call():
     ring = _residue_idealization(4)
     for config in (ClassifyConfig(), ClassifyConfig(degree_bound=2)):
-        gaussian = gaussian_ring_verdict(ring, config)
-        result = decide_pseudo_arithmetical(ring, config, gaussian)
+        result = decide_pseudo_arithmetical(ring, config)
         assert result.verdict == "No"
 
 
@@ -321,8 +351,7 @@ def test_pseudo_arithmetical_yes_read_from_arithmetical(monkeypatch,
     monkeypatch.setattr(classify_module, "is_locally_principal",
                         lambda ideal: calls.append(ideal) or real(ideal))
     for ring in rings:
-        result = decide_pseudo_arithmetical(
-            ring, config, gaussian_ring_verdict(ring, config))
+        result = decide_pseudo_arithmetical(ring, config)
         assert result.verdict == "Yes"
         assert result.certificate == {"kind": "all_ideals_locally_principal",
                                       "ideal_count": len(enumerate_ideals(ring))}
@@ -357,8 +386,7 @@ def _pseudo_search(monkeypatch, ring):
     monkeypatch.setattr(classify_module, "certify_gaussians", batch)
     monkeypatch.setattr(polys_module, "certify_gaussian", single)
     config = ClassifyConfig()
-    result = decide_pseudo_arithmetical(ring, config,
-                                        gaussian_ring_verdict(ring, config))
+    result = decide_pseudo_arithmetical(ring, config)
     return result, batched, calls
 
 

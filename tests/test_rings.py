@@ -9,8 +9,7 @@ from finring.rings import (GFRing, ProductRing, ZmodRing,
                            element_kind, element_units, free_module,
                            is_irreducible_mod_p, is_prime,
                            make_trivial_extension, module_sum, standard_gf,
-                           verify_module_axioms, verify_ring_axioms,
-                           zero_module)
+                           verify_module_axioms, verify_ring_axioms)
 from finring.ideals import (is_local, make_quotient, principal_ideal,
                             residue_vector_space)
 
@@ -172,7 +171,6 @@ def test_free_module_and_sum_axioms():
     summed = module_sum(free_module(z4, 1), free_module(z4, 1))
     assert summed.order == 16
     assert verify_module_axioms(summed)
-    assert zero_module(z4).order == 1
 
 
 def test_free_module_rank_refused_before_the_power():
