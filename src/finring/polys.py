@@ -20,8 +20,9 @@ violation therefore leads with the least element of its class.  More
 generally, for units u, v and any c the substitution φ: x ↦ vx + c is an
 automorphism of R[x] with c(φh) = c(h), so f and u·f(vx + c) have the same
 status, and a violating g for f becomes the violating g(vx + c) for
-u·f(vx + c); a run of candidates needs one search per orbit of these maps
-(`certify_gaussians`).
+u·f(vx + c); a run of candidates needs one search per orbit of these maps,
+and the witnesses of the refuted orbits are carried to all their other
+members in one columnwise pass (`certify_gaussians`).
 A constant factor a never violates either, since c(a·g) = (a)·c(g), so
 the witness search starts at degree 1 and the pair search counts the pairs
 with a constant factor without evaluating them.  Caps and bounds still
@@ -41,11 +42,13 @@ to its end, do not depend on the block sizes.  The witness candidates do
 not depend on f: a degree whose candidates fit one block is decoded, with
 its content ids, once per ring (`_witness_block`).
 
-Every violation a search claims is re-checked on its own f and g: the span
-of c(fg) is grown from the coefficients one principal ideal at a time, and
-some product fᵢgⱼ must lie outside it.  Since c(fg) ⊆ c(f)c(g), that holds
-exactly when the spans of c(fg) and c(f)c(g) differ (`content_spans`).
-The re-check uses no lattice ids, join table or product table.
+Every violation claimed, by a search hit or by a carried witness, is
+re-checked on its own f and g by one batched kernel (`_verify_violations`):
+some product fᵢgⱼ must lie outside the span of c(fg), which is the sum of
+the principal ideals of fg's coefficients, each formed afresh.  Since
+c(fg) ⊆ c(f)c(g), that holds exactly when the spans of c(fg) and c(f)c(g)
+differ (`content_spans`).  The re-check uses no lattice ids, join table or
+product table.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .ideals import (Ideal, _grow_span, content_calculus, ideal_generated_by,
-                     ideal_product, is_local)
+from .ideals import (LATTICE_LIMIT, Ideal, _distinct_indices, _grow_span,
+                     _principal_indices, content_calculus, ideal_generated_by,
+                     ideal_product, is_local, subgroup_sum_indices)
 from .rings import (FiniteRing, associate_leaders, blocks, element_units,
                     group_generators, unit_partition)
 
@@ -192,7 +196,7 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
             bad = np.flatnonzero(actual != expected)
             if bad.size:
                 g = make_poly(ring, [int(c[bad[0]]) for c in g_cols])
-                _verify_violation(f, g)
+                _verify_violations(ring, _poly_columns([f]), _poly_columns([g]))
                 return g
     return None
 
@@ -252,22 +256,86 @@ def _coefficient_products(f: RingPoly, g: RingPoly) -> np.ndarray:
                           np.array(g.coeffs, dtype=np.int64)[None, :]).ravel()
 
 
-def _verify_violation(f: RingPoly, g: RingPoly) -> None:
-    """Re-check of a claimed content violation on its own f and g: some
-    product fᵢ·gⱼ must lie outside the span of c(fg).
+def _poly_columns(fs) -> np.ndarray:
+    """Coefficient columns (low-first) of the polynomials `fs`, one row per
+    degree slot, padded with zero to the widest of them: row i holds every
+    fᵢ."""
+    zero, width = fs[0].ring.zero, max(len(f.coeffs) for f in fs)
+    padded = (f.coeffs + (zero,) * (width - len(f.coeffs)) for f in fs)
+    rows = np.fromiter(itertools.chain.from_iterable(padded), dtype=np.int64,
+                       count=len(fs) * width)
+    return rows.reshape(len(fs), width).T.copy()
+
+
+def _inside_content(ring: FiniteRing, f_cols, g_cols) -> np.ndarray:
+    """For the pairs (fₖ, gₖ) given as coefficient columns (low-first, of
+    equal length, zero-padded), whether every product fᵢ·gⱼ lies in c(fg).
 
     c(fg) ⊆ c(f)c(g) always holds, and c(f)c(g) is the span of the fᵢ·gⱼ,
-    so a product outside c(fg) is exactly a pair whose spans differ in
-    `content_spans`; only c(fg) is grown, through `ideals._grow_span`, with
-    no lattice ids, join table or product table.
+    so a pair holds a content violation exactly when some product lies
+    outside c(fg), i.e. when its spans differ in `content_spans`.  fg comes
+    from `_convolve_columns`, all the fᵢ·gⱼ from one broadcast product.
+    c(fg) is the sum of the principal ideals R·a of its coefficients, taken
+    by `ideals.subgroup_sum_indices` and skipping an R·a whose a the span
+    holds; each R·a is formed afresh (`ideals._principal_indices`) and held
+    once per distinct ideal, and each span is built once per distinct set
+    of those ideals.  The pairs run in blocks (`rings.blocks`) of about
+    `rings.CHUNK` members and products.
+
+    Shared with the searches it audits: the ring's add and mul and the
+    subgroup sums that also built the lattice.  Not shared: lattice ids,
+    the join and product tables, and the cached principal masks and
+    associate classes.
     """
-    ring = f.ring
-    span, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)
-    inside = np.zeros(ring.order, dtype=bool)
-    inside[span] = True
-    if inside[_coefficient_products(f, g)].all():
+    f_cols, g_cols = np.asarray(f_cols), np.asarray(g_cols)
+    n, count = ring.order, f_cols.shape[1]
+    formed = np.zeros(n, dtype=bool)
+    formed[ring.zero] = True                     # R·0 adds nothing to a span
+    ideal_of = np.full(n, -1, dtype=np.int64)    # element a → id of R·a
+    principal: list[np.ndarray] = []             # the distinct R·a, by id
+    generator: list[int] = []                    # an a of each
+    by_members: dict[bytes, int] = {}
+    spans: dict[frozenset, np.ndarray] = {}      # set of ids → span of c(fg)
+    out = np.empty(count, dtype=bool)
+    for start, stop in blocks(count, n + len(f_cols) * len(g_cols)):
+        fs, gs = f_cols[:, start:stop], g_cols[:, start:stop]
+        fg = np.array(_convolve_columns(ring, fs, gs))
+        fresh = _distinct_indices(n, fg)
+        for a in fresh[~formed[fresh]].tolist():
+            members = _principal_indices(ring, a)
+            key = members.tobytes()
+            if key not in by_members:
+                by_members[key] = len(principal)
+                principal.append(members)
+                generator.append(a)
+            ideal_of[a] = by_members[key]
+        formed[fresh] = True
+        rows: dict[frozenset, int] = {}          # set of ids → row of `inside`
+        which = [rows.setdefault(frozenset(ids), len(rows))
+                 for ids in ideal_of[fg].T.tolist()]
+        inside = np.zeros((len(rows), n), dtype=bool)
+        for ids, row in rows.items():
+            if ids not in spans:
+                span = np.array([ring.zero], dtype=np.int64)
+                for i in ids:
+                    if i >= 0 and generator[i] not in span:
+                        span = subgroup_sum_indices(ring, span, principal[i])
+                spans[ids] = span
+            inside[row, spans[ids]] = True
+        products = ring.mul_arr(fs[:, None, :], gs[None, :, :])
+        out[start:stop] = inside[which, products.reshape(-1, stop - start)].all(axis=0)
+    return out
+
+
+def _verify_violations(ring: FiniteRing, f_cols, g_cols) -> None:
+    """Re-check of claimed content violations on their own pairs (fₖ, gₖ),
+    given as coefficient columns: for each pair some product fᵢ·gⱼ must lie
+    outside c(fg) (`_inside_content`)."""
+    clean = np.flatnonzero(_inside_content(ring, f_cols, g_cols))
+    if clean.size:
         raise ConsistencyError(
-            f"claimed Gaussian violation over {ring.name} fails re-verification")
+            f"claimed Gaussian violation over {ring.name} fails re-verification "
+            f"({clean.size} of {len(f_cols[0])} pairs, first at {int(clean[0])})")
 
 
 @dataclass(frozen=True)
@@ -335,7 +403,7 @@ def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
     ring = f.ring
     if f.is_zero():
         return GaussianVerdict("certified", reason="zero_polynomial")
-    if content(f).is_unit_ideal():
+    if _unit_content(f):
         return GaussianVerdict("certified", reason="unit_content")
     if has_square_zero_maximal(ring):
         return GaussianVerdict("certified", reason="local_square_zero_maximal")
@@ -351,8 +419,20 @@ def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
     return GaussianVerdict("bounded", bound=d_eff)
 
 
-def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000):
-    """Yield, for each f of `fs` in order, a verdict with the status of
+def _unit_content(f: RingPoly) -> bool:
+    """c(f) = R: at lattice scale f's content id is that of R·1, read from
+    the lattice's join table; above it the span of f's coefficients is
+    grown."""
+    ring = f.ring
+    if ring.order > LATTICE_LIMIT:
+        return content(f).is_unit_ideal()
+    calc = content_calculus(ring)
+    return bool(calc.content_ids([[c] for c in f.coeffs])[0] == calc.princ_id[ring.one])
+
+
+def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000
+                      ) -> list[GaussianVerdict]:
+    """For each f of `fs` in order, a verdict with the status of
     certify_gaussian(f, degree_bound, cap), certifying once per
     affine-substitution orbit.
 
@@ -362,43 +442,52 @@ def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000):
     other.  With a unit u, c(u·φh) = c(h) too, so f and f' = u·f(vx + c)
     have the same status, and a g violating for f gives the violating
     g(vx + c) for f', of the same degree.  The candidates fall into orbits
-    under these maps (`_affine_orbits`); the first candidate of an orbit is
-    certified, and every later one takes its verdict; a refutation takes the
-    witness carried over by `_substitute`, which is re-verified on its own f
-    and need not be the first witness of f in the pinned order.
-    Verdicts are produced lazily, so a caller that stops early certifies
-    nothing beyond where it stopped.
+    under these maps (`_affine_orbits`), and the verdicts are filed in two
+    passes.  The first certifies the first candidate of each orbit, its
+    root.  The second carries the witness of every refuted root to all the
+    later members of its orbit at once: the witnesses are substituted
+    columnwise with each member's (v, c) (`_substitute`), and every carried
+    pair is re-checked on its own f by one batched kernel
+    (`_verify_violations`), the one the searches run on their single hits.
+    A carried witness need not be the first witness of its f in the pinned
+    order.  Every other member takes its root's verdict.
     """
     fs = list(fs)
     if not fs:
-        return
+        return []
+    ring = fs[0].ring
     root, dilation, shift = _affine_orbits(fs)
-    filed: dict[int, GaussianVerdict] = {}
-    for i, f in enumerate(fs):
-        r = int(root[i])
-        if r == i:
-            verdict = filed[i] = certify_gaussian(f, degree_bound, cap)
-        else:
-            verdict = filed[r]
-            if verdict.status == "refuted":
-                g = _substitute(verdict.witness, int(dilation[i]), int(shift[i]))
-                _verify_violation(f, g)
-                verdict = GaussianVerdict("refuted", witness=g)
-        yield verdict
+    later = root != np.arange(len(fs))
+    filed = {r: certify_gaussian(fs[r], degree_bound, cap)
+             for r in np.flatnonzero(~later).tolist()}
+    verdicts = [filed[r] for r in root.tolist()]
+    refuted = [r for r, v in filed.items() if v.status == "refuted"]  # ascending
+    carried = np.flatnonzero(later & np.isin(root, refuted))
+    if carried.size:
+        witnesses = _poly_columns([filed[r].witness for r in refuted])
+        g_cols = _substitute(ring, witnesses[:, np.searchsorted(refuted, root[carried])],
+                             dilation[carried], shift[carried])
+        _verify_violations(ring, _poly_columns([fs[i] for i in carried.tolist()]),
+                           g_cols)
+        for i, g in zip(carried.tolist(), np.stack(g_cols, axis=1).tolist()):
+            verdicts[i] = GaussianVerdict("refuted", witness=make_poly(ring, g))
+    return verdicts
 
 
 def _dilate_columns(ring: FiniteRing, cols, v: int) -> list:
-    """Coefficient columns (low-first) of f(vx) from those of f."""
+    """Coefficient columns (low-first) of f(vx) from those of f; `v` is one
+    unit or an array of them, one per column entry."""
     out, power = [cols[0]], v
     for col in cols[1:]:
         out.append(ring.mul_arr(col, power))
-        power = ring.mul(power, v)
+        power = ring.mul_arr(power, v)
     return out
 
 
 def _shift_columns(ring: FiniteRing, cols, c: int) -> list:
     """Coefficient columns (low-first) of f(x + c) from those of f, by
-    repeated Horner steps: d(d+1)/2 products and sums at degree d."""
+    repeated Horner steps: d(d+1)/2 products and sums at degree d.  `c` is
+    one element or an array of them, one per column entry."""
     out = list(cols)
     for i in range(len(out) - 1):
         for j in range(len(out) - 2, i - 1, -1):
@@ -406,10 +495,10 @@ def _shift_columns(ring: FiniteRing, cols, c: int) -> list:
     return out
 
 
-def _substitute(g: RingPoly, v: int, c: int) -> RingPoly:
-    """g(vx + c), on the coefficients as scalars."""
-    ring = g.ring
-    return make_poly(ring, _dilate_columns(ring, _shift_columns(ring, g.coeffs, c), v))
+def _substitute(ring: FiniteRing, cols, v, c) -> list:
+    """Coefficient columns (low-first) of g(vx + c) from those of g, for one
+    (v, c) or per-entry arrays of them."""
+    return _dilate_columns(ring, _shift_columns(ring, cols, c), v)
 
 
 def _codes(cols, n: int) -> np.ndarray:
@@ -445,9 +534,7 @@ def _affine_orbits(fs: list[RingPoly]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     shift = np.zeros(size, dtype=np.int64)
     if n**width >= 2**63:
         return root, dilation, shift
-    padded = (f.coeffs + (0,) * (width - len(f.coeffs)) for f in fs)
-    cols = np.fromiter(itertools.chain.from_iterable(padded), dtype=np.int64,
-                       count=size * width).reshape(size, width).T
+    cols = _poly_columns(fs)
     codes = _codes(cols, n)
     order = np.argsort(codes)
     sorted_codes = codes[order]
@@ -583,7 +670,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
                     gi = int(bad[1][0])
                     f = make_poly(ring, [int(c[fi]) for c in f_cols])
                     g = make_poly(ring, [int(c[gi]) for c in g_cols])
-                    _verify_violation(f, g)
+                    _verify_violations(ring, _poly_columns([f]), _poly_columns([g]))
                     return (f, g), None, pairs_checked + fi * ng + gi + 1
             pairs_checked += nf * ng
         exhausted_t = t

@@ -24,8 +24,69 @@ def _default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# exact types written with no further dispatch
+_LEAVES = {str: _encode_str, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): lambda _: "null"}
+
+
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, default=_default) + "\n"
+    """``json.dumps(payload, indent=2, default=_default) + "\\n"``, byte for
+    byte, without json's pure-Python indenting encoder: dicts, lists,
+    tuples, strings, ints, bools and None are written directly, floats
+    through ``json.dumps`` and anything else through `_default`."""
+    out: list[str] = []
+    _write(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, put) -> None:
+    """Append the JSON text of `value` through `put`; `newline` is a line
+    break followed by the indent of the level `value` sits at."""
+    if isinstance(value, dict):
+        items = ((_encode_str(k if isinstance(k, str) else _key(k)) + ": ", v)
+                 for k, v in value.items())
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = (("", v) for v in value)
+        brackets = "[]"
+    else:
+        leaf = _LEAVES.get(type(value))
+        if leaf is not None:
+            put(leaf(value))
+        elif isinstance(value, str):
+            put(_encode_str(value))
+        elif isinstance(value, int):          # bool has its own entry
+            put(int.__repr__(value))
+        elif isinstance(value, float):
+            put(json.dumps(value))
+        else:
+            _write(_default(value), newline, put)
+        return
+    if not value:
+        put(brackets)
+        return
+    inner = newline + "  "
+    sep = brackets[0] + inner
+    for prefix, item in items:
+        leaf = _LEAVES.get(type(item))
+        if leaf is None:
+            put(sep + prefix)
+            _write(item, inner, put)
+        else:
+            put(sep + prefix + leaf(item))
+        sep = "," + inner
+    put(newline + brackets[1])
+
+
+def _key(key) -> str:
+    """A non-string dict key as json writes it."""
+    if key is None or isinstance(key, (int, float)):   # bool is an int
+        return json.dumps(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _md_table(headers: list[str], rows: list[list]) -> list[str]:

@@ -2,16 +2,16 @@
 seeded Dedekind–Mertens audit that the witness searches are checked against,
 the pairwise atom and maximal scans of an ideal lattice, the lattice scan of
 arithmeticity, the pairwise irreducibility test, the pairwise locality test,
-and the member-product closure of an ideal product.  No program path calls
-them."""
+the member-product closure of an ideal product, and affine substitution by
+powers of the linear form.  No program path calls them."""
 
 import numpy as np
 
 from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
                             content_calculus, enumerate_ideals,
                             is_locally_principal)
-from finring.polys import (_PAIR_CHUNK, _convolve_columns, decode_poly_block,
-                           poly_count)
+from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns,
+                           decode_poly_block, make_poly, poly_count, poly_mul)
 from finring.rings import FiniteRing, blocks, element_units, mask_from_indices
 
 
@@ -151,3 +151,15 @@ def gaussian_violation_table(ring: FiniteRing, f_degree: int, g_degree: int):
             for k, hit in enumerate(first):
                 results.append((df, fs + k, hit))
     return results
+
+
+def substituted(f: RingPoly, v: int, c: int) -> RingPoly:
+    """f(vx + c) as Σ fᵢ·(vx + c)ⁱ, the powers taken by poly_mul."""
+    ring = f.ring
+    out = [ring.zero] * len(f.coeffs)
+    power = make_poly(ring, [ring.one])
+    for a in f.coeffs:
+        for k, b in enumerate(power.coeffs):
+            out[k] = ring.add(out[k], ring.mul(a, b))
+        power = poly_mul(power, make_poly(ring, [c, v]))
+    return make_poly(ring, out)

@@ -25,7 +25,7 @@ from finring.reports import to_json
 from finring.rings import (ProductRing, ZmodRing, blocks, free_module,
                            make_trivial_extension, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
-from oracles import arithmetical_by_lattice_scan
+from oracles import arithmetical_by_lattice_scan, substituted
 
 SPECS = Path(__file__).resolve().parent / "specs"
 
@@ -241,7 +241,7 @@ def test_arithmetical_rule_matches_the_lattice_scan():
         rule = first_nonprincipal_maximal(ring) is None
         assert rule == arithmetical_by_lattice_scan(ring), ring.name
         verdicts.append(rule)
-    assert (len(verdicts), sum(verdicts)) == (458, 430)
+    assert (len(verdicts), sum(verdicts)) == (459, 430)
 
 
 @pytest.mark.parametrize("make, verdict, kind", [
@@ -391,12 +391,19 @@ def _pseudo_search(monkeypatch, ring):
 
 
 def _assert_same_statuses(fs, verdicts):
-    """Each verdict has the status plain certification gives its f, and
-    each refutation's witness violates on its own f."""
+    """Each verdict has the status plain certification gives its f; each
+    carried refutation's witness is its root's witness under the member's
+    substitution, by the per-member formula; and each refutation's witness
+    violates on its own f."""
     assert [v.status for v in verdicts] == [certify_gaussian(f).status
                                             for f in fs]
-    for f, verdict in zip(fs, verdicts):
+    root, dilation, shift = polys._affine_orbits(fs)
+    for i, (f, verdict) in enumerate(zip(fs, verdicts)):
         if verdict.status == "refuted":
+            r = int(root[i])
+            if r != i:
+                assert verdict.witness == substituted(
+                    verdicts[r].witness, int(dilation[i]), int(shift[i]))
             lhs, rhs = content_spans(f, verdict.witness)
             assert not np.array_equal(lhs, rhs)
 
@@ -406,7 +413,7 @@ def test_orbit_reuse_matches_one_search_per_candidate(monkeypatch):
     _result, fs, calls = _pseudo_search(monkeypatch, ring)
     monkeypatch.undo()
     assert len(fs) == 256 and len(calls) == 32
-    _assert_same_statuses(fs, list(certify_gaussians(fs)))
+    _assert_same_statuses(fs, certify_gaussians(fs))
 
 
 def test_pseudo_arithmetical_one_search_per_orbit(monkeypatch):
@@ -420,24 +427,43 @@ def test_pseudo_arithmetical_one_search_per_orbit(monkeypatch):
 
 def test_orbit_filing_keeps_every_status(monkeypatch, corpus_rings):
     # every corpus ring that reaches the witness search, and Z16 ∝ Z16, whose
-    # 1,792 candidates end refuted or bounded
+    # 1,792 candidates end 1,540 refuted and 252 bounded
     searched = set()
     for ring in [*corpus_rings, _self_idealization(16)]:
         _result, fs, _calls = _pseudo_search(monkeypatch, ring)
         monkeypatch.undo()
         if fs:
             searched.add(ring.name)
-            _assert_same_statuses(fs, list(certify_gaussians(fs)))
+            verdicts = certify_gaussians(fs)
+            _assert_same_statuses(fs, verdicts)
     assert {_self_idealization(k).name for k in (4, 8, 16)} <= searched
+    statuses = [v.status for v in verdicts]
+    assert (statuses.count("refuted"), statuses.count("bounded")) == (1540, 252)
 
 
 def test_orbit_filing_rejects_an_untransformed_witness(monkeypatch):
     # reusing the first witness of an orbit as it stands fails re-verification
     _result, fs, _calls = _pseudo_search(monkeypatch, _self_idealization(8))
     monkeypatch.undo()
-    monkeypatch.setattr(polys, "_substitute", lambda g, v, c: g)
+    monkeypatch.setattr(polys, "_substitute", lambda ring, cols, v, c: list(cols))
     with pytest.raises(ConsistencyError):
-        list(certify_gaussians(fs))
+        certify_gaussians(fs)
+
+
+@pytest.mark.parametrize("substitute", [
+    lambda ring, cols, v, c: polys._shift_columns(ring, cols, c),
+    lambda ring, cols, v, c: polys._dilate_columns(ring, cols, v),
+], ids=["dropped_dilation", "dropped_shift"])
+def test_orbit_filing_rejects_a_partial_substitution(monkeypatch, substitute):
+    # a carried witness missing its member's dilation or shift fails
+    # re-verification; over Z9 ∝ Z9 each leaves some member clean (over
+    # Z8 ∝ Z8 every member's shifted witness still violates, whatever its
+    # dilation)
+    _result, fs, _calls = _pseudo_search(monkeypatch, _self_idealization(9))
+    monkeypatch.undo()
+    monkeypatch.setattr(polys, "_substitute", substitute)
+    with pytest.raises(ConsistencyError):
+        certify_gaussians(fs)
 
 
 # ---------------------------------------------------------------- generator layouts

@@ -6,7 +6,7 @@ import importlib
 import numpy as np
 import pytest
 
-from finring import polys
+from finring import ideals, polys
 from finring.classify import ClassifyConfig
 from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
 from finring.ideals import (ContentCalculus, content_calculus,
@@ -21,7 +21,8 @@ from finring.polys import (RingPoly, certify_gaussian, content, content_spans,
                            ring_gaussian_refutation_search)
 from finring.rings import (ProductRing, ZmodRing, element_units, free_module,
                            make_trivial_extension, standard_gf)
-from oracles import dedekind_mertens_random_audit, gaussian_violation_table
+from oracles import (dedekind_mertens_random_audit, gaussian_violation_table,
+                     substituted)
 
 
 def _residue_idealization(order: int, dim: int = 1):
@@ -420,19 +421,25 @@ def test_content_spans_equal_ideal_objects(corpus_rings):
                 assert np.array_equal(rhs, products[key].indices)
 
 
+def _verify_pairs(fs, gs) -> None:
+    """The re-check kernel on the pairs (fs[k], gs[k])."""
+    polys._verify_violations(fs[0].ring, polys._poly_columns(fs),
+                             polys._poly_columns(gs))
+
+
 def test_verify_violation_rejects_a_clean_pair():
     ring = ZmodRing(4)
     two = poly_from_literals(ring, [2])
     with pytest.raises(ConsistencyError):
-        polys._verify_violation(two, two)
+        _verify_pairs([two], [two])
     f = poly_from_literals(_self_idealization(8), [(2, 0), (0, 1)])
-    polys._verify_violation(f, f)   # a real violation passes
+    _verify_pairs([f], [f])   # a real violation passes
 
 
 def test_verify_violation_raises_exactly_on_equal_spans(corpus_rings):
-    # one grown span and the products against it, against both spans: no
-    # pair of degree <= 1 over a corpus ring of order <= 8 violates, so the
-    # pairs over the maximal ideal of Z4 ∝ Z4 add some that do
+    # one batch per ring against both spans of each pair: no pair of
+    # degree <= 1 over a corpus ring of order <= 8 violates, so the pairs
+    # over the maximal ideal of Z4 ∝ Z4 add some that do
     sets = [_polys(r, (0, 1)) for r in corpus_rings if r.order <= 8]
     ext = _self_idealization(4)
     nonunits = is_local(ext).indices
@@ -441,17 +448,33 @@ def test_verify_violation_raises_exactly_on_equal_spans(corpus_rings):
                  for d in (0, 1) for i in range(poly_count(nonunits.size, d))])
     violations = 0
     for ps in sets:
-        for f in ps:
-            for g in ps:
-                lhs, rhs = content_spans(f, g)
-                try:
-                    polys._verify_violation(f, g)
-                    raised = False
-                except ConsistencyError:
-                    raised = True
-                assert raised == np.array_equal(lhs, rhs), (f, g)
-                violations += not raised
+        pairs = [(f, g) for f in ps for g in ps]
+        inside = polys._inside_content(
+            ps[0].ring, polys._poly_columns([f for f, _ in pairs]),
+            polys._poly_columns([g for _, g in pairs]))
+        for (f, g), clean in zip(pairs, inside.tolist()):
+            lhs, rhs = content_spans(f, g)
+            assert clean == np.array_equal(lhs, rhs), (f, g)
+        bad = [pair for pair, clean in zip(pairs, inside.tolist()) if not clean]
+        if bad:     # the violating pairs pass as one batch
+            _verify_pairs([f for f, _ in bad], [g for _, g in bad])
+        violations += len(bad)
     assert violations > 0
+
+
+def test_verify_violation_rejects_a_batch_with_one_clean_pair():
+    # the violating pairs of Z8 ∝ Z8 pass together, and one clean pair
+    # anywhere in the batch fails it
+    ext = _self_idealization(8)
+    f = poly_from_literals(ext, [(2, 0), (0, 1)])
+    units = np.flatnonzero(element_units(ext))[::7].tolist()
+    # (φf, φf) violates as (f, f) does, for φ: x ↦ vx + c
+    fs = [substituted(f, v, c) for v in units for c in range(0, 64, 9)]
+    _verify_pairs(fs, fs)
+    clean = poly_from_literals(ext, [(1, 0), (2, 0)])   # unit content
+    for at in (0, len(fs) // 2, len(fs)):
+        with pytest.raises(ConsistencyError):
+            _verify_pairs(fs[:at] + [clean] + fs[at:], fs[:at] + [f] + fs[at:])
 
 
 def test_searches_reject_a_fabricated_violation(monkeypatch):
@@ -572,23 +595,11 @@ def test_violation_table_all_clean_on_gaussian_ring():
 # ---------------------------------------------------------------- affine orbits
 
 
-def _substituted(f: RingPoly, v: int, c: int) -> RingPoly:
-    """f(vx + c) as Σ fᵢ·(vx + c)ⁱ, the powers taken by poly_mul."""
-    ring = f.ring
-    out = [ring.zero] * len(f.coeffs)
-    power = make_poly(ring, [ring.one])
-    for a in f.coeffs:
-        for k, b in enumerate(power.coeffs):
-            out[k] = ring.add(out[k], ring.mul(a, b))
-        power = poly_mul(power, make_poly(ring, [c, v]))
-    return make_poly(ring, out)
-
-
 def _orbit(f: RingPoly) -> set:
     """Coefficient tuples of every u·f(vx + c), by brute force."""
     ring = f.ring
     units = np.flatnonzero(element_units(ring)).tolist()
-    images = [_substituted(f, v, c) for v in units for c in range(ring.order)]
+    images = [substituted(f, v, c) for v in units for c in range(ring.order)]
     return {tuple(ring.mul(u, a) for a in h.coeffs) for h in images for u in units}
 
 
@@ -598,14 +609,31 @@ def _polys(ring, degrees):
 
 
 def test_substitute_matches_powers_of_the_linear_form():
+    # columnwise, with one (v, c) per column entry
     z3 = ZmodRing(3)
     for ring in (ZmodRing(5), ZmodRing(8),
                  make_trivial_extension(z3, free_module(z3, 1))[0]):
         units = np.flatnonzero(element_units(ring)).tolist()
-        for f in _polys(ring, (1, 2))[::7]:
-            for v in units:
-                for c in range(ring.order):
-                    assert polys._substitute(f, v, c) == _substituted(f, v, c)
+        fs = _polys(ring, (1, 2))[::7]
+        vc = [(f, v, c) for f in fs for v in units for c in range(ring.order)]
+        cols = polys._substitute(
+            ring, polys._poly_columns([f for f, _, _ in vc]),
+            np.array([v for _, v, _ in vc]), np.array([c for _, _, c in vc]))
+        images = np.stack(cols, axis=1).tolist()
+        for (f, v, c), image in zip(vc, images):
+            assert make_poly(ring, image) == substituted(f, v, c)
+
+
+def test_unit_content_by_lattice_id_and_above_the_lattice_by_span(corpus_rings):
+    # at lattice scale the content id is compared with that of R; above the
+    # lattice bound, where no lattice can be built, the span decides
+    for ring in (r for r in corpus_rings if r.order <= 16):
+        for f in _polys(ring, (0, 1)):
+            assert polys._unit_content(f) == content(f).is_unit_ideal(), f
+    big = ZmodRing(ideals.LATTICE_LIMIT + 3)          # 4099 is prime
+    assert certify_gaussian(poly_from_literals(big, [0, 2])).reason == "unit_content"
+    with pytest.raises(BoundExceededError):
+        ideals.enumerate_ideals(big)
 
 
 def test_affine_orbits_are_the_orbits_within_the_list():
@@ -620,7 +648,7 @@ def test_affine_orbits_are_the_orbits_within_the_list():
             for i, f in enumerate(fs):
                 r = int(root[i])
                 assert r <= i and root[r] == r
-                image = _substituted(fs[r], int(dilation[i]), int(shift[i]))
+                image = substituted(fs[r], int(dilation[i]), int(shift[i]))
                 assert f.coeffs in {tuple(ring.mul(u, a) for a in image.coeffs)
                                     for u in units}
                 if closed:
