@@ -13,7 +13,8 @@ entries are read from rows already filed (by associativity), and each
 ideal's generators are walked along those rows.  The principal ideals
 themselves take one product row per associate class, since R·(ua) = R·a for
 every unit u, and the cosets of a quotient are swept along a chain of
-subgroups, one generator's multiples at a time (`coset_minima`).
+subgroups, one generator at a time in ⌈log₂ t⌉ doubling windows for a
+generator of order t (`coset_minima`).
 
 `local_factors` is the one home of locality and the maximal ideals.  A
 ring with one primitive idempotent is local, its maximal ideal the
@@ -285,9 +286,11 @@ class IdealLattice:
         ids = np.arange(len(ideals))
         proper = ids != ids[-1]
         inside = join == ids[:, None]          # column P lies inside ideal i
+        principal = np.zeros(len(ideals), dtype=bool)
+        principal[join[0]] = True              # 0 + P = P for every column
         # an atom is generated by any of its nonzero elements, so it is a
         # principal ideal holding no principal ideal but 0 and itself
-        atom = np.isin(ids, join[0]) & proper & (inside.sum(axis=1) == 2)
+        atom = principal & proper & (np.count_nonzero(inside, axis=1) == 2)
         # M is maximal iff M + R·a is M or R for every element a
         maximal = proper & (inside | (join == ids[-1])).all(axis=1)
         self.atoms = [ideals[i] for i in np.flatnonzero(atom)]
@@ -474,11 +477,13 @@ def coset_minima(ring: FiniteRing, idx: np.ndarray) -> np.ndarray:
 
     Sweeps a chain of subgroups 0 = H₀ ⊂ H₁ ⊂ … ⊂ I, keeping rep[x] =
     min(x + H) for the subgroup H spanned so far.  Since 0 is the least
-    index, rep[g] = 0 iff g ∈ H; such a g adds nothing and is skipped.
-    Otherwise let t be the first s ≥ 1 with s·g ∈ H; then H + ⟨g⟩ is the
-    disjoint union of the cosets s·g + H for s < t, so the new minimum is
-    the least of rep[x + s·g] over those s.  That costs n·(t − 1) additions
-    for a subgroup t times larger, at most n·|I| in all.
+    index, rep[y] = 0 iff y ∈ H; a generator g ∈ H adds nothing and is
+    skipped.  Otherwise let t be the first s ≥ 1 with s·g ∈ H.  rep is
+    H-invariant and t·g ∈ H, so s ↦ rep[x + s·g] has period t, and any t
+    consecutive s span the coset x + H + ⟨g⟩.  Doubling windows, rep ←
+    min(rep, rep[x + w·g]) for w = 1, 2, 4, … while w < t, reach that span
+    in ⌈log₂ t⌉ gathers: n·⌈log₂ t⌉ additions per generator, at most
+    n·(log₂|I| + number of generators) in all.
     """
     n = ring.order
     cols = np.arange(n, dtype=np.int64)
@@ -489,14 +494,26 @@ def coset_minima(ring: FiniteRing, idx: np.ndarray) -> np.ndarray:
             break
         if rep[g] == 0:
             continue
-        old, shift, t = rep, g, 1              # shift = t·g
-        rep = old.copy()
-        while old[shift] != 0:
-            np.minimum(rep, old[ring.add_arr(cols, shift)], out=rep)
+        shift, t = g, 1                        # shift = t·g
+        while rep[shift] != 0:
             shift = ring.add(shift, g)
             t += 1
+        shift, w = g, 1                        # shift = w·g
+        while w < t:
+            # the gather copies rep before the in-place minimum writes it
+            np.minimum(rep, rep[ring.add_arr(cols, shift)], out=rep)
+            shift = ring.add(shift, shift)
+            w *= 2
         size *= t
     return rep
+
+
+def _coset_layout(ring: FiniteRing, ideal: Ideal) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending minimal coset representatives of R/I and the coset id
+    of every element."""
+    rep_of = coset_minima(ring, ideal.indices)
+    reps = np.flatnonzero(rep_of == np.arange(ring.order))
+    return reps, np.searchsorted(reps, rep_of)
 
 
 def make_quotient(ring: FiniteRing, ideal: Ideal,
@@ -506,9 +523,7 @@ def make_quotient(ring: FiniteRing, ideal: Ideal,
         raise RingBuildError("quotient ideal belongs to a different ring")
     if ideal.is_unit_ideal():
         raise RingBuildError("cannot quotient by the unit ideal")
-    rep_of = coset_minima(ring, ideal.indices)
-    reps = np.flatnonzero(rep_of == np.arange(ring.order))
-    coset_id = np.searchsorted(reps, rep_of)
+    reps, coset_id = _coset_layout(ring, ideal)
     if spec is None and ring.spec is not None:
         spec = RingSpec("quotient", (tuple(ideal.gen_literals()),), (ring.spec,))
     quotient = QuotientRing(ring, reps, coset_id, spec)
@@ -523,9 +538,7 @@ def quotient_module(base: FiniteRing, ideal: Ideal,
     if ideal.is_unit_ideal():
         raise RingBuildError("cannot build the zero quotient module A/A")
     n = base.order
-    rep_of = coset_minima(base, ideal.indices)
-    reps = np.flatnonzero(rep_of == np.arange(n))
-    coset = np.searchsorted(reps, rep_of)
+    reps, coset = _coset_layout(base, ideal)
     madd = coset[base.add_arr(reps[:, None], reps[None, :])]
     mneg = coset[base.neg_arr(reps)]
     act = coset[base.mul_arr(np.arange(n, dtype=np.int64)[:, None], reps[None, :])]

@@ -2,8 +2,9 @@
 seeded Dedekind–Mertens audit that the witness searches are checked against,
 the pairwise atom and maximal scans of an ideal lattice, the lattice scan of
 arithmeticity, the pairwise irreducibility test, the pairwise locality test,
-the member-product closure of an ideal product, and affine substitution by
-powers of the linear form.  No program path calls them."""
+the member-product closure of an ideal product, affine substitution by
+powers of the linear form, and the hom laws checked one source element at a
+time.  No program path calls them."""
 
 import numpy as np
 
@@ -12,7 +13,8 @@ from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
                             is_locally_principal)
 from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns,
                            decode_poly_block, make_poly, poly_count, poly_mul)
-from finring.rings import FiniteRing, blocks, element_units, mask_from_indices
+from finring.rings import (FiniteRing, RingHom, blocks, element_units,
+                           mask_from_indices)
 
 
 def atoms_by_pairwise_scan(lattice: IdealLattice) -> list:
@@ -163,3 +165,18 @@ def substituted(f: RingPoly, v: int, c: int) -> RingPoly:
             out[k] = ring.add(out[k], ring.mul(a, b))
         power = poly_mul(power, make_poly(ring, [c, v]))
     return make_poly(ring, out)
+
+
+def hom_laws_by_element_scan(hom: RingHom) -> bool:
+    """0 ↦ 0, 1 ↦ 1, and the add and mul laws for one source element a
+    against every b per step."""
+    m, src, tgt = hom.map, hom.source, hom.target
+    if m[src.zero] != tgt.zero or m[src.one] != tgt.one:
+        return False
+    cols = np.arange(src.order, dtype=np.int64)
+    for a in range(src.order):
+        if not np.array_equal(m[src.add_arr(a, cols)], tgt.add_arr(m[a], m[cols])):
+            return False
+        if not np.array_equal(m[src.mul_arr(a, cols)], tgt.mul_arr(m[a], m[cols])):
+            return False
+    return True

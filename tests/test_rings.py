@@ -13,6 +13,8 @@ from finring.rings import (GFRing, ProductRing, ZmodRing,
 from finring.ideals import (is_local, make_quotient, principal_ideal,
                             residue_vector_space)
 
+from oracles import hom_laws_by_element_scan
+
 
 # ---------------------------------------------------------------- zmod
 
@@ -234,6 +236,30 @@ def test_hom_verify_refuses_above_the_pair_cap():
     assert big.order ** 2 > KIND_SCAN_LIMIT
     with pytest.raises(BoundExceededError):
         RingHom(big, big, np.arange(big.order, dtype=np.int64)).verify()
+
+
+def test_hom_verify_matches_element_scan():
+    from finring.rings import CACHE_BLOCK, RingHom
+    z2 = ZmodRing(2)
+    dual, _, _ = make_trivial_extension(z2, free_module(z2, 1))
+    # ε ↦ 1 + ε on Z2 ∝ Z2 (index 2a + e) keeps 0, 1 and addition, but
+    # ε² = 0 while (1 + ε)² = 1
+    eps_shift = RingHom(dual, dual, np.array([0, 3, 2, 1], dtype=np.int64))
+    z4 = ZmodRing(4)
+    ext, embed, project = make_trivial_extension(z4, free_module(z4, 2))
+    z12 = ZmodRing(12)
+    # Z2053 has no tables, and its n² pairs take many blocks of rows
+    z2053 = ZmodRing(2053)
+    assert z2053.order ** 2 > CACHE_BLOCK
+    swapped = np.arange(z2053.order, dtype=np.int64)
+    swapped[[2051, 2052]] = [2052, 2051]
+    homs = [embed, project, make_quotient(z12, principal_ideal(z12, 4))[1],
+            make_quotient(ext, principal_ideal(ext, ext.encode_literal((2, (1, 0)))))[1],
+            RingHom(z2053, z2053, np.arange(z2053.order, dtype=np.int64)),
+            eps_shift, RingHom(z2053, z2053, swapped)]
+    verdicts = [hom.verify() for hom in homs]
+    assert verdicts == [hom_laws_by_element_scan(hom) for hom in homs]
+    assert verdicts == [True] * 5 + [False] * 2
 
 
 def test_hom_requires_total_map():

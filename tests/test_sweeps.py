@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from finring.corpus import CorpusConfig, generate_corpus
-from finring.ideals import (coset_minima, ideal_generated_by, indices_from_mask,
-                            localize_at, make_quotient, mask_from_indices,
-                            maximal_ideals, principal_ideal_masks)
+from finring.ideals import (coset_minima, enumerate_ideals, ideal_generated_by,
+                            indices_from_mask, localize_at, make_quotient,
+                            mask_from_indices, maximal_ideals,
+                            principal_ideal_masks)
 from finring.rings import (ProductRing, ZmodRing, associate_leaders,
                            element_units, free_module, make_trivial_extension,
                            standard_gf)
@@ -119,11 +120,26 @@ def test_coset_minima_match_sum_scan():
             kernel = localize_at(ring, m)[1].kernel_indices()
             assert np.array_equal(coset_minima(ring, kernel),
                                   _scanned_coset_minima(ring, kernel)), ring.name
+    # generator orders 3, 9 and 27, none a power of two, take up to five
+    # doubling windows each
+    z27 = ZmodRing(27)
+    ring = make_trivial_extension(z27, free_module(z27, 1))[0]
+    for ideal in enumerate_ideals(ring).ideals:
+        assert np.array_equal(coset_minima(ring, ideal.indices),
+                              _scanned_coset_minima(ring, ideal.indices))
+    # Z11 ∝ Z11² (order 1,331) has no tables, so 0 ∝ E is swept with
+    # structural additions
+    z11 = ZmodRing(11)
+    ring = make_trivial_extension(z11, free_module(z11, 2))[0]
+    assert ring._tables is None
+    ext = np.arange(11 * 11, dtype=np.int64)
+    assert np.array_equal(coset_minima(ring, ext), _scanned_coset_minima(ring, ext))
 
 
 def test_quotient_by_extension_ideal_sweeps_two_generators(monkeypatch):
     # Z31 ∝ Z31²: the cosets of 0 ∝ E are the blocks of 961 consecutive
-    # indices; the sweep adds 30 multiples of each of E's two generators
+    # indices; the sweep takes ⌈log₂ 31⌉ = 5 doubling windows of n for each
+    # of E's two generators, and the quotient adds its own 31² table
     z31 = ZmodRing(31)
     ring = make_trivial_extension(z31, free_module(z31, 2))[0]
     n, m = ring.order, 31 * 31
@@ -133,4 +149,4 @@ def test_quotient_by_extension_ideal_sweeps_two_generators(monkeypatch):
     quotient, proj = make_quotient(ring, ext_ideal)
     assert np.array_equal(quotient.reps, np.arange(0, n, m))
     assert np.array_equal(proj.map, np.arange(n) // m)
-    assert sum(seen) <= 62 * n
+    assert sum(seen) <= 10 * n + 31 * 31
