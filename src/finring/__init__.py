@@ -25,8 +25,8 @@ from .polys import (RingPoly, certify_gaussian, content,
                     dedekind_mertens_check, make_poly, poly_mul)
 from .rings import (FiniteModule, FiniteRing, GFRing, ProductRing,
                     QuotientRing, RingHom, TrivialExtensionRing, ZmodRing,
-                    free_module, make_trivial_extension, module_sum,
-                    standard_gf, verify_module_axioms, verify_ring_axioms)
+                    free_module, module_sum, standard_gf, verify_module_axioms,
+                    verify_ring_axioms)
 from .specfile import build_ring, build_target, parse_ring_spec
 
 __all__ = [
@@ -42,9 +42,9 @@ __all__ = [
     "ideal_generated_by", "ideal_intersection", "ideal_product",
     "ideal_quotient", "ideal_sum", "is_local", "is_locally_principal",
     "is_principal", "localize_at", "make_poly", "make_quotient",
-    "make_trivial_extension", "maximal_ideals", "module_sum",
-    "parse_ring_spec", "poly_mul", "principal_ideal", "replay_condition",
-    "replay_report", "residue_vector_space", "run_conjecture", "run_corpus",
+    "maximal_ideals", "module_sum", "parse_ring_spec", "poly_mul",
+    "principal_ideal", "replay_condition", "replay_report",
+    "residue_vector_space", "run_conjecture", "run_corpus",
     "run_theorem_harness", "standard_gf", "verify_module_axioms",
     "verify_ring_axioms",
 ]

@@ -19,8 +19,8 @@ from .ideals import (additive_closure_indices, enumerate_ideals,
                      ideal_generated_by, is_local, localize_at, maximal_ideals,
                      principal_ideal, principal_in_local_ring, push_ideal)
 from .polys import content, make_poly, poly_mul
-from .rings import (FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
-                    blocks, element_units)
+from .rings import (CACHE_BLOCK, FiniteRing, ProductRing, RingHom,
+                    TrivialExtensionRing, blocks, element_units)
 
 
 def _fail(ring: FiniteRing, name: str, detail: str) -> None:
@@ -129,7 +129,7 @@ def _replay_vn_positive(ring: FiniteRing, name: str) -> None:
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
     squares = ring.mul_arr(idx, idx)
-    for start, stop in blocks(n, n):
+    for start, stop in blocks(n, n, CACHE_BLOCK):
         rows = np.arange(start, stop, dtype=np.int64)
         ok = (ring.mul_arr(squares[rows][:, None], idx[None, :])
               == rows[:, None]).any(axis=1)
@@ -309,7 +309,7 @@ def replay_total_quotient(ring: FiniteRing, result: dict) -> bool:
         idx = np.arange(n, dtype=np.int64)
         zd = np.zeros(n, dtype=bool)
         zd[ring.zero] = True
-        for start, stop in blocks(n, n):
+        for start, stop in blocks(n, n, CACHE_BLOCK):
             rows = np.arange(start, stop, dtype=np.int64)
             prods = ring.mul_arr(rows[:, None], idx[None, 1:])
             zd[rows] |= (prods == ring.zero).any(axis=1)

@@ -30,17 +30,18 @@ from itertools import islice
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError
-from .ideals import (LATTICE_LIMIT, Ideal, content_calculus, enumerate_ideals,
-                     first_nonprincipal_maximal, is_local,
+from .ideals import (LATTICE_LIMIT, Ideal, complement_idempotent,
+                     content_calculus, enumerate_ideals,
+                     first_nonprincipal_maximal, ideal_product, is_local,
                      is_locally_principal, least_generator_count,
-                     local_factors, localize_at, mask_from_indices,
-                     maximal_ideals, zero_ideal_locally_irreducible)
-from .polys import (RingPoly, certify_gaussians, content_spans,
-                    decode_poly_block, has_square_zero_maximal, make_poly,
-                    poly_count, ring_gaussian_refutation_search)
-from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
-                    ProductRing, RingHom, TrivialExtensionRing, blocks,
-                    element_units)
+                     local_factors, make_quotient, mask_from_indices,
+                     principal_ideal, zero_ideal_locally_irreducible)
+from .polys import (RingPoly, certify_gaussians, content, decode_poly_block,
+                    has_square_zero_maximal, make_poly, poly_count, poly_mul,
+                    ring_gaussian_refutation_search)
+from .rings import (CACHE_BLOCK, KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT,
+                    FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
+                    blocks, element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
 SEARCH_BOUNDS = ("degree_bound", "witness_cap", "pair_cap", "pseudo_candidate_cap")
@@ -193,7 +194,7 @@ def _vn_regular_scan(ring: FiniteRing) -> tuple[bool, int | None, str]:
             f"quasi-inverse scan on reduced ring {ring.name} exceeds the pair cap")
     idx = np.arange(n, dtype=np.int64)
     squares = ring.mul_arr(idx, idx)
-    for start, stop in blocks(n, n):
+    for start, stop in blocks(n, n, CACHE_BLOCK):
         rows = np.arange(start, stop, dtype=np.int64)
         solvable = (ring.mul_arr(squares[rows][:, None], idx[None, :])
                     == rows[:, None]).any(axis=1)
@@ -251,13 +252,20 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 
 def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
     """Read from `first_nonprincipal_maximal`.  At lattice scale a `False`
-    witness is the first lattice ideal that is not locally principal;
-    above it the ring is local (or `local_factors` raises) and the witness
-    is its maximal ideal, since there locally principal is principal."""
+    witness is the first lattice ideal that is not locally principal.
+    Above it both certificates, and their replays, assume a local ring,
+    whose witness is its maximal ideal, since there locally principal is
+    principal; a non-local ring there raises BoundExceededError, although
+    its local factors need no lattice."""
     return ring.memo("arithmetical", lambda: _decide_arithmetical_inner(ring))
 
 
 def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
+    if ring.order > LATTICE_LIMIT and is_local(ring) is None:
+        raise BoundExceededError(
+            f"arithmetical certificate for the non-local {ring.name} (order "
+            f"{ring.order}) needs the ideal lattice, limited to order "
+            f"{LATTICE_LIMIT}")
     bad = first_nonprincipal_maximal(ring)
     if ring.order > LATTICE_LIMIT:
         if bad is None:
@@ -307,8 +315,9 @@ def gaussian_ring_verdict(ring: FiniteRing, config: ClassifyConfig) -> Condition
 
 def _refutation(f: RingPoly, g: RingPoly, **certificate) -> ConditionResult:
     """The No for a pair (f, g) with c(fg) ≠ c(f)c(g), checked here."""
-    lhs, rhs = content_spans(f, g)
-    if np.array_equal(lhs, rhs):
+    lhs = content(poly_mul(f, g))
+    rhs = ideal_product(content(f), content(g))
+    if lhs.mask == rhs.mask:
         raise ConsistencyError(
             f"{f.ring.name}: claimed Gaussian violation failed to verify")
     return ConditionResult(
@@ -324,9 +333,8 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionR
         if first_nonprincipal_maximal(ring) is None:
             return ConditionResult("Yes", {"rule": "arithmetical"})
         # rule (b): split a non-local ring into its local factors
-        maximals = maximal_ideals(ring)
-        if len(maximals) >= 2:
-            return _gaussian_by_decomposition(ring, maximals, config)
+        if is_local(ring) is None:
+            return _gaussian_by_decomposition(ring, config)
 
     # rule (c): local with square-zero maximal ideal
     if has_square_zero_maximal(ring):
@@ -365,17 +373,20 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionR
         bound=sym_degree)
 
 
-def _gaussian_by_decomposition(ring: FiniteRing, maximals, config: ClassifyConfig
+def _gaussian_by_decomposition(ring: FiniteRing, config: ClassifyConfig
                                ) -> ConditionResult:
-    """Certify via a verified isomorphism R ≅ Π R_m and per-factor verdicts.
-    A factor's violating pair is read back from its literals and lifted
-    along the inverse isomorphism, with every other coordinate zero."""
+    """Certify via a verified isomorphism R ≅ Π R_m and per-factor verdicts,
+    each R_m built as R/(1 − e)R for its primitive idempotent e, in the
+    order of `local_factors`.  A factor's violating pair is read back from
+    its literals and lifted along the inverse isomorphism, with every other
+    coordinate zero."""
     factors = []
     combined = np.zeros(ring.order, dtype=np.int64)
-    for m in maximals:
-        localized, hom = localize_at(ring, m)
-        factors.append(localized)
-        combined = combined * localized.order + hom.map
+    for _m, e, _corner in local_factors(ring):
+        factor, hom = make_quotient(
+            ring, principal_ideal(ring, complement_idempotent(ring, e)))
+        factors.append(factor)
+        combined = combined * factor.order + hom.map
     product = factors[0]
     for extra in factors[1:]:
         product = ProductRing(product, extra, spec=None)
@@ -547,9 +558,8 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
 
 
 def decide_zero_locally_irreducible(ring: FiniteRing) -> ConditionResult:
-    """Read from each local factor's socle, so a local ring gets a verdict at
-    any order; a non-local ring above the lattice bound still raises inside
-    `local_factors`, which takes its maximal ideals from the lattice."""
+    """Read from each local factor's socle.  `local_factors` reads no
+    lattice, so every ring gets a verdict at any order, local or not."""
     verdict, detail = zero_ideal_locally_irreducible(ring)
     cert = {"kind": "localization_atom_counts", "localizations": detail}
     if verdict:

@@ -30,8 +30,8 @@ from .classify import (ClassificationReport, ClassifyConfig, classify,
 from .errors import ConsistencyError
 from .harness import build_residue_idealization
 from .ideals import is_local
-from .rings import (STANDARD_GF_MODULI, FiniteRing, ProductRing, ZmodRing,
-                    free_module, make_trivial_extension, standard_gf)
+from .rings import (STANDARD_GF_MODULI, FiniteRing, ProductRing,
+                    TrivialExtensionRing, ZmodRing, free_module, standard_gf)
 
 DEFAULT_FAMILIES = ("zmod", "gf", "product", "trivext")
 TRIVEXT_DIMENSIONS = (1, 2)
@@ -86,7 +86,7 @@ def generate_corpus(config: CorpusConfig | None = None) -> list[FiniteRing]:
             is_field = is_local(base).size == 1
             if not is_field and base.order**2 <= config.max_order:
                 corpus.append(
-                    make_trivial_extension(base, free_module(base, 1))[0])
+                    TrivialExtensionRing(base, free_module(base, 1)))
     return corpus
 
 

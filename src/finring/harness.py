@@ -32,7 +32,7 @@ from .errors import ConsistencyError, RingBuildError
 from .ideals import (ideal_generated_by, ideal_product, is_local,
                      make_quotient, residue_vector_space)
 from .rings import (FiniteRing, RingHom, TrivialExtensionRing, ZmodRing,
-                    make_trivial_extension, standard_gf)
+                    standard_gf)
 
 DEFAULT_ZMOD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
                        29, 31, 32)
@@ -85,7 +85,7 @@ def build_residue_idealization(base: FiniteRing, n: int) -> TrivialExtensionRing
         raise RingBuildError(
             f"residue idealization needs a local base; {base.name} is not local")
     module = residue_vector_space(base, maximal, n)
-    return make_trivial_extension(base, module)[0]
+    return TrivialExtensionRing(base, module)
 
 
 def check_residue_idealization(base: FiniteRing, n: int,

@@ -16,17 +16,17 @@ every unit u, and the cosets of a quotient are swept along a chain of
 subgroups, one generator at a time in ⌈log₂ t⌉ doubling windows for a
 generator of order t (`coset_minima`).
 
-`local_factors` is the one home of locality and the maximal ideals.  A
-ring with one primitive idempotent is local, its maximal ideal the
-non-units, which `minimal_generators` checks to be an ideal; a ring with
-several reads them from the lattice, one per idempotent.  The deciders read
-each localization R_m as that factor's corner eR, e the primitive idempotent
-outside m: the image of an ideal I is I ∩ eR, a mask AND, and no quotient
-ring is built.  Principality there is read from the generators (Nakayama),
-arithmeticity from the corners' maximal ideals, and zero-ideal
-irreducibility from their socles.  `localize_at`, the quotient by the
-annihilator kernel, stays for replay and for the Gaussian decomposition,
-whose lifted witnesses go through coset representatives.
+`local_factors` is the one home of locality and the maximal ideals, read
+from the primitive idempotents with no lattice: the maximal ideal that
+misses e is {r : e·r + (1 − e) is not a unit}, which `minimal_generators`
+checks to be an ideal, and a local ring's is its non-units (e = 1).  The
+deciders read each localization R_m as that factor's corner eR: the image
+of an ideal I is I ∩ eR, a mask AND.  Principality there is read from the
+generators (Nakayama), arithmeticity from the corners' maximal ideals, and
+zero-ideal irreducibility from their socles.  The Gaussian decomposition,
+whose lifted witnesses go through coset representatives, builds each factor
+as R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
+by a scan of products, serves replay alone.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .rings import (CHUNK, FiniteModule, FiniteRing, ModuleSpec, QuotientRing,
-                    RingHom, RingSpec, associate_sweep, blocks, element_units,
-                    free_module, indices_from_mask, mask_from_indices,
-                    module_sum, primitive_idempotents)
+from .rings import (CACHE_BLOCK, CHUNK, FiniteModule, FiniteRing, ModuleSpec,
+                    QuotientRing, RingHom, RingSpec, associate_sweep, blocks,
+                    element_units, free_module, indices_from_mask,
+                    mask_from_indices, module_sum, primitive_idempotents)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
 
@@ -247,7 +247,7 @@ def ideal_quotient(i: Ideal, j: Ideal) -> Ideal:
     member[i.indices] = True
     jdx = j.indices
     keep = np.zeros(n, dtype=bool)
-    for start, stop in blocks(n, jdx.size):
+    for start, stop in blocks(n, jdx.size, CACHE_BLOCK):
         rows = np.arange(start, stop, dtype=np.int64)
         keep[rows] = member[ring.mul_arr(rows[:, None], jdx[None, :])].all(axis=1)
     idx = np.nonzero(keep)[0]
@@ -291,10 +291,7 @@ class IdealLattice:
         # an atom is generated by any of its nonzero elements, so it is a
         # principal ideal holding no principal ideal but 0 and itself
         atom = principal & proper & (np.count_nonzero(inside, axis=1) == 2)
-        # M is maximal iff M + R·a is M or R for every element a
-        maximal = proper & (inside | (join == ids[-1])).all(axis=1)
         self.atoms = [ideals[i] for i in np.flatnonzero(atom)]
-        self.maximals = [ideals[i] for i in np.flatnonzero(maximal)]
 
     def __len__(self) -> int:
         return len(self.ideals)
@@ -581,7 +578,7 @@ def _localize(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
     outside = np.nonzero(~member)[0].astype(np.int64)
     killed = np.zeros(n, dtype=bool)
     cols = np.arange(n, dtype=np.int64)
-    for start, stop in blocks(outside.size, n):
+    for start, stop in blocks(outside.size, n, CACHE_BLOCK):
         rows = outside[start:stop]
         killed |= (ring.mul_arr(rows[:, None], cols[None, :]) == ring.zero).any(axis=0)
     kmask = mask_from_indices(np.nonzero(killed)[0], n)
@@ -625,49 +622,50 @@ def local_factors(ring: FiniteRing) -> list[LocalFactor]:
 
     R is the product of its corners eR over its primitive idempotents e,
     and r ↦ e·r is the projection onto the factor R_m whose maximal ideal m
-    is the one that misses e (Atiyah–Macdonald, Thm 8.7).
+    is the one that misses e (Atiyah–Macdonald, Thm 8.7).  So m is
+    (1 − e)R plus the non-units of eR, i.e. {r : e·r + (1 − e) is not a
+    unit}, read from the certified partition, and the corner eR is the
+    principal mask of e.  A local ring is its own factor: e = 1, eR = R and
+    m the non-units.  No lattice is read, so every ring gets its factors at
+    any order.  The factors come in the lattice's order, by the (size,
+    mask) of m, and m's generators from `minimal_generators`, the greedy
+    list the lattice walks too.
 
-    With one primitive idempotent R is local, its own factor with e = 1 and
-    eR = R, and m is the set of non-units (a unit r·x would make x a unit),
-    found with no lattice, so at any order.  Runtime invariant: the span
-    that `minimal_generators` grows from the R·x, x a non-unit, is exactly
-    the non-units, i.e. they are closed under addition.
-
-    With several, each m is the lattice's own `Ideal`, in the lattice's
-    order, and eR is the principal mask of e.  Runtime invariant: there are
-    as many primitive idempotents as maximal ideals, each maximal ideal
-    misses exactly one of them, no two miss the same one, and they sum to
-    1.  Either invariant failing raises ConsistencyError.
+    Runtime invariants: the primitive idempotents sum to 1, and each m is
+    an ideal (the span that `minimal_generators` grows from its members is
+    m itself).  Either failing raises ConsistencyError.
     """
     return ring.memo("local_factors", lambda: _local_factors(ring))
 
 
 def _local_factors(ring: FiniteRing) -> list[LocalFactor]:
     idempotents = primitive_idempotents(ring).tolist()
-    if len(idempotents) <= 1:
-        nonunits = np.flatnonzero(~element_units(ring))
-        mask = mask_from_indices(nonunits, ring.order)
-        maximal = Ideal(ring, mask, minimal_generators(ring, mask), nonunits)
-        return [LocalFactor(maximal, ring.one, (1 << ring.order) - 1)]
-    maximals = enumerate_ideals(ring).maximals
-    pmasks = principal_ideal_masks(ring)
-    factors = []
-    for m in maximals:
-        outside = [e for e in idempotents if not m.contains(e)]
-        if len(outside) != 1:
-            raise ConsistencyError(
-                f"{ring.name}: a maximal ideal misses {len(outside)} primitive "
-                "idempotents instead of one")
-        factors.append(LocalFactor(m, outside[0], pmasks[outside[0]]))
     total = ring.zero
     for e in idempotents:
         total = ring.add(total, e)
-    if (len(idempotents) != len(maximals) or total != ring.one
-            or len({f.idempotent for f in factors}) != len(factors)):
+    if total != ring.one:
         raise ConsistencyError(
-            f"{ring.name}: {len(idempotents)} primitive idempotents do not "
-            f"split the ring into its {len(maximals)} local factors")
-    return factors
+            f"{ring.name}: its {len(idempotents)} primitive idempotents do not "
+            "sum to 1")
+    units = element_units(ring)
+    idx = np.arange(ring.order, dtype=np.int64)
+    factors = []
+    for e in idempotents:
+        image = ring.mul_arr(idx, e)           # r ↦ e·r, onto the corner eR
+        # e·r + (1 − e) is a unit of R iff e·r is a unit of eR
+        members = np.flatnonzero(
+            ~units[ring.add_arr(image, complement_idempotent(ring, e))])
+        mask = mask_from_indices(members, ring.order)
+        maximal = Ideal(ring, mask, minimal_generators(ring, mask), members)
+        corner = mask_from_indices(_distinct_indices(ring.order, image), ring.order)
+        factors.append(LocalFactor(maximal, e, corner))
+    return sorted(factors, key=lambda f: (f.maximal.size, f.maximal.mask))
+
+
+def complement_idempotent(ring: FiniteRing, e: int) -> int:
+    """1 − e; for a primitive idempotent e, (1 − e)R is the kernel of the
+    projection r ↦ e·r onto the factor eR, so R/(1 − e)R ≅ eR ≅ R_m."""
+    return ring.add(ring.one, int(ring.neg_arr(e)))
 
 
 def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
@@ -700,7 +698,7 @@ def first_nonprincipal_maximal(ring: FiniteRing) -> LocalFactor | None:
     Artinian local ring is one iff n is principal (Atiyah–Macdonald, Prop.
     8.8).  The e·g for the generators g of m generate n, so by Nakayama n
     is principal iff it is 0 or equals some R·(e·g): one product row per
-    generator and no lattice, so a local ring is decided at any order."""
+    generator and no lattice, so every ring is decided at any order."""
     def principal(m: Ideal, e: int, corner: int) -> bool:
         image = m.mask & corner
         return image == 1 or any(
@@ -749,9 +747,10 @@ def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
     has no atom: its socle is the ring itself, which the lattice does not
     count.  A remainder in the division is an internal error.
 
-    A local ring is its own factor (e = 1, eR = R), whose elements are read
-    as the index range, so no lattice is built at any order; replay
-    (`certs`) counts the atoms of each localization's lattice.
+    No lattice is built, so every ring, local or not, is answered at any
+    order; a local ring is its own factor (e = 1, eR = R), whose elements
+    are read as the index range.  Replay (`certs`) counts the atoms of each
+    localization's lattice.
     """
     n = ring.order
     detail = []

@@ -46,9 +46,10 @@ Every violation claimed, by a search hit or by a carried witness, is
 re-checked on its own f and g by one batched kernel (`_verify_violations`):
 some product fᵢgⱼ must lie outside the span of c(fg), which is the sum of
 the principal ideals of fg's coefficients, each formed afresh.  Since
-c(fg) ⊆ c(f)c(g), that holds exactly when the spans of c(fg) and c(f)c(g)
-differ (`content_spans`).  The re-check uses no lattice ids, join table or
-product table.
+c(fg) ⊆ c(f)c(g), that holds exactly when c(fg) and c(f)c(g) differ, i.e.
+when the ideals `content(poly_mul(f, g))` and `ideal_product(content(f),
+content(g))` have different masks.  The re-check uses no lattice ids, join
+table or product table.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .ideals import (LATTICE_LIMIT, Ideal, _distinct_indices, _grow_span,
+from .ideals import (LATTICE_LIMIT, Ideal, _distinct_indices,
                      _principal_indices, content_calculus, ideal_generated_by,
                      ideal_product, is_local, subgroup_sum_indices)
 from .rings import (FiniteRing, associate_leaders, blocks, element_units,
@@ -230,32 +231,6 @@ def _witness_block(ring: FiniteRing, degree: int, start: int, stop: int):
     return [c[start:stop] for c in cols], ids[start:stop]
 
 
-def content_spans(f: RingPoly, g: RingPoly) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted members of c(fg) and of c(f)c(g).
-
-    c(fg) is the span of the coefficients of fg.  c(f)c(g) is the span of
-    the products fᵢ·gⱼ, because the product of two ideals is generated by
-    the products of their generators.  Both spans grow through
-    `ideals._grow_span`, one principal ideal R·x = {r·x} at a time.
-
-    Shared with the searches it audits: the ring's add and mul, the
-    subgroup sums that also built the lattice, and `_grow_span`, which also
-    fills the `content_calculus` product table through `ideal_product`.
-    Not shared: lattice ids, the lattice's join table, the product table
-    itself, and the cached principal masks and associate classes.
-    """
-    ring = f.ring
-    lhs, _ = _grow_span(ring, poly_mul(f, g).coeffs, ring.order)
-    rhs, _ = _grow_span(ring, _coefficient_products(f, g).tolist(), ring.order)
-    return lhs, rhs
-
-
-def _coefficient_products(f: RingPoly, g: RingPoly) -> np.ndarray:
-    """The products fᵢ·gⱼ, flattened."""
-    return f.ring.mul_arr(np.array(f.coeffs, dtype=np.int64)[:, None],
-                          np.array(g.coeffs, dtype=np.int64)[None, :]).ravel()
-
-
 def _poly_columns(fs) -> np.ndarray:
     """Coefficient columns (low-first) of the polynomials `fs`, one row per
     degree slot, padded with zero to the widest of them: row i holds every
@@ -273,7 +248,7 @@ def _inside_content(ring: FiniteRing, f_cols, g_cols) -> np.ndarray:
 
     c(fg) ⊆ c(f)c(g) always holds, and c(f)c(g) is the span of the fᵢ·gⱼ,
     so a pair holds a content violation exactly when some product lies
-    outside c(fg), i.e. when its spans differ in `content_spans`.  fg comes
+    outside c(fg), i.e. when c(fg) ≠ c(f)c(g) as ideals.  fg comes
     from `_convolve_columns`, all the fᵢ·gⱼ from one broadcast product.
     c(fg) is the sum of the principal ideals R·a of its coefficients, taken
     by `ideals.subgroup_sum_indices` and skipping an R·a whose a the span

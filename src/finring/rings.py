@@ -720,17 +720,6 @@ class RingHom:
         return True
 
 
-def make_trivial_extension(base: FiniteRing, module: FiniteModule,
-                           spec: RingSpec | None = None
-                           ) -> tuple[TrivialExtensionRing, RingHom, RingHom]:
-    """Trivial extension plus the embedding a -> (a,0) and projection (a,e) -> a."""
-    ring = TrivialExtensionRing(base, module, spec)
-    m = module.order
-    embed = RingHom(base, ring, np.arange(base.order, dtype=np.int64) * m)
-    project = RingHom(ring, base, np.arange(ring.order, dtype=np.int64) // m)
-    return ring, embed, project
-
-
 @dataclass(frozen=True)
 class UnitPartition:
     """Certified split of a ring into units and zerodivisors (0 is one).
@@ -770,7 +759,8 @@ def _certified_partition(ring: FiniteRing) -> UnitPartition:
 
 def _scan_witnesses(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     """First inverse, else first nonzero annihilator, of every element, from
-    one blockwise scan of the multiplication table."""
+    one scan of the multiplication table in blocks of CACHE_BLOCK pairs (a
+    block of CHUNK pairs held about 64 MB at order 2048, and was slower)."""
     n = ring.order
     if n * n > KIND_SCAN_LIMIT:
         raise BoundExceededError(
@@ -778,7 +768,7 @@ def _scan_witnesses(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
     cols = np.arange(n, dtype=np.int64)
     units = np.zeros(n, dtype=bool)
     witness = np.zeros(n, dtype=np.int64)
-    for start, stop in blocks(n, n):
+    for start, stop in blocks(n, n, CACHE_BLOCK):
         rows = cols[start:stop]
         prods = ring.mul_arr(rows[:, None], cols[None, :])
         inverse = prods == ring.one

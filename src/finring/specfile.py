@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from .errors import RingBuildError, SpecError
 from .ideals import ideal_generated_by, make_quotient, quotient_module
 from .rings import (FiniteModule, FiniteRing, GFRing, ModuleSpec, ProductRing,
-                    RingSpec, ZmodRing, free_module, gf_modulus,
-                    make_trivial_extension, module_sum)
+                    RingSpec, TrivialExtensionRing, ZmodRing, free_module,
+                    gf_modulus, module_sum)
 
 MAX_INT_DIGITS = 18   # above every supported order and rank; literals fit int64
 
@@ -352,7 +352,7 @@ def _build_ring_inner(spec: RingSpec) -> FiniteRing:
         module = build_module(spec.children[1])
         if module.base is not base:
             raise RingBuildError("trivext module is not over the named base ring")
-        return make_trivial_extension(base, module, spec)[0]
+        return TrivialExtensionRing(base, module, spec)
     raise RingBuildError(f"unknown ring spec kind {spec.kind!r}")
 
 

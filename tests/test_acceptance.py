@@ -11,7 +11,7 @@ from finring.classify import (CONDITION_ORDER, ClassifyConfig, classify,
                               gaussian_ring_verdict)
 from finring.ideals import is_local, residue_vector_space
 from finring.polys import certify_gaussian, poly_at_index
-from finring.rings import (ZmodRing, free_module, make_trivial_extension,
+from finring.rings import (TrivialExtensionRing, ZmodRing, free_module,
                            standard_gf, verify_module_axioms,
                            verify_ring_axioms)
 from finring.harness import check_factor_descent
@@ -32,7 +32,7 @@ def _verdicts(report):
 def _residue_idealization(order: int, dim: int = 1):
     base = ZmodRing(order)
     module = residue_vector_space(base, is_local(base), dim)
-    return make_trivial_extension(base, module)[0]
+    return TrivialExtensionRing(base, module)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -87,7 +87,7 @@ def test_criterion_2_residue_idealization_fixture(acceptance_lines):
 def test_criterion_3_field_idealization_fixture(acceptance_lines):
     from finring.ideals import enumerate_ideals
     base = standard_gf(2, 1)
-    ring = make_trivial_extension(base, free_module(base, 2))[0]
+    ring = TrivialExtensionRing(base, free_module(base, 2))
     start = time.perf_counter()
     v = _verdicts(classify(ring))
     lattice = enumerate_ideals(ring)
@@ -112,7 +112,7 @@ def test_criterion_3_field_idealization_fixture(acceptance_lines):
 
 def test_criterion_4_dim_one_field_idealization(acceptance_lines):
     base = standard_gf(2, 1)
-    ring = make_trivial_extension(base, free_module(base, 1))[0]
+    ring = TrivialExtensionRing(base, free_module(base, 1))
     ok = classify(ring).verdict("arithmetical") is True
     _report(acceptance_lines, 4, ok, "F2 idealized by itself is arithmetical")
 

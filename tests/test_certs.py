@@ -13,8 +13,8 @@ from finring.classify import CONDITION_ORDER, ClassifyConfig, classify
 from finring.errors import ConsistencyError
 from finring.ideals import is_local, residue_vector_space
 from finring.reports import to_json
-from finring.rings import (ProductRing, ZmodRing, free_module,
-                           make_trivial_extension, standard_gf)
+from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
+                           free_module, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 
 SPECS = Path(__file__).resolve().parent / "specs"
@@ -27,12 +27,12 @@ def _round_trip(report) -> dict:
 def _residue_idealization(order: int, dim: int = 1):
     base = ZmodRing(order)
     module = residue_vector_space(base, is_local(base), dim)
-    return make_trivial_extension(base, module)[0]
+    return TrivialExtensionRing(base, module)
 
 
 def _self_idealization():
     base = ZmodRing(4)
-    return make_trivial_extension(base, free_module(base, 1))[0]
+    return TrivialExtensionRing(base, free_module(base, 1))
 
 
 def _product_mixed():

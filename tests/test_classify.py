@@ -18,14 +18,16 @@ from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
 from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, ConsistencyError
 from finring.ideals import (enumerate_ideals, first_nonprincipal_maximal,
-                            is_local, residue_vector_space)
-from finring.polys import (certify_gaussian, certify_gaussians, content_spans,
-                          poly_count)
+                            ideal_product, is_local, maximal_ideals,
+                            residue_vector_space)
+from finring.polys import (certify_gaussian, certify_gaussians, content,
+                          poly_count, poly_mul)
 from finring.reports import to_json
-from finring.rings import (ProductRing, ZmodRing, blocks, free_module,
-                           make_trivial_extension, standard_gf)
+from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing, blocks,
+                           free_module, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
-from oracles import arithmetical_by_lattice_scan, substituted
+from oracles import (arithmetical_by_lattice_scan, maximals_by_pairwise_scan,
+                     substituted)
 
 SPECS = Path(__file__).resolve().parent / "specs"
 
@@ -33,12 +35,12 @@ SPECS = Path(__file__).resolve().parent / "specs"
 def _residue_idealization(order: int, dim: int = 1):
     base = ZmodRing(order)
     module = residue_vector_space(base, is_local(base), dim)
-    return make_trivial_extension(base, module)[0]
+    return TrivialExtensionRing(base, module)
 
 
 def _field_idealization(p: int, k: int, dim: int):
     base = standard_gf(p, k)
-    return make_trivial_extension(base, free_module(base, dim))[0]
+    return TrivialExtensionRing(base, free_module(base, dim))
 
 
 classify_module = importlib.import_module("finring.classify")
@@ -107,7 +109,7 @@ def test_dim_one_field_idealization_arithmetical():
 
 def test_self_idealization_bounded_rows():
     base = ZmodRing(4)
-    ring = make_trivial_extension(base, free_module(base, 1))[0]
+    ring = TrivialExtensionRing(base, free_module(base, 1))
     report = classify(ring)
     v = _verdicts(report)
     assert v["gaussian"] == "No"
@@ -229,7 +231,7 @@ def _spec_ring(name: str):
 
 def _self_extension(p: int, rank: int):
     base = ZmodRing(p)
-    return make_trivial_extension(base, free_module(base, rank))[0]
+    return TrivialExtensionRing(base, free_module(base, rank))
 
 
 def test_arithmetical_rule_matches_the_lattice_scan():
@@ -325,7 +327,7 @@ def test_bound_exceeded_when_lattice_capped():
     # reads its principal maximal ideal, but pseudo-arithmetical needs the
     # lattice
     z67 = ZmodRing(67)
-    ring = make_trivial_extension(z67, free_module(z67, 1))[0]
+    ring = TrivialExtensionRing(z67, free_module(z67, 1))
     with pytest.raises(BoundExceededError):
         classify(ring)
 
@@ -363,7 +365,7 @@ def test_pseudo_arithmetical_yes_read_from_arithmetical(monkeypatch,
 
 def _self_idealization(order: int):
     base = ZmodRing(order)
-    return make_trivial_extension(base, free_module(base, 1))[0]
+    return TrivialExtensionRing(base, free_module(base, 1))
 
 
 def _pseudo_search(monkeypatch, ring):
@@ -404,8 +406,9 @@ def _assert_same_statuses(fs, verdicts):
             if r != i:
                 assert verdict.witness == substituted(
                     verdicts[r].witness, int(dilation[i]), int(shift[i]))
-            lhs, rhs = content_spans(f, verdict.witness)
-            assert not np.array_equal(lhs, rhs)
+            g = verdict.witness
+            assert (content(poly_mul(f, g)).mask
+                    != ideal_product(content(f), content(g)).mask)
 
 
 def test_orbit_reuse_matches_one_search_per_candidate(monkeypatch):
@@ -507,7 +510,8 @@ def test_generator_layouts_skip_degrees_below_the_generator_count(monkeypatch):
     # the maximal ideal of F2 ∝ F2^5 needs 5 generators: no layout of
     # degree ≤ 3 has enough coefficients, and none is decoded
     ring = _field_idealization(2, 1, 5)
-    maximal = enumerate_ideals(ring).maximals[0]
+    (maximal,) = maximal_ideals(ring)
+    assert [maximal] == maximals_by_pairwise_scan(enumerate_ideals(ring))
     decoded = []
     real = classify_module.decode_poly_block
 

@@ -172,6 +172,18 @@ def test_exit_2_on_bound_exceeded(tmp_path, capsys):
     assert "bound exceeded" in capsys.readouterr().err.lower()
 
 
+def test_exit_2_on_non_local_ring_above_the_lattice_bound(tmp_path, capsys):
+    # (Z17 ∝ Z17) × Z17, order 4913: its maximal ideals need no lattice, but
+    # the arithmetical certificates above the bound assume a local ring
+    path = tmp_path / "z17_trivext_x_z17.spec"
+    path.write_text("ring a = zmod(17)\nmodule e = free(a, 1)\n"
+                    "ring t = trivext(a, e)\nring r = product(t, a)\n")
+    assert main(["classify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "bound exceeded" in err.lower() and "non-local" in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_on_large_local_ring_with_a_square_nonzero_maximal(tmp_path, capsys):
     # Z1024 ∝ Z1024 has order 2^20 and 2^19 non-units: N² = 0 is tested on
     # the generators of N, not on all |N|² products

@@ -6,7 +6,7 @@ from finring.classify import ClassifyConfig
 from finring.corpus import (CorpusConfig, assert_corpus_invariants,
                             conjecture_row, generate_corpus)
 from finring.reports import to_json
-from finring.rings import ZmodRing, free_module, make_trivial_extension
+from finring.rings import TrivialExtensionRing, ZmodRing, free_module
 
 
 # ---------------------------------------------------------------- census
@@ -91,8 +91,8 @@ def test_conjecture_row_agree_on_gaussian_ring():
 def test_conjecture_row_agree_negative_side():
     base = ZmodRing(4)
     from finring.ideals import is_local, residue_vector_space
-    ring = make_trivial_extension(
-        base, residue_vector_space(base, is_local(base), 1))[0]
+    ring = TrivialExtensionRing(
+        base, residue_vector_space(base, is_local(base), 1))
     row = conjecture_row(ring, ClassifyConfig())
     assert row.agreement == "Agree"
     assert row.pseudo["verdict"] == "No"
@@ -101,7 +101,7 @@ def test_conjecture_row_agree_negative_side():
 
 def test_conjecture_row_undecided_is_bounded():
     base = ZmodRing(4)
-    ring = make_trivial_extension(base, free_module(base, 1))[0]
+    ring = TrivialExtensionRing(base, free_module(base, 1))
     row = conjecture_row(ring, ClassifyConfig())
     assert row.agreement == "Undecided"
     assert row.pseudo["verdict"] == "BoundedYes"

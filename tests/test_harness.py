@@ -7,7 +7,8 @@ from finring.harness import (DEFAULT_DIMENSIONS, DEFAULT_GF_PARAMS,
                              DEFAULT_ZMOD_ORDERS, build_residue_idealization,
                              check_factor_descent, check_residue_idealization,
                              default_local_bases)
-from finring.rings import ZmodRing, free_module, make_trivial_extension, standard_gf
+from finring.rings import (TrivialExtensionRing, ZmodRing, free_module,
+                           standard_gf)
 
 
 def test_build_residue_idealization_shape():
@@ -64,7 +65,7 @@ def test_factor_descent_laws_frozen():
 
 def test_factor_descent_arithmetical_case():
     base = standard_gf(2, 1)
-    ring = make_trivial_extension(base, free_module(base, 1))[0]
+    ring = TrivialExtensionRing(base, free_module(base, 1))
     result = check_factor_descent(ring)
     assert not result.failed
     statuses = {law.law: law.status for law in result.laws}

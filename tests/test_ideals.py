@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from finring import certs, ideals, specfile
-from finring.classify import (classify, decide_pruefer,
+from finring.classify import (classify, decide_arithmetical, decide_pruefer,
                               decide_zero_locally_irreducible)
 from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
@@ -28,8 +28,8 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             push_ideal, residue_vector_space,
                             subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
-from finring.rings import (ProductRing, QuotientRing, ZmodRing, element_units,
-                           free_module, make_trivial_extension,
+from finring.rings import (ProductRing, QuotientRing, TrivialExtensionRing,
+                           ZmodRing, element_units, free_module,
                            primitive_idempotents, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (atoms_by_pairwise_scan, is_irreducible,
@@ -58,7 +58,7 @@ def _trivext(base_order: int, residue_dim: int | None):
         module = free_module(base, 1)
     else:
         module = residue_vector_space(base, is_local(base), residue_dim)
-    return make_trivial_extension(base, module)[0]
+    return TrivialExtensionRing(base, module)
 
 
 # ---------------------------------------------------------------- lattice shape
@@ -156,7 +156,7 @@ def test_self_idealization_lattice_frozen():
 
 def test_field_idealization_lattice_frozen():
     base = standard_gf(2, 1)
-    ext, _, _ = make_trivial_extension(base, free_module(base, 2))
+    ext = TrivialExtensionRing(base, free_module(base, 2))
     assert sorted(i.size for i in enumerate_ideals(ext).ideals) == [1, 2, 2, 2, 4, 8]
     assert len(enumerate_ideals(ext).atoms) == 3
 
@@ -205,14 +205,19 @@ def test_atoms_and_maximals_match_pairwise_scans(corpus_rings):
     for ring in corpus_rings:
         lattice = enumerate_ideals(ring)
         assert lattice.atoms == atoms_by_pairwise_scan(lattice), ring.name
-        assert lattice.maximals == maximals_by_pairwise_scan(lattice), ring.name
+        maximals = maximals_by_pairwise_scan(lattice)
+        # same masks, same order, and the generators the lattice walked
+        assert maximal_ideals(ring) == maximals, ring.name
+        assert [m.gens for m in maximal_ideals(ring)] == \
+            [m.gens for m in maximals], ring.name
 
 
 def test_f2_trivext5_lattice_pinned():
     ring = _spec_ring("f2_trivext5")
     lattice = enumerate_ideals(ring)
     assert ring.order == 64
-    assert (len(lattice), len(lattice.atoms), len(lattice.maximals)) == (375, 31, 1)
+    assert maximal_ideals(ring) == maximals_by_pairwise_scan(lattice)
+    assert (len(lattice), len(lattice.atoms), len(maximal_ideals(ring))) == (375, 31, 1)
     assert lattice.join.shape == (375, 33)
 
 
@@ -224,8 +229,10 @@ def _z4_trivext4():
 
 
 def test_z4_trivext4_lattice_pinned():
-    lattice = enumerate_ideals(_z4_trivext4())
-    assert (len(lattice), len(lattice.atoms), len(lattice.maximals)) == (2291, 15, 1)
+    ring = _z4_trivext4()
+    lattice = enumerate_ideals(ring)
+    assert maximal_ideals(ring) == maximals_by_pairwise_scan(lattice)
+    assert (len(lattice), len(lattice.atoms), len(maximal_ideals(ring))) == (2291, 15, 1)
     assert lattice.join.shape == (2291, 153)
 
 
@@ -253,7 +260,7 @@ def test_generated_ideal_closure():
 def _two_generator_ideals(ring_base, rank):
     """(g1, g2) for every pair g1 <= g2 of nonzero elements of the local
     ring ring_base ∝ ring_base^rank."""
-    ring = make_trivial_extension(ring_base, free_module(ring_base, rank))[0]
+    ring = TrivialExtensionRing(ring_base, free_module(ring_base, rank))
     assert is_local(ring) is not None
     for g1 in range(1, ring.order):
         for g2 in range(g1, ring.order):
@@ -483,28 +490,35 @@ def test_local_factors_invariant_rejects_a_wrong_idempotent_set(monkeypatch,
 
 
 def test_local_factors_match_localization():
-    # the deciders read corners; replay localizes by the kernel quotient
-    # (`certs`).  Both must see the same maximals, factor orders, verdicts
-    # and counterexamples.
+    # the deciders read corners, and the Gaussian decomposition builds each
+    # factor as R/(1 − e)R; replay localizes by the kernel quotient
+    # (`certs`).  All must see the same maximals, factor rings, verdicts and
+    # counterexamples.
     spec = (SPECS / "z4f2_x_f4.ring").read_text(encoding="utf-8")
-    rings = [*generate_corpus(CorpusConfig(max_order=256)),
+    rings = [*generate_corpus(CorpusConfig(max_order=512)),
              build_target(parse_ring_spec(spec))]
-    non_local = non_principal = 0
+    non_local = split = non_principal = 0
     for ring in rings:
         lattice = enumerate_ideals(ring)
         factors = local_factors(ring)
-        assert [f.maximal.mask for f in factors] == \
-            [m.mask for m in lattice.maximals], ring.name
+        maximals = maximals_by_pairwise_scan(lattice)
+        assert [f.maximal for f in factors] == maximals, ring.name
         assert [f.maximal.gens for f in factors] == \
-            [m.gens for m in lattice.maximals], ring.name
+            [m.gens for m in maximals], ring.name
         assert maximal_ideals(ring) == [f.maximal for f in factors], ring.name
         if len(factors) == 1:
             assert is_local(ring) is factors[0].maximal, ring.name
         else:
             assert is_local(ring) is None, ring.name
-        for m, _e, corner in factors:
-            assert corner.bit_count() == localize_at(ring, m)[0].order, ring.name
+        for m, e, corner in factors:
+            localized = localize_at(ring, m)[0]
+            assert corner.bit_count() == localized.order, ring.name
+            kernel = principal_ideal(ring, ideals.complement_idempotent(ring, e))
+            factor = make_quotient(ring, kernel)[0]
+            assert np.array_equal(factor.reps, localized.reps), ring.name
+            assert np.array_equal(factor.coset_id, localized.coset_id), ring.name
         non_local += len(factors) > 1
+        split += len(factors) if len(factors) > 1 else 0
         for ideal in lattice.ideals:
             ok, counter = is_locally_principal(ideal)
             ok_q, counter_q = certs._locally_principal_by_localization(ideal)
@@ -515,7 +529,7 @@ def test_local_factors_match_localization():
                 assert (counter["localization_order"]
                         == counter_q["localization_order"])
                 non_principal += 1
-    assert (len(rings), non_local, non_principal) == (452, 399, 147)
+    assert (len(rings), non_local, split, non_principal) == (610, 553, 1510, 149)
 
 
 def test_socle_matches_lattice_on_every_local_factor():
@@ -544,6 +558,32 @@ def test_zero_ideal_irreducibility_above_the_lattice_bound():
     assert result.verdict is False
     # the socle is the maximal ideal 0 ∝ E: (17² − 1)/(17 − 1) lines
     assert result.witness["atom_count"] == 18
+    assert "lattice" not in ring._cache
+
+
+def test_non_local_factors_above_the_lattice_bound(monkeypatch):
+    # (Z17 ∝ Z17) × Z17 has order 4913 and two local factors, read from its
+    # primitive idempotents with no lattice
+    ring = build_target(parse_ring_spec(
+        "ring a = zmod(17); module e = free(a, 1); ring t = trivext(a, e); "
+        "ring r = product(t, a)"))
+    assert ring.order > ideals.LATTICE_LIMIT
+
+    def no_lattice(_ring):
+        raise AssertionError("the ideal lattice was built")
+
+    monkeypatch.setattr(ideals, "enumerate_ideals", no_lattice)
+    # (0 ∝ Z17) × Z17 and (Z17 ∝ Z17) × 0, 289 members each
+    assert [m.gen_literals() for m in maximal_ideals(ring)] == [
+        [((0, 0), 1), ((0, 1), 0)], [((0, 1), 0), ((1, 0), 0)]]
+    assert [m.size for m in maximal_ideals(ring)] == [289, 289]
+    result = decide_zero_locally_irreducible(ring)
+    assert result.verdict is True
+    assert [(row["localization_order"], row["atom_count"])
+            for row in result.certificate["localizations"]] == [(289, 1), (17, 0)]
+    # both above-bound arithmetical certificates assume a local ring
+    with pytest.raises(BoundExceededError):
+        decide_arithmetical(ring)
     assert "lattice" not in ring._cache
 
 

@@ -1,8 +1,11 @@
 """Package imports follow the layer order rings → ideals → polys → classify →
 corpus/harness/cli, so each fact (the unit/zerodivisor partition in
-rings.py, say) has one home below everything that reads it.  The per-ring
-cache and the block-size rule of the numpy scans live in rings.py alone:
-other modules go through FiniteRing.memo and rings.blocks."""
+rings.py, say) has one home below everything that reads it.  Replay
+(certs.py) sits on rings, ideals and polys and never reads the deciders or
+the front ends, and only replay localizes by the kernel scan
+(`ideals.localize_at`).  The per-ring cache and the block-size rule of the
+numpy scans live in rings.py alone: other modules go through FiniteRing.memo
+and rings.blocks."""
 
 import ast
 from pathlib import Path
@@ -15,7 +18,10 @@ ALLOWED = {
     "rings": {"errors"},
     "ideals": {"rings", "errors"},
     "polys": {"ideals", "rings", "errors"},
+    "certs": {"rings", "ideals", "polys", "errors"},
 }
+# the modules that may name `localize_at`: its home, replay, and the export
+LOCALIZERS = {"ideals", "certs", "__init__"}
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -52,6 +58,30 @@ def test_layer_check_sees_nested_and_bare_imports(tmp_path):
                      "def f():\n"
                      "    from .ideals import Ideal\n")
     assert _package_imports(probe) == {"corpus", "ideals"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every identifier, attribute, definition, imported name and string
+    constant in one module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_replay_localizes():
+    naming = {p.stem for p in SOURCE.glob("*.py") if "localize_at" in _names(p)}
+    assert naming <= LOCALIZERS
+    assert {"ideals", "certs"} <= naming
 
 
 def _home_violations(path: Path) -> list[str]:

@@ -11,7 +11,7 @@ from finring.errors import BoundExceededError, ConsistencyError
 from finring import ideals
 from finring.ideals import (enumerate_ideals, first_nonprincipal_maximal,
                             is_local)
-from finring.rings import ZmodRing, free_module, make_trivial_extension
+from finring.rings import TrivialExtensionRing, ZmodRing, free_module
 
 
 def test_non_local_verdict_is_memoised(monkeypatch):
@@ -37,7 +37,7 @@ def test_arithmetical_above_lattice_bound():
     # Z17 ∝ Z17² (order 4913) is local, and its maximal ideal 0 ∝ E, the
     # witness, is generated by neither of its two generators alone
     z17 = ZmodRing(17)
-    ring = make_trivial_extension(z17, free_module(z17, 2))[0]
+    ring = TrivialExtensionRing(z17, free_module(z17, 2))
     result = decide_arithmetical(ring)
     assert result.verdict is False
     assert result.certificate["kind"] == "non_principal_ideal_local"
@@ -56,7 +56,7 @@ def test_arithmetical_above_lattice_bound():
 def test_nonprincipal_maximal_rule_is_memoised(monkeypatch):
     # decide_arithmetical and Gaussian rule (a) both read the rule
     z17 = ZmodRing(17)
-    ring = make_trivial_extension(z17, free_module(z17, 2))[0]
+    ring = TrivialExtensionRing(z17, free_module(z17, 2))
     factor = first_nonprincipal_maximal(ring)
     assert factor is not None and factor.maximal is is_local(ring)
     calls = []

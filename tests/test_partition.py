@@ -11,19 +11,19 @@ from finring import rings
 from finring.classify import ClassifyConfig, classify, decide_total_quotient
 from finring.errors import ConsistencyError
 from finring.ideals import principal_ideal, quotient_module
-from finring.rings import (ZmodRing, element_units, free_module,
-                           make_trivial_extension, standard_gf, unit_partition)
+from finring.rings import (TrivialExtensionRing, ZmodRing, element_units,
+                           free_module, standard_gf, unit_partition)
 
 
 def _free_trivext(base, rank):
-    ring, _, _ = make_trivial_extension(base, free_module(base, rank))
+    ring = TrivialExtensionRing(base, free_module(base, rank))
     return ring
 
 
 def _z6_by_z3():
     """trivext(zmod(6),quot_module(zmod(6),[3])): 2 ∈ Z6 kills nothing in Z3."""
     z6 = ZmodRing(6)
-    ring, _, _ = make_trivial_extension(
+    ring = TrivialExtensionRing(
         z6, quotient_module(z6, principal_ideal(z6, 3)))
     return ring
 

@@ -10,9 +10,8 @@ from finring.ideals import (additive_closure_indices, content_calculus,
                             residue_vector_space)
 from finring.polys import (content, dedekind_mertens_check, make_poly,
                            poly_from_literals, poly_mul)
-from finring.rings import (ZmodRing, element_units, free_module,
-                           make_trivial_extension, standard_gf,
-                           verify_ring_axioms)
+from finring.rings import (TrivialExtensionRing, ZmodRing, element_units,
+                           free_module, standard_gf, verify_ring_axioms)
 
 GF_PARAMS = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1), (7, 1)]
 
@@ -35,7 +34,7 @@ def small_rings(draw):
     else:
         base = ZmodRing(draw(st.sampled_from([2, 3, 4, 5, 8])))
         module = free_module(base, 1)
-    return make_trivial_extension(base, module)[0]
+    return TrivialExtensionRing(base, module)
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 from finring import reports
 from finring.classify import ClassifyConfig, classify
 from finring.reports import to_json
-from finring.rings import ZmodRing, free_module, make_trivial_extension
+from finring.rings import TrivialExtensionRing, ZmodRing, free_module
 
 
 def _reference(payload) -> str:
@@ -20,7 +20,7 @@ def test_to_json_matches_json_dumps_on_reports(corpus_report, harness_report,
     base = ZmodRing(4)
     timed = [classify(ring, ClassifyConfig(timing=True)).to_dict()
              for ring in (ZmodRing(12),
-                          make_trivial_extension(base, free_module(base, 1))[0])]
+                          TrivialExtensionRing(base, free_module(base, 1)))]
     assert all(isinstance(cond["millis"], float)
                for payload in timed for cond in payload["conditions"].values())
     for payload in (corpus_report.to_dict(), harness_report.to_dict(),

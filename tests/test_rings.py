@@ -5,11 +5,11 @@ import pytest
 
 from finring import rings
 from finring.errors import BoundExceededError, RingBuildError
-from finring.rings import (GFRing, ProductRing, ZmodRing,
-                           element_kind, element_units, free_module,
-                           is_irreducible_mod_p, is_prime,
-                           make_trivial_extension, module_sum, standard_gf,
-                           verify_module_axioms, verify_ring_axioms)
+from finring.rings import (GFRing, ProductRing, RingHom, TrivialExtensionRing,
+                           ZmodRing, element_kind, element_units, free_module,
+                           is_irreducible_mod_p, is_prime, module_sum,
+                           standard_gf, verify_module_axioms,
+                           verify_ring_axioms)
 from finring.ideals import (is_local, make_quotient, principal_ideal,
                             residue_vector_space)
 
@@ -141,10 +141,17 @@ def test_quotient_of_zmod_is_zmod():
 # ---------------------------------------------------------------- trivial extension
 
 
+def _embed_and_project(ext: TrivialExtensionRing):
+    """The homs a ↦ (a, 0) and (a, e) ↦ a, on the index layout a·|E| + e."""
+    base, m = ext.base_ring, ext.ext_module.order
+    return (RingHom(base, ext, np.arange(base.order, dtype=np.int64) * m),
+            RingHom(ext, base, np.arange(ext.order, dtype=np.int64) // m))
+
+
 def test_trivial_extension_multiplication_law():
     z4 = ZmodRing(4)
-    ext, embed, project = make_trivial_extension(
-        z4, residue_vector_space(z4, is_local(z4), 1))
+    ext = TrivialExtensionRing(z4, residue_vector_space(z4, is_local(z4), 1))
+    embed, project = _embed_and_project(ext)
     assert ext.order == 8
     enc, dec = ext.encode_literal, ext.decode_literal
     # (a,e)(a',e') = (aa', ae' + a'e): (1,1)*(2,1) = (2, 1*1 + 2*1) = (2,1)
@@ -159,7 +166,7 @@ def test_trivial_extension_multiplication_law():
 
 def test_trivial_extension_square_zero_part():
     z4 = ZmodRing(4)
-    ext, _, _ = make_trivial_extension(z4, free_module(z4, 1))
+    ext = TrivialExtensionRing(z4, free_module(z4, 1))
     m = 4  # module order; indices 0..3 are the (0, e) slice
     idx = np.arange(m, dtype=np.int64)
     assert np.all(ext.mul_arr(idx[:, None], idx[None, :]) == ext.zero)
@@ -200,7 +207,7 @@ def test_module_sum_refused_before_its_tables(monkeypatch):
 
 def _trivext_z4():
     z4 = ZmodRing(4)
-    return make_trivial_extension(z4, free_module(z4, 1))[0]
+    return TrivialExtensionRing(z4, free_module(z4, 1))
 
 
 @pytest.mark.parametrize("build", [
@@ -217,7 +224,7 @@ def test_ring_axioms_exhaustive(build):
 
 def test_trivial_extension_requires_module_over_same_ring_object():
     with pytest.raises(RingBuildError):
-        make_trivial_extension(ZmodRing(4), free_module(ZmodRing(4), 1))
+        TrivialExtensionRing(ZmodRing(4), free_module(ZmodRing(4), 1))
 
 
 def test_hom_verify_rejects_non_hom():
@@ -241,12 +248,13 @@ def test_hom_verify_refuses_above_the_pair_cap():
 def test_hom_verify_matches_element_scan():
     from finring.rings import CACHE_BLOCK, RingHom
     z2 = ZmodRing(2)
-    dual, _, _ = make_trivial_extension(z2, free_module(z2, 1))
+    dual = TrivialExtensionRing(z2, free_module(z2, 1))
     # ε ↦ 1 + ε on Z2 ∝ Z2 (index 2a + e) keeps 0, 1 and addition, but
     # ε² = 0 while (1 + ε)² = 1
     eps_shift = RingHom(dual, dual, np.array([0, 3, 2, 1], dtype=np.int64))
     z4 = ZmodRing(4)
-    ext, embed, project = make_trivial_extension(z4, free_module(z4, 2))
+    ext = TrivialExtensionRing(z4, free_module(z4, 2))
+    embed, project = _embed_and_project(ext)
     z12 = ZmodRing(12)
     # Z2053 has no tables, and its n² pairs take many blocks of rows
     z2053 = ZmodRing(2053)
@@ -287,7 +295,7 @@ def _closure(start: int, gens: np.ndarray, op, n: int) -> np.ndarray:
 
 def test_group_generators_regenerate_their_groups(corpus_rings):
     z25 = ZmodRing(25)
-    for ring in [*corpus_rings, make_trivial_extension(z25, free_module(z25, 1))[0]]:
+    for ring in [*corpus_rings, TrivialExtensionRing(z25, free_module(z25, 1))]:
         n = ring.order
         adds = rings.group_generators(ring, "additive")
         units = rings.group_generators(ring, "units")
@@ -302,7 +310,7 @@ def test_group_generators_regenerate_their_groups(corpus_rings):
 
 def test_group_generators_frozen():
     z8 = ZmodRing(8)
-    ring = make_trivial_extension(z8, free_module(z8, 1))[0]
+    ring = TrivialExtensionRing(z8, free_module(z8, 1))
     assert rings.group_generators(ring, "additive").tolist() == [1, 8]
     assert rings.group_generators(ring, "units").tolist() == [9, 24, 40]
     assert rings.group_generators(ZmodRing(12), "units").tolist() == [5, 7]

@@ -16,8 +16,8 @@ from finring.ideals import (coset_minima, enumerate_ideals, ideal_generated_by,
                             indices_from_mask, localize_at, make_quotient,
                             mask_from_indices, maximal_ideals,
                             principal_ideal_masks)
-from finring.rings import (ProductRing, ZmodRing, associate_leaders,
-                           element_units, free_module, make_trivial_extension,
+from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
+                           associate_leaders, element_units, free_module,
                            standard_gf)
 
 LATTICE_GENS = Path(__file__).resolve().parent / "fixtures" / "lattice_gens.json"
@@ -25,7 +25,7 @@ LATTICE_GENS = Path(__file__).resolve().parent / "fixtures" / "lattice_gens.json
 
 def _gf16_idealization():
     gf16 = standard_gf(2, 4)
-    return make_trivial_extension(gf16, free_module(gf16, 2))[0]
+    return TrivialExtensionRing(gf16, free_module(gf16, 2))
 
 
 def _z2_power_four():
@@ -123,14 +123,14 @@ def test_coset_minima_match_sum_scan():
     # generator orders 3, 9 and 27, none a power of two, take up to five
     # doubling windows each
     z27 = ZmodRing(27)
-    ring = make_trivial_extension(z27, free_module(z27, 1))[0]
+    ring = TrivialExtensionRing(z27, free_module(z27, 1))
     for ideal in enumerate_ideals(ring).ideals:
         assert np.array_equal(coset_minima(ring, ideal.indices),
                               _scanned_coset_minima(ring, ideal.indices))
     # Z11 ∝ Z11² (order 1,331) has no tables, so 0 ∝ E is swept with
     # structural additions
     z11 = ZmodRing(11)
-    ring = make_trivial_extension(z11, free_module(z11, 2))[0]
+    ring = TrivialExtensionRing(z11, free_module(z11, 2))
     assert ring._tables is None
     ext = np.arange(11 * 11, dtype=np.int64)
     assert np.array_equal(coset_minima(ring, ext), _scanned_coset_minima(ring, ext))
@@ -141,7 +141,7 @@ def test_quotient_by_extension_ideal_sweeps_two_generators(monkeypatch):
     # indices; the sweep takes ⌈log₂ 31⌉ = 5 doubling windows of n for each
     # of E's two generators, and the quotient adds its own 31² table
     z31 = ZmodRing(31)
-    ring = make_trivial_extension(z31, free_module(z31, 2))[0]
+    ring = TrivialExtensionRing(z31, free_module(z31, 2))
     n, m = ring.order, 31 * 31
     ext_ideal = ideal_generated_by(ring, range(m))
     assert ext_ideal.mask == (1 << m) - 1

@@ -19,7 +19,7 @@ from finring.harness import (DEFAULT_DIMENSIONS, build_residue_idealization,
 from finring.ideals import is_local, quotient_module, residue_vector_space
 from finring.rings import (FiniteModule, FiniteRing, ProductRing,
                            TrivialExtensionRing, ZmodRing, free_module,
-                           make_trivial_extension, module_sum, standard_gf)
+                           module_sum, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
@@ -127,8 +127,8 @@ def test_tabled_builds_make_no_grid_evaluation(monkeypatch):
     element operation over the n x n grid of the object being built."""
     z4, z8, gf4 = ZmodRing(4), ZmodRing(8), standard_gf(2, 2)
     free2, free1 = free_module(z8, 2), free_module(z8, 1)
-    ext = make_trivial_extension(z8, free1)[0]
-    ext4 = make_trivial_extension(z4, free_module(z4, 1))[0]
+    ext = TrivialExtensionRing(z8, free1)
+    ext4 = TrivialExtensionRing(z4, free_module(z4, 1))
     over_ext4 = free_module(ext4, 1)
     calls = []
 
