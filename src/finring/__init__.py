@@ -21,8 +21,7 @@ from .ideals import (Ideal, annihilator, enumerate_ideals, ideal_generated_by,
                      ideal_sum, is_local, is_locally_principal, is_principal,
                      localize_at, make_quotient, maximal_ideals,
                      principal_ideal, residue_vector_space)
-from .polys import (RingPoly, certify_gaussian, content,
-                    dedekind_mertens_check, make_poly, poly_mul)
+from .polys import RingPoly, certify_gaussian, content, make_poly, poly_mul
 from .rings import (FiniteModule, FiniteRing, GFRing, ProductRing,
                     QuotientRing, RingHom, TrivialExtensionRing, ZmodRing,
                     free_module, module_sum, standard_gf, verify_module_axioms,
@@ -37,7 +36,7 @@ __all__ = [
     "RingHom", "RingPoly", "SpecError", "TrivialExtensionRing", "ZmodRing",
     "annihilator", "build_residue_idealization", "build_ring", "build_target",
     "certify_gaussian", "check_factor_descent", "check_residue_idealization",
-    "classify", "content", "dedekind_mertens_check", "enumerate_ideals",
+    "classify", "content", "enumerate_ideals",
     "free_module", "gaussian_ring_verdict", "generate_corpus",
     "ideal_generated_by", "ideal_intersection", "ideal_product",
     "ideal_quotient", "ideal_sum", "is_local", "is_locally_principal",

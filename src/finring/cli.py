@@ -20,16 +20,13 @@ import sys
 
 from .classify import (SEARCH_BOUNDS, ClassifyConfig, classify,
                        gaussian_ring_verdict)
-from .corpus import CorpusConfig, DEFAULT_FAMILIES, generate_corpus, \
-    run_conjecture, run_corpus
+from .corpus import (CorpusConfig, DEFAULT_FAMILIES, run_conjecture,
+                     run_corpus, run_theorems)
 from .errors import (BoundExceededError, ConsistencyError, RingBuildError,
                      SpecError)
-from .harness import (DEFAULT_DIMENSIONS, check_factor_descent,
-                      default_local_bases, run_theorem_harness)
 from .polys import certify_gaussian, make_poly
 from .reports import (classification_markdown, conjecture_markdown,
                       corpus_markdown, harness_markdown, to_json)
-from .rings import TrivialExtensionRing, ZmodRing
 from .specfile import build_ring, build_target, parse_ring_spec
 
 
@@ -213,18 +210,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_theorems(args) -> int:
-    config = _corpus_config(args)
-    bases = default_local_bases()
-    if args.zmod_max is not None or args.gf_max is not None:
-        bases = [b for b in bases
-                 if (b.order <= config.zmod_max if isinstance(b, ZmodRing)
-                     else b.order <= config.gf_max)]
-    report = run_theorem_harness(config.classify, bases, DEFAULT_DIMENSIONS)
-    for ring in generate_corpus(config):
-        if isinstance(ring, TrivialExtensionRing):
-            report.results.append(check_factor_descent(ring, config.classify))
-    payload = report.to_dict()
-    _emit(args, payload, harness_markdown)
+    report = run_theorems(_corpus_config(args))
+    _emit(args, report.to_dict(), harness_markdown)
     if report.failures:
         for failing in report.failures:
             sys.stderr.write(to_json(failing.to_dict()))

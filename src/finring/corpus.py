@@ -13,7 +13,9 @@ same ring list (and therefore byte-identical reports downstream):
 
 `run_corpus` classifies every ring and asserts the cross-condition invariants
 that a finite ring can never violate; a violation is an internal-consistency
-error, not a report entry.  `run_conjecture` compares the pseudo-arithmetical
+error, not a report entry.  `run_theorems` checks the two structural laws of
+`harness` on the default local bases and descends the factor of every
+corpus trivial extension.  `run_conjecture` compares the pseudo-arithmetical
 verdict against local irreducibility of the zero ideal on every corpus ring;
 disagreement is the most valuable possible output and is re-verified through
 certificate replay before being reported.
@@ -28,7 +30,9 @@ from .classify import (ClassificationReport, ClassifyConfig, classify,
                        decide_pseudo_arithmetical,
                        decide_zero_locally_irreducible)
 from .errors import ConsistencyError
-from .harness import build_residue_idealization
+from .harness import (DEFAULT_DIMENSIONS, HarnessReport,
+                      build_residue_idealization, check_factor_descent,
+                      default_local_bases, run_theorem_harness)
 from .ideals import is_local
 from .rings import (STANDARD_GF_MODULI, FiniteRing, ProductRing,
                     TrivialExtensionRing, ZmodRing, free_module, standard_gf)
@@ -162,6 +166,21 @@ def run_corpus(config: CorpusConfig | None = None) -> CorpusReport:
         assert_corpus_invariants(report)
         out.reports.append(report)
     return out
+
+
+def run_theorems(config: CorpusConfig | None = None) -> HarnessReport:
+    """Both laws on every default local base within the zmod_max and
+    gf_max orders (the defaults keep them all), then factor descent on the
+    corpus's trivial extensions."""
+    config = config or CorpusConfig()
+    bases = [b for b in default_local_bases()
+             if b.order <= (config.zmod_max if isinstance(b, ZmodRing)
+                            else config.gf_max)]
+    report = run_theorem_harness(config.classify, bases, DEFAULT_DIMENSIONS)
+    for ring in generate_corpus(config):
+        if isinstance(ring, TrivialExtensionRing):
+            report.results.append(check_factor_descent(ring, config.classify))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .ideals import (LATTICE_LIMIT, Ideal, _distinct_indices,
                      _principal_indices, content_calculus, ideal_generated_by,
-                     ideal_product, is_local, subgroup_sum_indices)
+                     is_local, subgroup_sum_indices)
 from .rings import (FiniteRing, associate_leaders, blocks, element_units,
                     group_generators, unit_partition)
 
@@ -142,11 +142,6 @@ def decode_poly_block(alphabet, degree: int, start: int, stop: int,
     vals = np.arange(start, stop, dtype=np.int64)
     return ([alphabet[(vals // u**j) % u] for j in range(degree)]
             + [lead[vals // u**degree]])
-
-
-def poly_at_index(ring: FiniteRing, degree: int, index: int) -> RingPoly:
-    cols = decode_poly_block(np.arange(ring.order), degree, index, index + 1)
-    return make_poly(ring, [int(c[0]) for c in cols])
 
 
 def _convolve_columns(ring: FiniteRing, f_cols, g_cols):
@@ -546,26 +541,6 @@ def _affine_orbits(fs: list[RingPoly]) -> tuple[np.ndarray, np.ndarray, np.ndarr
                 dilation[taker] = ring.mul_arr(v, w)
                 changed = True
     return root, dilation, shift
-
-
-def dedekind_mertens_check(f: RingPoly, g: RingPoly) -> bool:
-    """c(f)^m · c(fg) = c(f)^(m+1) · c(g) with m = deg g (0 for constants).
-
-    An unconditional content identity; failure indicates a bug in polynomial
-    multiplication, content, or ideal products, so the test suites use it as
-    an oracle.
-    """
-    if f.ring is not g.ring:
-        raise RingBuildError("polynomial operands belong to different rings")
-    m = max(g.degree, 0)
-    cf = content(f)
-    lhs = content(poly_mul(f, g))
-    for _ in range(m):
-        lhs = ideal_product(lhs, cf)
-    rhs = content(g)
-    for _ in range(m + 1):
-        rhs = ideal_product(rhs, cf)
-    return lhs.mask == rhs.mask
 
 
 def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,

@@ -5,8 +5,9 @@ scalar and numpy-vectorised.  Available constructions: integers mod n, Galois
 fields, direct products, quotients by an ideal, and trivial (square-zero)
 extensions of a ring by a module.  Rings of order <= TABLE_LIMIT carry dense
 operation tables, and modules always do.  The tables of products, trivial
-extensions and modules are composed from their factors' tables (`compose`);
-integers mod n, Galois fields and quotients evaluate theirs structurally.
+extensions and modules are composed from their factors' tables (`compose`),
+and a Galois field F_p[x]/(f) builds its tables from those of the free
+module (Z/p)^k; integers mod n and quotients evaluate theirs structurally.
 Above TABLE_LIMIT, rings evaluate structurally on demand, which keeps
 extensions with a few tens of thousands of elements workable.
 """
@@ -149,7 +150,8 @@ class FiniteRing:
 
     def _build_tables(self):
         """The (add, mul, neg) int64 tables over every index, evaluated
-        structurally; products and trivial extensions compose theirs."""
+        structurally; products, trivial extensions and Galois fields build
+        theirs from their parts' tables."""
         idx = np.arange(self.order, dtype=np.int64)
         return (np.asarray(self._add_impl(idx[:, None], idx[None, :]), dtype=np.int64),
                 np.asarray(self._mul_impl(idx[:, None], idx[None, :]), dtype=np.int64),
@@ -252,47 +254,6 @@ class ZmodRing(FiniteRing):
         return int(i)
 
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul_mod(a, b, modulus, p):
-    """Product of coefficient tuples a*b reduced mod (modulus, p); modulus monic."""
-    k = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    # reduce degree >= k using x^k = -(modulus[0..k-1])
-    for d in range(len(out) - 1, k - 1, -1):
-        c = out[d]
-        if c:
-            out[d] = 0
-            for i in range(k):
-                out[d - k + i] = (out[d - k + i] - c * modulus[i]) % p
-    return _poly_trim(out[:k] + [0] * max(0, k - len(out)) if len(out) >= k else out)
-
-
-def _poly_divmod(a, b, p):
-    """Divide coefficient tuples over F_p; b must have invertible lead."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, da - db + 1)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        c = (a[-1] * inv_lead) % p
-        q[da - db] = c
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-        a = list(_poly_trim(a))
-        if not a:
-            break
-    return _poly_trim(q), _poly_trim(a)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -304,34 +265,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def is_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
-    """Exhaustive divisor check for irreducibility of coeffs over F_p."""
-    c = [x % p for x in coeffs]
-    poly = _poly_trim(list(c))
-    k = len(poly) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    # try every monic divisor of degree 1..k//2
-    for d in range(1, k // 2 + 1):
-        for body in range(p**d):
-            cand = []
-            t = body
-            for _ in range(d):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)
-            _, rem = _poly_divmod(poly, tuple(cand), p)
-            if not rem:
-                return False
-    return True
-
-
 def gf_modulus(p: int, k: int, poly) -> tuple[int, ...]:
     """The monic modulus (low coefficient first) of gf(p, k, poly), after
-    checking every parameter.  The order is checked before the primality and
-    irreducibility tests, whose costs grow as p^(1/2) and p^(k/2)."""
+    checking its degree, its length, the order bound, primality of p and
+    the leading coefficient.  The order is checked before primality, whose
+    cost grows as p^(1/2); irreducibility is read from the built table
+    (`GFRing`)."""
     if k < 1:
         raise RingBuildError(f"gf degree must be >= 1, got {k}")
     if len(poly) != k + 1:
@@ -344,74 +283,46 @@ def gf_modulus(p: int, k: int, poly) -> tuple[int, ...]:
     if lead == 0:
         raise RingBuildError("gf modulus has zero leading coefficient")
     inv = pow(lead, -1, p)
-    coeffs = tuple((c * inv) % p for c in poly)
-    if not is_irreducible_mod_p(coeffs, p):
-        raise RingBuildError(f"gf modulus {list(poly)} is reducible mod {p}")
-    return coeffs
+    return tuple((c * inv) % p for c in poly)
 
 
 class GFRing(FiniteRing):
-    """Galois field F_{p^k} as F_p[x]/(f); element index encodes digits base p."""
+    """Galois field F_{p^k} as F_p[x]/(f); element index encodes digits base p.
+
+    The base-p digits of an index, top coefficient first, are its big-endian
+    coordinates in the free module (Z/p)^k, so the field's addition and
+    negation are the module's.  F_p[x]/(f) is a field exactly when f is
+    irreducible, that is when its multiplication table has no zero
+    divisors, which is checked once the table is built.
+    """
 
     def __init__(self, p: int, k: int, poly: tuple[int, ...], spec: RingSpec | None = None):
         coeffs = gf_modulus(p, k, poly)
         self.p, self.k, self.modulus = p, k, coeffs[:-1]
-        self._exp, self._log = self._build_log_tables(p, k, coeffs)
         super().__init__(p**k, 1, spec or RingSpec("gf", (p, k, tuple(poly))))
+        if bool((self._tables[1][1:, 1:] == self.zero).any()):
+            raise RingBuildError(f"gf modulus {list(poly)} is reducible mod {p}")
 
-    @staticmethod
-    def _build_log_tables(p, k, modulus):
-        q = p**k
-        if q == 2:  # trivial multiplicative group: 1 is its own generator
-            return np.array([1, 1], dtype=np.int64), np.array([-1, 0], dtype=np.int64)
-
-        def enc(tup):
-            v = 0
-            for i, c in enumerate(tup):
-                v += c * p**i
-            return v
-
-        def dec(v):
-            out = []
-            for _ in range(k):
-                out.append(v % p)
-                v //= p
-            return _poly_trim(out)
-
-        for g in range(2, q):
-            seen = [enc((1,))]
-            cur = (1,)
-            gd = dec(g)
-            for _ in range(q - 2):
-                cur = _poly_mul_mod(cur, gd, modulus, p)
-                seen.append(enc(cur))
-            if len(set(seen)) == q - 1:
-                exp = np.array(seen + seen, dtype=np.int64)  # doubled: no mod needed
-                log = np.full(q, -1, dtype=np.int64)
-                for e, v in enumerate(seen):
-                    log[v] = e
-                return exp, log
-        raise ConsistencyError("no multiplicative generator found; field build is wrong")
-
-    def _add_impl(self, a, b):
-        res = 0
-        w = 1
-        for _ in range(self.k):
-            res = res + (((a // w) % self.p + (b // w) % self.p) % self.p) * w
-            w *= self.p
-        return res
-
-    def _mul_impl(self, a, b):
-        r = self._exp[self._log[a] + self._log[b]]
-        return np.where((np.asarray(a) == 0) | (np.asarray(b) == 0), 0, r)
-
-    def _neg_impl(self, a):
-        res = 0
-        w = 1
-        for _ in range(self.k):
-            res = res + ((self.p - (a // w) % self.p) % self.p) * w
-            w *= self.p
-        return res
+    def _build_tables(self):
+        """(add, mul, neg) from the tables of (Z/p)^k.  Column block j of
+        the product table holds the b = c·x^j + b' with 1 <= c < p and
+        b' < p^j, so a·b = a·b' + c·(a·x^j) is one gather from the module's
+        addition table, q² entries in all.  a·x^(j+1) shifts the digits of
+        a·x^j up one place and adds the top digit times x^k ≡ −(f − x^k)."""
+        p, k, q = self.p, self.k, self.order
+        module = free_module(ZmodRing(p), k)
+        madd, mneg, act = module._madd, module._mneg, module._act
+        top = p ** (k - 1)
+        x_k = mneg[sum(c * p**i for i, c in enumerate(self.modulus))]
+        mul = np.empty((q, q), dtype=np.int64)
+        mul[:, 0] = 0
+        power = np.arange(q, dtype=np.int64)  # a·x^j for every a
+        for j in range(k):
+            lo = p ** j
+            mul[:, lo:p * lo] = madd[act[1:, power].T[:, :, None],
+                                     mul[:, None, :lo]].reshape(q, -1)
+            power = madd[power % top * p, act[power // top, x_k]]
+        return madd, mul, mneg
 
     def encode_literal(self, lit) -> int:
         if not isinstance(lit, int) or not 0 <= lit < self.order:
@@ -694,9 +605,6 @@ class RingHom:
         if self.map.shape != (source.order,):
             raise RingBuildError("hom map must cover every source element")
 
-    def kernel_indices(self) -> np.ndarray:
-        return np.nonzero(self.map == self.target.zero)[0]
-
     def verify(self) -> bool:
         """Check the hom laws on every pair of source elements: 0 and 1 first,
         then addition and multiplication on blocks of CACHE_BLOCK pairs,
@@ -908,12 +816,6 @@ def _associate_sweep(ring: FiniteRing) -> tuple[np.ndarray, list[int]]:
             for b in assoc.tolist():
                 masks[b] = mask
     return leader, masks
-
-
-def element_kind(ring: FiniteRing, a: int) -> str:
-    """'unit' or 'zerodivisor' (0 counts as a zerodivisor); in a finite
-    commutative ring exactly one holds, and the partition certifies which."""
-    return "unit" if unit_partition(ring).units[a] else "zerodivisor"
 
 
 def verify_ring_axioms(ring: FiniteRing, triple_limit: int = 64) -> bool:

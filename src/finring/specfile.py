@@ -25,7 +25,7 @@ from .errors import RingBuildError, SpecError
 from .ideals import ideal_generated_by, make_quotient, quotient_module
 from .rings import (FiniteModule, FiniteRing, GFRing, ModuleSpec, ProductRing,
                     RingSpec, TrivialExtensionRing, ZmodRing, free_module,
-                    gf_modulus, module_sum)
+                    module_sum)
 
 MAX_INT_DIGITS = 18   # above every supported order and rank; literals fit int64
 
@@ -205,11 +205,12 @@ class _Parser:
             self.expect_sym("=")
             coeffs = self.bracketed(self.expect_int)
             self.expect_sym(")")
-            try:
-                gf_modulus(p, k, coeffs)
-            except RingBuildError as exc:
+            spec = RingSpec("gf", (p, k, tuple(coeffs)))
+            try:  # the field checks its modulus; the spec cache keeps it
+                build_ring(spec)
+            except SpecError as exc:
                 self.fail(str(exc), kind)
-            return RingSpec("gf", (p, k, tuple(coeffs)))
+            return spec
         if kind.text == "product":
             left = self.ring_ref()
             self.expect_sym(",")

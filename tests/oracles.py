@@ -1,20 +1,23 @@
 """Test oracles: the unpruned exhaustive Gaussian violation table and the
 seeded Dedekind–Mertens audit that the witness searches are checked against,
-the pairwise atom and maximal scans of an ideal lattice, the lattice scan of
-arithmeticity, the pairwise irreducibility test, the pairwise locality test,
-the member-product closure of an ideal product, affine substitution by
-powers of the linear form, and the hom laws checked one source element at a
-time.  No program path calls them."""
+the Dedekind–Mertens identity on one pair, the pairwise atom and maximal
+scans of an ideal lattice, the lattice scan of arithmeticity, the pairwise
+irreducibility test, the pairwise locality test, the member-product closure
+of an ideal product, affine substitution by powers of the linear form, the
+hom laws checked one source element at a time, a hom's kernel, an element's
+unit/zerodivisor kind, the polynomial at a pinned enumeration index, and
+F_p[x]/(f) by schoolbook products and trial division.  No program path
+calls them."""
 
 import numpy as np
 
 from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
-                            content_calculus, enumerate_ideals,
+                            content_calculus, enumerate_ideals, ideal_product,
                             is_locally_principal)
-from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns,
+from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns, content,
                            decode_poly_block, make_poly, poly_count, poly_mul)
 from finring.rings import (FiniteRing, RingHom, blocks, element_units,
-                           mask_from_indices)
+                           mask_from_indices, unit_partition)
 
 
 def atoms_by_pairwise_scan(lattice: IdealLattice) -> list:
@@ -179,4 +182,73 @@ def hom_laws_by_element_scan(hom: RingHom) -> bool:
             return False
         if not np.array_equal(m[src.mul_arr(a, cols)], tgt.mul_arr(m[a], m[cols])):
             return False
+    return True
+
+
+def kernel_indices(hom: RingHom) -> np.ndarray:
+    """The source elements that the hom sends to zero, ascending."""
+    return np.nonzero(hom.map == hom.target.zero)[0]
+
+
+def element_kind(ring: FiniteRing, a: int) -> str:
+    """'unit' or 'zerodivisor' (0 counts as a zerodivisor); in a finite
+    commutative ring exactly one holds, and the partition certifies which."""
+    return "unit" if unit_partition(ring).units[a] else "zerodivisor"
+
+
+def poly_at_index(ring: FiniteRing, degree: int, index: int) -> RingPoly:
+    """The polynomial at `index` among those of exact `degree`, in the
+    pinned enumeration order."""
+    cols = decode_poly_block(np.arange(ring.order), degree, index, index + 1)
+    return make_poly(ring, [int(c[0]) for c in cols])
+
+
+def dedekind_mertens_check(f: RingPoly, g: RingPoly) -> bool:
+    """c(f)^m · c(fg) = c(f)^(m+1) · c(g) with m = deg g (0 for constants).
+
+    An unconditional content identity; failure indicates a bug in polynomial
+    multiplication, content, or ideal products.
+    """
+    m = max(g.degree, 0)
+    cf = content(f)
+    lhs = content(poly_mul(f, g))
+    for _ in range(m):
+        lhs = ideal_product(lhs, cf)
+    rhs = content(g)
+    for _ in range(m + 1):
+        rhs = ideal_product(rhs, cf)
+    return lhs.mask == rhs.mask
+
+
+def gf_products_by_schoolbook(p: int, modulus, a, b) -> np.ndarray:
+    """a·b in F_p[x]/(f) for index arrays a and b (broadcast), f monic with
+    coefficients `modulus` (low first, leading 1 included).  An index holds
+    the coefficients as base-p digits, low first; the product is taken
+    coefficient by coefficient and reduced by long division by f."""
+    k = len(modulus) - 1
+    da = [np.asarray(a, dtype=np.int64) // p**i % p for i in range(k)]
+    db = [np.asarray(b, dtype=np.int64) // p**i % p for i in range(k)]
+    prod = [sum(da[i] * db[d - i] for i in range(max(0, d - k + 1), min(d, k - 1) + 1))
+            for d in range(2 * k - 1)]
+    for d in range(2 * k - 2, k - 1, -1):
+        lead = prod[d] % p
+        for i in range(k):
+            prod[d - k + i] = prod[d - k + i] - lead * modulus[i]
+    return sum(prod[i] % p * p**i for i in range(k))
+
+
+def irreducible_by_trial_division(p: int, coeffs) -> bool:
+    """Whether the monic f with `coeffs` (low first, degree >= 1) has no
+    monic divisor of degree 1..deg f // 2 over F_p."""
+    k = len(coeffs) - 1
+    for d in range(1, k // 2 + 1):
+        for body in range(p**d):
+            divisor = [body // p**i % p for i in range(d)] + [1]
+            rem = list(coeffs)
+            for top in range(k, d - 1, -1):
+                lead = rem[top]
+                for i in range(d + 1):
+                    rem[top - d + i] = (rem[top - d + i] - lead * divisor[i]) % p
+            if not any(rem[:d]):
+                return False
     return True

@@ -10,12 +10,13 @@ import time
 from finring.classify import (CONDITION_ORDER, ClassifyConfig, classify,
                               gaussian_ring_verdict)
 from finring.ideals import is_local, residue_vector_space
-from finring.polys import certify_gaussian, poly_at_index
+from finring.polys import certify_gaussian
 from finring.rings import (TrivialExtensionRing, ZmodRing, free_module,
                            standard_gf, verify_module_axioms,
                            verify_ring_axioms)
 from finring.harness import check_factor_descent
-from oracles import dedekind_mertens_random_audit, gaussian_violation_table
+from oracles import (dedekind_mertens_random_audit, gaussian_violation_table,
+                     poly_at_index)
 
 
 def _report(lines: list[str], criterion: int, ok: bool, detail: str) -> None:

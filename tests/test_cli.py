@@ -122,6 +122,18 @@ def test_exit_1_on_parse_error(tmp_path, capsys):
     assert "zmod modulus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params", [
+    "4, 2, poly=[1, 1, 1]", "2, 2, poly=[1, 0, 1]", "2, 2, poly=[1, 1, 0]",
+    "0, 1, poly=[0, 1]", "-3, 2, poly=[1, 0, 1]", "2, 0, poly=[1]",
+    "2, 11, poly=[1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]", "1031, 1, poly=[0, 1]",
+])
+def test_exit_1_on_every_bad_gf(params, tmp_path, capsys):
+    path = tmp_path / "bad.spec"
+    path.write_text(f"ring a = gf({params})\n")
+    assert main(["classify", "--spec", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("spec error: line 1, col 10")
+
+
 def test_exit_1_on_usage_error(capsys):
     assert main(["classify"]) == 1
     assert main(["frobnicate"]) == 1

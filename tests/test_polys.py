@@ -14,15 +14,14 @@ from finring.ideals import (ContentCalculus, content_calculus,
                             is_principal, principal_ideal,
                             residue_vector_space)
 from finring.polys import (RingPoly, certify_gaussian, content,
-                           cumulative_poly_count, dedekind_mertens_check,
-                           gaussian_witness_search, has_square_zero_maximal,
-                           make_poly, poly_at_index, poly_count,
+                           cumulative_poly_count, gaussian_witness_search,
+                           has_square_zero_maximal, make_poly, poly_count,
                            poly_from_literals, poly_mul,
                            ring_gaussian_refutation_search)
 from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
                            element_units, free_module, standard_gf)
-from oracles import (dedekind_mertens_random_audit, gaussian_violation_table,
-                     substituted)
+from oracles import (dedekind_mertens_check, dedekind_mertens_random_audit,
+                     gaussian_violation_table, poly_at_index, substituted)
 
 
 def _residue_idealization(order: int, dim: int = 1):

@@ -5,15 +5,15 @@ import pytest
 
 from finring import rings
 from finring.errors import BoundExceededError, RingBuildError
-from finring.rings import (GFRing, ProductRing, RingHom, TrivialExtensionRing,
-                           ZmodRing, element_kind, element_units, free_module,
-                           is_irreducible_mod_p, is_prime, module_sum,
-                           standard_gf, verify_module_axioms,
-                           verify_ring_axioms)
+from finring.rings import (STANDARD_GF_MODULI, GFRing, ProductRing, RingHom,
+                           TrivialExtensionRing, ZmodRing, element_units,
+                           free_module, is_prime, module_sum, standard_gf,
+                           verify_module_axioms, verify_ring_axioms)
 from finring.ideals import (is_local, make_quotient, principal_ideal,
                             residue_vector_space)
 
-from oracles import hom_laws_by_element_scan
+from oracles import (element_kind, gf_products_by_schoolbook,
+                     hom_laws_by_element_scan, irreducible_by_trial_division)
 
 
 # ---------------------------------------------------------------- zmod
@@ -62,9 +62,47 @@ def test_zmod_literals():
 
 def test_primality_and_irreducibility_helpers():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert is_irreducible_mod_p((1, 1, 1), 2)       # x^2+x+1 over F2
-    assert not is_irreducible_mod_p((1, 0, 1), 2)   # x^2+1 = (x+1)^2 over F2
-    assert is_irreducible_mod_p((1, 0, 1), 3)       # x^2+1 over F3
+
+
+def _monic_moduli(p: int, k: int):
+    for body in range(p**k):
+        yield tuple(body // p**i % p for i in range(k)) + (1,)
+
+
+def _assert_schoolbook_products(ring: GFRing, modulus, pairs: int | None = None):
+    """The ring's products equal the schoolbook ones on every pair, or on
+    `pairs` seeded random pairs."""
+    q = ring.order
+    if pairs is None:
+        a, b = np.arange(q)[:, None], np.arange(q)[None, :]
+    else:
+        a, b = np.random.default_rng(0).integers(0, q, size=(2, pairs))
+    want = gf_products_by_schoolbook(ring.p, modulus, a, b)
+    assert np.array_equal(ring.mul_arr(a, b), want)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(1, 7)), (3, range(1, 4)),
+                                       (5, range(1, 4)), (7, range(1, 4))])
+def test_gf_accepts_exactly_the_irreducible_moduli(p, degrees):
+    # F_p[x]/(f) is built iff f is irreducible, with the schoolbook products
+    for k in degrees:
+        for modulus in _monic_moduli(p, k):
+            if irreducible_by_trial_division(p, modulus):
+                _assert_schoolbook_products(GFRing(p, k, modulus), modulus)
+            else:
+                with pytest.raises(RingBuildError, match="reducible"):
+                    GFRing(p, k, modulus)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    *[(p, k, poly) for (p, k), poly in sorted(STANDARD_GF_MODULI.items())],
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),  # x^10 + x^3 + 1
+    (31, 2, (1, 0, 1)),                          # x^2 + 1, as 31 = 3 mod 4
+])
+def test_gf_products_match_schoolbook(p, k, modulus):
+    assert irreducible_by_trial_division(p, modulus)
+    ring = GFRing(p, k, modulus)
+    _assert_schoolbook_products(ring, modulus, None if ring.order <= 64 else 4096)
 
 
 def test_gf4_arithmetic_frozen():
@@ -78,7 +116,7 @@ def test_gf4_arithmetic_frozen():
 
 
 def test_gf_prime_field_degenerate_unit_group():
-    # q = 2 has a trivial multiplicative group; exp/log tables must still work.
+    # q = 2 has a trivial multiplicative group
     g2 = standard_gf(2, 1)
     assert g2.order == 2
     assert verify_ring_axioms(g2)
@@ -90,12 +128,12 @@ def test_gf_rejects_reducible_modulus():
 
 
 def test_gf_order_checked_before_irreducibility(monkeypatch):
-    # the irreducibility test is exhaustive; an oversized field must be
-    # rejected before it runs
+    # irreducibility is read from the product table; an oversized field
+    # must be rejected before any table is built
     def fail(*_args):
-        raise AssertionError("irreducibility tested on an oversized field")
+        raise AssertionError("table built for an oversized field")
 
-    monkeypatch.setattr("finring.rings.is_irreducible_mod_p", fail)
+    monkeypatch.setattr(GFRing, "_build_tables", fail)
     with pytest.raises(RingBuildError, match="above the supported bound"):
         GFRing(2, 11, (1, 0, 1) + (0,) * 8 + (1,))  # order 2048 > TABLE_LIMIT
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from finring import specfile
 from finring.errors import SpecError
+from finring.rings import GFRing
 from finring.specfile import build_ring, build_target, parse_ring_spec
 
 
@@ -95,16 +97,37 @@ def test_parse_errors_with_positions(text, fragment, line, col):
 
 def test_oversized_gf_rejected_before_irreducibility(monkeypatch):
     # x^31 + x^3 + 1 is irreducible over F_2, but gf(2,31) is far above the
-    # table bound; the exhaustive divisor test must not run
+    # table bound; no table may be built to test it
     def fail(*_args):
-        raise AssertionError("irreducibility tested on an oversized field")
+        raise AssertionError("table built for an oversized field")
 
-    monkeypatch.setattr("finring.rings.is_irreducible_mod_p", fail)
+    monkeypatch.setattr(GFRing, "_build_tables", fail)
     poly = ", ".join(["1", "0", "0", "1"] + ["0"] * 27 + ["1"])
     with pytest.raises(SpecError) as excinfo:
         parse_ring_spec(f"ring a = gf(2, 31, poly=[{poly}])")
     assert "order" in str(excinfo.value)
     assert (excinfo.value.line, excinfo.value.col) == (1, 10)
+
+
+def test_gf_spec_builds_its_field_once(monkeypatch):
+    # parsing checks gf(...) by building the field through the spec cache,
+    # where building the target finds it
+    monkeypatch.setattr(specfile, "_RING_CACHE", {})
+    monkeypatch.setattr(specfile, "_MODULE_CACHE", {})
+    built = []
+    init = GFRing.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GFRing, "__init__", counted)
+    program = parse_ring_spec("ring f = gf(2, 3, poly=[1, 1, 0, 1])\n"
+                              "module e = free(f, 1)\n"
+                              "ring r = trivext(f, e)")
+    ring = build_target(program)
+    assert len(built) == 1
+    assert ring.base_ring is build_ring(program.rings["f"])
 
 
 def test_trivext_module_base_must_match():
