@@ -8,13 +8,14 @@ pass of |I|·|J| additions (`subgroup_sum_indices`); a span grows one
 principal ideal R·g at a time the same way, and I·J is the span of the
 products of generators.  The full ideal lattice of a ring closes the
 principal ideals under adding a principal ideal, which stays cheap because
-finite rings have very few ideals compared to subsets; most of its join
-entries are read from rows already filed (by associativity), and each
-ideal's generators are walked along those rows.  The principal ideals
-themselves take one product row per associate class, since R·(ua) = R·a for
-every unit u, and the cosets of a quotient are swept along a chain of
-subgroups, one generator at a time in ⌈log₂ t⌉ doubling windows for a
-generator of order t (`coset_minima`).
+finite rings have very few ideals compared to subsets; a join entry takes a
+sum almost only when it is a new ideal, since the rest are read from rows
+already filed (by associativity, or by the size |W|·|P| / |W ∩ P| of
+W + P), and each ideal's generators are walked along those rows.  The
+principal ideals themselves take one product row per associate class, since
+R·(ua) = R·a for every unit u, and the cosets of a quotient are swept along
+a chain of subgroups, one generator at a time in ⌈log₂ t⌉ doubling windows
+for a generator of order t (`coset_minima`).
 
 `local_factors` is the one home of locality and the maximal ideals, read
 from the primitive idempotents with no lattice: the maximal ideal that
@@ -37,9 +38,10 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .rings import (CACHE_BLOCK, CHUNK, FiniteModule, FiniteRing, ModuleSpec,
-                    QuotientRing, RingHom, RingSpec, associate_sweep, blocks,
-                    element_units, free_module, indices_from_mask,
-                    mask_from_indices, module_sum, primitive_idempotents)
+                    QuotientRing, RingHom, RingSpec, associate_leaders,
+                    associate_sweep, blocks, element_units, free_module,
+                    indices_from_mask, mask_from_indices, module_sum,
+                    primitive_idempotents)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
 
@@ -313,12 +315,14 @@ def enumerate_ideals(ring: FiniteRing) -> IdealLattice:
     """Complete ideal lattice: every ideal is a sum of principal ideals, so
     adding each principal ideal to each ideal found reaches them all.
 
+    The columns are the principal ideals, read once per associate class.
     A join entry W + P takes a subgroup sum only when no filed row answers
     it: the union W | P when that is an ideal, P + W from P's row when W is
-    principal, or (W′ + P) + P′ when W was first found as W′ + P′ (and once
-    more for W′ + P).  Generators are walked along the rows
-    (`_walk_generators`), so the lattice does no ring arithmetic after its
-    sums."""
+    principal, (W′ + P) + P′ when W was first found as W′ + P′ (and once
+    more for W′ + P), or the entry of W's own row that holds W | P and has
+    the size |W|·|P| / |W ∩ P| of W + P.  So a sum is taken almost only for
+    a new ideal.  Generators are walked along the rows (`_walk_generators`),
+    so the lattice does no ring arithmetic after its sums."""
     return ring.memo("lattice", lambda: _build_lattice(ring))
 
 
@@ -329,8 +333,17 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
             f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
             f"has order {n}")
     pmasks = principal_ideal_masks(ring)
-    cols = list(dict.fromkeys(pmasks))     # the principal ideals, one per column
-    col_of = {m: c for c, m in enumerate(cols)}
+    leader = associate_leaders(ring)
+    leaders = np.flatnonzero(leader == np.arange(n))
+    # the principal ideals, one column each in the order of their least
+    # element, read at the associate class leaders: R·(ua) = R·a
+    col_of: dict[int, int] = {}
+    lead_col = np.zeros(n, dtype=np.int64)
+    lead_col[leaders] = [col_of.setdefault(pmasks[a], len(col_of))
+                         for a in leaders.tolist()]
+    princ_col = lead_col[leader]
+    cols = list(col_of)
+    col_size = [p.bit_count() for p in cols]
     # mask -> member indices, so a sum never re-decodes its summands
     seen = {m: indices_from_mask(m, n) for m in cols}
     rows: dict[int, list] = {}             # mask of I -> masks of I + P
@@ -339,8 +352,10 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
     queue = list(seen)
     for w in queue:                        # grows as new ideals turn up
         row = rows[w] = unfiled.copy()
+        size = w.bit_count()
+        filed: dict[int, int] = {}         # W's row so far: mask -> size
         for c, p in enumerate(cols):
-            m = w | p                      # I + P when the union is an ideal
+            m = union = w | p              # I + P when the union is an ideal
             if m not in seen and p in rows and w in col_of:
                 m = rows[p][col_of[w]]     # P + W, filed in P's row
             # W + P = (W' + P) + P', read from the row of W' + P; while that
@@ -353,24 +368,32 @@ def _build_lattice(ring: FiniteRing) -> IdealLattice:
                 x, cx = rows[x0][cx], c0   # None while W's own row is open
                 m = rows.get(x, unfiled)[cx]
             if m not in seen:
-                idx = subgroup_sum_indices(ring, seen[w], seen[p])
-                m = mask_from_indices(idx, n)
-                if m not in seen:
-                    seen[m] = idx
-                    parent[m] = (w, c)
-                    queue.append(m)
+                # |W + P| = |W|·|P| / |W ∩ P|, and an ideal of that size
+                # holding W and P is W + P
+                want = size * col_size[c] // (w & p).bit_count()
+                m = next((v for v, k in filed.items()
+                          if k == want and v & union == union), None)
+                if m is None:
+                    idx = subgroup_sum_indices(ring, seen[w], seen[p])
+                    m = mask_from_indices(idx, n)
+                    if m not in seen:
+                        seen[m] = idx
+                        parent[m] = (w, c)
+                        queue.append(m)
             row[c] = m
+            if m not in filed:
+                filed[m] = m.bit_count()
     order_key = sorted(seen, key=lambda m: (m.bit_count(), m))
     pos = {m: i for i, m in enumerate(order_key)}
-    ideals = [Ideal(ring, m, _walk_generators(ring, m, rows, col_of, pmasks),
-                    seen[m]) for m in order_key]
+    princ = princ_col.tolist()
+    ideals = [Ideal(ring, m, _walk_generators(ring, m, rows, princ), seen[m])
+              for m in order_key]
     join = np.array([[pos[m] for m in rows[w]] for w in order_key], dtype=np.int64)
-    princ_col = np.array([col_of[m] for m in pmasks], dtype=np.int64)
     return IdealLattice(ring, ideals, join, princ_col)
 
 
 def _walk_generators(ring: FiniteRing, mask: int, rows: dict[int, list[int]],
-                     col_of: dict[int, int], pmasks: list[int]) -> tuple[int, ...]:
+                     princ: list[int]) -> tuple[int, ...]:
     """`minimal_generators` read from the lattice's join rows: from 0, add
     R·g for the least member g outside the span until the span is `mask`."""
     cur, gens = 1, []
@@ -378,7 +401,7 @@ def _walk_generators(ring: FiniteRing, mask: int, rows: dict[int, list[int]],
         rest = mask & ~cur
         g = (rest & -rest).bit_length() - 1
         gens.append(g)
-        cur = rows[cur][col_of[pmasks[g]]]
+        cur = rows[cur][princ[g]]
         if cur | mask != mask:
             raise ConsistencyError(f"{ring.name}: mask {mask:#x} is not an ideal")
     return tuple(gens)

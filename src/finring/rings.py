@@ -796,7 +796,8 @@ def associate_sweep(ring: FiniteRing) -> tuple[np.ndarray, list[int]]:
     row's entries at the units u are the class U·a, and since R·(ua) = R·a
     its mask is filed for every element of the class.  The cost is (number
     of classes)·n products instead of n², with the units taken from the
-    certified partition.
+    certified partition; the sweep steps from leader to leader (one numpy
+    scan for the next element not reached) and builds one mask per class.
     """
     return ring.memo("associates", lambda: _associate_sweep(ring))
 
@@ -805,17 +806,16 @@ def _associate_sweep(ring: FiniteRing) -> tuple[np.ndarray, list[int]]:
     n = ring.order
     units = np.flatnonzero(unit_partition(ring).units)
     cols = np.arange(n, dtype=np.int64)
-    leader = np.empty(n, dtype=np.int64)
-    masks: list = [None] * n
-    for a in range(n):
-        if masks[a] is None:
-            row = ring.mul_arr(cols, a)
-            mask = mask_from_indices(row, n)
-            assoc = row[units]
-            leader[assoc] = a
-            for b in assoc.tolist():
-                masks[b] = mask
-    return leader, masks
+    leader = np.full(n, n, dtype=np.int64)     # n: no class has reached it
+    class_mask: dict[int, int] = {}
+    a = 0
+    while a < n:
+        row = ring.mul_arr(cols, a)
+        class_mask[a] = mask_from_indices(row, n)
+        leader[row[units]] = a
+        # a = 1·a is filed now, so an argmax of 0 means nothing is left
+        a += int(np.argmax(leader[a:] == n)) or n
+    return leader, [class_mask[b] for b in leader.tolist()]
 
 
 def verify_ring_axioms(ring: FiniteRing, triple_limit: int = 64) -> bool:

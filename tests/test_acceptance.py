@@ -7,8 +7,7 @@ both in the line and in the pytest outcome.
 
 import time
 
-from finring.classify import (CONDITION_ORDER, ClassifyConfig, classify,
-                              gaussian_ring_verdict)
+from finring.classify import CONDITION_ORDER, classify, gaussian_ring_verdict
 from finring.ideals import is_local, residue_vector_space
 from finring.polys import certify_gaussian
 from finring.rings import (TrivialExtensionRing, ZmodRing, free_module,

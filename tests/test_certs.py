@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from finring.certs import replay_condition, replay_report
-from finring.classify import CONDITION_ORDER, ClassifyConfig, classify
+from finring.classify import CONDITION_ORDER, classify
 from finring.errors import ConsistencyError
 from finring.ideals import is_local, residue_vector_space
 from finring.reports import to_json

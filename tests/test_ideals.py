@@ -168,10 +168,13 @@ def _spec_ring(name: str):
 
 def test_join_table_is_the_sum_with_each_principal_ideal():
     # F2 ∝ F2^5 and Z4 ∝ Z4^3 fill most of their join entries by
-    # associativity, (W' + P) + P' for W = W' + P', instead of by a sum
+    # associativity, (W' + P) + P' for W = W' + P', instead of by a sum;
+    # in F5 ∝ F5^3 and F7 ∝ F7^3 the sums of two lines are planes, many
+    # of one size, which a row reads by size
     checked = 0
     for ring in _small_corpus() + [_spec_ring("f2_trivext5"),
-                                   _spec_ring("z4_trivext3")]:
+                                   _spec_ring("z4_trivext3"), _trivext(5, 3),
+                                   _spec_ring("f7_trivext3")]:
         lattice = enumerate_ideals(ring)
         columns = {}                       # column -> one element of its P
         for a in range(ring.order):
@@ -186,6 +189,25 @@ def test_join_table_is_the_sum_with_each_principal_ideal():
                 assert lattice.join[pos, col] == expected, ring.name
                 checked += 1
     assert checked > 20000
+
+
+@pytest.mark.parametrize("p, rank, sums", [(7, 3, 58), (2, 5, 342)])
+def test_lattice_takes_one_sum_per_non_principal_ideal(monkeypatch, p, rank,
+                                                       sums):
+    # every join entry but the first of each non-principal ideal is read
+    # from a filed row: the union, P's row, (W' + P) + P', or an entry of
+    # W's row of size |W|·|P| / |W ∩ P| (1,771 and 1,536 sums without it)
+    base = ZmodRing(p)
+    ring = TrivialExtensionRing(base, free_module(base, rank))
+    real, taken = ideals.subgroup_sum_indices, [0]
+
+    def counted(*args):
+        taken[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ideals, "subgroup_sum_indices", counted)
+    lattice = enumerate_ideals(ring)
+    assert taken[0] == sums == len(lattice) - lattice.join.shape[1]
 
 
 def test_walked_generators_are_the_greedy_generators():

@@ -11,8 +11,7 @@ from finring.classify import ClassifyConfig
 from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
 from finring.ideals import (ContentCalculus, content_calculus,
                             ideal_generated_by, ideal_product, is_local,
-                            is_principal, principal_ideal,
-                            residue_vector_space)
+                            is_principal, residue_vector_space)
 from finring.polys import (RingPoly, certify_gaussian, content,
                            cumulative_poly_count, gaussian_witness_search,
                            has_square_zero_maximal, make_poly, poly_count,

@@ -8,7 +8,7 @@ from finring.ideals import (additive_closure_indices, content_calculus,
                             ideal_product, is_local, mask_from_indices,
                             maximal_ideals, principal_ideal, push_ideal,
                             residue_vector_space)
-from finring.polys import content, make_poly, poly_from_literals, poly_mul
+from finring.polys import content, make_poly, poly_mul
 from finring.rings import (TrivialExtensionRing, ZmodRing, element_units,
                            free_module, standard_gf, verify_ring_axioms)
 
