@@ -88,6 +88,12 @@ def _every_ideal_locally_principal(ring: FiniteRing) -> bool:
                for ideal in enumerate_ideals(ring).ideals)
 
 
+def _check_ideal_count(ring: FiniteRing, certificate: dict, name: str) -> None:
+    """The deciders read `ideal_count` from a formula; count the lattice."""
+    if certificate["ideal_count"] != len(enumerate_ideals(ring)):
+        _fail(ring, name, "ideal count mismatch")
+
+
 def _require_local(ring: FiniteRing, name: str):
     maximal = is_local(ring)
     if maximal is None:
@@ -184,8 +190,10 @@ def replay_arithmetical(ring: FiniteRing, result: dict) -> bool:
         if result["certificate"]["kind"] == "principal_maximal_ideal":
             if not _is_principal_direct(_require_local(ring, "arithmetical")):
                 _fail(ring, "arithmetical", "maximal ideal is not principal")
-        elif not _every_ideal_locally_principal(ring):
-            _fail(ring, "arithmetical", "a non-locally-principal ideal exists")
+        else:
+            if not _every_ideal_locally_principal(ring):
+                _fail(ring, "arithmetical", "a non-locally-principal ideal exists")
+            _check_ideal_count(ring, result["certificate"], "arithmetical")
         return True
     _replay_non_locally_principal(ring, result["witness"], "arithmetical")
     return True
@@ -289,9 +297,16 @@ def replay_pruefer(ring: FiniteRing, result: dict) -> bool:
     kind = result["certificate"]["kind"]
     if kind == "all_regular_ideals_invertible":
         lattice = enumerate_ideals(ring)
+        regular = 0
         for ideal in lattice.ideals:
-            if bool(np.any(units[ideal.indices])) and not ideal.is_unit_ideal():
-                _fail(ring, "pruefer", "a proper ideal contains a unit")
+            if bool(np.any(units[ideal.indices])):
+                if not ideal.is_unit_ideal():
+                    _fail(ring, "pruefer", "a proper ideal contains a unit")
+                regular += 1
+        cert = result["certificate"]
+        if (cert["ideal_count"], cert["regular_ideal_count"]) != (len(lattice),
+                                                                  regular):
+            _fail(ring, "pruefer", "ideal count mismatch")
     expected = result["certificate"].get("unit_count")
     if expected is not None and int(units.sum()) != expected:
         _fail(ring, "pruefer", "unit count mismatch")
@@ -329,6 +344,7 @@ def replay_pseudo_arithmetical(ring: FiniteRing, result: dict) -> bool:
         if not _every_ideal_locally_principal(ring):
             _fail(ring, "pseudo_arithmetical",
                   "a non-locally-principal ideal exists")
+        _check_ideal_count(ring, result["certificate"], "pseudo_arithmetical")
         return True
     if verdict == "BoundedYes":
         if result.get("bound") is None:

@@ -32,10 +32,10 @@ import numpy as np
 from .errors import BoundExceededError, ConsistencyError
 from .ideals import (LATTICE_LIMIT, Ideal, complement_idempotent,
                      content_calculus, enumerate_ideals,
-                     first_nonprincipal_maximal, ideal_product, is_local,
-                     is_locally_principal, least_generator_count,
-                     local_factors, make_quotient, mask_from_indices,
-                     principal_ideal, zero_ideal_locally_irreducible)
+                     first_nonprincipal_maximal, ideal_count, ideal_product,
+                     is_local, is_locally_principal, least_generator_count,
+                     local_factors, make_quotient, principal_ideal,
+                     zero_ideal_locally_irreducible)
 from .polys import (RingPoly, certify_gaussians, content, decode_poly_block,
                     has_square_zero_maximal, make_poly, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
@@ -251,8 +251,10 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 
 
 def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
-    """Read from `first_nonprincipal_maximal`.  At lattice scale a `False`
-    witness is the first lattice ideal that is not locally principal.
+    """Read from `first_nonprincipal_maximal`.  At lattice scale a `True`
+    carries `ideal_count`, read from the chain-ring corners with no
+    lattice, and a `False` witness is the first lattice ideal that is not
+    locally principal.
     Above it both certificates, and their replays, assume a local ring,
     whose witness is its maximal ideal, since there locally principal is
     principal; a non-local ring there raises BoundExceededError, although
@@ -278,7 +280,7 @@ def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
                                witness=witness)
     if bad is None:
         return ConditionResult(True, {"kind": "all_ideals_locally_principal",
-                                      "ideal_count": len(enumerate_ideals(ring))})
+                                      "ideal_count": ideal_count(ring)})
     for ideal, counter in _non_locally_principal(ring):   # the first one
         witness = {
             "ideal_gens": _lits(ring, ideal.gens),
@@ -426,19 +428,18 @@ def decide_pruefer(ring: FiniteRing) -> ConditionResult:
 
     A regular ideal contains a non-zerodivisor, which the certified
     unit/zerodivisor partition shows is a unit, so the ideal is the whole
-    ring.  At lattice scale the ideals containing a unit are counted, and a
-    proper one among them is an internal error.
+    ring.  Every proper ideal lies in a maximal ideal, so a maximal ideal of
+    `local_factors` that holds a unit is an internal error; with none, R is
+    the one regular ideal.  At lattice scale the certificate counts the
+    ideals (`ideal_count`) and that one regular ideal, with no lattice scan.
     """
     units = element_units(ring)
+    if any(units[m.indices].any() for m, _e, _corner in local_factors(ring)):
+        raise ConsistencyError(f"{ring.name}: a proper ideal contains a unit")
     if ring.order <= LATTICE_LIMIT:
-        lattice = enumerate_ideals(ring)
-        unit_mask = mask_from_indices(np.flatnonzero(units), ring.order)
-        regular = [ideal for ideal in lattice.ideals if ideal.mask & unit_mask]
-        if any(ideal.is_proper() for ideal in regular):
-            raise ConsistencyError(f"{ring.name}: a proper ideal contains a unit")
         return ConditionResult(True, {"kind": "all_regular_ideals_invertible",
-                                      "ideal_count": len(lattice),
-                                      "regular_ideal_count": len(regular)})
+                                      "ideal_count": ideal_count(ring),
+                                      "regular_ideal_count": 1})
     return ConditionResult(True, {
         "kind": "regular_ideals_collapse",
         "unit_count": int(np.count_nonzero(units)),
@@ -491,15 +492,18 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
     No; with no non-locally-principal ideals the verdict is an exact Yes;
     otherwise candidates are searched under the configured caps and the
     verdict stays bounded.  An arithmetical ring has every ideal locally
-    principal, so its ideals are not scanned.  The lattice refuses a ring
-    above its bound.
+    principal, so it builds no lattice: its Yes reads `ideal_count` from
+    its chain-ring corners.  A ring above the lattice bound is refused.
     """
-    lattice = enumerate_ideals(ring)
+    if ring.order > LATTICE_LIMIT:
+        raise BoundExceededError(
+            f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
+            f"has order {ring.order}")
     non_lp = ([] if decide_arithmetical(ring).verdict is True
               else list(_non_locally_principal(ring)))
     if not non_lp:
         return ConditionResult("Yes", {"kind": "all_ideals_locally_principal",
-                                       "ideal_count": len(lattice)})
+                                       "ideal_count": ideal_count(ring)})
 
     gaussian = gaussian_ring_verdict(ring, config)
     if gaussian.verdict == "Yes":

@@ -23,8 +23,10 @@ misses e is {r : e·r + (1 − e) is not a unit}, which `minimal_generators`
 checks to be an ideal, and a local ring's is its non-units (e = 1).  The
 deciders read each localization R_m as that factor's corner eR: the image
 of an ideal I is I ∩ eR, a mask AND.  Principality there is read from the
-generators (Nakayama), arithmeticity from the corners' maximal ideals, and
-zero-ideal irreducibility from their socles.  The Gaussian decomposition,
+generators (Nakayama), arithmeticity from the corners' maximal ideals,
+the ideal count of an arithmetical ring from its corners' orders (each a
+chain ring with t + 1 ideals, so no lattice is built), and zero-ideal
+irreducibility from their socles.  The Gaussian decomposition,
 whose lifted witnesses go through coset representatives, builds each factor
 as R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
 by a scan of products, serves replay alone.
@@ -728,6 +730,39 @@ def first_nonprincipal_maximal(ring: FiniteRing) -> LocalFactor | None:
             principal_ideal(ring, ring.mul(e, g)).mask == image for g in m.gens)
     return ring.memo("nonprincipal_maximal", lambda: next(
         (f for f in local_factors(ring) if not principal(*f)), None))
+
+
+def ideal_count(ring: FiniteRing) -> int:
+    """The number of ideals of R, cached.
+
+    An arithmetical ring is read from its corners, with no lattice: each
+    corner eR is a chain ring whose ideals are the t + 1 powers of its
+    maximal ideal n = m ∩ eR, each step a line over eR/n, so
+    |eR| = q^t for q = |eR/n|; and the ideals of R are the products of
+    the corners' ideals (Atiyah–Macdonald, Thm 8.7).  A corner whose order
+    is not a power of q raises ConsistencyError.  Any other ring counts
+    its lattice, so only at lattice scale.
+    """
+    return ring.memo("ideal_count", lambda: _ideal_count(ring))
+
+
+def _ideal_count(ring: FiniteRing) -> int:
+    if first_nonprincipal_maximal(ring) is not None:
+        return len(enumerate_ideals(ring))
+    count = 1
+    for m, _e, corner in local_factors(ring):
+        size = corner.bit_count()
+        q = size // (m.mask & corner).bit_count()
+        length = 0
+        while size % q == 0:
+            size //= q
+            length += 1
+        if size != 1:
+            raise ConsistencyError(
+                f"{ring.name}: a chain-ring corner's order is not a power of "
+                "its residue field's")
+        count *= length + 1
+    return count
 
 
 def least_generator_count(ideal: Ideal) -> int:

@@ -136,6 +136,24 @@ def test_tampered_arithmetical_witness_rejected():
         replay_condition(ring, "arithmetical", cond)
 
 
+@pytest.mark.parametrize("condition, field", [
+    ("arithmetical", "ideal_count"),
+    ("pruefer", "ideal_count"),
+    ("pruefer", "regular_ideal_count"),
+    ("pseudo_arithmetical", "ideal_count"),
+])
+def test_ideal_count_off_by_one_rejected(condition, field):
+    # the deciders read the counts of an arithmetical ring from its
+    # chain-ring corners; replay counts its own lattice
+    ring = ZmodRing(12)
+    payload = _round_trip(classify(ring))
+    assert payload["conditions"][condition]["certificate"][field] >= 1
+    bad = _tampered(payload, condition, lambda c: c["certificate"].__setitem__(
+        field, c["certificate"][field] + 1))
+    with pytest.raises(ConsistencyError, match="count mismatch"):
+        replay_report(ring, bad)
+
+
 def test_replay_on_wrong_ring_rejected():
     payload = _round_trip(classify(ZmodRing(4)))
     other = ZmodRing(9)  # reduced there, so the stored witness is bogus

@@ -243,7 +243,7 @@ def test_arithmetical_rule_matches_the_lattice_scan():
         rule = first_nonprincipal_maximal(ring) is None
         assert rule == arithmetical_by_lattice_scan(ring), ring.name
         verdicts.append(rule)
-    assert (len(verdicts), sum(verdicts)) == (462, 432)
+    assert (len(verdicts), sum(verdicts)) == (463, 433)
 
 
 @pytest.mark.parametrize("make, verdict, kind", [

@@ -17,9 +17,12 @@ from finring.classify import (classify, decide_arithmetical, decide_pruefer,
                               decide_zero_locally_irreducible)
 from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
+from finring.harness import (DEFAULT_DIMENSIONS, build_residue_idealization,
+                             default_local_bases)
 from finring.ideals import (additive_closure_indices, annihilator,
                             content_calculus, enumerate_ideals,
-                            ideal_generated_by, ideal_intersection,
+                            ideal_count, ideal_generated_by,
+                            ideal_intersection,
                             ideal_product, ideal_quotient, ideal_sum,
                             is_invertible, is_local, is_locally_principal,
                             is_principal, is_regular_ideal, local_factors,
@@ -424,14 +427,14 @@ def test_classify_local_ring_reads_its_own_lattice(monkeypatch):
     assert "localizations" not in ring._cache
     assert built == [ring]
     # a non-local ring is read from its corners: no localization is built,
-    # and no lattice but its own
+    # and an arithmetical one builds no lattice at all
     for n in (6, 12):
         built.clear()
         ring = ZmodRing(n)
         report = classify(ring)
         assert report.verdict("zero_ideal_locally_irreducible") is True
         assert "localizations" not in ring._cache
-        assert built == [ring]
+        assert built == []
 
 
 def test_gaussian_decomposition_builds_no_factor_lattice(monkeypatch):
@@ -447,13 +450,51 @@ def test_gaussian_decomposition_builds_no_factor_lattice(monkeypatch):
         assert [r.order for r in built] == [order]
 
 
-def test_classify_corpus_builds_one_lattice_per_ring(monkeypatch):
+def test_classify_corpus_builds_lattices_for_non_arithmetical_rings_only(
+        monkeypatch):
     built = _count_lattice_builds(monkeypatch)
     rings = generate_corpus(CorpusConfig())
     for ring in rings:
         classify(ring)
     assert len(rings) == 170
-    assert sorted(map(id, built)) == sorted(map(id, rings))
+    non_arithmetical = [r for r in rings
+                        if decide_arithmetical(r).verdict is not True]
+    assert len(non_arithmetical) == 13
+    assert sorted(map(id, built)) == sorted(map(id, non_arithmetical))
+
+
+def test_classify_arithmetical_ring_builds_no_lattice(monkeypatch):
+    # Z6, Z12 and Z16³ (order 4096 = LATTICE_LIMIT) read every ideal count
+    # from their chain-ring corners: no lattice and no principal masks
+    calls = []
+    for target in ("finring.ideals._build_lattice",
+                   "finring.rings._associate_sweep"):
+        monkeypatch.setattr(target, lambda ring, _t=target: calls.append(_t))
+    for cache in ("_RING_CACHE", "_MODULE_CACHE"):     # fresh rings
+        monkeypatch.setattr(specfile, cache, {})
+    for ring in (ZmodRing(6), ZmodRing(12), _spec_ring("z16_cube")):
+        assert classify(ring).verdict("arithmetical") is True
+    assert calls == []
+
+
+def _arithmetical_at_lattice_scale(candidates):
+    return [r for r in candidates if r.order <= ideals.LATTICE_LIMIT
+            and ideals.first_nonprincipal_maximal(r) is None]
+
+
+def test_ideal_count_of_arithmetical_rings_matches_the_lattice():
+    corpus = _arithmetical_at_lattice_scale(
+        generate_corpus(CorpusConfig(max_order=512)))
+    idealizations = _arithmetical_at_lattice_scale(
+        build_residue_idealization(base, n) for base in default_local_bases()
+        for n in DEFAULT_DIMENSIONS)
+    spec_rings = _arithmetical_at_lattice_scale(
+        _spec_ring(path.stem) for path in sorted(SPECS.glob("*.ring")))
+    assert (len(corpus), len(idealizations)) == (586, 15)
+    assert {r.order for r in spec_rings} == {961, 1024, 4096}
+    for ring in corpus + idealizations + spec_rings:
+        assert ideal_count(ring) == len(enumerate_ideals(ring)), ring.name
+    assert ideal_count(_spec_ring("z16_cube")) == 125
 
 
 def test_classify_corpus_localizes_nothing(monkeypatch):
