@@ -7,9 +7,15 @@ extensions of a ring by a module.  Rings of order <= TABLE_LIMIT carry dense
 operation tables, and modules always do.  The tables of products, trivial
 extensions and modules are composed from their factors' tables (`compose`),
 and a Galois field F_p[x]/(f) builds its tables from those of the free
-module (Z/p)^k; integers mod n and quotients evaluate theirs structurally.
-Above TABLE_LIMIT, rings evaluate structurally on demand, which keeps
-extensions with a few tens of thousands of elements workable.
+module (Z/p)^k; integers mod n and quotients evaluate theirs structurally,
+a block of rows at a time.  Above TABLE_LIMIT, rings evaluate structurally
+on demand, which keeps extensions with a few tens of thousands of elements
+workable.
+
+A table of order <= WIDE_TABLE_LIMIT is int64 and read by numpy's 2-D
+gather, the fastest read at that size.  A larger table is uint16 (every
+entry is below 1024), a quarter of the memory, and is read by one flat take
+at a·n + b.  Both reads return intp, so no narrow array leaves this module.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 
-TABLE_LIMIT = 1024   # dense op tables are built below this order
+TABLE_LIMIT = 1024   # dense op tables are built up to this order
 MODULE_LIMIT = 1024  # modules are always table-backed
+WIDE_TABLE_LIMIT = 256    # tables up to this order are int64, larger ones uint16
 KIND_SCAN_LIMIT = 2**26   # cap on n^2 work for the generic unit scan
 CHUNK = 1 << 22           # default element budget of one blockwise numpy step
 FIRST_BLOCK = 1 << 10     # element budget of the first block of a growing schedule
@@ -57,15 +64,32 @@ def blocks(count: int, width: int = 1, budget: int = CHUNK,
         start = stop
 
 
-def compose(hi: np.ndarray, lo: np.ndarray, m: int) -> np.ndarray:
-    """``hi·m + lo`` broadcast into one new int64 array, formed in place: the
-    table of the pair index x·m + y from a table over x and one over y.
-    Callers pass views whose axes interleave (``hi[:, None, :, None]`` and
+def compose(hi: np.ndarray, lo: np.ndarray, m: int, dtype=np.int64) -> np.ndarray:
+    """``hi·m + lo`` broadcast into one new array of `dtype`, formed in place
+    and computed in that dtype, which must hold every value: the table of
+    the pair index x·m + y from a table over x and one over y.  Callers pass
+    views whose axes interleave (``hi[:, None, :, None]`` and
     ``lo[None, :, None, :]`` for an operation table) and reshape the result."""
-    out = np.empty(np.broadcast_shapes(hi.shape, lo.shape), dtype=np.int64)
-    np.multiply(hi, m, out=out)
-    out += lo
+    out = np.empty(np.broadcast_shapes(hi.shape, lo.shape), dtype=dtype)
+    np.multiply(hi, m, out=out, dtype=dtype, casting="unsafe")
+    np.add(out, lo, out=out, dtype=dtype, casting="unsafe")
     return out
+
+
+def _table_dtype(order: int):
+    """The dtype of a table whose entries lie in 0..order-1."""
+    return np.int64 if order <= WIDE_TABLE_LIMIT else np.uint16
+
+
+def _gather(table: np.ndarray, a, b=None):
+    """``table[a, b]`` (``table[a]`` for a 1-D table) as intp: an int64
+    table by numpy's gather, a narrow one by one flat take at a·n + b,
+    widened."""
+    if table.itemsize == 8:
+        return table[a] if b is None else table[a, b]
+    if b is not None:
+        a = np.multiply(a, table.shape[1], dtype=np.intp) + b
+    return table.take(a).astype(np.intp)
 
 
 def mask_from_indices(indices, n: int) -> int:
@@ -149,13 +173,19 @@ class FiniteRing:
             raise RingBuildError("ring has 1 = 0")
 
     def _build_tables(self):
-        """The (add, mul, neg) int64 tables over every index, evaluated
-        structurally; products, trivial extensions and Galois fields build
-        theirs from their parts' tables."""
-        idx = np.arange(self.order, dtype=np.int64)
-        return (np.asarray(self._add_impl(idx[:, None], idx[None, :]), dtype=np.int64),
-                np.asarray(self._mul_impl(idx[:, None], idx[None, :]), dtype=np.int64),
-                np.asarray(self._neg_impl(idx), dtype=np.int64))
+        """The (add, mul, neg) tables over every index, evaluated
+        structurally a block of CACHE_BLOCK entries at a time and written
+        in the table dtype; products, trivial extensions and Galois fields
+        build theirs from their parts' tables."""
+        n = self.order
+        dtype = _table_dtype(n)
+        idx = np.arange(n, dtype=np.int64)
+        add, mul = np.empty((n, n), dtype=dtype), np.empty((n, n), dtype=dtype)
+        for start, stop in blocks(n, n, CACHE_BLOCK):
+            rows = idx[start:stop, None]
+            add[start:stop] = self._add_impl(rows, idx)
+            mul[start:stop] = self._mul_impl(rows, idx)
+        return add, mul, np.asarray(self._neg_impl(idx), dtype=dtype)
 
     # subclasses implement the structural operations; they must accept both
     # plain ints and numpy arrays (broadcasting allowed)
@@ -184,17 +214,17 @@ class FiniteRing:
 
     def add_arr(self, a, b):
         if self._tables is not None:
-            return self._tables[0][a, b]
+            return _gather(self._tables[0], a, b)
         return self._add_impl(a, b)
 
     def mul_arr(self, a, b):
         if self._tables is not None:
-            return self._tables[1][a, b]
+            return _gather(self._tables[1], a, b)
         return self._mul_impl(a, b)
 
     def neg_arr(self, a):
         if self._tables is not None:
-            return self._tables[2][a]
+            return _gather(self._tables[2], a)
         return self._neg_impl(a)
 
     # literal codecs: names elements in the spec-file / report syntax
@@ -314,7 +344,7 @@ class GFRing(FiniteRing):
         madd, mneg, act = module._madd, module._mneg, module._act
         top = p ** (k - 1)
         x_k = mneg[sum(c * p**i for i, c in enumerate(self.modulus))]
-        mul = np.empty((q, q), dtype=np.int64)
+        mul = np.empty((q, q), dtype=_table_dtype(q))
         mul[:, 0] = 0
         power = np.arange(q, dtype=np.int64)  # a·x^j for every a
         for j in range(k):
@@ -373,10 +403,11 @@ class ProductRing(FiniteRing):
 
     def _build_tables(self):
         n, m = self.order, self._m
+        dtype = _table_dtype(n)
         (ladd, lmul, lneg), (radd, rmul, rneg) = self.left._tables, self.right._tables
-        return (compose(ladd[:, None, :, None], radd[None, :, None, :], m).reshape(n, n),
-                compose(lmul[:, None, :, None], rmul[None, :, None, :], m).reshape(n, n),
-                compose(lneg[:, None], rneg[None, :], m).reshape(n))
+        return (compose(ladd[:, None, :, None], radd[None, :, None, :], m, dtype).reshape(n, n),
+                compose(lmul[:, None, :, None], rmul[None, :, None, :], m, dtype).reshape(n, n),
+                compose(lneg[:, None], rneg[None, :], m, dtype).reshape(n))
 
     def _add_impl(self, a, b):
         m = self._m
@@ -430,7 +461,8 @@ class QuotientRing(FiniteRing):
 
 
 class FiniteModule:
-    """Finite module over a FiniteRing; always table-backed."""
+    """Finite module over a FiniteRing; always table-backed, with the tables
+    stored in the dtype of the module's order."""
 
     def __init__(self, base: FiniteRing, madd: np.ndarray, mneg: np.ndarray,
                  act: np.ndarray, spec: ModuleSpec | None,
@@ -439,23 +471,25 @@ class FiniteModule:
         self.order = madd.shape[0]
         self.mzero = 0
         self.spec = spec
-        self._madd, self._mneg, self._act = madd, mneg, act
         self._encode, self._decode = encode, decode
         if self.order > MODULE_LIMIT:
             raise RingBuildError(f"module order {self.order} above bound {MODULE_LIMIT}")
+        dtype = _table_dtype(self.order)
+        self._madd, self._mneg, self._act = (np.ascontiguousarray(t, dtype=dtype)
+                                             for t in (madd, mneg, act))
 
     @property
     def name(self) -> str:
         return self.spec.label() if self.spec is not None else f"module#{self.order}"
 
     def madd_arr(self, a, b):
-        return self._madd[a, b]
+        return _gather(self._madd, a, b)
 
     def mneg_arr(self, a):
-        return self._mneg[a]
+        return _gather(self._mneg, a)
 
     def act_arr(self, a, e):
-        return self._act[a, e]
+        return _gather(self._act, a, e)
 
     def encode_literal(self, lit) -> int:
         return self._encode(lit)
@@ -508,9 +542,10 @@ def _sum_tables(e: tuple, f: tuple) -> tuple:
     (emadd, emneg, eact), (fmadd, fmneg, fact) = e, f
     m = len(fmneg)
     n = len(emneg) * m
-    return (compose(emadd[:, None, :, None], fmadd[None, :, None, :], m).reshape(n, n),
-            compose(emneg[:, None], fmneg[None, :], m).reshape(n),
-            compose(eact[:, :, None], fact[:, None, :], m).reshape(len(eact), n))
+    dtype = _table_dtype(n)
+    return (compose(emadd[:, None, :, None], fmadd[None, :, None, :], m, dtype).reshape(n, n),
+            compose(emneg[:, None], fmneg[None, :], m, dtype).reshape(n),
+            compose(eact[:, :, None], fact[:, None, :], m, dtype).reshape(len(eact), n))
 
 
 def module_sum(e: FiniteModule, f: FiniteModule, spec: ModuleSpec | None = None) -> FiniteModule:
@@ -556,15 +591,19 @@ class TrivialExtensionRing(FiniteRing):
 
     def _build_tables(self):
         n, m = self.order, self._m
+        dtype = _table_dtype(n)
         badd, bmul, bneg = self.base_ring._tables
         mod = self.ext_module
         act = mod._act
-        add = compose(badd[:, None, :, None], mod._madd[None, :, None, :], m)
+        add = compose(badd[:, None, :, None], mod._madd[None, :, None, :], m, dtype)
         # (a,e)(a',e') = (aa', a·e' + a'·e): one gather from madd at
-        # act[a, e']·m + act[a', e], plus aa'·m
-        mul = mod._madd.ravel()[compose(act[:, None, None, :], act.T[None, :, :, None], m)]
-        mul += bmul[:, None, :, None] * m
-        neg = compose(bneg[:, None], mod._mneg[None, :], m)
+        # act[a, e']·m + act[a', e], plus aa'·m.  The gather index is below
+        # m² <= 2²⁰, so a narrow table takes it as uint32.
+        index = compose(act[:, None, None, :], act.T[None, :, :, None], m,
+                        np.int64 if dtype is np.int64 else np.uint32)
+        mul = mod._madd.astype(dtype, copy=False).ravel()[index]
+        mul += np.multiply(bmul[:, None, :, None], m, dtype=dtype, casting="unsafe")
+        neg = compose(bneg[:, None], mod._mneg[None, :], m, dtype)
         return add.reshape(n, n), mul.reshape(n, n), neg.reshape(n)
 
     def _add_impl(self, a, b):

@@ -5,7 +5,9 @@ rings.py, say) has one home below everything that reads it.  Replay
 the front ends, and only replay localizes by the kernel scan
 (`ideals.localize_at`).  The per-ring cache and the block-size rule of the
 numpy scans live in rings.py alone: other modules go through FiniteRing.memo
-and rings.blocks."""
+and rings.blocks.  So do the element tables, whose storage dtype depends on
+the order: other modules go through the ring and module operations, which
+return intp."""
 
 import ast
 from pathlib import Path
@@ -22,6 +24,8 @@ ALLOWED = {
 }
 # the modules that may name `localize_at`: its home, replay, and the export
 LOCALIZERS = {"ideals", "certs", "__init__"}
+# the attributes that hold element tables, named in rings.py alone
+TABLE_ATTRS = {"_tables", "_madd", "_mneg", "_act"}
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -82,6 +86,13 @@ def test_only_replay_localizes():
     naming = {p.stem for p in SOURCE.glob("*.py") if "localize_at" in _names(p)}
     assert naming <= LOCALIZERS
     assert {"ideals", "certs"} <= naming
+
+
+def test_only_rings_reads_the_tables():
+    naming = {p.stem: _names(p) & TABLE_ATTRS for p in SOURCE.glob("*.py")}
+    assert {stem: names for stem, names in naming.items()
+            if names and stem != "rings"} == {}
+    assert naming["rings"] == TABLE_ATTRS
 
 
 def _home_violations(path: Path) -> list[str]:

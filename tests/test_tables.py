@@ -3,7 +3,9 @@
 Their tables are composed from the factors' tables.  These tests compare
 each composed table with the structural evaluation of the same ring over
 the full index grid, and each module table with the coordinatewise
-formula, and check that no composition falls back to the grid.
+formula, and check that no composition falls back to the grid.  A table of
+order up to 256 is int64 and a larger one uint16; the tests pin that rule,
+and check that every element operation returns intp whatever the storage.
 """
 
 from pathlib import Path
@@ -17,10 +19,12 @@ from finring.errors import RingBuildError
 from finring.harness import (DEFAULT_DIMENSIONS, build_residue_idealization,
                              default_local_bases)
 from finring.ideals import is_local, quotient_module, residue_vector_space
-from finring.rings import (FiniteModule, FiniteRing, ProductRing,
+from finring.rings import (FiniteModule, FiniteRing, GFRing, ProductRing,
                            TrivialExtensionRing, ZmodRing, free_module,
                            module_sum, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
+
+from oracles import gf_products_by_schoolbook
 
 SPECS = Path(__file__).resolve().parents[1] / "perfbench" / "specs"
 
@@ -42,8 +46,13 @@ def _composites(roots) -> list[FiniteRing]:
 
 
 def _assert_tables(tables, expected):
+    """Each table equals its expected values, is C-contiguous, and has the
+    dtype of its order (the length of its last axis): int64 up to 256
+    elements, uint16 above."""
     for table, want in zip(tables, expected, strict=True):
-        assert table.dtype == np.int64 and table.flags.c_contiguous
+        order = table.shape[-1]
+        assert table.dtype == (np.int64 if order <= 256 else np.uint16), order
+        assert table.flags.c_contiguous
         assert np.array_equal(table, want)
 
 
@@ -82,7 +91,8 @@ def _coordinatewise(columns) -> tuple:
     madd = np.zeros((order, order), dtype=np.int64)
     mneg = np.zeros(order, dtype=np.int64)
     act = np.zeros((columns[0][2].shape[0], order), dtype=np.int64)
-    for i, (cadd, cneg, cact) in enumerate(columns):
+    for i, column in enumerate(columns):
+        cadd, cneg, cact = (np.asarray(t, dtype=np.int64) for t in column)
         w = int(np.prod(radices[i + 1:]))
         d = (idx // w) % radices[i]
         madd += cadd[d[:, None], d[None, :]] * w
@@ -155,3 +165,102 @@ def test_tabled_builds_make_no_grid_evaluation(monkeypatch):
         n = built.order
         assert n <= rings.TABLE_LIMIT
         assert [c for c in calls if c[1] >= n * n] == [], built
+
+
+# ------------------------------------------------ narrow tables, intp results
+
+GF1024 = (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)   # x^10 + x^3 + 1 over F2
+
+
+def _self_extension(n: int) -> TrivialExtensionRing:
+    base = ZmodRing(n)
+    return TrivialExtensionRing(base, free_module(base, 1))
+
+
+def _index_args(rows: int, cols: int, seed: int) -> list:
+    """A scalar pair, a 1-D pair and a broadcast 2-D pair of indices, the
+    first of each pair below `rows` and the second below `cols`."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, rows, size=300), rng.integers(0, cols, size=300)
+    return [(int(a[0]), int(b[0])), (a, b), (a[:40, None], b[None, :50])]
+
+
+def _assert_intp(got, want):
+    """`got` is intp (an array for array indices) and equals `want`."""
+    assert np.asarray(got).dtype == np.intp
+    assert np.ndim(got) == np.ndim(want)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("build", [lambda: _self_extension(31),
+                                   lambda: ProductRing(ZmodRing(32), ZmodRing(16))],
+                         ids=["Z31_trivext_Z31", "Z32_x_Z16"])
+def test_narrow_ring_ops_return_intp(build):
+    ring = build()
+    assert [t.dtype for t in ring._tables] == [np.uint16] * 3
+    for a, b in _index_args(ring.order, ring.order, seed=ring.order):
+        _assert_intp(ring.add_arr(a, b), ring._add_impl(a, b))
+        _assert_intp(ring.mul_arr(a, b), ring._mul_impl(a, b))
+        _assert_intp(ring.neg_arr(a), ring._neg_impl(a))
+    a, b = _index_args(ring.order, ring.order, seed=1)[0]
+    assert type(ring.add(a, b)) is int and ring.add(a, b) == ring._add_impl(a, b)
+    assert type(ring.mul(a, b)) is int and ring.mul(a, b) == ring._mul_impl(a, b)
+
+
+def test_narrow_field_ops_return_intp():
+    field = GFRing(2, 10, GF1024)
+    assert [t.dtype for t in field._tables] == [np.uint16] * 3
+    for a, b in _index_args(1024, 1024, seed=2):
+        _assert_intp(field.add_arr(a, b), np.bitwise_xor(a, b))
+        _assert_intp(field.mul_arr(a, b), gf_products_by_schoolbook(2, GF1024, a, b))
+        _assert_intp(field.neg_arr(a), np.asarray(a))      # -a = a in characteristic 2
+    a, b = _index_args(1024, 1024, seed=3)[0]
+    assert type(field.add(a, b)) is int and field.add(a, b) == a ^ b
+    assert type(field.mul(a, b)) is int
+    assert field.mul(a, b) == gf_products_by_schoolbook(2, GF1024, a, b)
+
+
+def test_narrow_module_ops_return_intp():
+    module = free_module(ZmodRing(4), 5)
+    assert [t.dtype for t in (module._madd, module._mneg, module._act)] == [np.uint16] * 3
+
+    def coords(x):
+        return [np.asarray(x) // 4**i % 4 for i in range(5)]
+
+    def index(cs):
+        return sum(c % 4 * 4**i for i, c in enumerate(cs))
+
+    for e, f in _index_args(1024, 1024, seed=4):
+        _assert_intp(module.madd_arr(e, f), index(x + y for x, y in zip(coords(e), coords(f))))
+        _assert_intp(module.mneg_arr(e), index(-x for x in coords(e)))
+    for a, e in _index_args(4, 1024, seed=5):
+        _assert_intp(module.act_arr(a, e), index(np.asarray(a) * x for x in coords(e)))
+
+
+@pytest.mark.parametrize("m", [1024, 3])
+def test_structural_rings_over_narrow_factors(m):
+    """Z1024 ∝ Z1024 (m = 1024) and Z1024 × Z3 (m = 3) have no tables and
+    evaluate through Z1024's uint16 table; sampled pairs against the
+    integer formulas on indices a·m + e."""
+    z1024 = ZmodRing(1024)
+    assert z1024._tables[1].dtype == np.uint16
+    ring = (_self_extension(1024) if m == 1024 else ProductRing(z1024, ZmodRing(3)))
+    assert ring._tables is None
+    i, j = np.random.default_rng(m).integers(0, ring.order, size=(2, 2000))
+    (a, e), (b, f) = divmod(i, m), divmod(j, m)
+    times = (a * f + b * e) % m if m == 1024 else e * f % m
+    _assert_intp(ring.add_arr(i, j), (a + b) % 1024 * m + (e + f) % m)
+    _assert_intp(ring.mul_arr(i, j), a * b % 1024 * m + times)
+    _assert_intp(ring.neg_arr(i), -a % 1024 * m + -e % m)
+    x, y = int(i[0]), int(j[0])
+    assert type(ring.mul(x, y)) is int and ring.mul(x, y) == ring.mul_arr(i, j)[0]
+
+
+def test_table_widths(corpus_rings):
+    """Z31 ∝ Z31 (order 961) stores 2 bytes per table entry; every default
+    corpus ring (order <= 64) stores 8."""
+    ring = _self_extension(31)
+    assert [t.nbytes for t in ring._tables] == [2 * 961 * 961, 2 * 961 * 961, 2 * 961]
+    tabled = [r for r in corpus_rings if r._tables is not None]
+    assert len(tabled) == len(corpus_rings)
+    assert {t.itemsize for r in tabled for t in r._tables} == {8}
