@@ -25,7 +25,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -36,9 +35,9 @@ from .ideals import (LATTICE_LIMIT, Ideal, complement_idempotent,
                      is_local, is_locally_principal, least_generator_count,
                      local_factors, make_quotient, principal_ideal,
                      zero_ideal_locally_irreducible)
-from .polys import (RingPoly, certify_gaussians, content, decode_poly_block,
-                    has_square_zero_maximal, make_poly, poly_count, poly_mul,
-                    ring_gaussian_refutation_search)
+from .polys import (RingPoly, content, decode_poly_block,
+                    has_square_zero_maximal, make_poly, orbit_verdicts,
+                    poly_count, poly_mul, ring_gaussian_refutation_search)
 from .rings import (CACHE_BLOCK, KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT,
                     FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
                     blocks, element_units)
@@ -465,9 +464,11 @@ def decide_total_quotient(ring: FiniteRing) -> ConditionResult:
 
 
 def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
-    """Yield polynomials of exact `degree` whose coefficients lie in the ideal
-    and generate it, in the pinned enumeration order; none when its d + 1
-    coefficients are fewer than the ideal needs generators."""
+    """Yield, block by block, the coefficient columns (low-first, one row
+    per degree slot) of the polynomials of exact `degree` whose
+    coefficients lie in the ideal and generate it, in the pinned
+    enumeration order; none when its d + 1 coefficients are fewer than the
+    ideal needs generators."""
     if degree + 1 < least_generator_count(ideal):
         return
     calc = content_calculus(ring)
@@ -475,9 +476,42 @@ def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
     members = ideal.indices
     for start, stop in blocks(poly_count(members.size, degree), budget=1 << 16):
         cols = decode_poly_block(members, degree, start, stop)
-        hits = np.nonzero(calc.content_ids(cols) == target)[0]
-        for h in hits:
-            yield make_poly(ring, [int(c[h]) for c in cols])
+        hits = np.flatnonzero(calc.content_ids(cols) == target)
+        if hits.size:
+            yield np.array([c[hits] for c in cols])
+
+
+def _first_layouts(ring: FiniteRing, ideal: Ideal, degree_bound: int,
+                   count: int) -> list[np.ndarray]:
+    """Column blocks of the ideal's first `count` generator layouts of
+    degree 1 to `degree_bound`, in the pinned order; no later block is
+    decoded."""
+    taken, left = [], count
+    for degree in range(1, degree_bound + 1):
+        for cols in _generator_layouts(ring, ideal, degree):
+            taken.append(cols[:, :left])
+            left -= taken[-1].shape[1]
+            if not left:
+                return taken
+    return taken
+
+
+def _pseudo_candidates(ring: FiniteRing, non_lp, config: ClassifyConfig
+                       ) -> np.ndarray:
+    """Coefficient columns (low-first, zero-padded to the widest) of the
+    first `pseudo_candidate_cap` generator layouts of each ideal of
+    `non_lp`, ideal by ideal: one column per candidate."""
+    taken = [cols for ideal, _counter in non_lp
+             for cols in _first_layouts(ring, ideal, config.degree_bound,
+                                        config.pseudo_candidate_cap)]
+    width = max((cols.shape[0] for cols in taken), default=0)
+    out = np.full((width, sum(cols.shape[1] for cols in taken)), ring.zero,
+                  dtype=np.int64)
+    at = 0
+    for cols in taken:
+        out[:cols.shape[0], at:at + cols.shape[1]] = cols
+        at += cols.shape[1]
+    return out
 
 
 def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
@@ -491,9 +525,12 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
     first layout is itself a certified witness and the verdict is an exact
     No; with no non-locally-principal ideals the verdict is an exact Yes;
     otherwise candidates are searched under the configured caps and the
-    verdict stays bounded.  An arithmetical ring has every ideal locally
-    principal, so it builds no lattice: its Yes reads `ideal_count` from
-    its chain-ring corners.  A ring above the lattice bound is refused.
+    verdict stays bounded.  The candidates stay coefficient columns
+    (`_pseudo_candidates`), and their statuses are filed once per orbit by
+    `polys.orbit_verdicts`, whose counts the verdict reads.  An
+    arithmetical ring has every ideal locally principal, so it builds no
+    lattice: its Yes reads `ideal_count` from its chain-ring corners.  A
+    ring above the lattice bound is refused.
     """
     if ring.order > LATTICE_LIMIT:
         raise BoundExceededError(
@@ -508,52 +545,44 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
     gaussian = gaussian_ring_verdict(ring, config)
     if gaussian.verdict == "Yes":
         for ideal, counter in non_lp:
-            for degree in range(1, config.degree_bound + 1):
-                for f in _generator_layouts(ring, ideal, degree):
-                    witness = {
-                        "f": f.literals(),
-                        "content_gens": _lits(ring, ideal.gens),
-                        "content_order": ideal.size,
-                        "non_principal_at": {
-                            "maximal_gens": _lits(ring, counter["maximal"].gens),
-                            "localization_order": counter["localization_order"],
-                        },
-                        "gaussian_reason": {"rule": "ring_certified_gaussian",
-                                            "ring_certificate": gaussian.certificate},
-                    }
-                    return ConditionResult(
-                        "No", {"kind": "certified_gaussian_with_bad_content"},
-                        witness=witness)
+            first = _first_layouts(ring, ideal, config.degree_bound, 1)
+            if first:
+                witness = {
+                    "f": make_poly(ring, first[0][:, 0]).literals(),
+                    "content_gens": _lits(ring, ideal.gens),
+                    "content_order": ideal.size,
+                    "non_principal_at": {
+                        "maximal_gens": _lits(ring, counter["maximal"].gens),
+                        "localization_order": counter["localization_order"],
+                    },
+                    "gaussian_reason": {"rule": "ring_certified_gaussian",
+                                        "ring_certificate": gaussian.certificate},
+                }
+                return ConditionResult(
+                    "No", {"kind": "certified_gaussian_with_bad_content"},
+                    witness=witness)
         return ConditionResult(  # no layout of any non-lp ideal fits the bound
             "BoundedYes", {"kind": "no_generator_layout_within_degree_bound",
                            "non_locally_principal_ideals": len(non_lp)},
             bound=config.degree_bound)
 
-    candidates: list[RingPoly] = []
-    for ideal, _counter in non_lp:
-        layouts = (f for degree in range(1, config.degree_bound + 1)
-                   for f in _generator_layouts(ring, ideal, degree))
-        candidates += islice(layouts, config.pseudo_candidate_cap)
-    verdicts = certify_gaussians(candidates, config.degree_bound,
-                                 config.witness_cap)
-    refuted = inconclusive = 0
-    for f, verdict in zip(candidates, verdicts):
-        if verdict.status == "certified":
+    cols = _pseudo_candidates(ring, non_lp, config)
+    run = orbit_verdicts(ring, cols, config.degree_bound, config.witness_cap)
+    for r, verdict in run.filed.items():     # ascending: the first certified
+        if verdict.status == "certified":   # root is the first such candidate
             # a candidate's content is proper and nonzero, and a local ring
             # with square-zero maximal ideal is certified Gaussian (rule (c))
             raise ConsistencyError(
-                f"{ring.name}: candidate {f.literals()} certified Gaussian "
-                f"({verdict.reason}) in a ring not certified Gaussian")
-        if verdict.status == "refuted":
-            refuted += 1
-        else:
-            inconclusive += 1
+                f"{ring.name}: candidate {make_poly(ring, cols[:, r]).literals()} "
+                f"certified Gaussian ({verdict.reason}) in a ring not certified "
+                f"Gaussian")
+    tried = cols.shape[1]
     return ConditionResult(
         "BoundedYes",
         {"kind": "bounded_candidate_search",
          "non_locally_principal_ideals": len(non_lp),
-         "candidates_tried": len(candidates), "refuted": refuted,
-         "inconclusive": inconclusive},
+         "candidates_tried": tried, "refuted": run.refuted.size,
+         "inconclusive": tried - run.refuted.size},
         bound=config.degree_bound)
 
 

@@ -22,7 +22,7 @@ automorphism of R[x] with c(φh) = c(h), so f and u·f(vx + c) have the same
 status, and a violating g for f becomes the violating g(vx + c) for
 u·f(vx + c); a run of candidates needs one search per orbit of these maps,
 and the witnesses of the refuted orbits are carried to all their other
-members in one columnwise pass (`certify_gaussians`).
+members in one columnwise pass (`orbit_verdicts`).
 A constant factor a never violates either, since c(a·g) = (a)·c(g), so
 the witness search starts at degree 1 and the pair search counts the pairs
 with a constant factor without evaluating them.  Caps and bounds still
@@ -43,19 +43,24 @@ not depend on f: a degree whose candidates fit one block is decoded, with
 its content ids, once per ring (`_witness_block`).
 
 Every violation claimed, by a search hit or by a carried witness, is
-re-checked on its own f and g by one batched kernel (`_verify_violations`):
-some product fᵢgⱼ must lie outside the span of c(fg), which is the sum of
-the principal ideals of fg's coefficients, each formed afresh.  Since
-c(fg) ⊆ c(f)c(g), that holds exactly when c(fg) and c(f)c(g) differ, i.e.
-when the ideals `content(poly_mul(f, g))` and `ideal_product(content(f),
-content(g))` have different masks.  The re-check uses no lattice ids, join
-table or product table.
+re-checked on its own f and g by one batched kernel (`_verify_violations`)
+before any caller sees it: some product fᵢgⱼ must lie outside the span of
+c(fg), which is the sum of the principal ideals of fg's coefficients, each
+formed afresh.  Since c(fg) ⊆ c(f)c(g), that holds exactly when c(fg) and
+c(f)c(g) differ, i.e. when the ideals `content(poly_mul(f, g))` and
+`ideal_product(content(f), content(g))` have different masks.  The re-check
+uses no lattice ids, join table or product table.  A run of candidates
+(`orbit_verdicts`) re-checks every refutation it files, its roots' search
+hits and its carried witnesses, in one call; a search called on its own
+re-checks its single hit.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +72,10 @@ from .rings import (FiniteRing, associate_leaders, blocks, element_units,
                     group_generators, unit_partition)
 
 _PAIR_CHUNK = 1 << 18
+
+# True while `orbit_verdicts` certifies its roots: it re-checks every
+# refutation it files, so a witness search's hit joins that one batch
+_HITS_JOIN_RUN: ContextVar[bool] = ContextVar("hits_join_run", default=False)
 
 
 @dataclass(frozen=True)
@@ -166,7 +175,9 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
     c(f·a) = (a)·c(f)) with non-unit coefficients (Dedekind–Mertens) whose
     leading coefficient is an associate-class leader (if g violates, so does
     u·g, so the first violation leads with the least of its class), in
-    growing blocks, and stops at the first violating block.  Raises
+    growing blocks, and stops at the first violating block.  The hit is
+    re-checked (`_verify_violations`) before it is returned, on its own or,
+    inside `orbit_verdicts`, with the rest of that run.  Raises
     BoundExceededError when the full, unpruned candidate count exceeds
     `cap`; callers wanting a clamped search use certify_gaussian.
     """
@@ -192,7 +203,8 @@ def gaussian_witness_search(f: RingPoly, degree_bound: int,
             bad = np.flatnonzero(actual != expected)
             if bad.size:
                 g = make_poly(ring, [int(c[bad[0]]) for c in g_cols])
-                _verify_violations(ring, _poly_columns([f]), _poly_columns([g]))
+                if not _HITS_JOIN_RUN.get():
+                    _verify_violations(ring, _poly_columns([f]), _poly_columns([g]))
                 return g
     return None
 
@@ -403,7 +415,38 @@ def _unit_content(f: RingPoly) -> bool:
 def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000
                       ) -> list[GaussianVerdict]:
     """For each f of `fs` in order, a verdict with the status of
-    certify_gaussian(f, degree_bound, cap), certifying once per
+    certify_gaussian(f, degree_bound, cap), filed by `orbit_verdicts`.
+
+    A root keeps its own verdict; every other member takes its root's,
+    except that a member of a refuted orbit gets its carried witness.  A
+    carried witness need not be the first witness of its f in the pinned
+    order.
+    """
+    fs = list(fs)
+    if not fs:
+        return []
+    ring = fs[0].ring
+    run = orbit_verdicts(ring, _poly_columns(fs), degree_bound, cap)
+    verdicts = [run.filed[r] for r in run.root.tolist()]
+    for i, g in zip(run.refuted.tolist(), run.witnesses.T.tolist()):
+        if run.root[i] != i:
+            verdicts[i] = GaussianVerdict("refuted", witness=make_poly(ring, g))
+    return verdicts
+
+
+class OrbitVerdicts(NamedTuple):
+    """The verdicts `orbit_verdicts` files for a run of candidates."""
+
+    root: np.ndarray                   # root[i]: first candidate of i's orbit
+    filed: dict[int, GaussianVerdict]  # each root's certify_gaussian verdict
+    refuted: np.ndarray                # the refuted candidates, ascending
+    witnesses: np.ndarray              # columns: a re-checked witness of each
+
+
+def orbit_verdicts(ring: FiniteRing, cols: np.ndarray, degree_bound: int,
+                   cap: int) -> OrbitVerdicts:
+    """Statuses of the candidates given as coefficient columns (low-first,
+    zero-padded, one column per candidate), certifying once per
     affine-substitution orbit.
 
     For a unit v and any c, φ: x ↦ vx + c is an automorphism of R[x], and
@@ -412,36 +455,34 @@ def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000
     other.  With a unit u, c(u·φh) = c(h) too, so f and f' = u·f(vx + c)
     have the same status, and a g violating for f gives the violating
     g(vx + c) for f', of the same degree.  The candidates fall into orbits
-    under these maps (`_affine_orbits`), and the verdicts are filed in two
-    passes.  The first certifies the first candidate of each orbit, its
-    root.  The second carries the witness of every refuted root to all the
-    later members of its orbit at once: the witnesses are substituted
-    columnwise with each member's (v, c) (`_substitute`), and every carried
-    pair is re-checked on its own f by one batched kernel
-    (`_verify_violations`), the one the searches run on their single hits.
-    A carried witness need not be the first witness of its f in the pinned
-    order.  Every other member takes its root's verdict.
+    under these maps (`_affine_orbits`).  The first candidate of each
+    orbit, its root, is certified by `certify_gaussian`; the witness of
+    every refuted root is then carried to all the members of its orbit at
+    once, substituted columnwise with each member's (v, c) (`_substitute`;
+    a root's own is (1, 0)).  Every refuted candidate, root or not, is
+    re-checked on its own f and witness by one `_verify_violations` call.
     """
-    fs = list(fs)
-    if not fs:
-        return []
-    ring = fs[0].ring
-    root, dilation, shift = _affine_orbits(fs)
-    later = root != np.arange(len(fs))
-    filed = {r: certify_gaussian(fs[r], degree_bound, cap)
-             for r in np.flatnonzero(~later).tolist()}
-    verdicts = [filed[r] for r in root.tolist()]
-    refuted = [r for r, v in filed.items() if v.status == "refuted"]  # ascending
-    carried = np.flatnonzero(later & np.isin(root, refuted))
-    if carried.size:
-        witnesses = _poly_columns([filed[r].witness for r in refuted])
-        g_cols = _substitute(ring, witnesses[:, np.searchsorted(refuted, root[carried])],
-                             dilation[carried], shift[carried])
-        _verify_violations(ring, _poly_columns([fs[i] for i in carried.tolist()]),
-                           g_cols)
-        for i, g in zip(carried.tolist(), np.stack(g_cols, axis=1).tolist()):
-            verdicts[i] = GaussianVerdict("refuted", witness=make_poly(ring, g))
-    return verdicts
+    size = cols.shape[1]
+    if not size:
+        empty = np.zeros(0, dtype=np.int64)
+        return OrbitVerdicts(empty, {}, empty, np.zeros((0, 0), dtype=np.int64))
+    root, dilation, shift = _affine_orbits(ring, cols)
+    token = _HITS_JOIN_RUN.set(True)
+    try:
+        filed = {r: certify_gaussian(make_poly(ring, cols[:, r]), degree_bound, cap)
+                 for r in np.flatnonzero(root == np.arange(size)).tolist()}
+    finally:
+        _HITS_JOIN_RUN.reset(token)
+    refuted_roots = [r for r, v in filed.items() if v.status == "refuted"]  # ascending
+    refuted = np.flatnonzero(np.isin(root, refuted_roots))
+    witnesses = np.zeros((0, 0), dtype=np.int64)
+    if refuted.size:
+        found = _poly_columns([filed[r].witness for r in refuted_roots])
+        witnesses = np.array(_substitute(
+            ring, found[:, np.searchsorted(refuted_roots, root[refuted])],
+            dilation[refuted], shift[refuted]))
+        _verify_violations(ring, cols[:, refuted], witnesses)
+    return OrbitVerdicts(root, filed, refuted, witnesses)
 
 
 def _dilate_columns(ring: FiniteRing, cols, v: int) -> list:
@@ -479,10 +520,12 @@ def _codes(cols, n: int) -> np.ndarray:
     return code
 
 
-def _affine_orbits(fs: list[RingPoly]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(root, v, c)``: each fs[i] is u·fs[root[i]](v[i]·x + c[i]) for a
-    unit u, and root[i] is the first candidate of the orbit of fs[i] within
-    `fs`.
+def _affine_orbits(ring: FiniteRing, cols: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(root, v, c)`` for the candidates fᵢ given as the columns of `cols`
+    (low-first, zero-padded): each fᵢ is u·f_root[i](v[i]·x + c[i]) for a
+    unit u, and root[i] is the first candidate of the orbit of fᵢ among
+    them.
 
     Each candidate is coded as Σ fᵢ·nⁱ.  The images of all candidates under
     f ↦ u·f and f ↦ f(vx), for u and v in `group_generators(ring, "units")`,
@@ -496,15 +539,12 @@ def _affine_orbits(fs: list[RingPoly]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     the codes do not fit in int64 (n^(d+1) ≥ 2^63 at degree d), every
     candidate is its own orbit.
     """
-    ring = fs[0].ring
-    n, size = ring.order, len(fs)
-    width = max(len(f.coeffs) for f in fs)
+    n, (width, size) = ring.order, cols.shape
     root = np.arange(size, dtype=np.int64)
     dilation = np.full(size, ring.one, dtype=np.int64)
     shift = np.zeros(size, dtype=np.int64)
     if n**width >= 2**63:
         return root, dilation, shift
-    cols = _poly_columns(fs)
     codes = _codes(cols, n)
     order = np.argsort(codes)
     sorted_codes = codes[order]

@@ -5,9 +5,12 @@ scans of an ideal lattice, the lattice scan of arithmeticity, the pairwise
 irreducibility test, the pairwise locality test, the member-product closure
 of an ideal product, affine substitution by powers of the linear form, the
 hom laws checked one source element at a time, a hom's kernel, an element's
-unit/zerodivisor kind, the polynomial at a pinned enumeration index, and
-F_p[x]/(f) by schoolbook products and trial division.  No program path
-calls them."""
+unit/zerodivisor kind, the polynomial at a pinned enumeration index, the
+pseudo-arithmetical candidates as a list of polynomials from a full scan of
+every coefficient tuple, and F_p[x]/(f) by schoolbook products and trial
+division.  No program path calls them."""
+
+from itertools import islice
 
 import numpy as np
 
@@ -201,6 +204,32 @@ def poly_at_index(ring: FiniteRing, degree: int, index: int) -> RingPoly:
     pinned enumeration order."""
     cols = decode_poly_block(np.arange(ring.order), degree, index, index + 1)
     return make_poly(ring, [int(c[0]) for c in cols])
+
+
+def generator_layouts_by_full_scan(ring: FiniteRing, ideal: Ideal, degree: int):
+    """Every polynomial of exact `degree` with coefficients in the ideal and
+    content the ideal, in the pinned order, with no generator-count
+    shortcut."""
+    calc = content_calculus(ring)
+    target = calc.lattice.ideal_id(ideal)
+    for start, stop in blocks(poly_count(ideal.size, degree), budget=1 << 16):
+        cols = decode_poly_block(ideal.indices, degree, start, stop)
+        for h in np.nonzero(calc.content_ids(cols) == target)[0]:
+            yield make_poly(ring, [int(c[h]) for c in cols])
+
+
+def pseudo_candidates_by_full_scan(ring: FiniteRing, degree_bound: int,
+                                   cap: int) -> list[RingPoly]:
+    """The pseudo-arithmetical candidates as one polynomial each: for every
+    lattice ideal that is not locally principal, in lattice order, its first
+    `cap` generator layouts of degree 1 to `degree_bound`."""
+    out: list[RingPoly] = []
+    for ideal in enumerate_ideals(ring).ideals:
+        if not is_locally_principal(ideal)[0]:
+            layouts = (f for d in range(1, degree_bound + 1)
+                       for f in generator_layouts_by_full_scan(ring, ideal, d))
+            out += islice(layouts, cap)
+    return out
 
 
 def dedekind_mertens_check(f: RingPoly, g: RingPoly) -> bool:

@@ -20,14 +20,15 @@ from finring.errors import BoundExceededError, ConsistencyError
 from finring.ideals import (enumerate_ideals, first_nonprincipal_maximal,
                             ideal_product, is_local, maximal_ideals,
                             residue_vector_space)
-from finring.polys import (certify_gaussian, certify_gaussians, content,
-                          poly_count, poly_mul)
+from finring.polys import (GaussianVerdict, certify_gaussian,
+                           certify_gaussians, content, make_poly, poly_mul)
 from finring.reports import to_json
-from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing, blocks,
+from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
                            free_module, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
-from oracles import (arithmetical_by_lattice_scan, maximals_by_pairwise_scan,
-                     substituted)
+from oracles import (arithmetical_by_lattice_scan,
+                     generator_layouts_by_full_scan, maximals_by_pairwise_scan,
+                     pseudo_candidates_by_full_scan, substituted)
 
 SPECS = Path(__file__).resolve().parent / "specs"
 
@@ -370,26 +371,27 @@ def _self_idealization(order: int):
 
 def _pseudo_search(monkeypatch, ring):
     """decide_pseudo_arithmetical on `ring`, with the candidates it hands to
-    certify_gaussians and the number of certify_gaussian calls it makes."""
+    orbit_verdicts, one polynomial each, and the number of certify_gaussian
+    calls that orbit_verdicts makes, one per orbit root."""
     classify_module = importlib.import_module("finring.classify")
     polys_module = importlib.import_module("finring.polys")
-    batched, calls = [], []
-    real_batch = classify_module.certify_gaussians
+    handed, calls = [], []
+    real_run = classify_module.orbit_verdicts
     real_single = polys_module.certify_gaussian
 
-    def batch(fs, *args):
-        batched.extend(fs)
-        return real_batch(fs, *args)
+    def run(ring, cols, *args):
+        handed.extend(make_poly(ring, col) for col in cols.T.tolist())
+        return real_run(ring, cols, *args)
 
     def single(*args):
         calls.append(args[0])
         return real_single(*args)
 
-    monkeypatch.setattr(classify_module, "certify_gaussians", batch)
+    monkeypatch.setattr(classify_module, "orbit_verdicts", run)
     monkeypatch.setattr(polys_module, "certify_gaussian", single)
     config = ClassifyConfig()
     result = decide_pseudo_arithmetical(ring, config)
-    return result, batched, calls
+    return result, handed, calls
 
 
 def _assert_same_statuses(fs, verdicts):
@@ -399,7 +401,8 @@ def _assert_same_statuses(fs, verdicts):
     violates on its own f."""
     assert [v.status for v in verdicts] == [certify_gaussian(f).status
                                             for f in fs]
-    root, dilation, shift = polys._affine_orbits(fs)
+    root, dilation, shift = polys._affine_orbits(fs[0].ring,
+                                                 polys._poly_columns(fs))
     for i, (f, verdict) in enumerate(zip(fs, verdicts)):
         if verdict.status == "refuted":
             r = int(root[i])
@@ -469,23 +472,89 @@ def test_orbit_filing_rejects_a_partial_substitution(monkeypatch, substitute):
         certify_gaussians(fs)
 
 
+def test_pseudo_arithmetical_run_rechecks_once(monkeypatch):
+    # Z8 ∝ Z8 refutes its 56 roots by search and carries their witnesses to
+    # 712 more candidates: all 768 pairs go through one re-check call
+    ring = _self_idealization(8)
+    config = ClassifyConfig()
+    gaussian_ring_verdict(ring, config)     # the pair search re-checks its own hit
+    calls = []
+    real = polys._verify_violations
+
+    def counted(ring, f_cols, g_cols):
+        calls.append(np.shape(f_cols)[1])
+        return real(ring, f_cols, g_cols)
+
+    monkeypatch.setattr(polys, "_verify_violations", counted)
+    result = decide_pseudo_arithmetical(ring, config)
+    assert result.certificate["refuted"] == 768 and calls == [768]
+    # after the run, a search called on its own re-checks its hit again
+    f = polys.poly_from_literals(ring, [(2, 0), (0, 1)])
+    assert polys.gaussian_witness_search(f, 1) is not None and calls == [768, 1]
+
+
+def test_a_clean_root_hit_fails_the_run(monkeypatch):
+    # a root search that claims g = x, of unit content, which never violates,
+    # is caught by the run's one re-check, whether the decider or
+    # certify_gaussians files the verdicts
+    ring = _self_idealization(8)
+    config = ClassifyConfig()
+    _result, fs, _calls = _pseudo_search(monkeypatch, ring)
+    monkeypatch.undo()
+    gaussian_ring_verdict(ring, config)
+    x = make_poly(ring, [ring.zero, ring.one])
+    monkeypatch.setattr(polys, "gaussian_witness_search", lambda f, *args: x)
+    with pytest.raises(ConsistencyError, match="fails re-verification"):
+        decide_pseudo_arithmetical(ring, config)
+    with pytest.raises(ConsistencyError, match="fails re-verification"):
+        certify_gaussians(fs)
+
+
+def test_a_certified_candidate_names_its_literals(monkeypatch):
+    ring = _self_idealization(8)
+    config = ClassifyConfig()
+    _result, fs, _calls = _pseudo_search(monkeypatch, ring)
+    monkeypatch.undo()
+    gaussian_ring_verdict(ring, config)
+    monkeypatch.setattr(polys, "certify_gaussian",
+                        lambda f, *args: GaussianVerdict("certified",
+                                                         reason="unit_content"))
+    with pytest.raises(ConsistencyError) as caught:
+        decide_pseudo_arithmetical(ring, config)
+    assert f"candidate {fs[0].literals()} certified Gaussian (unit_content)" in str(
+        caught.value)
+
+
+def test_pseudo_candidate_columns_match_the_polynomial_list(corpus_rings):
+    # every corpus ring that reaches the witness search, Z9 ∝ Z9, and
+    # Z16 ∝ Z16, whose 1,792 candidates end 1,540 refuted and 252 bounded
+    config = ClassifyConfig()
+    searched = set()
+    for ring in [*corpus_rings, *map(_self_idealization, (9, 16))]:
+        if (decide_arithmetical(ring).verdict is True
+                or gaussian_ring_verdict(ring, config).verdict == "Yes"):
+            continue
+        non_lp = list(classify_module._non_locally_principal(ring))
+        cols = classify_module._pseudo_candidates(ring, non_lp, config)
+        fs = pseudo_candidates_by_full_scan(ring, config.degree_bound,
+                                            config.pseudo_candidate_cap)
+        if not fs:
+            assert cols.shape[1] == 0, ring.name
+            continue
+        searched.add(ring.name)
+        assert np.array_equal(cols, polys._poly_columns(fs)), ring.name
+    assert {_self_idealization(k).name for k in (4, 8, 9, 16)} <= searched
+    result = decide_pseudo_arithmetical(_self_idealization(16), config)
+    assert (result.certificate["refuted"], result.certificate["inconclusive"]) == (
+        1540, 252)
+
+
 # ---------------------------------------------------------------- generator layouts
 
 
-def _layouts_by_full_scan(ring, ideal, degree):
-    """Every polynomial of exact `degree` with coefficients in the ideal and
-    content the ideal, with no generator-count shortcut."""
-    calc = ideals.content_calculus(ring)
-    target = calc.lattice.ideal_id(ideal)
-    for start, stop in blocks(poly_count(ideal.size, degree), budget=1 << 16):
-        cols = polys.decode_poly_block(ideal.indices, degree, start, stop)
-        for h in np.nonzero(calc.content_ids(cols) == target)[0]:
-            yield [int(c[h]) for c in cols]
-
-
 def test_generator_layouts_keep_every_candidate_list(corpus_rings):
-    # the candidate lists decide_pseudo_arithmetical builds, with and
-    # without skipping the degrees too short to generate the ideal
+    # the candidate columns decide_pseudo_arithmetical takes from each
+    # ideal, with and without skipping the degrees too short to generate it
     config = ClassifyConfig()
     listed = skipped = 0
     for ring in corpus_rings:
@@ -495,11 +564,14 @@ def test_generator_layouts_keep_every_candidate_list(corpus_rings):
             if ideals.is_locally_principal(ideal)[0]:
                 continue
             degrees = range(1, config.degree_bound + 1)
-            fast = (list(f.coeffs) for d in degrees
-                    for f in classify_module._generator_layouts(ring, ideal, d))
-            full = (f for d in degrees for f in _layouts_by_full_scan(ring, ideal, d))
             cap = config.pseudo_candidate_cap
-            assert list(islice(fast, cap)) == list(islice(full, cap)), ring.name
+            fast = [make_poly(ring, col).coeffs
+                    for cols in classify_module._first_layouts(
+                        ring, ideal, config.degree_bound, cap)
+                    for col in cols.T.tolist()]
+            full = (f.coeffs for d in degrees
+                    for f in generator_layouts_by_full_scan(ring, ideal, d))
+            assert fast == list(islice(full, cap)), ring.name
             listed += 1
             skipped += sum(d + 1 < ideals.least_generator_count(ideal)
                            for d in degrees)

@@ -320,20 +320,23 @@ def _outcomes(monkeypatch, search, inputs) -> tuple[list, list]:
 
 def _z8_orbit_roots(monkeypatch) -> list[RingPoly]:
     """The first candidate of each affine orbit among the pseudo-arithmetical
-    candidates of Z8 ∝ Z8, as classify hands them to certify_gaussians."""
+    candidates of Z8 ∝ Z8, as classify hands them to orbit_verdicts."""
     classify_module = importlib.import_module("finring.classify")
     handed = []
-    certify = classify_module.certify_gaussians
+    run = classify_module.orbit_verdicts
 
-    def spy(fs, degree_bound, cap):
-        handed.extend(fs)
-        return certify(handed, degree_bound, cap)
+    def spy(ring, cols, degree_bound, cap):
+        handed.append(cols)
+        return run(ring, cols, degree_bound, cap)
 
+    ring = _self_idealization(8)
     with monkeypatch.context() as m:
-        m.setattr(classify_module, "certify_gaussians", spy)
-        classify_module.classify(_self_idealization(8))
-    root, _, _ = polys._affine_orbits(handed)
-    return [f for i, f in enumerate(handed) if root[i] == i]
+        m.setattr(classify_module, "orbit_verdicts", spy)
+        classify_module.classify(ring)
+    (cols,) = handed
+    root, _, _ = polys._affine_orbits(ring, cols)
+    return [make_poly(ring, cols[:, i])
+            for i in np.flatnonzero(root == np.arange(root.size))]
 
 
 def test_growing_blocks_keep_the_pair_search_outcome(monkeypatch, corpus_rings):
@@ -629,7 +632,8 @@ def test_affine_orbits_are_the_orbits_within_the_list():
         # the whole list is closed under the maps; every third one is not
         units = np.flatnonzero(element_units(ring)).tolist()
         for fs, closed in ((full, True), (full[::3], False)):
-            root, dilation, shift = polys._affine_orbits(fs)
+            root, dilation, shift = polys._affine_orbits(ring,
+                                                         polys._poly_columns(fs))
             for i, f in enumerate(fs):
                 r = int(root[i])
                 assert r <= i and root[r] == r
