@@ -8,7 +8,12 @@ witness on the negative side.  Gaussian and pseudo-arithmetical have no known
 finite decision procedure, so they are three-valued: Yes via a sound
 structural rule, No via a re-verified witness, or BoundedYes carrying the
 exhausted search bound.  Arithmetical is decided at every order by whether
-each local factor's maximal ideal is principal.  classify() asserts the chain
+each local factor's maximal ideal is principal, and its certificates (a
+`False` names that factor's maximal ideal, a `True` and Prüfer's count the
+ideals from the chain-ring corners) read no lattice; von Neumann regularity
+is read from the square scan, since a reduced finite ring is a product of
+fields.  Only the Gaussian pair search and the pseudo-arithmetical decider
+build the ideal lattice.  classify() asserts the chain
 
     semihereditary ⇒ weak dimension Zero ⇒ arithmetical ⇒ Gaussian ⇒ Prüfer
 
@@ -38,9 +43,9 @@ from .ideals import (LATTICE_LIMIT, Ideal, complement_idempotent,
 from .polys import (RingPoly, content, decode_poly_block,
                     has_square_zero_maximal, make_poly, orbit_verdicts,
                     poly_count, poly_mul, ring_gaussian_refutation_search)
-from .rings import (CACHE_BLOCK, KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT,
-                    FiniteRing, ProductRing, RingHom, TrivialExtensionRing,
-                    blocks, element_units)
+from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
+                    ProductRing, RingHom, TrivialExtensionRing, blocks,
+                    element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
 SEARCH_BOUNDS = ("degree_bound", "witness_cap", "pair_cap", "pseudo_candidate_cap")
@@ -160,6 +165,11 @@ def _lits(ring: FiniteRing, seq) -> list:
 
 
 def _square_zero_witness(ring: FiniteRing) -> int | None:
+    """The first nonzero element whose square is zero, or None, cached."""
+    return ring.memo("square_zero", lambda: _first_square_zero(ring))
+
+
+def _first_square_zero(ring: FiniteRing) -> int | None:
     idx = np.arange(ring.order, dtype=np.int64)
     squares = ring.mul_arr(idx, idx)
     hits = np.nonzero(squares == ring.zero)[0]
@@ -178,29 +188,14 @@ def decide_reduced(ring: FiniteRing) -> ConditionResult:
 
 
 def vn_regular_status(ring: FiniteRing) -> tuple[bool, int | None, str]:
-    """(verdict, witness element, method).  A square-zero element refutes
-    instantly (a = a²x forces a = 0); otherwise the quasi-inverse scan runs."""
-    return ring.memo("vn_regular", lambda: _vn_regular_scan(ring))
-
-
-def _vn_regular_scan(ring: FiniteRing) -> tuple[bool, int | None, str]:
-    sq_wit = _square_zero_witness(ring)
-    if sq_wit is not None:
-        return False, sq_wit, "square_zero_witness"
-    n = ring.order
-    if n * n > KIND_SCAN_LIMIT:
-        raise BoundExceededError(
-            f"quasi-inverse scan on reduced ring {ring.name} exceeds the pair cap")
-    idx = np.arange(n, dtype=np.int64)
-    squares = ring.mul_arr(idx, idx)
-    for start, stop in blocks(n, n, CACHE_BLOCK):
-        rows = np.arange(start, stop, dtype=np.int64)
-        solvable = (ring.mul_arr(squares[rows][:, None], idx[None, :])
-                    == rows[:, None]).any(axis=1)
-        bad = np.nonzero(~solvable)[0]
-        if bad.size:
-            return False, int(rows[bad[0]]), "no_quasi_inverse"
-    return True, None, "quasi_inverse_scan"
+    """(verdict, witness element, method), read from the square scan alone.
+    A square-zero element refutes (a = a²x forces a = 0); a reduced finite
+    ring is Artinian, hence a product of fields (Atiyah–Macdonald, Thm
+    8.7), and so von Neumann regular.  Any order is answered."""
+    witness = _square_zero_witness(ring)
+    if witness is not None:
+        return False, witness, "square_zero_witness"
+    return True, None, "reduced_finite_ring_is_a_product_of_fields"
 
 
 def decide_semihereditary(ring: FiniteRing) -> ConditionResult:
@@ -250,10 +245,11 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 
 
 def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
-    """Read from `first_nonprincipal_maximal`.  At lattice scale a `True`
-    carries `ideal_count`, read from the chain-ring corners with no
-    lattice, and a `False` witness is the first lattice ideal that is not
-    locally principal.
+    """Read from `first_nonprincipal_maximal`, with no lattice.  At lattice
+    scale a `True` carries `ideal_count`, read from the chain-ring corners,
+    and a `False` witness is the first bad factor's maximal ideal m: its
+    image m ∩ eR (`pushed_order`) in the corner eR (`localization_order`)
+    is not principal, so m is not locally principal.
     Above it both certificates, and their replays, assume a local ring,
     whose witness is its maximal ideal, since there locally principal is
     principal; a non-local ring there raises BoundExceededError, although
@@ -262,46 +258,29 @@ def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
 
 
 def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
-    if ring.order > LATTICE_LIMIT and is_local(ring) is None:
+    above = ring.order > LATTICE_LIMIT
+    if above and is_local(ring) is None:
         raise BoundExceededError(
             f"arithmetical certificate for the non-local {ring.name} (order "
             f"{ring.order}) needs the ideal lattice, limited to order "
             f"{LATTICE_LIMIT}")
     bad = first_nonprincipal_maximal(ring)
-    if ring.order > LATTICE_LIMIT:
-        if bad is None:
-            return ConditionResult(True, {"kind": "principal_maximal_ideal"})
-        gens = _lits(ring, bad.maximal.gens)
-        witness = {"ideal_gens": gens, "ideal_order": bad.maximal.size,
-                   "maximal_gens": gens,
-                   "note": "ring is local, so locally principal equals principal"}
-        return ConditionResult(False, {"kind": "non_principal_ideal_local"},
-                               witness=witness)
     if bad is None:
+        if above:
+            return ConditionResult(True, {"kind": "principal_maximal_ideal"})
         return ConditionResult(True, {"kind": "all_ideals_locally_principal",
                                       "ideal_count": ideal_count(ring)})
-    for ideal, counter in _non_locally_principal(ring):   # the first one
-        witness = {
-            "ideal_gens": _lits(ring, ideal.gens),
-            "ideal_order": ideal.size,
-            "maximal_gens": _lits(ring, counter["maximal"].gens),
-            "pushed_order": counter["pushed_order"],
-            "localization_order": counter["localization_order"],
-        }
-        return ConditionResult(False, {"kind": "non_locally_principal_ideal"},
+    m = bad.maximal
+    gens = _lits(ring, m.gens)
+    witness = {"ideal_gens": gens, "ideal_order": m.size, "maximal_gens": gens}
+    if above:
+        witness["note"] = "ring is local, so locally principal equals principal"
+        return ConditionResult(False, {"kind": "non_principal_ideal_local"},
                                witness=witness)
-    raise ConsistencyError(
-        f"{ring.name}: a local factor's maximal ideal is not principal, but "
-        "every lattice ideal is locally principal")
-
-
-def _non_locally_principal(ring: FiniteRing):
-    """Each lattice ideal that is not locally principal, with its
-    counterexample from `is_locally_principal`, in lattice order."""
-    for ideal in enumerate_ideals(ring).ideals:
-        ok, counter = is_locally_principal(ideal)
-        if not ok:
-            yield ideal, counter
+    witness["pushed_order"] = (m.mask & bad.corner).bit_count()
+    witness["localization_order"] = bad.corner.bit_count()
+    return ConditionResult(False, {"kind": "non_locally_principal_ideal"},
+                           witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +408,15 @@ def decide_pruefer(ring: FiniteRing) -> ConditionResult:
     unit/zerodivisor partition shows is a unit, so the ideal is the whole
     ring.  Every proper ideal lies in a maximal ideal, so a maximal ideal of
     `local_factors` that holds a unit is an internal error; with none, R is
-    the one regular ideal.  At lattice scale the certificate counts the
-    ideals (`ideal_count`) and that one regular ideal, with no lattice scan.
+    the one regular ideal.  An arithmetical ring at lattice scale counts its
+    ideals from its chain-ring corners (`ideal_count`) next to that one
+    regular ideal; any other ring reports its unit count.  No lattice is
+    read.
     """
     units = element_units(ring)
     if any(units[m.indices].any() for m, _e, _corner in local_factors(ring)):
         raise ConsistencyError(f"{ring.name}: a proper ideal contains a unit")
-    if ring.order <= LATTICE_LIMIT:
+    if ring.order <= LATTICE_LIMIT and first_nonprincipal_maximal(ring) is None:
         return ConditionResult(True, {"kind": "all_regular_ideals_invertible",
                                       "ideal_count": ideal_count(ring),
                                       "regular_ideal_count": 1})
@@ -461,6 +442,15 @@ def decide_total_quotient(ring: FiniteRing) -> ConditionResult:
 
 # ---------------------------------------------------------------------------
 # pseudo-arithmetical
+
+
+def _non_locally_principal(ring: FiniteRing):
+    """Each lattice ideal that is not locally principal, with its
+    counterexample from `is_locally_principal`, in lattice order."""
+    for ideal in enumerate_ideals(ring).ideals:
+        ok, counter = is_locally_principal(ideal)
+        if not ok:
+            yield ideal, counter
 
 
 def _generator_layouts(ring: FiniteRing, ideal: Ideal, degree: int):
@@ -523,24 +513,30 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
     generator layouts of such ideals.  When the whole ring is certified
     Gaussian (`gaussian_ring_verdict`, read from the ring's cache), the
     first layout is itself a certified witness and the verdict is an exact
-    No; with no non-locally-principal ideals the verdict is an exact Yes;
-    otherwise candidates are searched under the configured caps and the
+    No; otherwise candidates are searched under the configured caps and the
     verdict stays bounded.  The candidates stay coefficient columns
     (`_pseudo_candidates`), and their statuses are filed once per orbit by
     `polys.orbit_verdicts`, whose counts the verdict reads.  An
-    arithmetical ring has every ideal locally principal, so it builds no
-    lattice: its Yes reads `ideal_count` from its chain-ring corners.  A
-    ring above the lattice bound is refused.
+    arithmetical ring has every ideal locally principal, so its Yes is
+    exact and builds no lattice: it reads `ideal_count` from its chain-ring
+    corners.  This is the one decider that scans the lattice for ideals
+    that are not locally principal.  Runtime invariant: a ring that is not
+    arithmetical has one (its bad factor's maximal ideal, at least), and a
+    scan that finds none raises ConsistencyError.  A ring above the lattice
+    bound is refused.
     """
     if ring.order > LATTICE_LIMIT:
         raise BoundExceededError(
             f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
             f"has order {ring.order}")
-    non_lp = ([] if decide_arithmetical(ring).verdict is True
-              else list(_non_locally_principal(ring)))
-    if not non_lp:
+    if first_nonprincipal_maximal(ring) is None:
         return ConditionResult("Yes", {"kind": "all_ideals_locally_principal",
                                        "ideal_count": ideal_count(ring)})
+    non_lp = list(_non_locally_principal(ring))
+    if not non_lp:
+        raise ConsistencyError(
+            f"{ring.name}: a local factor's maximal ideal is not principal, "
+            "but the lattice scan finds no ideal that is not locally principal")
 
     gaussian = gaussian_ring_verdict(ring, config)
     if gaussian.verdict == "Yes":

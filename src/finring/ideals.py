@@ -26,9 +26,11 @@ of an ideal I is I ∩ eR, a mask AND.  Principality there is read from the
 generators (Nakayama), arithmeticity from the corners' maximal ideals,
 the ideal count of an arithmetical ring from its corners' orders (each a
 chain ring with t + 1 ideals, so no lattice is built), and zero-ideal
-irreducibility from their socles.  The Gaussian decomposition,
-whose lifted witnesses go through coset representatives, builds each factor
-as R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
+irreducibility from their socles.  Inside `classify` only the Gaussian
+pair search (through `content_calculus`) and the pseudo-arithmetical
+decider build the lattice; replay builds its own.  The Gaussian
+decomposition, whose lifted witnesses go through coset representatives,
+builds each factor as R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
 by a scan of products, serves replay alone.
 """
 
@@ -739,16 +741,20 @@ def ideal_count(ring: FiniteRing) -> int:
     corner eR is a chain ring whose ideals are the t + 1 powers of its
     maximal ideal n = m ∩ eR, each step a line over eR/n, so
     |eR| = q^t for q = |eR/n|; and the ideals of R are the products of
-    the corners' ideals (Atiyah–Macdonald, Thm 8.7).  A corner whose order
-    is not a power of q raises ConsistencyError.  Any other ring counts
-    its lattice, so only at lattice scale.
+    the corners' ideals (Atiyah–Macdonald, Thm 8.7).  No lattice is read,
+    so any order is answered.  A corner whose order is not a power of q
+    raises ConsistencyError, and so does a ring that is not arithmetical:
+    the deciders ask only arithmetical rings, and replay counts its own
+    lattice.
     """
     return ring.memo("ideal_count", lambda: _ideal_count(ring))
 
 
 def _ideal_count(ring: FiniteRing) -> int:
     if first_nonprincipal_maximal(ring) is not None:
-        return len(enumerate_ideals(ring))
+        raise ConsistencyError(
+            f"{ring.name}: ideal count asked of a ring that is not "
+            "arithmetical")
     count = 1
     for m, _e, corner in local_factors(ring):
         size = corner.bit_count()

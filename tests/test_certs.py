@@ -224,5 +224,5 @@ def test_classify_rejects_a_stubbed_locally_principal_check(monkeypatch):
     assert not hasattr(certs, "is_locally_principal")
     _stub_in_deciders(monkeypatch, "is_locally_principal",
                       lambda ideal: (True, None))
-    with pytest.raises(ConsistencyError, match="every lattice ideal"):
+    with pytest.raises(ConsistencyError, match="finds no ideal"):
         classify(_residue_idealization(4, 2))

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finring import ideals, polys
-from finring.certs import replay_condition
+from finring import ideals, polys, specfile
+from finring.certs import replay_condition, replay_report
 from finring.classify import (CONDITION_ORDER, ClassifyConfig, SEARCH_CAP_ENV,
-                              classify, decide_arithmetical,
+                              classify, decide_arithmetical, decide_pruefer,
                               decide_pseudo_arithmetical,
                               gaussian_ring_verdict)
 from finring.corpus import CorpusConfig, generate_corpus
@@ -288,6 +288,59 @@ def test_arithmetical_refuses_a_non_local_ring_above_the_bound():
     assert ring.order > ideals.LATTICE_LIMIT
     with pytest.raises(BoundExceededError):
         decide_arithmetical(ring)
+
+
+def test_arithmetical_witness_is_the_bad_factors_maximal_ideal(monkeypatch):
+    # at lattice scale a False names the maximal ideal m of the factor that
+    # the rule found, with |m ∩ eR| and |eR|; the lattice scan for ideals
+    # that are not locally principal finds some exactly on these rings, m
+    # among them; replay accepts both changed certificates on a fresh copy
+    rings = [*generate_corpus(CorpusConfig(max_order=512)),
+             *(_spec_ring(path.stem) for path in sorted(SPECS.glob("*.ring")))]
+    rings = [r for r in rings if r.order <= ideals.LATTICE_LIMIT]
+    bad_rings = 0
+    for ring in rings:
+        bad = first_nonprincipal_maximal(ring)
+        scan = classify_module._non_locally_principal(ring)
+        if bad is None:
+            assert next(scan, None) is None, ring.name
+            continue
+        bad_rings += 1
+        m = bad.maximal
+        assert m.mask in {ideal.mask for ideal, _counter in scan}, ring.name
+        result = decide_arithmetical(ring)
+        assert result.certificate == {"kind": "non_locally_principal_ideal"}
+        assert result.witness == {
+            "ideal_gens": m.gen_literals(), "ideal_order": m.size,
+            "maximal_gens": m.gen_literals(),
+            "pushed_order": (m.mask & bad.corner).bit_count(),
+            "localization_order": bad.corner.bit_count()}, ring.name
+        pruefer = decide_pruefer(ring)
+        assert pruefer.certificate["kind"] == "regular_ideals_collapse"
+        report = json.loads(to_json({"conditions": {
+            "arithmetical": result.to_dict(),
+            "pruefer": pruefer.to_dict()}}))
+        for cache in ("_RING_CACHE", "_MODULE_CACHE"):     # a fresh ring
+            monkeypatch.setattr(specfile, cache, {})
+        fresh = specfile.build_ring(ring.spec)
+        assert fresh is not ring
+        assert replay_report(fresh, report) == 2
+    assert bad_rings == 23 + 9
+
+
+def test_replay_rejects_a_principal_maximal_ideal_as_witness():
+    # Z12 is arithmetical: its maximal ideal (2) is principal in the
+    # localization Z4, so a False naming it must not replay
+    ring = ZmodRing(12)
+    two = ideals.principal_ideal(ring, 2)
+    payload = {"verdict": False,
+               "certificate": {"kind": "non_locally_principal_ideal"},
+               "witness": {"ideal_gens": two.gen_literals(), "ideal_order": 6,
+                           "maximal_gens": two.gen_literals(),
+                           "pushed_order": 2, "localization_order": 4}}
+    assert two in maximal_ideals(ring)
+    with pytest.raises(ConsistencyError, match="pushed ideal is principal"):
+        replay_condition(ring, "arithmetical", payload)
 
 
 # ---------------------------------------------------------------- config

@@ -2,11 +2,12 @@
 
 import pytest
 
+from finring import ideals
 from finring.errors import RingBuildError
 from finring.harness import (DEFAULT_DIMENSIONS, DEFAULT_GF_PARAMS,
                              DEFAULT_ZMOD_ORDERS, build_residue_idealization,
                              check_factor_descent, check_residue_idealization,
-                             default_local_bases)
+                             default_local_bases, run_theorem_harness)
 from finring.rings import (TrivialExtensionRing, ZmodRing, free_module,
                            standard_gf)
 
@@ -104,3 +105,12 @@ def test_harness_report_shape(harness_report):
     payload = harness_report.to_dict()
     assert payload["instances"] == 88
     assert payload["failures"] == 0
+
+
+def test_harness_builds_no_ideal_lattice(monkeypatch, harness_report):
+    # every law reads verdicts and certificates that come from the local
+    # factors; each run builds its rings afresh
+    def no_lattice(ring):
+        raise AssertionError(f"lattice of {ring.name}")
+    monkeypatch.setattr(ideals, "_build_lattice", no_lattice)
+    assert run_theorem_harness().to_dict() == harness_report.to_dict()
