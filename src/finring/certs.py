@@ -165,23 +165,26 @@ def replay_weak_dim(ring: FiniteRing, result: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _replay_non_locally_principal(ring: FiniteRing, witness: dict,
-                                  name: str) -> None:
-    """Rebuild the ideal from its generator literals and re-establish that
-    some localization of it is not principal."""
-    ideal = ideal_generated_by(ring, _encode_all(ring, witness["ideal_gens"]))
-    if "localization_order" in witness:
-        maximal = ideal_generated_by(ring, _encode_all(ring, witness["maximal_gens"]))
-        if not maximal.is_proper():
-            _fail(ring, name, "claimed maximal ideal is the unit ideal")
-        localized, hom = localize_at(ring, maximal)
-        pushed = push_ideal(hom, ideal)
-        if _is_principal_direct(pushed):
-            _fail(ring, name, "pushed ideal is principal at the claimed maximal")
-    else:
+def _replay_non_locally_principal(ring: FiniteRing, ideal, witness: dict,
+                                  name: str):
+    """Re-establish that some localization of the rebuilt ideal is not
+    principal, and check the witness's `localization_order`; returns the
+    pushed ideal, or None for a local ring's witness, which names none."""
+    if "localization_order" not in witness:
         _require_local(ring, name)
         if _is_principal_direct(ideal):
             _fail(ring, name, "ideal is principal in the local ring")
+        return None
+    maximal = ideal_generated_by(ring, _encode_all(ring, witness["maximal_gens"]))
+    if not maximal.is_proper():
+        _fail(ring, name, "claimed maximal ideal is the unit ideal")
+    localized, hom = localize_at(ring, maximal)
+    if localized.order != witness["localization_order"]:
+        _fail(ring, name, "localization order mismatch")
+    pushed = push_ideal(hom, ideal)
+    if _is_principal_direct(pushed):
+        _fail(ring, name, "pushed ideal is principal at the claimed maximal")
+    return pushed
 
 
 def replay_arithmetical(ring: FiniteRing, result: dict) -> bool:
@@ -195,7 +198,13 @@ def replay_arithmetical(ring: FiniteRing, result: dict) -> bool:
                 _fail(ring, "arithmetical", "a non-locally-principal ideal exists")
             _check_ideal_count(ring, result["certificate"], "arithmetical")
         return True
-    _replay_non_locally_principal(ring, result["witness"], "arithmetical")
+    witness = result["witness"]
+    ideal = ideal_generated_by(ring, _encode_all(ring, witness["ideal_gens"]))
+    if ideal.size != witness["ideal_order"]:
+        _fail(ring, "arithmetical", "ideal order mismatch")
+    pushed = _replay_non_locally_principal(ring, ideal, witness, "arithmetical")
+    if pushed is not None and pushed.size != witness["pushed_order"]:
+        _fail(ring, "arithmetical", "pushed order mismatch")
     return True
 
 
@@ -356,10 +365,10 @@ def replay_pseudo_arithmetical(ring: FiniteRing, result: dict) -> bool:
     if content(f).mask != claimed.mask:
         _fail(ring, "pseudo_arithmetical",
               "witness content differs from the claimed ideal")
-    ok, _ = _locally_principal_by_localization(claimed)
-    if ok:
-        _fail(ring, "pseudo_arithmetical",
-              "claimed content is locally principal after all")
+    if claimed.size != witness["content_order"]:
+        _fail(ring, "pseudo_arithmetical", "content order mismatch")
+    _replay_non_locally_principal(ring, claimed, witness["non_principal_at"],
+                                  "pseudo_arithmetical")
     reason = witness["gaussian_reason"]
     if reason["rule"] == "ring_certified_gaussian":
         _replay_gaussian_yes(ring, reason["ring_certificate"])

@@ -33,7 +33,7 @@ from .errors import ConsistencyError
 from .harness import (DEFAULT_DIMENSIONS, HarnessReport,
                       build_residue_idealization, check_factor_descent,
                       default_local_bases, run_theorem_harness)
-from .ideals import is_local
+from .ideals import is_local, local_factors
 from .rings import (STANDARD_GF_MODULI, FiniteRing, ProductRing,
                     TrivialExtensionRing, ZmodRing, free_module, standard_gf)
 
@@ -83,11 +83,11 @@ def generate_corpus(config: CorpusConfig | None = None) -> list[FiniteRing]:
     if "trivext" in config.families:
         locals_ = [b for b in bases if is_local(b) is not None]
         for base in locals_:
-            residue_order = base.order // is_local(base).size
+            residue_order = local_factors(base)[0].residue
             for n in TRIVEXT_DIMENSIONS:
                 if base.order * residue_order**n <= config.max_order:
                     corpus.append(build_residue_idealization(base, n))
-            is_field = is_local(base).size == 1
+            is_field = residue_order == base.order
             if not is_field and base.order**2 <= config.max_order:
                 corpus.append(
                     TrivialExtensionRing(base, free_module(base, 1)))

@@ -17,20 +17,20 @@ R·(ua) = R·a for every unit u, and the cosets of a quotient are swept along
 a chain of subgroups, one generator at a time in ⌈log₂ t⌉ doubling windows
 for a generator of order t (`coset_minima`).
 
-`local_factors` is the one home of locality and the maximal ideals, read
-from the primitive idempotents with no lattice: the maximal ideal that
-misses e is {r : e·r + (1 − e) is not a unit}, which `minimal_generators`
-checks to be an ideal, and a local ring's is its non-units (e = 1).  The
-deciders read each localization R_m as that factor's corner eR: the image
-of an ideal I is I ∩ eR, a mask AND.  Principality there is read from the
-generators (Nakayama), arithmeticity from the corners' maximal ideals,
-the ideal count of an arithmetical ring from its corners' orders (each a
-chain ring with t + 1 ideals, so no lattice is built), and zero-ideal
-irreducibility from their socles.  Inside `classify` only the Gaussian
-pair search (through `content_calculus`) and the pseudo-arithmetical
-decider build the lattice; replay builds its own.  The Gaussian
-decomposition, whose lifted witnesses go through coset representatives,
-builds each factor as R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
+`local_factors` is the one home of locality, the maximal ideals and every
+per-factor fact, read from the primitive idempotents with no lattice: the
+maximal ideal that misses e is {r : e·r + (1 − e) is not a unit}, which
+`minimal_generators` checks to be an ideal, and a local ring's is its
+non-units (e = 1).  The deciders read each localization R_m as that
+factor's corner eR: the image of an ideal I is I ∩ eR, a mask AND.  Each
+factor's cached record holds |eR|, the residue order, whether n = m ∩ eR
+is principal, the socle's atom count and whether n² = 0, all read from
+one product row per generator of m, and no decider computes them again.
+Inside `classify` only the Gaussian pair search (through
+`content_calculus`) and the pseudo-arithmetical decider build the
+lattice; replay builds its own.  The Gaussian decomposition, whose lifted
+witnesses go through coset representatives, builds each factor as
+R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
 by a scan of products, serves replay alone.
 """
 
@@ -635,17 +635,22 @@ def push_ideal(hom: RingHom, ideal: Ideal) -> Ideal:
 
 
 class LocalFactor(NamedTuple):
-    """The localization R_m read as a corner of R: the maximal ideal m, the
-    primitive idempotent e outside m, and the mask of the corner eR ≅ R_m."""
+    """The localization R_m read as a corner eR of R, with the facts of eR
+    and of n = m ∩ eR that the deciders read (`local_factors`)."""
 
     maximal: Ideal
     idempotent: int
     corner: int
+    order: int
+    residue: int
+    principal: bool
+    atom_count: int
+    square_zero: bool
 
 
 def local_factors(ring: FiniteRing) -> list[LocalFactor]:
-    """One local factor per maximal ideal, cached: the one home of locality
-    and of the maximal ideals, which `is_local` and `maximal_ideals` read.
+    """One record per maximal ideal, cached: the one home of locality, of
+    the maximal ideals (`is_local`, `maximal_ideals`) and of factor facts.
 
     R is the product of its corners eR over its primitive idempotents e,
     and r ↦ e·r is the projection onto the factor R_m whose maximal ideal m
@@ -658,9 +663,19 @@ def local_factors(ring: FiniteRing) -> list[LocalFactor]:
     mask) of m, and m's generators from `minimal_generators`, the greedy
     list the lattice walks too.
 
-    Runtime invariants: the primitive idempotents sum to 1, and each m is
-    an ideal (the span that `minimal_generators` grows from its members is
-    m itself).  Either failing raises ConsistencyError.
+    The rest of a record is read from one product row x·(e·g) over eR per
+    generator g of m.  R·(e·g) = eR·(e·g) lies in n, and the e·g generate
+    n, so by Nakayama n is principal iff it is 0 or one row takes all |n|
+    values.  The socle is where every row is zero: eR itself for a field,
+    and inside n otherwise (a unit there would kill n).  So the minimal
+    nonzero ideals, the lines of soc ∩ n over eR/n, number
+    atom_count = (|soc ∩ n| − 1)/(q − 1), none for a field, and n² = 0 iff
+    n lies in the socle, i.e. iff |soc ∩ n| = |n|.
+
+    Runtime invariants: the primitive idempotents sum to 1, each m is an
+    ideal (the span that `minimal_generators` grows from its members is m
+    itself), and each socle is a space over its residue field.  Any of
+    them failing raises ConsistencyError.
     """
     return ring.memo("local_factors", lambda: _local_factors(ring))
 
@@ -680,12 +695,27 @@ def _local_factors(ring: FiniteRing) -> list[LocalFactor]:
     for e in idempotents:
         image = ring.mul_arr(idx, e)           # r ↦ e·r, onto the corner eR
         # e·r + (1 − e) is a unit of R iff e·r is a unit of eR
-        members = np.flatnonzero(
-            ~units[ring.add_arr(image, complement_idempotent(ring, e))])
+        in_maximal = ~units[ring.add_arr(image, complement_idempotent(ring, e))]
+        members = np.flatnonzero(in_maximal)
         mask = mask_from_indices(members, ring.order)
         maximal = Ideal(ring, mask, minimal_generators(ring, mask), members)
-        corner = mask_from_indices(_distinct_indices(ring.order, image), ring.order)
-        factors.append(LocalFactor(maximal, e, corner))
+        elements = _distinct_indices(ring.order, image)
+        in_n = in_maximal[elements]            # n = m ∩ eR, over eR
+        size, n_size = elements.size, int(np.count_nonzero(in_n))
+        principal, socle = n_size == 1, np.ones(size, dtype=bool)
+        for g in maximal.gens:
+            row = ring.mul_arr(elements, ring.mul(e, g))
+            socle &= row == ring.zero
+            principal |= _distinct_indices(ring.order, row).size == n_size
+        in_socle = int(np.count_nonzero(socle & in_n))
+        atoms, rest = divmod(in_socle - 1, size // n_size - 1)
+        if rest:
+            raise ConsistencyError(
+                f"{ring.name}: socle of a local factor of order {size} is not "
+                "a space over its residue field")
+        factors.append(LocalFactor(
+            maximal, e, mask_from_indices(elements, ring.order), size,
+            size // n_size, principal, atoms, in_socle == n_size))
     return sorted(factors, key=lambda f: (f.maximal.size, f.maximal.mask))
 
 
@@ -709,29 +739,36 @@ def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:
     """
     ring = ideal.ring
     pmasks = principal_ideal_masks(ring)
-    for m, e, corner in local_factors(ring):
-        image = ideal.mask & corner
-        if image != 1 and not any(pmasks[ring.mul(e, g)] == image
+    for f in local_factors(ring):
+        image = ideal.mask & f.corner
+        if image != 1 and not any(pmasks[ring.mul(f.idempotent, g)] == image
                                   for g in ideal.gens):
-            return False, {"maximal": m, "pushed_order": image.bit_count(),
-                           "localization_order": corner.bit_count()}
+            return False, {"maximal": f.maximal, "localization_order": f.order,
+                           "pushed_order": image.bit_count()}
     return True, None
 
 
 def first_nonprincipal_maximal(ring: FiniteRing) -> LocalFactor | None:
     """The first local factor whose maximal ideal n = m ∩ eR is not
-    principal, or None, cached.  R is arithmetical iff it is None: each R_m
-    must be a chain ring (Jensen, Acta Math. Hungar. 17, 1966), and an
-    Artinian local ring is one iff n is principal (Atiyah–Macdonald, Prop.
-    8.8).  The e·g for the generators g of m generate n, so by Nakayama n
-    is principal iff it is 0 or equals some R·(e·g): one product row per
-    generator and no lattice, so every ring is decided at any order."""
-    def principal(m: Ideal, e: int, corner: int) -> bool:
-        image = m.mask & corner
-        return image == 1 or any(
-            principal_ideal(ring, ring.mul(e, g)).mask == image for g in m.gens)
-    return ring.memo("nonprincipal_maximal", lambda: next(
-        (f for f in local_factors(ring) if not principal(*f)), None))
+    principal, or None, read from the cached records (`local_factors`).  R
+    is arithmetical iff it is None: each R_m must be a chain ring (Jensen,
+    Acta Math. Hungar. 17, 1966), and an Artinian local ring is one iff n
+    is principal (Atiyah–Macdonald, Prop. 8.8).  No lattice is read, so
+    every ring is decided at any order."""
+    return next((f for f in local_factors(ring) if not f.principal), None)
+
+
+def has_square_zero_maximal(ring: FiniteRing) -> bool:
+    """Local with N² = 0; every polynomial over such a ring is Gaussian.
+
+    Soundness: any polynomial has content R or content inside N (the ring is
+    local).  Unit-content polynomials are Gaussian because Dedekind–Mertens
+    collapses to c(fg) = c(g).  For f with coefficients in N, a g with unit
+    content reduces to the previous case applied to g, while a g with
+    coefficients in N gives fg coefficients inside N² = 0, so both sides of
+    c(fg) = c(f)c(g) vanish.  Read from the ring's one local factor record.
+    """
+    return is_local(ring) is not None and local_factors(ring)[0].square_zero
 
 
 def ideal_count(ring: FiniteRing) -> int:
@@ -756,12 +793,10 @@ def _ideal_count(ring: FiniteRing) -> int:
             f"{ring.name}: ideal count asked of a ring that is not "
             "arithmetical")
     count = 1
-    for m, _e, corner in local_factors(ring):
-        size = corner.bit_count()
-        q = size // (m.mask & corner).bit_count()
-        length = 0
-        while size % q == 0:
-            size //= q
+    for f in local_factors(ring):
+        size, length = f.order, 0
+        while size % f.residue == 0:
+            size //= f.residue
             length += 1
         if size != 1:
             raise ConsistencyError(
@@ -783,17 +818,16 @@ def least_generator_count(ideal: Ideal) -> int:
     ring = ideal.ring
     lattice = enumerate_ideals(ring)
     count = 0
-    for m, _e, corner in local_factors(ring):
+    for f in local_factors(ring):
         span = 0                           # the zero ideal sorts first
-        for g in m.gens:
+        for g in f.maximal.gens:
             for h in ideal.gens:
                 span = lattice.join[span, lattice.princ_col[ring.mul(g, h)]]
-        quotient = ((ideal.mask & corner).bit_count()
-                    // (lattice.ideals[span].mask & corner).bit_count())
-        residue = corner.bit_count() // (m.mask & corner).bit_count()
+        quotient = ((ideal.mask & f.corner).bit_count()
+                    // (lattice.ideals[span].mask & f.corner).bit_count())
         dim = 0
         while quotient > 1:
-            quotient //= residue
+            quotient //= f.residue
             dim += 1
         count = max(count, dim)
     return count
@@ -802,44 +836,19 @@ def least_generator_count(ideal: Ideal) -> int:
 def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
     """Is the zero ideal irreducible in every localization at a maximal ideal?
 
-    Each local factor R_m is read as its corner eR (`local_factors`), a
-    local ring with identity e and maximal ideal n = m ∩ eR, which the e·g
-    for the generators g of m generate.  Its socle (0 : n) is the set of
-    x ∈ eR with x·(e·g) = 0 for every g.  The socle's lines over eR/n are
-    the minimal nonzero ideals, so atom_count = (|soc| − 1)/(|eR/n| − 1),
-    and the zero ideal is irreducible iff atom_count ≤ 1.  A field (n = 0)
-    has no atom: its socle is the ring itself, which the lattice does not
-    count.  A remainder in the division is an internal error.
-
-    No lattice is built, so every ring, local or not, is answered at any
-    order; a local ring is its own factor (e = 1, eR = R), whose elements
-    are read as the index range.  Replay (`certs`) counts the atoms of each
-    localization's lattice.
+    Each local factor R_m is read as its corner eR (`local_factors`), whose
+    record counts the atoms of its socle; the zero ideal is irreducible iff
+    there is at most one.  No lattice is built, so every ring, local or
+    not, is answered at any order.  Replay (`certs`) counts the atoms of
+    each localization's lattice.
     """
-    n = ring.order
-    detail = []
-    for m, e, corner in local_factors(ring):
-        elements = (np.arange(n, dtype=np.int64) if e == ring.one
-                    else indices_from_mask(corner, n))
-        socle = np.ones(elements.size, dtype=bool)
-        for g in m.gens:
-            socle &= ring.mul_arr(elements, ring.mul(e, g)) == ring.zero
-        maximal_size = (m.mask & corner).bit_count()
-        residue = elements.size // maximal_size
-        atoms, rest = divmod(int(np.count_nonzero(socle)) - 1, residue - 1)
-        if rest:
-            raise ConsistencyError(
-                f"{ring.name}: socle of a local factor of order "
-                f"{elements.size} is not a space over its residue field")
-        field_like = maximal_size == 1
-        atoms = 0 if field_like else atoms
-        detail.append({
-            "maximal_gens": m.gen_literals(),
-            "localization_order": int(elements.size),
-            "atom_count": atoms,
-            "field_like": field_like,
-            "irreducible": atoms <= 1,
-        })
+    detail = [{
+        "maximal_gens": f.maximal.gen_literals(),
+        "localization_order": f.order,
+        "atom_count": f.atom_count,
+        "field_like": f.residue == f.order,
+        "irreducible": f.atom_count <= 1,
+    } for f in local_factors(ring)]
     return all(d["irreducible"] for d in detail), detail
 
 

@@ -3,9 +3,11 @@
 A polynomial is Gaussian when c(fg) = c(f)·c(g) for every g, where c(·) is
 the ideal generated by the coefficients.  Exact certification uses three
 sound structural rules; everything else is settled by bounded exhaustive
-search whose verdicts carry their bound.  Searches run vectorised over the
-ring's ideal lattice: each coefficient tuple maps to the lattice id of its
-content, so comparing millions of candidate products stays cheap.
+search whose verdicts carry their bound.  The square-zero rule reads the
+local factor record (`ideals.local_factors`), the one home of per-factor
+facts.  Searches run vectorised over the ring's ideal lattice: each
+coefficient tuple maps to the lattice id of its content, so comparing
+millions of candidate products stays cheap.
 
 Polynomial enumeration order (pinned; witnesses in reports depend on it):
 by degree ascending, then lexicographically on the coefficient tuple read
@@ -66,8 +68,9 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .ideals import (LATTICE_LIMIT, Ideal, _distinct_indices,
-                     _principal_indices, content_calculus, ideal_generated_by,
-                     is_local, subgroup_sum_indices)
+                     _principal_indices, content_calculus,
+                     has_square_zero_maximal, ideal_generated_by, is_local,
+                     subgroup_sum_indices)
 from .rings import (FiniteRing, associate_leaders, blocks, element_units,
                     group_generators, unit_partition)
 
@@ -335,29 +338,6 @@ class GaussianVerdict:
     reason: str | None = None
     witness: RingPoly | None = None
     bound: int | None = None
-
-
-def has_square_zero_maximal(ring: FiniteRing) -> bool:
-    """Local with N² = 0; every polynomial over such a ring is Gaussian.
-
-    Soundness: any polynomial has content R or content inside N (the ring is
-    local).  Unit-content polynomials are Gaussian because Dedekind–Mertens
-    collapses to c(fg) = c(g).  For f with coefficients in N, a g with unit
-    content reduces to the previous case applied to g, while a g with
-    coefficients in N gives fg coefficients inside N² = 0, so both sides of
-    c(fg) = c(f)c(g) vanish.
-    """
-    return ring.memo("sqz_maximal", lambda: _maximal_squares_to_zero(ring))
-
-
-def _maximal_squares_to_zero(ring: FiniteRing) -> bool:
-    """N² = 0 iff N·g = 0 for each generator g of N: |gens|·|N| products."""
-    maximal = is_local(ring)
-    if maximal is None:
-        return False
-    gens = np.array(maximal.gens, dtype=np.int64)
-    return bool(np.all(ring.mul_arr(maximal.indices[:, None], gens[None, :])
-                       == ring.zero))
 
 
 def affordable_degree(n: int, degree_bound: int, cap: int) -> int:

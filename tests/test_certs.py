@@ -154,6 +154,26 @@ def test_ideal_count_off_by_one_rejected(condition, field):
         replay_report(ring, bad)
 
 
+@pytest.mark.parametrize("condition, path", [
+    ("arithmetical", ("ideal_order",)),
+    ("arithmetical", ("pushed_order",)),
+    ("arithmetical", ("localization_order",)),
+    ("pseudo_arithmetical", ("content_order",)),
+    ("pseudo_arithmetical", ("non_principal_at", "localization_order")),
+], ids=lambda value: ".".join(value) if isinstance(value, tuple) else value)
+def test_tampered_witness_order_rejected(condition, path):
+    # replay compares each order a witness carries with the ideal and the
+    # localization it rebuilds
+    ring = RINGS["f2sq_x_z12"]()
+    cond = copy.deepcopy(_round_trip(classify(ring))["conditions"][condition])
+    holder = cond["witness"]
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] += 1
+    with pytest.raises(ConsistencyError, match="order mismatch"):
+        replay_condition(ring, condition, cond)
+
+
 def test_replay_on_wrong_ring_rejected():
     payload = _round_trip(classify(ZmodRing(4)))
     other = ZmodRing(9)  # reduced there, so the stored witness is bogus

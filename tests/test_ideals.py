@@ -586,10 +586,11 @@ def test_local_factors_match_localization():
             assert is_local(ring) is factors[0].maximal, ring.name
         else:
             assert is_local(ring) is None, ring.name
-        for m, e, corner in factors:
-            localized = localize_at(ring, m)[0]
-            assert corner.bit_count() == localized.order, ring.name
-            kernel = principal_ideal(ring, ideals.complement_idempotent(ring, e))
+        for f in factors:
+            localized = localize_at(ring, f.maximal)[0]
+            assert f.corner.bit_count() == f.order == localized.order, ring.name
+            kernel = principal_ideal(
+                ring, ideals.complement_idempotent(ring, f.idempotent))
             factor = make_quotient(ring, kernel)[0]
             assert np.array_equal(factor.reps, localized.reps), ring.name
             assert np.array_equal(factor.coset_id, localized.coset_id), ring.name

@@ -7,7 +7,8 @@ the front ends, and only replay localizes by the kernel scan
 numpy scans live in rings.py alone: other modules go through FiniteRing.memo
 and rings.blocks.  So do the element tables, whose storage dtype depends on
 the order: other modules go through the ring and module operations, which
-return intp."""
+return intp.  A local factor's corner mask is named in ideals.py alone:
+other modules read the fields of its factor record."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,8 @@ ALLOWED = {
 LOCALIZERS = {"ideals", "certs", "__init__"}
 # the attributes that hold element tables, named in rings.py alone
 TABLE_ATTRS = {"_tables", "_madd", "_mneg", "_act"}
+# the mask of a local factor's corner eR, named in ideals.py alone
+CORNER = "corner"
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -93,6 +96,28 @@ def test_only_rings_reads_the_tables():
     assert {stem: names for stem, names in naming.items()
             if names and stem != "rings"} == {}
     assert naming["rings"] == TABLE_ATTRS
+
+
+def _corner_names(path: Path) -> set[str]:
+    """The names in one module that name a factor's corner, unpacked under
+    an underscore name too."""
+    return {name for name in _names(path)
+            if name == CORNER or name.endswith("_" + CORNER)}
+
+
+def test_only_ideals_names_the_corner():
+    naming = {p.stem for p in SOURCE.glob("*.py") if _corner_names(p)}
+    assert naming == {"ideals"}
+
+
+def test_corner_check_sees_fields_and_unpacking(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""Read each corner eR."""\n'
+                     "def f(factors, bad):\n"
+                     "    for _m, _e, _corner in factors:\n"
+                     "        pass\n"
+                     "    return bad.corner\n")
+    assert _corner_names(probe) == {"_corner", "corner"}
 
 
 def _home_violations(path: Path) -> list[str]:

@@ -54,14 +54,15 @@ def test_arithmetical_above_lattice_bound():
 
 
 def test_nonprincipal_maximal_rule_is_memoised(monkeypatch):
-    # decide_arithmetical and Gaussian rule (a) both read the rule
+    # decide_arithmetical and Gaussian rule (a) both read the rule, a scan
+    # of the cached local factor records
     z17 = ZmodRing(17)
     ring = TrivialExtensionRing(z17, free_module(z17, 2))
     factor = first_nonprincipal_maximal(ring)
     assert factor is not None and factor.maximal is is_local(ring)
     calls = []
-    real = ideals.principal_ideal
-    monkeypatch.setattr(ideals, "principal_ideal",
+    real = ideals._local_factors
+    monkeypatch.setattr(ideals, "_local_factors",
                         lambda *args: calls.append(args) or real(*args))
     assert first_nonprincipal_maximal(ring) is factor
     assert calls == []

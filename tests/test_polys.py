@@ -10,12 +10,12 @@ from finring import ideals, polys
 from finring.classify import ClassifyConfig
 from finring.errors import BoundExceededError, ConsistencyError, RingBuildError
 from finring.ideals import (ContentCalculus, content_calculus,
-                            ideal_generated_by, ideal_product, is_local,
-                            is_principal, residue_vector_space)
+                            has_square_zero_maximal, ideal_generated_by,
+                            ideal_product, indices_from_mask, is_local,
+                            is_principal, local_factors, residue_vector_space)
 from finring.polys import (RingPoly, certify_gaussian, content,
                            cumulative_poly_count, gaussian_witness_search,
-                           has_square_zero_maximal, make_poly, poly_count,
-                           poly_from_literals, poly_mul,
+                           make_poly, poly_count, poly_from_literals, poly_mul,
                            ring_gaussian_refutation_search)
 from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
                            element_units, free_module, standard_gf)
@@ -113,14 +113,20 @@ def test_square_zero_maximal_rule_scope():
 
 
 def test_square_zero_maximal_matches_all_products(corpus_rings):
-    # read from the generators of N; the oracle multiplies every pair
+    # each factor's n² = 0 is read from its socle; the oracle multiplies
+    # every pair of members of n = m ∩ eR, on every factor of every ring
+    non_local = 0
     for ring in corpus_rings:
-        maximal = is_local(ring)
-        if maximal is None:
-            continue
-        idx = maximal.indices
-        every = np.all(ring.mul_arr(idx[:, None], idx[None, :]) == ring.zero)
-        assert has_square_zero_maximal(ring) == bool(every), ring.name
+        factors = local_factors(ring)
+        for f in factors:
+            idx = indices_from_mask(f.maximal.mask & f.corner, ring.order)
+            every = bool(np.all(ring.mul_arr(idx[:, None], idx[None, :])
+                                == ring.zero))
+            assert f.square_zero == every, ring.name
+        # the rule asks a local ring, whose one factor is the ring itself
+        assert has_square_zero_maximal(ring) == (len(factors) == 1 and every)
+        non_local += len(factors) > 1
+    assert non_local > 0
 
 
 def test_certify_unit_content_and_zero():
