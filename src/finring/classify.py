@@ -26,7 +26,6 @@ classify() with timing on records `millis` on a copy.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -45,8 +44,7 @@ from .polys import (RingPoly, content, decode_poly_block, make_poly,
                     orbit_verdicts, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
 from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
-                    ProductRing, RingHom, TrivialExtensionRing, blocks,
-                    element_units)
+                    TrivialExtensionRing, blocks, element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
 SEARCH_BOUNDS = ("degree_bound", "witness_cap", "pair_cap", "pseudo_candidate_cap")
@@ -203,9 +201,9 @@ def decide_semihereditary(ring: FiniteRing) -> ConditionResult:
     """Every finitely generated ideal projective.
 
     Over a finite ring this collapses to von Neumann regularity (each local
-    factor must be a field), which the primary decider computes; at lattice
-    scale a positive verdict additionally verifies that every localization
-    is a field: its record's residue field is the whole factor.
+    factor must be a field), which the primary decider computes; a positive
+    verdict additionally verifies, at any order, that every localization is
+    a field: its record's residue field is the whole factor.
     """
     ok, witness, method = vn_regular_status(ring)
     cert: dict = {"kind": "vn_regular_collapse", "method": method}
@@ -213,12 +211,11 @@ def decide_semihereditary(ring: FiniteRing) -> ConditionResult:
         return ConditionResult(False, cert,
                                witness={"element": _lit(ring, witness),
                                         "reason": method})
-    if ring.order <= LATTICE_LIMIT:
-        if any(f.residue != f.order for f in local_factors(ring)):
-            raise ConsistencyError(
-                f"{ring.name}: von Neumann regular but a localization is not "
-                "a field")
-        cert["localizations_are_fields"] = True
+    if any(f.residue != f.order for f in local_factors(ring)):
+        raise ConsistencyError(
+            f"{ring.name}: von Neumann regular but a localization is not a "
+            "field")
+    cert["localizations_are_fields"] = True
     return ConditionResult(True, cert)
 
 
@@ -355,46 +352,33 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionR
 
 def _gaussian_by_decomposition(ring: FiniteRing, config: ClassifyConfig
                                ) -> ConditionResult:
-    """Certify via a verified isomorphism R ≅ Π R_m and per-factor verdicts,
-    each R_m built as R/(1 − e)R for its primitive idempotent e, in the
-    order of `local_factors`.  A factor's violating pair is read back from
-    its literals and lifted along the inverse isomorphism, with every other
-    coordinate zero."""
-    factors = []
-    combined = np.zeros(ring.order, dtype=np.int64)
+    """Per-factor verdicts, each factor R_m built as R/(1 − e)R for its
+    primitive idempotent e, in the order of `local_factors`, which checks
+    that R is their product.  The first factor whose verdict is No ends the
+    walk: its violating pair is read back from its literals and lifted by
+    r ↦ e·r of each coset representative, the one element of eR in that
+    coset, which every other factor sees as zero."""
+    rows = []
     for local in local_factors(ring):
-        factor, hom = make_quotient(ring, principal_ideal(
-            ring, complement_idempotent(ring, local.idempotent)))
-        factors.append(factor)
-        combined = combined * factor.order + hom.map
-    product = factors[0]
-    for extra in factors[1:]:
-        product = ProductRing(product, extra, spec=None)
-    if sorted(combined.tolist()) != list(range(ring.order)):
-        raise ConsistencyError(f"{ring.name}: localization map is not bijective")
-    hom = RingHom(ring, product, combined)
-    if not hom.verify():
-        raise ConsistencyError(
-            f"{ring.name}: localization decomposition is not a ring hom")
-    inverse = np.argsort(combined)
-
-    sub_verdicts = [gaussian_ring_verdict(f, config) for f in factors]
-    for pos, (factor, verdict) in enumerate(zip(factors, sub_verdicts)):
+        e = local.idempotent
+        factor, _ = make_quotient(ring, principal_ideal(
+            ring, complement_idempotent(ring, e)))
+        verdict = gaussian_ring_verdict(factor, config)
         if verdict.verdict == "No":
-            scale = math.prod(later.order for later in factors[pos + 1:])
-            f, g = (make_poly(ring, [int(inverse[factor.encode_literal(lit) * scale])
+            lifted = ring.mul_arr(factor.reps, e)
+            f, g = (make_poly(ring, [int(lifted[factor.encode_literal(lit)])
                                      for lit in verdict.witness[key]])
                     for key in ("f", "g"))
             return _refutation(f, g, lifted_from_localization_order=factor.order)
-    certificate = {"rule": "local_factor_decomposition", "isomorphism_checked": True,
-                   "factors": [{"localization_order": f.order, "status": v.verdict,
-                                "certificate": v.certificate}
-                               for f, v in zip(factors, sub_verdicts)]}
-    if all(v.verdict == "Yes" for v in sub_verdicts):
+        rows.append((factor.order, verdict))
+    certificate = {"rule": "local_factor_decomposition",
+                   "factors": [{"localization_order": order, "status": v.verdict,
+                                "certificate": v.certificate} for order, v in rows]}
+    if all(v.verdict == "Yes" for _, v in rows):
         return ConditionResult("Yes", certificate)
     return ConditionResult(
         "BoundedYes", certificate,
-        bound=min(v.bound for v in sub_verdicts if v.verdict == "BoundedYes"))
+        bound=min(v.bound for _, v in rows if v.verdict == "BoundedYes"))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,11 @@ is principal, the socle's atom count and whether n² = 0, all read from
 one product row per generator of m, and no decider computes them again.
 Inside `classify` only the Gaussian pair search (through
 `content_calculus`) and the pseudo-arithmetical decider build the
-lattice; replay builds its own.  The Gaussian decomposition, whose lifted
-witnesses go through coset representatives, builds each factor as
-R/(1 − e)R.  `localize_at`, the quotient by the annihilator kernel found
-by a scan of products, serves replay alone.
+lattice; replay builds its own.  The Gaussian decomposition reads R as
+the product of these factors, since their idempotents sum to 1, and builds
+each factor as R/(1 − e)R, whose coset representatives r lift to e·r.
+`localize_at`, the quotient by the annihilator kernel found by a scan of
+products, serves replay alone, whose isomorphism check is the only one.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 A polynomial is Gaussian when c(fg) = c(f)·c(g) for every g, where c(·) is
 the ideal generated by the coefficients.  Exact certification uses three
 sound structural rules; everything else is settled by bounded exhaustive
-search whose verdicts carry their bound.  The square-zero rule reads the
-local factor record (`ideals.local_factors`), the one home of per-factor
-facts.  Searches run vectorised over the ring's ideal lattice: each
-coefficient tuple maps to the lattice id of its content, so comparing
-millions of candidate products stays cheap.
+search whose verdicts carry their bound.  The unit-content and
+square-zero rules read the local factor records (`ideals.local_factors`),
+the one home of per-factor facts.  Searches run vectorised over the ring's
+ideal lattice: each coefficient tuple maps to the lattice id of its
+content, so comparing millions of candidate products stays cheap.
 
 Polynomial enumeration order (pinned; witnesses in reports depend on it):
 by degree ascending, then lexicographically on the coefficient tuple read
@@ -67,9 +67,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .ideals import (LATTICE_LIMIT, Ideal, _distinct_indices,
-                     _principal_indices, content_calculus,
-                     has_square_zero_maximal, ideal_generated_by, is_local,
+from .ideals import (Ideal, _distinct_indices, _principal_indices,
+                     content_calculus, has_square_zero_maximal,
+                     ideal_generated_by, is_local, local_factors,
                      subgroup_sum_indices)
 from .rings import (FiniteRing, associate_leaders, blocks, element_units,
                     group_generators, unit_partition)
@@ -382,14 +382,10 @@ def certify_gaussian(f: RingPoly, degree_bound: int = 3, cap: int = 2_000_000,
 
 
 def _unit_content(f: RingPoly) -> bool:
-    """c(f) = R: at lattice scale f's content id is that of R·1, read from
-    the lattice's join table; above it the span of f's coefficients is
-    grown."""
-    ring = f.ring
-    if ring.order > LATTICE_LIMIT:
-        return content(f).is_unit_ideal()
-    calc = content_calculus(ring)
-    return bool(calc.content_ids([[c] for c in f.coeffs])[0] == calc.princ_id[ring.one])
+    """c(f) = R iff no maximal ideal holds every coefficient of f: a proper
+    ideal lies in a maximal one, read from `local_factors` at any order."""
+    return not any(all(local.maximal.contains(c) for c in f.coeffs)
+                   for local in local_factors(f.ring))
 
 
 def certify_gaussians(fs, degree_bound: int = 3, cap: int = 2_000_000

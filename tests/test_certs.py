@@ -218,6 +218,44 @@ def test_non_local_witnesses_replay():
     assert replay_report(ring, payload) == len(CONDITION_ORDER)
 
 
+def _factor_of_order(certificate: dict, order: int) -> dict:
+    return next(f for f in certificate["factors"]
+                if f["localization_order"] == order)
+
+
+def _relabel_sub_rule(certificate: dict) -> None:
+    # F2 ∝ F2² is Gaussian by its square-zero maximal ideal, which is not
+    # principal, so it is not arithmetical
+    sub = _factor_of_order(certificate, 8)["certificate"]
+    assert sub["rule"] == "local_square_zero_maximal"
+    sub["rule"] = "arithmetical"
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda cert: cert["factors"][0].update(localization_order=5),
+     "factor order mismatch"),
+    (lambda cert: cert["factors"].pop(), "factor count mismatch"),
+    (_relabel_sub_rule, "arithmetical premise fails"),
+], ids=["localization_order", "dropped_factor", "sub_rule"])
+def test_tampered_decomposition_rejected(mutate, match):
+    # replay's own localizations are the one isomorphism check of the
+    # decomposition rule, and its factor rows are read against them
+    ring = _spec_ring("f2sq_x_z12")
+    cond = _round_trip(classify(ring))["conditions"]["gaussian"]
+    assert cond["certificate"]["rule"] == "local_factor_decomposition"
+    bad = copy.deepcopy(cond)
+    mutate(bad["certificate"])
+    with pytest.raises(ConsistencyError, match=match):
+        replay_condition(ring, "gaussian", bad)
+
+
+def test_decomposition_on_a_local_ring_rejected():
+    cond = _round_trip(classify(_spec_ring("f2sq_x_z12")))["conditions"]["gaussian"]
+    local = _residue_idealization(4)
+    with pytest.raises(ConsistencyError, match="on a local ring"):
+        replay_condition(local, "gaussian", cond)
+
+
 def _stub_in_deciders(monkeypatch, attr: str, stub) -> None:
     for name in ("finring.ideals", "finring.classify"):
         monkeypatch.setattr(importlib.import_module(name), attr, stub)

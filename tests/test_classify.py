@@ -23,8 +23,8 @@ from finring.ideals import (enumerate_ideals, first_nonprincipal_maximal,
 from finring.polys import (GaussianVerdict, certify_gaussian,
                            certify_gaussians, content, make_poly, poly_mul)
 from finring.reports import to_json
-from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
-                           free_module, standard_gf)
+from finring.rings import (ProductRing, RingHom, TrivialExtensionRing,
+                           ZmodRing, free_module, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (arithmetical_by_lattice_scan,
                      generator_layouts_by_full_scan, maximals_by_pairwise_scan,
@@ -128,7 +128,6 @@ def test_product_decomposition_rule():
     verdict = gaussian_ring_verdict(ring, ClassifyConfig())
     assert verdict.verdict == "Yes"
     assert verdict.certificate["rule"] == "local_factor_decomposition"
-    assert verdict.certificate["isomorphism_checked"] is True
     factors = verdict.certificate["factors"]
     assert sorted(f["localization_order"] for f in factors) == [4, 8]
     assert all(f["status"] == "Yes" for f in factors)
@@ -154,6 +153,73 @@ def test_product_decomposition_keeps_a_factor_bound():
             for f in cond["certificate"]["factors"]] == [
         (16, "BoundedYes", "exhausted_search"), (2, "Yes", "arithmetical")]
     assert replay_condition(ring, "gaussian", json.loads(to_json(cond)))
+
+
+def _f2sq_x_z512():
+    # (F2 ∝ F2²) × Z512, order 4096 = LATTICE_LIMIT
+    f2 = ZmodRing(2)
+    return ProductRing(TrivialExtensionRing(f2, free_module(f2, 2)), ZmodRing(512))
+
+
+_DECOMPOSED = {
+    "reduced": False, "semihereditary": False, "weak_dim_class": "Infinite",
+    "arithmetical": False, "gaussian": "Yes", "pruefer": True,
+    "total_quotient_ring": True, "pseudo_arithmetical": "No",
+    "zero_ideal_locally_irreducible": False,
+}
+
+
+def _fresh_specs(patch):
+    # spec builds are memoized, and so are verdicts on the ring built
+    for cache in ("_RING_CACHE", "_MODULE_CACHE"):
+        patch.setattr(specfile, cache, {})
+
+
+@pytest.mark.parametrize("make, verdicts", [
+    (lambda: _spec_ring("z4f2_x_f4"), _DECOMPOSED),
+    (lambda: _spec_ring("f2sq_x_z12"), _DECOMPOSED),
+    (lambda: _spec_ring("z4sq_x_z2"), {
+        **_DECOMPOSED, "gaussian": "No", "pseudo_arithmetical": "BoundedYes",
+        "zero_ideal_locally_irreducible": True}),
+    (_f2sq_x_z512, _DECOMPOSED),
+], ids=["z4f2_x_f4", "f2sq_x_z12", "z4sq_x_z2", "f2sq_x_z512"])
+def test_product_decomposition_builds_no_product_ring(monkeypatch, make, verdicts):
+    # `local_factors` checks that R is the product of its factors R/(1 − e)R,
+    # so the decider builds no product ring and verifies no hom; replay keeps
+    # the one isomorphism check, on a freshly built copy
+    def refuse(*args, **kwargs):
+        raise AssertionError("product ring or hom check inside classify")
+
+    with monkeypatch.context() as patch:
+        _fresh_specs(patch)
+        ring = make()
+        patch.setattr(ProductRing, "__init__", refuse)
+        patch.setattr(RingHom, "verify", refuse)
+        report = classify(ring)
+    assert _verdicts(report) == verdicts
+    with monkeypatch.context() as patch:
+        _fresh_specs(patch)
+        fresh = make()
+    assert fresh is not ring
+    payload = json.loads(to_json(report.to_dict()))
+    assert replay_report(fresh, payload) == len(CONDITION_ORDER)
+
+
+def test_factor_lift_is_the_corner_element_of_each_coset(corpus_rings):
+    # each coset of (1 − e)R holds exactly one element of eR, e·rep: it lies
+    # in eR (e fixes it) and the factor sends it back to its own coset
+    specs = (_spec_ring(path.stem) for path in sorted(SPECS.glob("*.ring")))
+    non_local = [r for r in (*corpus_rings, *specs) if is_local(r) is None]
+    assert len(non_local) > 3
+    for ring in non_local:
+        for local in ideals.local_factors(ring):
+            e = local.idempotent
+            factor, _ = ideals.make_quotient(ring, ideals.principal_ideal(
+                ring, ideals.complement_idempotent(ring, e)))
+            lifted = ring.mul_arr(factor.reps, e)
+            assert np.array_equal(ring.mul_arr(lifted, e), lifted), ring.name
+            assert np.array_equal(factor.coset_id[lifted],
+                                  np.arange(factor.order)), ring.name
 
 
 # ---------------------------------------------------------------- chain + structure

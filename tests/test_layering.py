@@ -8,7 +8,9 @@ numpy scans live in rings.py alone: other modules go through FiniteRing.memo
 and rings.blocks.  So do the element tables, whose storage dtype depends on
 the order: other modules go through the ring and module operations, which
 return intp.  A local factor's corner mask is named in ideals.py alone:
-other modules read the fields of its factor record."""
+other modules read the fields of its factor record.  The deciders build no
+product ring and check no hom: `ideals.local_factors` checks that R is the
+product of its local factors, and replay keeps its own check."""
 
 import ast
 from pathlib import Path
@@ -29,6 +31,9 @@ LOCALIZERS = {"ideals", "certs", "__init__"}
 TABLE_ATTRS = {"_tables", "_madd", "_mneg", "_act"}
 # the mask of a local factor's corner eR, named in ideals.py alone
 CORNER = "corner"
+# the product ring and hom check that replay alone builds: the deciders read
+# R as the product of its local factors from `ideals.local_factors`
+PRODUCT_CHECK = {"ProductRing", "RingHom"}
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -96,6 +101,18 @@ def test_only_rings_reads_the_tables():
     assert {stem: names for stem, names in naming.items()
             if names and stem != "rings"} == {}
     assert naming["rings"] == TABLE_ATTRS
+
+
+def test_deciders_build_no_product_ring():
+    assert _names(SOURCE / "classify.py") & PRODUCT_CHECK == set()
+
+
+def test_product_check_sees_imports_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .rings import ProductRing\n"
+                     "def f(rings, a, b, m):\n"
+                     "    return rings.RingHom(a, b, m).verify()\n")
+    assert _names(probe) & PRODUCT_CHECK == PRODUCT_CHECK
 
 
 def _corner_names(path: Path) -> set[str]:

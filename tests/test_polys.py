@@ -618,9 +618,9 @@ def test_substitute_matches_powers_of_the_linear_form():
             assert make_poly(ring, image) == substituted(f, v, c)
 
 
-def test_unit_content_by_lattice_id_and_above_the_lattice_by_span(corpus_rings):
-    # at lattice scale the content id is compared with that of R; above the
-    # lattice bound, where no lattice can be built, the span decides
+def test_unit_content_by_maximal_ideal_masks_at_any_order(corpus_rings):
+    # c(f) = R iff no maximal ideal of `local_factors` holds every
+    # coefficient; no lattice is read, so the rule answers above the bound
     for ring in (r for r in corpus_rings if r.order <= 16):
         for f in _polys(ring, (0, 1)):
             assert polys._unit_content(f) == content(f).is_unit_ideal(), f
