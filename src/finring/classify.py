@@ -12,8 +12,11 @@ each local factor's maximal ideal is principal, and its certificates (a
 `False` names that factor's maximal ideal, a `True` and Prüfer's count the
 ideals from the chain-ring corners) read no lattice; von Neumann regularity
 is read from the square scan, since a reduced finite ring is a product of
-fields.  Only the Gaussian pair search and the pseudo-arithmetical decider
-build the ideal lattice.  classify() asserts the chain
+fields.  Each verdict has one certificate kind at every order, and no
+decider reads a scale constant: only the Gaussian pair search and the
+pseudo-arithmetical scan of a ring that is not arithmetical build the ideal
+lattice, and `enumerate_ideals` refuses it above the lattice bound.
+classify() asserts the chain
 
     semihereditary ⇒ weak dimension Zero ⇒ arithmetical ⇒ Gaussian ⇒ Prüfer
 
@@ -33,17 +36,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError
-from .ideals import (LATTICE_LIMIT, Ideal, complement_idempotent,
-                     content_calculus, enumerate_ideals,
-                     first_nonprincipal_maximal, has_square_zero_maximal,
-                     ideal_count, ideal_product, is_local,
-                     is_locally_principal, least_generator_count,
+from .ideals import (Ideal, complement_idempotent, content_calculus,
+                     enumerate_ideals, first_nonprincipal_maximal,
+                     has_square_zero_maximal, ideal_count, ideal_product,
+                     is_local, is_locally_principal, least_generator_count,
                      local_factors, make_quotient, principal_ideal,
                      zero_ideal_locally_irreducible)
 from .polys import (RingPoly, content, decode_poly_block, make_poly,
                     orbit_verdicts, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
-from .rings import (KIND_SCAN_LIMIT, MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
+from .rings import (MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
                     TrivialExtensionRing, blocks, element_units)
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
@@ -90,7 +92,9 @@ class ClassifyConfig:
 
     def public_dict(self) -> dict:
         """The search bounds, plus two constants that reports have always
-        echoed: the lattice bound and a `seed` of 0 that nothing reads."""
+        echoed: the lattice bound and a `seed` of 0 that nothing reads.  No
+        decider reads the lattice bound: `enumerate_ideals` enforces it."""
+        from .ideals import LATTICE_LIMIT
         return {
             "degree_bound": self.degree_bound,
             "witness_cap": self.witness_cap,
@@ -242,42 +246,27 @@ def decide_weak_dim(ring: FiniteRing) -> ConditionResult:
 
 
 def decide_arithmetical(ring: FiniteRing) -> ConditionResult:
-    """Read from `first_nonprincipal_maximal`, with no lattice.  At lattice
-    scale a `True` carries `ideal_count`, read from the chain-ring corners,
-    and a `False` witness is the first bad factor's maximal ideal m: its
-    image m ∩ eR (`pushed_order`) in the corner eR (`localization_order`)
-    is not principal, so m is not locally principal.
-    Above it both certificates, and their replays, assume a local ring,
-    whose witness is its maximal ideal, since there locally principal is
-    principal; a non-local ring there raises BoundExceededError, although
-    its local factors need no lattice."""
+    """Read from `first_nonprincipal_maximal`, with no lattice, at every
+    order and for every ring, local or not.  A `True` carries `ideal_count`,
+    read from the chain-ring corners, and a `False` witness is the first
+    bad factor's maximal ideal m: its image m ∩ eR (`pushed_order`) in the
+    corner eR (`localization_order`) is not principal, so m is not locally
+    principal.  A local ring is its own corner (e = 1)."""
     return ring.memo("arithmetical", lambda: _decide_arithmetical_inner(ring))
 
 
 def _decide_arithmetical_inner(ring: FiniteRing) -> ConditionResult:
-    above = ring.order > LATTICE_LIMIT
-    if above and is_local(ring) is None:
-        raise BoundExceededError(
-            f"arithmetical certificate for the non-local {ring.name} (order "
-            f"{ring.order}) needs the ideal lattice, limited to order "
-            f"{LATTICE_LIMIT}")
     bad = first_nonprincipal_maximal(ring)
     if bad is None:
-        if above:
-            return ConditionResult(True, {"kind": "principal_maximal_ideal"})
         return ConditionResult(True, {"kind": "all_ideals_locally_principal",
                                       "ideal_count": ideal_count(ring)})
     m = bad.maximal
     gens = _lits(ring, m.gens)
-    witness = {"ideal_gens": gens, "ideal_order": m.size, "maximal_gens": gens}
-    if above:
-        witness["note"] = "ring is local, so locally principal equals principal"
-        return ConditionResult(False, {"kind": "non_principal_ideal_local"},
-                               witness=witness)
-    witness["pushed_order"] = bad.order // bad.residue
-    witness["localization_order"] = bad.order
     return ConditionResult(False, {"kind": "non_locally_principal_ideal"},
-                           witness=witness)
+                           witness={"ideal_gens": gens, "ideal_order": m.size,
+                                    "maximal_gens": gens,
+                                    "pushed_order": bad.order // bad.residue,
+                                    "localization_order": bad.order})
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +294,12 @@ def _refutation(f: RingPoly, g: RingPoly, **certificate) -> ConditionResult:
 
 
 def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
-    if ring.order <= LATTICE_LIMIT:
-        # rule (a): arithmetical rings are Gaussian (implication chain)
-        if first_nonprincipal_maximal(ring) is None:
-            return ConditionResult("Yes", {"rule": "arithmetical"})
-        # rule (b): split a non-local ring into its local factors
-        if is_local(ring) is None:
-            return _gaussian_by_decomposition(ring, config)
+    # rule (a): arithmetical rings are Gaussian (implication chain)
+    if first_nonprincipal_maximal(ring) is None:
+        return ConditionResult("Yes", {"rule": "arithmetical"})
+    # rule (b): split a non-local ring into its local factors
+    if is_local(ring) is None:
+        return _gaussian_by_decomposition(ring, config)
 
     # rule (c): local with square-zero maximal ideal
     if has_square_zero_maximal(ring):
@@ -336,11 +324,8 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionR
                                 "base_certificate": base_verdict.certificate,
                                 "annihilation_checked": True})
 
-    # bounded refutation search
-    if ring.order > LATTICE_LIMIT:
-        raise BoundExceededError(
-            f"Gaussian verdict for {ring.name} needs a pair search above the "
-            "lattice bound")
+    # bounded refutation search: its content ids read the lattice, which
+    # `enumerate_ideals` refuses above the lattice bound
     found, sym_degree, pairs = ring_gaussian_refutation_search(
         ring, config.degree_bound, config.pair_cap)
     if found is not None:
@@ -392,15 +377,14 @@ def decide_pruefer(ring: FiniteRing) -> ConditionResult:
     unit/zerodivisor partition shows is a unit, so the ideal is the whole
     ring.  Every proper ideal lies in a maximal ideal, so a maximal ideal of
     `local_factors` that holds a unit is an internal error; with none, R is
-    the one regular ideal.  An arithmetical ring at lattice scale counts its
-    ideals from its chain-ring corners (`ideal_count`) next to that one
-    regular ideal; any other ring reports its unit count.  No lattice is
-    read.
+    the one regular ideal.  An arithmetical ring counts its ideals from its
+    chain-ring corners (`ideal_count`) next to that one regular ideal; any
+    other ring reports its unit count.  No lattice is read.
     """
     units = element_units(ring)
     if any(units[f.maximal.indices].any() for f in local_factors(ring)):
         raise ConsistencyError(f"{ring.name}: a proper ideal contains a unit")
-    if ring.order <= LATTICE_LIMIT and first_nonprincipal_maximal(ring) is None:
+    if first_nonprincipal_maximal(ring) is None:
         return ConditionResult(True, {"kind": "all_regular_ideals_invertible",
                                       "ideal_count": ideal_count(ring),
                                       "regular_ideal_count": 1})
@@ -415,12 +399,10 @@ def decide_pruefer(ring: FiniteRing) -> ConditionResult:
 
 def decide_total_quotient(ring: FiniteRing) -> ConditionResult:
     """Every element a unit or a zerodivisor, read off the certified
-    partition (the kind only names the scale: above KIND_SCAN_LIMIT pair
-    products only a trivial extension's structural witnesses are possible)."""
+    partition at any order."""
     unit_count = int(np.count_nonzero(element_units(ring)))
-    kind = ("certified_unit_and_annihilator_witnesses"
-            if ring.order**2 > KIND_SCAN_LIMIT else "unit_zerodivisor_partition")
-    return ConditionResult(True, {"kind": kind, "unit_count": unit_count,
+    return ConditionResult(True, {"kind": "unit_zerodivisor_partition",
+                                  "unit_count": unit_count,
                                   "zerodivisor_count": ring.order - unit_count})
 
 
@@ -492,27 +474,24 @@ def decide_pseudo_arithmetical(ring: FiniteRing, config: ClassifyConfig
                                ) -> ConditionResult:
     """Does every Gaussian polynomial have locally principal content?
 
-    Any violating polynomial has content equal to some non-locally-principal
-    ideal I and coefficients inside I, so candidates are exactly the
-    generator layouts of such ideals.  When the whole ring is certified
-    Gaussian (`gaussian_ring_verdict`, read from the ring's cache), the
-    first layout is itself a certified witness and the verdict is an exact
-    No; otherwise candidates are searched under the configured caps and the
-    verdict stays bounded.  The candidates stay coefficient columns
+    An arithmetical ring is answered first: every ideal is locally
+    principal, so its Yes is exact at any order and builds no lattice; it
+    reads `ideal_count` from its chain-ring corners.  Any other ring scans
+    the lattice for the ideals that are not locally principal, so
+    `enumerate_ideals` refuses it above the lattice bound.  Any violating
+    polynomial has content equal to some non-locally-principal ideal I and
+    coefficients inside I, so candidates are exactly the generator layouts
+    of such ideals.  When the whole ring is certified Gaussian
+    (`gaussian_ring_verdict`, read from the ring's cache), the first layout
+    is itself a certified witness and the verdict is an exact No; otherwise
+    candidates are searched under the configured caps and the verdict stays
+    bounded.  The candidates stay coefficient columns
     (`_pseudo_candidates`), and their statuses are filed once per orbit by
-    `polys.orbit_verdicts`, whose counts the verdict reads.  An
-    arithmetical ring has every ideal locally principal, so its Yes is
-    exact and builds no lattice: it reads `ideal_count` from its chain-ring
-    corners.  This is the one decider that scans the lattice for ideals
-    that are not locally principal.  Runtime invariant: a ring that is not
-    arithmetical has one (its bad factor's maximal ideal, at least), and a
-    scan that finds none raises ConsistencyError.  A ring above the lattice
-    bound is refused.
+    `polys.orbit_verdicts`, whose counts the verdict reads.  Runtime
+    invariant: a ring that is not arithmetical has an ideal that is not
+    locally principal (its bad factor's maximal ideal, at least), and a
+    scan that finds none raises ConsistencyError.
     """
-    if ring.order > LATTICE_LIMIT:
-        raise BoundExceededError(
-            f"ideal enumeration limited to order {LATTICE_LIMIT}; {ring.name} "
-            f"has order {ring.order}")
     if first_nonprincipal_maximal(ring) is None:
         return ConditionResult("Yes", {"kind": "all_ideals_locally_principal",
                                        "ideal_count": ideal_count(ring)})

@@ -27,8 +27,9 @@ factor's cached record holds |eR|, the residue order, whether n = m ∩ eR
 is principal, the socle's atom count and whether n² = 0, all read from
 one product row per generator of m, and no decider computes them again.
 Inside `classify` only the Gaussian pair search (through
-`content_calculus`) and the pseudo-arithmetical decider build the
-lattice; replay builds its own.  The Gaussian decomposition reads R as
+`content_calculus`) and the pseudo-arithmetical scan of a ring that is not
+arithmetical build the lattice, and `enumerate_ideals` alone enforces its
+bound; replay builds its own.  The Gaussian decomposition reads R as
 the product of these factors, since their idempotents sum to 1, and builds
 each factor as R/(1 − e)R, whose coset representatives r lift to e·r.
 `localize_at`, the quotient by the annihilator kernel found by a scan of
@@ -783,7 +784,7 @@ def ideal_count(ring: FiniteRing) -> int:
     so any order is answered.  A corner whose order is not a power of q
     raises ConsistencyError, and so does a ring that is not arithmetical:
     the deciders ask only arithmetical rings, and replay counts its own
-    lattice.
+    lattice, or the chains of its localizations above the lattice bound.
     """
     return ring.memo("ideal_count", lambda: _ideal_count(ring))
 

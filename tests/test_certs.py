@@ -136,6 +136,19 @@ def test_tampered_arithmetical_witness_rejected():
         replay_condition(ring, "arithmetical", cond)
 
 
+def test_replay_rejects_a_quasi_inverse_witness():
+    # von Neumann regularity is refuted by a square-zero element only, so a
+    # witness with any other reason is forged, although 2 in Z4 has no
+    # quasi-inverse
+    ring = ZmodRing(4)
+    payload = {"verdict": False,
+               "certificate": {"kind": "vn_regular_collapse",
+                               "method": "square_zero_witness"},
+               "witness": {"element": 2, "reason": "no_quasi_inverse"}}
+    with pytest.raises(ConsistencyError, match="unknown witness reason"):
+        replay_condition(ring, "semihereditary", payload)
+
+
 @pytest.mark.parametrize("condition, field", [
     ("arithmetical", "ideal_count"),
     ("pruefer", "ideal_count"),
@@ -144,14 +157,20 @@ def test_tampered_arithmetical_witness_rejected():
 ])
 def test_ideal_count_off_by_one_rejected(condition, field):
     # the deciders read the counts of an arithmetical ring from its
-    # chain-ring corners; replay counts its own lattice
-    ring = ZmodRing(12)
-    payload = _round_trip(classify(ring))
-    assert payload["conditions"][condition]["certificate"][field] >= 1
-    bad = _tampered(payload, condition, lambda c: c["certificate"].__setitem__(
-        field, c["certificate"][field] + 1))
-    with pytest.raises(ConsistencyError, match="count mismatch"):
-        replay_report(ring, bad)
+    # chain-ring corners; replay counts its own lattice, and above the
+    # lattice bound (Z67 ∝ Z67, order 4489) the powers of a generator of
+    # each localization's maximal ideal
+    z67 = ZmodRing(67)
+    for ring in (ZmodRing(12), TrivialExtensionRing(z67, free_module(z67, 1))):
+        payload = _round_trip(classify(ring))
+        cond = payload["conditions"][condition]
+        assert cond["certificate"][field] >= 1
+        assert replay_condition(ring, condition, cond)
+        for delta in (-1, 1):
+            bad = copy.deepcopy(cond)
+            bad["certificate"][field] += delta
+            with pytest.raises(ConsistencyError, match="count mismatch"):
+                replay_condition(ring, condition, bad)
 
 
 @pytest.mark.parametrize("condition, path", [

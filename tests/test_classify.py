@@ -313,47 +313,66 @@ def test_arithmetical_rule_matches_the_lattice_scan():
     assert (len(verdicts), sum(verdicts)) == (463, 433)
 
 
-@pytest.mark.parametrize("make, verdict, kind", [
-    (lambda: _self_extension(67, 1), True, "principal_maximal_ideal"),
-    (lambda: ZmodRing(4099), True, "principal_maximal_ideal"),
-    (lambda: _self_extension(17, 2), False, "non_principal_ideal_local"),
-    (lambda: _self_extension(31, 2), False, "non_principal_ideal_local"),
+@pytest.mark.parametrize("make, verdict, count", [
+    (lambda: _self_extension(67, 1), True, 3),
+    (lambda: ZmodRing(4099), True, 2),
+    (lambda: _self_extension(17, 2), False, None),
+    (lambda: _self_extension(31, 2), False, None),
 ], ids=["z67_trivext", "z4099", "z17_trivext2", "z31_trivext2"])
-def test_arithmetical_above_the_lattice_bound(make, verdict, kind):
+def test_arithmetical_above_the_lattice_bound(make, verdict, count):
+    # one certificate format at every order, read from the factor records
+    # and replayed by the chain count or the witness, with no lattice
     ring = make()
     assert ring.order > ideals.LATTICE_LIMIT
     cond = decide_arithmetical(ring).to_dict()
-    assert (cond["verdict"], cond["certificate"]["kind"]) == (verdict, kind)
+    assert cond["verdict"] is verdict
     assert replay_condition(ring, "arithmetical", cond)
     assert "lattice" not in ring._cache
-    if verdict is False:
-        # the witness is the maximal ideal itself
-        m = is_local(ring)
-        assert cond["witness"]["ideal_gens"] == m.gen_literals()
-        assert cond["witness"]["ideal_order"] == m.size
-        assert cond["witness"]["maximal_gens"] == m.gen_literals()
+    if verdict:
+        assert cond["certificate"] == {"kind": "all_ideals_locally_principal",
+                                       "ideal_count": count}
+        return
+    # the witness is the maximal ideal itself, in the ring, its own
+    # localization
+    m = is_local(ring)
+    assert cond["certificate"] == {"kind": "non_locally_principal_ideal"}
+    assert cond["witness"] == {
+        "ideal_gens": m.gen_literals(), "ideal_order": m.size,
+        "maximal_gens": m.gen_literals(), "pushed_order": m.size,
+        "localization_order": ring.order}
     if ring.order == 31**3:                   # the witness bytes are pinned
         lits = [(0, (0, 1)), (0, (1, 0))]
         assert cond["witness"] == {
             "ideal_gens": lits, "ideal_order": 961, "maximal_gens": lits,
-            "note": "ring is local, so locally principal equals principal"}
+            "pushed_order": 961, "localization_order": 29791}
 
 
 def test_replay_rejects_a_flipped_principal_maximal_ideal():
+    # Z17 ∝ Z17² is not arithmetical: a True with any ideal count fails the
+    # chain count, rather than a lookup of a missing key
     ring = _self_extension(17, 2)
-    cond = decide_arithmetical(ring).to_dict()
-    flipped = {"verdict": True, "certificate": {"kind": "principal_maximal_ideal"}}
-    assert cond["verdict"] is False
-    with pytest.raises(ConsistencyError):
-        replay_condition(ring, "arithmetical", flipped)
+    assert decide_arithmetical(ring).verdict is False
+    for count in (1, 2, 3, 4913):
+        flipped = {"verdict": True,
+                   "certificate": {"kind": "all_ideals_locally_principal",
+                                   "ideal_count": count}}
+        with pytest.raises(ConsistencyError, match="non-locally-principal"):
+            replay_condition(ring, "arithmetical", flipped)
 
 
-def test_arithmetical_refuses_a_non_local_ring_above_the_bound():
-    # the maximal ideals of a non-local ring still come from its lattice
+def test_arithmetical_decides_a_non_local_ring_above_the_bound():
+    # (Z17 ∝ Z17) × Z17 (order 4913): its factors are chain rings with 3
+    # and 2 ideals, read with no lattice and counted again by replay, on a
+    # copy that shares no cache, in its two localizations
     ring = ProductRing(_self_extension(17, 1), ZmodRing(17))
     assert ring.order > ideals.LATTICE_LIMIT
-    with pytest.raises(BoundExceededError):
-        decide_arithmetical(ring)
+    cond = decide_arithmetical(ring).to_dict()
+    assert cond == {"verdict": True,
+                    "certificate": {"kind": "all_ideals_locally_principal",
+                                    "ideal_count": 6}}
+    fresh = ProductRing(_self_extension(17, 1), ZmodRing(17))
+    assert replay_condition(fresh, "arithmetical", cond)
+    assert "lattice" not in ring._cache and "lattice" not in fresh._cache
 
 
 def test_arithmetical_witness_is_the_bad_factors_maximal_ideal(monkeypatch):
@@ -443,12 +462,10 @@ def test_config_key_distinguishes_search_parameters():
 
 
 def test_bound_exceeded_when_lattice_capped():
-    # Z67 ∝ Z67 (order 4489) lies above the lattice bound: arithmetical
-    # reads its principal maximal ideal, but pseudo-arithmetical needs the
-    # lattice
-    z67 = ZmodRing(67)
-    ring = TrivialExtensionRing(z67, free_module(z67, 1))
-    with pytest.raises(BoundExceededError):
+    # Z17 ∝ Z17² (order 4913) lies above the lattice bound and is not
+    # arithmetical, so its pseudo-arithmetical scan needs the lattice
+    ring = _self_extension(17, 2)
+    with pytest.raises(BoundExceededError, match="ideal enumeration limited"):
         classify(ring)
 
 

@@ -178,22 +178,33 @@ def test_huge_degree_bound_finishes():
 
 def test_exit_2_on_bound_exceeded(tmp_path, capsys):
     path = tmp_path / "big.spec"
-    path.write_text("ring a = zmod(67)\nmodule e = free(a, 1)\n"
-                    "ring r = trivext(a, e)\n")  # order 4489 > LATTICE_LIMIT
+    path.write_text("ring a = zmod(17)\nmodule e = free(a, 2)\n"
+                    "ring r = trivext(a, e)\n")  # order 4913 > LATTICE_LIMIT
     assert main(["classify", "--spec", str(path)]) == 2
     assert "bound exceeded" in capsys.readouterr().err.lower()
 
 
-def test_exit_2_on_non_local_ring_above_the_lattice_bound(tmp_path, capsys):
-    # (Z17 ∝ Z17) × Z17, order 4913: its maximal ideals need no lattice, but
-    # the arithmetical certificates above the bound assume a local ring
+def test_exit_0_on_non_local_ring_above_the_lattice_bound(tmp_path, capsys,
+                                                         monkeypatch):
+    # (Z17 ∝ Z17) × Z17, order 4913: arithmetical, so none of its verdicts
+    # needs the lattice; its certificates replay on a rebuilt ring
     path = tmp_path / "z17_trivext_x_z17.spec"
-    path.write_text("ring a = zmod(17)\nmodule e = free(a, 1)\n"
-                    "ring t = trivext(a, e)\nring r = product(t, a)\n")
-    assert main(["classify", "--spec", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "bound exceeded" in err.lower() and "non-local" in err
-    assert "Traceback" not in err
+    text = ("ring a = zmod(17)\nmodule e = free(a, 1)\n"
+            "ring t = trivext(a, e)\nring r = product(t, a)\n")
+    path.write_text(text)
+    assert main(["classify", "--spec", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    conditions = report["conditions"]
+    assert conditions["arithmetical"]["certificate"] == {
+        "kind": "all_ideals_locally_principal", "ideal_count": 6}
+    assert conditions["gaussian"]["certificate"] == {"rule": "arithmetical"}
+    assert conditions["pruefer"]["certificate"]["ideal_count"] == 6
+    assert conditions["pseudo_arithmetical"]["verdict"] == "Yes"
+    for cache in ("_RING_CACHE", "_MODULE_CACHE"):     # a fresh ring
+        monkeypatch.setattr(finring.specfile, cache, {})
+    ring = finring.build_target(finring.parse_ring_spec(text))
+    for name in ("arithmetical", "gaussian", "pruefer", "pseudo_arithmetical"):
+        assert finring.replay_condition(ring, name, conditions[name])
 
 
 def test_exit_2_on_large_local_ring_with_a_square_nonzero_maximal(tmp_path, capsys):

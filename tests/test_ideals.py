@@ -658,9 +658,14 @@ def test_non_local_factors_above_the_lattice_bound(monkeypatch):
     assert result.verdict is True
     assert [(row["localization_order"], row["atom_count"])
             for row in result.certificate["localizations"]] == [(289, 1), (17, 0)]
-    # both above-bound arithmetical certificates assume a local ring
-    with pytest.raises(BoundExceededError):
-        decide_arithmetical(ring)
+    # both factors are chain rings, so the ring is arithmetical with 3 · 2
+    # ideals, decided and replayed with no lattice
+    monkeypatch.setattr(certs, "enumerate_ideals", no_lattice)
+    cond = decide_arithmetical(ring).to_dict()
+    assert cond == {"verdict": True,
+                    "certificate": {"kind": "all_ideals_locally_principal",
+                                    "ideal_count": 6}}
+    assert certs.replay_condition(ring, "arithmetical", cond)
     assert "lattice" not in ring._cache
 
 

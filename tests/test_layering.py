@@ -10,7 +10,10 @@ the order: other modules go through the ring and module operations, which
 return intp.  A local factor's corner mask is named in ideals.py alone:
 other modules read the fields of its factor record.  The deciders build no
 product ring and check no hom: `ideals.local_factors` checks that R is the
-product of its local factors, and replay keeps its own check."""
+product of its local factors, and replay keeps its own check.  The deciders
+read no scale constant: `ideals.enumerate_ideals` enforces the lattice bound
+and `rings.unit_partition` the scan bound, and classify.py names the lattice
+bound only to echo it in reports."""
 
 import ast
 from pathlib import Path
@@ -34,6 +37,10 @@ CORNER = "corner"
 # the product ring and hom check that replay alone builds: the deciders read
 # R as the product of its local factors from `ideals.local_factors`
 PRODUCT_CHECK = {"ProductRing", "RingHom"}
+# the order bounds, which the modules that build lattices and scans enforce
+SCALE_CONSTANTS = {"LATTICE_LIMIT", "KIND_SCAN_LIMIT"}
+# the one place in classify.py that names one: the bound echoed in reports
+SCALE_ECHO = {("ClassifyConfig.public_dict", "LATTICE_LIMIT")}
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -169,3 +176,46 @@ def test_home_check_sees_cache_and_block_sizes(tmp_path):
                      "    return max(1, CHUNK // max(1, n))\n")
     assert sorted(_home_violations(probe)) == ["probe:2: _cache",
                                                "probe:3: block size"]
+
+
+def _scale_names(path: Path) -> set[tuple[str, str]]:
+    """(scope, constant) for each name, attribute or import alias of a
+    scale constant in one module, where the scope is the dotted names of
+    the enclosing classes and functions, "" at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Name):
+                names = {child.id}
+            elif isinstance(child, ast.Attribute):
+                names = {child.attr}
+            elif isinstance(child, ast.alias):
+                names = {child.name, child.asname}
+            else:
+                names = set()
+            found.update((scope, name) for name in names & SCALE_CONSTANTS)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_deciders_read_no_scale_constant():
+    assert _scale_names(SOURCE / "classify.py") == SCALE_ECHO
+
+
+def test_scale_check_sees_imports_aliases_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .ideals import LATTICE_LIMIT as BOUND\n"
+                     "class ClassifyConfig:\n"
+                     "    def public_dict(self):\n"
+                     "        from .ideals import LATTICE_LIMIT\n"
+                     "        return LATTICE_LIMIT\n"
+                     "def decide(ring, rings):\n"
+                     "    return ring.order ** 2 > rings.KIND_SCAN_LIMIT\n")
+    assert _scale_names(probe) == SCALE_ECHO | {
+        ("", "LATTICE_LIMIT"), ("decide", "KIND_SCAN_LIMIT")}

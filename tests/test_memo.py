@@ -40,7 +40,7 @@ def test_arithmetical_above_lattice_bound():
     ring = TrivialExtensionRing(z17, free_module(z17, 2))
     result = decide_arithmetical(ring)
     assert result.verdict is False
-    assert result.certificate["kind"] == "non_principal_ideal_local"
+    assert result.certificate["kind"] == "non_locally_principal_ideal"
     assert decide_arithmetical(ring) is result
     cond = result.to_dict()
     assert len(cond["witness"]["ideal_gens"]) == 2
