@@ -29,7 +29,7 @@ one product row per generator of m, and no decider computes them again.
 Inside `classify` only the Gaussian pair search (through
 `content_calculus`) and the pseudo-arithmetical scan of a ring that is not
 arithmetical build the lattice, and `enumerate_ideals` alone enforces its
-bound; replay builds its own.  The Gaussian decomposition reads R as
+bound; replay builds none.  The Gaussian decomposition reads R as
 the product of these factors, since their idempotents sum to 1, and builds
 each factor as R/(1 − e)R, whose coset representatives r lift to e·r.
 `localize_at`, the quotient by the annihilator kernel found by a scan of
@@ -433,26 +433,6 @@ def is_principal(ideal: Ideal) -> tuple[bool, int | None]:
     return False, None
 
 
-def principal_in_local_ring(ideal: Ideal) -> tuple[bool, int | None]:
-    """Principality of an ideal of a local ring (R, m), with one O(n) scan
-    per listed generator instead of one per member.
-
-    By Nakayama's lemma I is principal iff one of its generators g1..gk
-    alone generates it: I/mI is spanned over R/m by the images of the gᵢ,
-    and it is nonzero because I ≠ 0; if I is principal that space has
-    dimension 1, so any gᵢ with a nonzero image spans it, i.e. gᵢ generates
-    I modulo mI, and therefore gᵢ generates I (Atiyah–Macdonald, Cor. 2.7).
-    The caller guarantees that the ring is local; the zero ideal is R·0.
-    Only replay and the tests call it; the deciders test inside corners.
-    """
-    if ideal.is_zero():
-        return True, ideal.ring.zero
-    for g in ideal.gens:
-        if principal_ideal(ideal.ring, g).mask == ideal.mask:
-            return True, g
-    return False, None
-
-
 def is_regular_ideal(ideal: Ideal) -> bool:
     """An ideal is regular iff it contains a non-zerodivisor (= a unit here)."""
     return bool(element_units(ideal.ring)[ideal.indices].any())
@@ -783,8 +763,8 @@ def ideal_count(ring: FiniteRing) -> int:
     the corners' ideals (Atiyah–Macdonald, Thm 8.7).  No lattice is read,
     so any order is answered.  A corner whose order is not a power of q
     raises ConsistencyError, and so does a ring that is not arithmetical:
-    the deciders ask only arithmetical rings, and replay counts its own
-    lattice, or the chains of its localizations above the lattice bound.
+    the deciders ask only arithmetical rings, and replay counts the chains
+    of its localizations.
     """
     return ring.memo("ideal_count", lambda: _ideal_count(ring))
 
@@ -842,7 +822,7 @@ def zero_ideal_locally_irreducible(ring: FiniteRing) -> tuple[bool, list[dict]]:
     record counts the atoms of its socle; the zero ideal is irreducible iff
     there is at most one.  No lattice is built, so every ring, local or
     not, is answered at any order.  Replay (`certs`) counts the atoms of
-    each localization's lattice.
+    each localization's socle from every member of its maximal ideal.
     """
     detail = [{
         "maximal_gens": f.maximal.gen_literals(),

@@ -1,7 +1,8 @@
 """Test oracles: the unpruned exhaustive Gaussian violation table and the
 seeded Dedekind–Mertens audit that the witness searches are checked against,
 the Dedekind–Mertens identity on one pair, the pairwise atom and maximal
-scans of an ideal lattice, the lattice scan of arithmeticity, the pairwise
+scans of an ideal lattice, the lattice scan of arithmeticity, local
+principality by the kernel-quotient localizations, the pairwise
 irreducibility test, the pairwise locality test, the member-product closure
 of an ideal product, affine substitution by powers of the linear form, the
 hom laws checked one source element at a time, a hom's kernel, an element's
@@ -16,7 +17,8 @@ import numpy as np
 
 from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
                             content_calculus, enumerate_ideals, ideal_product,
-                            is_locally_principal)
+                            is_local, is_locally_principal, is_principal,
+                            localize_at, maximal_ideals, push_ideal)
 from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns, content,
                            decode_poly_block, make_poly, poly_count, poly_mul)
 from finring.rings import (FiniteRing, RingHom, blocks, element_units,
@@ -44,6 +46,27 @@ def arithmetical_by_lattice_scan(ring: FiniteRing) -> bool:
     """The definition: every ideal of the lattice is locally principal."""
     return all(is_locally_principal(ideal)[0]
                for ideal in enumerate_ideals(ring).ideals)
+
+
+def locally_principal_by_localization(ideal: Ideal) -> tuple[bool, dict | None]:
+    """Principal after pushing into every localization R_m, each built as
+    the quotient by its annihilator kernel (`localize_at`) and tested by the
+    member scan `is_principal`, so it shares none of the corner arithmetic
+    of `is_locally_principal`.  A local ring is its own localization.
+    Returns (verdict, counterexample) like `is_locally_principal`: the first
+    failing maximal ideal, the order of the pushed ideal and the order of
+    the localization."""
+    ring = ideal.ring
+    local = is_local(ring)
+    for m in [local] if local is not None else maximal_ideals(ring):
+        localized, pushed = ring, ideal
+        if local is None:
+            localized, hom = localize_at(ring, m)
+            pushed = push_ideal(hom, ideal)
+        if not is_principal(pushed)[0]:
+            return False, {"maximal": m, "pushed_order": pushed.size,
+                           "localization_order": localized.order}
+    return True, None
 
 
 def is_irreducible(ideal: Ideal) -> bool:

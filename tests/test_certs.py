@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from finring import specfile
 from finring.certs import replay_condition, replay_report
 from finring.classify import CONDITION_ORDER, classify
 from finring.errors import ConsistencyError
@@ -157,9 +158,9 @@ def test_replay_rejects_a_quasi_inverse_witness():
 ])
 def test_ideal_count_off_by_one_rejected(condition, field):
     # the deciders read the counts of an arithmetical ring from its
-    # chain-ring corners; replay counts its own lattice, and above the
-    # lattice bound (Z67 ∝ Z67, order 4489) the powers of a generator of
-    # each localization's maximal ideal
+    # chain-ring corners; replay counts the powers of a generator of each
+    # localization's maximal ideal, at every order (Z67 ∝ Z67 has order
+    # 4489, above the lattice bound)
     z67 = ZmodRing(67)
     for ring in (ZmodRing(12), TrivialExtensionRing(z67, free_module(z67, 1))):
         payload = _round_trip(classify(ring))
@@ -206,18 +207,101 @@ def test_unknown_condition_name_rejected():
         replay_condition(ZmodRing(4), "mystery", payload["conditions"]["reduced"])
 
 
-@pytest.mark.parametrize("field", ["field_like", "irreducible"])
-@pytest.mark.parametrize("key", ["zmod30", "product_mixed"])
+_ROW_TAMPERS = {
+    "field_like": [lambda value: not value],
+    "irreducible": [lambda value: not value],
+    "atom_count": [lambda value: value - 1, lambda value: value + 1],
+}
+
+
+@pytest.mark.parametrize("field", sorted(_ROW_TAMPERS))
+@pytest.mark.parametrize("key", ["zmod30", "product_mixed", "z67_trivext"])
 def test_tampered_zero_ideal_row_rejected(key, field):
-    ring = RINGS[key]()
+    # Z67 ∝ Z67 has order 4489, above the lattice bound: replay counts its
+    # atoms from the socle
+    ring = RINGS[key]() if key in RINGS else _spec_ring(f"above_bound/{key}")
     name = "zero_ideal_locally_irreducible"
     cond = _round_trip(classify(ring))["conditions"][name]
     for pos in range(len(cond["certificate"]["localizations"])):
-        bad = copy.deepcopy(cond)
-        row = bad["certificate"]["localizations"][pos]
-        row[field] = not row[field]
-        with pytest.raises(ConsistencyError):
-            replay_condition(ring, name, bad)
+        for tamper in _ROW_TAMPERS[field]:
+            bad = copy.deepcopy(cond)
+            row = bad["certificate"]["localizations"][pos]
+            row[field] = tamper(row[field])
+            with pytest.raises(ConsistencyError):
+                replay_condition(ring, name, bad)
+
+
+def _witness_the_first_row(cond: dict) -> None:
+    # the first row is the field Z3's, which is irreducible
+    row = cond["certificate"]["localizations"][0]
+    cond["witness"].update({key: row[key] for key in cond["witness"]})
+
+
+def _first_gen_only(holder: dict) -> None:
+    # the first of the three generators of the maximal ideal of order 48
+    # spans an ideal of order 12, proper but not maximal
+    holder["maximal_gens"] = holder["maximal_gens"][:1]
+
+
+def _duplicate_first_row(cond: dict) -> None:
+    # the reducible factor of order 8 loses its row to the field Z3's
+    rows = cond["certificate"]["localizations"]
+    rows[1] = copy.deepcopy(rows[0])
+    cond["verdict"] = True
+    del cond["witness"]
+
+
+@pytest.mark.parametrize("condition, mutate, match", [
+    ("pruefer", lambda c: c["certificate"].update(kind="bogus"),
+     "unknown kind"),
+    ("pruefer", lambda c: c["certificate"].pop("unit_count"),
+     "unit count mismatch"),
+    ("total_quotient_ring",
+     lambda c: c["certificate"].update(
+         zerodivisor_count=c["certificate"]["zerodivisor_count"] + 1),
+     "zerodivisor count mismatch"),
+    ("zero_ideal_locally_irreducible",
+     lambda c: c["witness"].update(atom_count=7), "witness"),
+    ("zero_ideal_locally_irreducible", _witness_the_first_row, "witness"),
+    ("zero_ideal_locally_irreducible", lambda c: c.pop("witness"),
+     "witness"),
+    ("zero_ideal_locally_irreducible", _duplicate_first_row, "two rows"),
+    ("zero_ideal_locally_irreducible",
+     lambda c: _first_gen_only(c["certificate"]["localizations"][1]),
+     "not a maximal ideal"),
+    ("arithmetical", lambda c: _first_gen_only(c["witness"]),
+     "not a maximal ideal"),
+], ids=["pruefer_unknown_kind", "pruefer_collapse_without_unit_count",
+        "total_quotient_zerodivisor_count", "zero_ideal_witness_atom_count",
+        "zero_ideal_witness_names_an_irreducible_row",
+        "zero_ideal_missing_witness", "zero_ideal_duplicate_row",
+        "zero_ideal_row_not_maximal", "arithmetical_witness_not_maximal"])
+def test_tampered_certificate_rejected(condition, mutate, match):
+    # (F2 ∝ F2²) × Z12 is not arithmetical, so its Prüfer certificate is the
+    # unit-count collapse, and its zero ideal is reducible at the factor of
+    # order 8 alone; each tamper raises ConsistencyError, not KeyError or
+    # RingBuildError
+    ring = RINGS["f2sq_x_z12"]()
+    cond = _round_trip(classify(ring))["conditions"][condition]
+    assert replay_condition(ring, condition, cond)
+    mutate(cond)
+    with pytest.raises(ConsistencyError, match=match):
+        replay_condition(ring, condition, cond)
+
+
+@pytest.mark.parametrize("path", sorted((SPECS / "above_bound").glob("*.ring")),
+                         ids=lambda path: path.stem)
+def test_reports_above_the_lattice_bound_replay(path, monkeypatch):
+    # every report that classify writes replays, on a ring rebuilt from its
+    # spec, since spec builds are memoized
+    spec = parse_ring_spec(path.read_text(encoding="utf-8"))
+    ring = build_target(spec)
+    payload = _round_trip(classify(ring))
+    for cache in ("_RING_CACHE", "_MODULE_CACHE"):
+        monkeypatch.setattr(specfile, cache, {})
+    fresh = build_target(spec)
+    assert fresh is not ring
+    assert replay_report(fresh, payload) == len(CONDITION_ORDER)
 
 
 def test_non_local_witnesses_replay():

