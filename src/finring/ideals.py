@@ -32,8 +32,8 @@ arithmetical build the lattice, and `enumerate_ideals` alone enforces its
 bound; replay builds none.  The Gaussian decomposition reads R as
 the product of these factors, since their idempotents sum to 1, and builds
 each factor as R/(1 − e)R, whose coset representatives r lift to e·r.
-`localize_at`, the quotient by the annihilator kernel found by a scan of
-products, serves replay alone, whose isomorphism check is the only one.
+`localize_at`, the quotient by the power of m at which m ⊇ m² ⊇ … stops
+shrinking, serves replay alone, which reads R ≅ Π R_m from the kernels.
 """
 
 from __future__ import annotations
@@ -574,25 +574,21 @@ def residue_vector_space(base: FiniteRing, maximal: Ideal, n: int) -> FiniteModu
 
 
 def localize_at(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
-    """R_m for finite R: the quotient by ker = {r : ∃ s ∉ m, s·r = 0}."""
+    """R_m for finite R: R/K for the power K at which m ⊇ m² ⊇ … stops,
+    ker(R → R_m), since m is n × (the other factors) for the nilpotent
+    maximal ideal n of R_m (Atiyah–Macdonald, Thm 8.7)."""
     return ring.memo(("localizations", maximal.mask),
                      lambda: _localize(ring, maximal))
 
 
 def _localize(ring: FiniteRing, maximal: Ideal) -> tuple[QuotientRing, RingHom]:
     _require_maximal(ring, maximal)
-    n = ring.order
-    member = np.zeros(n, dtype=bool)
-    member[maximal.indices] = True
-    outside = np.nonzero(~member)[0].astype(np.int64)
-    killed = np.zeros(n, dtype=bool)
-    cols = np.arange(n, dtype=np.int64)
-    for start, stop in blocks(outside.size, n, CACHE_BLOCK):
-        rows = outside[start:stop]
-        killed |= (ring.mul_arr(rows[:, None], cols[None, :]) == ring.zero).any(axis=0)
-    kmask = mask_from_indices(np.nonzero(killed)[0], n)
-    kernel = Ideal(ring, kmask, minimal_generators(ring, kmask))
-    return make_quotient(ring, kernel)
+    kernel, power = maximal, ideal_product(maximal, maximal)
+    while power.mask != kernel.mask:
+        kernel, power = power, ideal_product(power, maximal)
+    # K's minimal generators, not the products that reached it, name R/K
+    return make_quotient(ring, Ideal(ring, kernel.mask,
+                                     minimal_generators(ring, kernel.mask)))
 
 
 def _require_maximal(ring: FiniteRing, ideal: Ideal) -> None:

@@ -2,10 +2,11 @@
 seeded Dedekind–Mertens audit that the witness searches are checked against,
 the Dedekind–Mertens identity on one pair, the pairwise atom and maximal
 scans of an ideal lattice, the lattice scan of arithmeticity, local
-principality by the kernel-quotient localizations, the pairwise
-irreducibility test, the pairwise locality test, the member-product closure
-of an ideal product, affine substitution by powers of the linear form, the
-hom laws checked one source element at a time, a hom's kernel, an element's
+principality by the kernel-quotient localizations, the localization kernel
+by its annihilator definition, the pairwise irreducibility test, the
+pairwise locality test, the member-product closure of an ideal product,
+affine substitution by powers of the linear form, the hom laws checked one
+source element at a time, a hom's kernel, an element's
 unit/zerodivisor kind, the polynomial at a pinned enumeration index, the
 pseudo-arithmetical candidates as a list of polynomials from a full scan of
 every coefficient tuple, and F_p[x]/(f) by schoolbook products and trial
@@ -50,7 +51,7 @@ def arithmetical_by_lattice_scan(ring: FiniteRing) -> bool:
 
 def locally_principal_by_localization(ideal: Ideal) -> tuple[bool, dict | None]:
     """Principal after pushing into every localization R_m, each built as
-    the quotient by its annihilator kernel (`localize_at`) and tested by the
+    the quotient by the stable power of m (`localize_at`) and tested by the
     member scan `is_principal`, so it shares none of the corner arithmetic
     of `is_locally_principal`.  A local ring is its own localization.
     Returns (verdict, counterexample) like `is_locally_principal`: the first
@@ -67,6 +68,19 @@ def locally_principal_by_localization(ideal: Ideal) -> tuple[bool, dict | None]:
             return False, {"maximal": m, "pushed_order": pushed.size,
                            "localization_order": localized.order}
     return True, None
+
+
+def localization_kernel_by_annihilator_scan(ring: FiniteRing,
+                                            maximal: Ideal) -> np.ndarray:
+    """ker(R → R_m) by its definition, {r : s·r = 0 for some s ∉ m},
+    ascending: one product row per element s outside m."""
+    outside = np.setdiff1d(np.arange(ring.order), maximal.indices)
+    killed = np.zeros(ring.order, dtype=bool)
+    cols = np.arange(ring.order, dtype=np.int64)
+    for start, stop in blocks(outside.size, ring.order):
+        prods = ring.mul_arr(outside[start:stop, None], cols[None, :])
+        killed |= (prods == ring.zero).any(axis=0)
+    return np.flatnonzero(killed)
 
 
 def is_irreducible(ideal: Ideal) -> bool:

@@ -11,6 +11,7 @@ import pytest
 from finring import specfile
 from finring.certs import replay_condition, replay_report
 from finring.classify import CONDITION_ORDER, classify
+from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import ConsistencyError
 from finring.ideals import is_local, residue_vector_space
 from finring.reports import to_json
@@ -289,9 +290,15 @@ def test_tampered_certificate_rejected(condition, mutate, match):
         replay_condition(ring, condition, cond)
 
 
-@pytest.mark.parametrize("path", sorted((SPECS / "above_bound").glob("*.ring")),
-                         ids=lambda path: path.stem)
-def test_reports_above_the_lattice_bound_replay(path, monkeypatch):
+# the specs above the lattice bound, and the non-local specs whose
+# certificates replay through their localizations
+REBUILT_SPECS = [*sorted((SPECS / "above_bound").glob("*.ring")),
+                 *(SPECS / f"{name}.ring"
+                   for name in ("f2sq_x_z12", "z4f2_x_f4", "z4sq_x_z2"))]
+
+
+@pytest.mark.parametrize("path", REBUILT_SPECS, ids=lambda path: path.stem)
+def test_reports_replay_on_rebuilt_rings(path, monkeypatch):
     # every report that classify writes replays, on a ring rebuilt from its
     # spec, since spec builds are memoized
     spec = parse_ring_spec(path.read_text(encoding="utf-8"))
@@ -302,6 +309,18 @@ def test_reports_above_the_lattice_bound_replay(path, monkeypatch):
     fresh = build_target(spec)
     assert fresh is not ring
     assert replay_report(fresh, payload) == len(CONDITION_ORDER)
+
+
+def test_corpus_reports_replay_on_fresh_rings():
+    # replay shares no cache with classify: each default-corpus report
+    # replays on the same ring generated again
+    payloads = [_round_trip(classify(ring))
+                for ring in generate_corpus(CorpusConfig())]
+    fresh = generate_corpus(CorpusConfig())
+    assert len(fresh) == len(payloads) == 170
+    for ring, payload in zip(fresh, payloads):
+        assert payload["ring"]["name"] == ring.name
+        assert replay_report(ring, payload) == len(CONDITION_ORDER)
 
 
 def test_non_local_witnesses_replay():
@@ -334,15 +353,24 @@ def _relabel_sub_rule(certificate: dict) -> None:
     sub["rule"] = "arithmetical"
 
 
+def _first_factor_status(status: str):
+    # a factor that is not Yes, with nothing to replay
+    return lambda cert: cert["factors"][0].update(status=status, certificate={})
+
+
 @pytest.mark.parametrize("mutate, match", [
     (lambda cert: cert["factors"][0].update(localization_order=5),
      "factor order mismatch"),
     (lambda cert: cert["factors"].pop(), "factor count mismatch"),
     (_relabel_sub_rule, "arithmetical premise fails"),
-], ids=["localization_order", "dropped_factor", "sub_rule"])
+    (_first_factor_status("BoundedYes"), "factor status"),
+    (_first_factor_status("No"), "factor status"),
+    (_first_factor_status("banana"), "factor status"),
+], ids=["localization_order", "dropped_factor", "sub_rule",
+        "bounded_factor", "refuted_factor", "unknown_factor_status"])
 def test_tampered_decomposition_rejected(mutate, match):
-    # replay's own localizations are the one isomorphism check of the
-    # decomposition rule, and its factor rows are read against them
+    # replay reads the factor rows against its own localizations, and the
+    # rule is Yes only when every factor is
     ring = _spec_ring("f2sq_x_z12")
     cond = _round_trip(classify(ring))["conditions"]["gaussian"]
     assert cond["certificate"]["rule"] == "local_factor_decomposition"
@@ -350,6 +378,19 @@ def test_tampered_decomposition_rejected(mutate, match):
     mutate(bad["certificate"])
     with pytest.raises(ConsistencyError, match=match):
         replay_condition(ring, "gaussian", bad)
+
+
+def test_decomposition_without_a_maximal_ideal_rejected(monkeypatch):
+    # with one of the three localizations missing, the kernels of the other
+    # two meet in a nonzero ideal and their orders multiply to less than |R|
+    certs = importlib.import_module("finring.certs")
+    ring = _spec_ring("f2sq_x_z12")
+    cond = _round_trip(classify(ring))["conditions"]["gaussian"]
+    assert replay_condition(ring, "gaussian", cond)
+    real = certs.maximal_ideals
+    monkeypatch.setattr(certs, "maximal_ideals", lambda r: real(r)[1:])
+    with pytest.raises(ConsistencyError, match="not bijective"):
+        replay_condition(ring, "gaussian", cond)
 
 
 def test_decomposition_on_a_local_ring_rejected():

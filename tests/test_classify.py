@@ -185,24 +185,29 @@ def _fresh_specs(patch):
 ], ids=["z4f2_x_f4", "f2sq_x_z12", "z4sq_x_z2", "f2sq_x_z512"])
 def test_product_decomposition_builds_no_product_ring(monkeypatch, make, verdicts):
     # `local_factors` checks that R is the product of its factors R/(1 − e)R,
-    # so the decider builds no product ring and verifies no hom; replay keeps
-    # the one isomorphism check, on a freshly built copy
+    # so the decider builds no product ring and verifies no hom; replay, on
+    # a freshly built copy, reads R ≅ Π R_m from the kernels of its
+    # localizations and builds neither either
     def refuse(*args, **kwargs):
-        raise AssertionError("product ring or hom check inside classify")
+        raise AssertionError("product ring or hom check in classify or replay")
+
+    def refusing(patch):
+        patch.setattr(ProductRing, "__init__", refuse)
+        patch.setattr(RingHom, "verify", refuse)
 
     with monkeypatch.context() as patch:
         _fresh_specs(patch)
         ring = make()
-        patch.setattr(ProductRing, "__init__", refuse)
-        patch.setattr(RingHom, "verify", refuse)
+        refusing(patch)
         report = classify(ring)
     assert _verdicts(report) == verdicts
+    payload = json.loads(to_json(report.to_dict()))
     with monkeypatch.context() as patch:
         _fresh_specs(patch)
         fresh = make()
+        refusing(patch)
+        assert replay_report(fresh, payload) == len(CONDITION_ORDER)
     assert fresh is not ring
-    payload = json.loads(to_json(report.to_dict()))
-    assert replay_report(fresh, payload) == len(CONDITION_ORDER)
 
 
 def test_factor_lift_is_the_corner_element_of_each_coset(corpus_rings):

@@ -35,6 +35,7 @@ from finring.rings import (ProductRing, QuotientRing, TrivialExtensionRing,
                            primitive_idempotents, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (atoms_by_pairwise_scan, is_irreducible, kernel_indices,
+                     localization_kernel_by_annihilator_scan,
                      locally_principal_by_localization,
                      maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums,
                      product_mask_by_member_closure)
@@ -394,8 +395,8 @@ def test_localize_requires_maximal():
 
 
 def test_local_ring_localization_is_an_isomorphic_copy():
-    # the fact zero_ideal_locally_irreducible relies on: localizing a local
-    # ring at its maximal ideal by the full kernel scan kills nothing
+    # localizing a local ring at its maximal ideal kills nothing: the
+    # stable power of a nilpotent ideal is 0
     checked = 0
     for ring in _small_corpus():
         maximal = is_local(ring)
@@ -411,6 +412,31 @@ def test_local_ring_localization_is_an_isomorphic_copy():
         assert (len(copy) == 2) == (len(own) == 2), ring.name
         checked += 1
     assert checked > 20
+
+
+def _non_local_rings_to_4096():
+    """The non-local rings of the default corpus and of `tests/specs` up to
+    order 4096."""
+    specs = [build_target(parse_ring_spec(path.read_text(encoding="utf-8")))
+             for path in sorted(SPECS.glob("*.ring"))]
+    return [ring for ring in [*generate_corpus(CorpusConfig()), *specs]
+            if ring.order <= 4096 and is_local(ring) is None]
+
+
+def test_localization_kernel_is_the_annihilator_scan():
+    # ker(R → R_m) is the stable power of m, which `localize_at` takes, and
+    # by definition {r : s·r = 0 for some s ∉ m}
+    rings = _non_local_rings_to_4096()
+    checked = 0
+    for ring in rings:
+        for m in maximal_ideals(ring):
+            hom = localize_at(ring, m)[1]
+            assert np.array_equal(kernel_indices(hom),
+                                  localization_kernel_by_annihilator_scan(ring, m)), \
+                ring.name
+            checked += 1
+    # 129 corpus rings and four specs, Z16³ among them
+    assert (len(rings), checked) == (133, 313)
 
 
 def _count_lattice_builds(monkeypatch) -> list:

@@ -2,15 +2,17 @@
 corpus/harness/cli, so each fact (the unit/zerodivisor partition in
 rings.py, say) has one home below everything that reads it.  Replay
 (certs.py) sits on rings, ideals and polys and never reads the deciders or
-the front ends, and only replay localizes by the kernel scan
-(`ideals.localize_at`).  The per-ring cache and the block-size rule of the
+the front ends, and only replay localizes (`ideals.localize_at`, the
+quotient by the stable power of a maximal ideal).  The per-ring cache and the block-size rule of the
 numpy scans live in rings.py alone: other modules go through FiniteRing.memo
 and rings.blocks.  So do the element tables, whose storage dtype depends on
 the order: other modules go through the ring and module operations, which
 return intp.  A local factor's corner mask is named in ideals.py alone:
-other modules read the fields of its factor record.  The deciders build no
-product ring and check no hom: `ideals.local_factors` checks that R is the
-product of its local factors, and replay keeps its own check.  The deciders
+other modules read the fields of its factor record.  Neither the deciders
+nor replay build a product ring or check a hom: `ideals.local_factors`
+checks that R is the product of its local factors, and replay reads
+R ≅ Π R_m from the kernels of its quotient maps by the Chinese remainder
+theorem.  The deciders
 read no scale constant: `ideals.enumerate_ideals` enforces the lattice bound
 and `rings.unit_partition` the scan bound, and classify.py names the lattice
 bound only to echo it in reports.  Replay builds no ideal lattice, so it
@@ -36,8 +38,7 @@ LOCALIZERS = {"ideals", "certs", "__init__"}
 TABLE_ATTRS = {"_tables", "_madd", "_mneg", "_act"}
 # the mask of a local factor's corner eR, named in ideals.py alone
 CORNER = "corner"
-# the product ring and hom check that replay alone builds: the deciders read
-# R as the product of its local factors from `ideals.local_factors`
+# the product ring and hom check that neither the deciders nor replay build
 PRODUCT_CHECK = {"ProductRing", "RingHom"}
 # the order bounds, which the modules that build lattices and scans enforce
 SCALE_CONSTANTS = {"LATTICE_LIMIT", "KIND_SCAN_LIMIT"}
@@ -127,7 +128,8 @@ def test_lattice_check_sees_aliases_and_attributes(tmp_path):
 
 
 def test_deciders_build_no_product_ring():
-    assert _names(SOURCE / "classify.py") & PRODUCT_CHECK == set()
+    for module in ("classify", "certs"):
+        assert _names(SOURCE / f"{module}.py") & PRODUCT_CHECK == set(), module
 
 
 def test_product_check_sees_imports_and_attributes(tmp_path):
