@@ -133,7 +133,21 @@ def _replay_vn_negative(ring: FiniteRing, witness: dict, name: str) -> None:
         _fail(ring, name, "witness square is nonzero")
 
 
-def _replay_vn_positive(ring: FiniteRing, name: str) -> None:
+def _replay_vn_positive(ring: FiniteRing, name: str,
+                        scanned: set | None) -> None:
+    """Von Neumann regularity, re-scanned by `_vn_scan` once per
+    `replay_report`: `scanned` holds the rings whose scan has passed in that
+    report, so a report that claims regularity twice (semihereditary and
+    weak dimension Zero) scans once.  It is never the ring's memo, which
+    the deciders read too."""
+    if scanned is None or ring not in scanned:
+        _vn_scan(ring, name)
+    if scanned is not None:
+        scanned.add(ring)
+
+
+def _vn_scan(ring: FiniteRing, name: str) -> None:
+    """Every element a has some x with a²·x = a, over all n² products."""
     n = ring.order
     idx = np.arange(n, dtype=np.int64)
     squares = ring.mul_arr(idx, idx)
@@ -145,17 +159,19 @@ def _replay_vn_positive(ring: FiniteRing, name: str) -> None:
             _fail(ring, name, "an element has no quasi-inverse")
 
 
-def replay_semihereditary(ring: FiniteRing, result: dict) -> bool:
+def replay_semihereditary(ring: FiniteRing, result: dict,
+                          scanned: set | None = None) -> bool:
     if result["verdict"] is True:
-        _replay_vn_positive(ring, "semihereditary")
+        _replay_vn_positive(ring, "semihereditary", scanned)
     else:
         _replay_vn_negative(ring, result["witness"], "semihereditary")
     return True
 
 
-def replay_weak_dim(ring: FiniteRing, result: dict) -> bool:
+def replay_weak_dim(ring: FiniteRing, result: dict,
+                    scanned: set | None = None) -> bool:
     if result["verdict"] == "Zero":
-        _replay_vn_positive(ring, "weak_dim_class")
+        _replay_vn_positive(ring, "weak_dim_class", scanned)
     elif result["verdict"] == "Infinite":
         _replay_vn_negative(ring, result["witness"], "weak_dim_class")
     else:
@@ -443,17 +459,29 @@ _REPLAYERS = {
 }
 
 
-def replay_condition(ring: FiniteRing, name: str, result: dict) -> bool:
+# the conditions whose positive verdict is von Neumann regularity
+_VON_NEUMANN = {"semihereditary", "weak_dim_class"}
+
+
+def replay_condition(ring: FiniteRing, name: str, result: dict,
+                     scanned: set | None = None) -> bool:
+    """Replay one condition.  `scanned` is `replay_report`'s record of the
+    von Neumann scans that passed (`_replay_vn_positive`); on its own, each
+    condition scans."""
     replayer = _REPLAYERS.get(name)
     if replayer is None:
         raise ConsistencyError(f"no replayer for condition {name!r}")
+    if name in _VON_NEUMANN:
+        return replayer(ring, result, scanned)
     return replayer(ring, result)
 
 
 def replay_report(ring: FiniteRing, report: dict) -> int:
-    """Replay every condition in a classification report dict; returns the
-    number of conditions checked."""
+    """Replay every condition in a classification report dict, running the
+    von Neumann scan at most once; returns the number of conditions
+    checked."""
     conditions = report["conditions"]
+    scanned: set = set()
     for name, result in conditions.items():
-        replay_condition(ring, name, result)
+        replay_condition(ring, name, result, scanned)
     return len(conditions)

@@ -21,7 +21,9 @@ for a generator of order t (`coset_minima`).
 per-factor fact, read from the primitive idempotents with no lattice: the
 maximal ideal that misses e is {r : e·r + (1 − e) is not a unit}, which
 `minimal_generators` checks to be an ideal, and a local ring's is its
-non-units (e = 1).  The deciders read each localization R_m as that
+non-units (e = 1).  A product A × B scans nothing: it lifts the records of
+A and B, and checks each lifted maximal ideal against that set in O(n).
+The deciders read each localization R_m as that
 factor's corner eR: the image of an ideal I is I ∩ eR, a mask AND.  Each
 factor's cached record holds |eR|, the residue order, whether n = m ∩ eR
 is principal, the socle's atom count and whether n² = 0, all read from
@@ -44,9 +46,10 @@ import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
 from .rings import (CACHE_BLOCK, CHUNK, FiniteModule, FiniteRing, ModuleSpec,
-                    QuotientRing, RingHom, RingSpec, associate_leaders,
-                    associate_sweep, blocks, element_units, free_module,
-                    indices_from_mask, mask_from_indices, module_sum,
+                    ProductRing, QuotientRing, RingHom, RingSpec,
+                    associate_leaders, associate_sweep, blocks,
+                    element_units, free_module, indices_from_mask,
+                    mask_from_bits, mask_from_indices, module_sum,
                     primitive_idempotents)
 
 LATTICE_LIMIT = 4096      # enumerate_ideals refuses above this order
@@ -650,16 +653,42 @@ def local_factors(ring: FiniteRing) -> list[LocalFactor]:
     atom_count = (|soc ∩ n| − 1)/(q − 1), none for a field, and n² = 0 iff
     n lies in the socle, i.e. iff |soc ∩ n| = |n|.
 
+    A product A × B reads its records from those of A and B (`_lifted`),
+    with no scan: each record of A lifts to the maximal ideal m × B, with
+    idempotent (e, 0) and corner eA × 0, and each record of B to A × m′,
+    with (0, f) and 0 × fB; order, residue, `principal`, `atom_count` and
+    `square_zero` are the factor's, since the corner is the same ring.
+
     Runtime invariants: the primitive idempotents sum to 1, each m is an
     ideal (the span that `minimal_generators` grows from its members is m
-    itself), and each socle is a space over its residue field.  Any of
-    them failing raises ConsistencyError.
+    itself, or for a product each lifted m is {r : e·r + (1 − e) is not a
+    unit}), and each socle is a space over its residue field.  Any of them
+    failing raises ConsistencyError.
     """
     return ring.memo("local_factors", lambda: _local_factors(ring))
 
 
 def _local_factors(ring: FiniteRing) -> list[LocalFactor]:
-    idempotents = primitive_idempotents(ring).tolist()
+    if isinstance(ring, ProductRing):
+        factors = _lifted(ring)
+        idempotents = [f.idempotent for f in factors]
+        _check_sum(ring, idempotents)
+        for f, row in zip(factors, _misses(ring, idempotents)[1]):
+            if mask_from_bits(row) != f.maximal.mask:
+                raise ConsistencyError(
+                    f"{ring.name}: a maximal ideal lifted from a factor is not "
+                    "the one that misses its idempotent")
+            f.maximal._indices = np.flatnonzero(row)   # m's members, checked
+    else:
+        idempotents = primitive_idempotents(ring).tolist()
+        _check_sum(ring, idempotents)
+        factors = [_scanned(ring, e) for e in idempotents]
+    return sorted(factors, key=lambda f: (f.maximal.size, f.maximal.mask))
+
+
+def _check_sum(ring: FiniteRing, idempotents: list[int]) -> None:
+    """The primitive idempotents sum to 1, so R is the product of their
+    corners."""
     total = ring.zero
     for e in idempotents:
         total = ring.add(total, e)
@@ -667,34 +696,95 @@ def _local_factors(ring: FiniteRing) -> list[LocalFactor]:
         raise ConsistencyError(
             f"{ring.name}: its {len(idempotents)} primitive idempotents do not "
             "sum to 1")
-    units = element_units(ring)
-    idx = np.arange(ring.order, dtype=np.int64)
-    factors = []
-    for e in idempotents:
-        image = ring.mul_arr(idx, e)           # r ↦ e·r, onto the corner eR
-        # e·r + (1 − e) is a unit of R iff e·r is a unit of eR
-        in_maximal = ~units[ring.add_arr(image, complement_idempotent(ring, e))]
-        members = np.flatnonzero(in_maximal)
-        mask = mask_from_indices(members, ring.order)
-        maximal = Ideal(ring, mask, minimal_generators(ring, mask), members)
-        elements = _distinct_indices(ring.order, image)
-        in_n = in_maximal[elements]            # n = m ∩ eR, over eR
-        size, n_size = elements.size, int(np.count_nonzero(in_n))
-        principal, socle = n_size == 1, np.ones(size, dtype=bool)
-        for g in maximal.gens:
-            row = ring.mul_arr(elements, ring.mul(e, g))
-            socle &= row == ring.zero
-            principal |= _distinct_indices(ring.order, row).size == n_size
-        in_socle = int(np.count_nonzero(socle & in_n))
-        atoms, rest = divmod(in_socle - 1, size // n_size - 1)
-        if rest:
-            raise ConsistencyError(
-                f"{ring.name}: socle of a local factor of order {size} is not "
-                "a space over its residue field")
-        factors.append(LocalFactor(
-            maximal, e, mask_from_indices(elements, ring.order), size,
-            size // n_size, principal, atoms, in_socle == n_size))
-    return sorted(factors, key=lambda f: (f.maximal.size, f.maximal.mask))
+
+
+def _misses(ring: FiniteRing, e) -> tuple[np.ndarray, np.ndarray]:
+    """The projection r ↦ e·r onto the corner eR, and {r : e·r + (1 − e)
+    is not a unit} as a boolean array: e·r + (1 − e) is a unit of R iff
+    e·r is a unit of eR, so this is the maximal ideal that misses the
+    primitive idempotent e.  A list of idempotents gives one row each."""
+    e = np.asarray(e, dtype=np.int64)[..., None]
+    image = ring.mul_arr(e, np.arange(ring.order, dtype=np.int64))
+    complement = ring.add_arr(ring.one, ring.neg_arr(e))       # 1 − e
+    return image, ~element_units(ring)[ring.add_arr(image, complement)]
+
+
+def _scanned(ring: FiniteRing, e: int) -> LocalFactor:
+    """The record of the factor eR, read from R's own products."""
+    image, in_maximal = _misses(ring, e)
+    members = np.flatnonzero(in_maximal)
+    mask = mask_from_indices(members, ring.order)
+    maximal = Ideal(ring, mask, minimal_generators(ring, mask), members)
+    elements = _distinct_indices(ring.order, image)
+    in_n = in_maximal[elements]            # n = m ∩ eR, over eR
+    size, n_size = elements.size, int(np.count_nonzero(in_n))
+    principal, socle = n_size == 1, np.ones(size, dtype=bool)
+    for g in maximal.gens:
+        row = ring.mul_arr(elements, ring.mul(e, g))
+        socle &= row == ring.zero
+        principal |= _distinct_indices(ring.order, row).size == n_size
+    in_socle = int(np.count_nonzero(socle & in_n))
+    atoms, rest = divmod(in_socle - 1, size // n_size - 1)
+    if rest:
+        raise ConsistencyError(
+            f"{ring.name}: socle of a local factor of order {size} is not "
+            "a space over its residue field")
+    return LocalFactor(maximal, e, mask_from_indices(elements, ring.order),
+                       size, size // n_size, principal, atoms,
+                       in_socle == n_size)
+
+
+def _lifted(ring: ProductRing) -> list[LocalFactor]:
+    """The records of A × B lifted from the cached records of A and B.
+
+    The generators need no span growth.  Every ideal of A × B is I × J,
+    and R·(a, b) = Aa × Bb, so the span of a list of pairs is (span of
+    their first parts) × (span of their second parts).  The greedy scan of
+    I × J visits (0, b) for b ∈ J first, in ascending order, and (0, b)
+    lies in the span 0 × S iff b ∈ S: those steps are the greedy scan of J,
+    and they end at 0 × J.  From there every member (a, b) with a ∈ S′
+    lies in the span S′ × J, and the least one outside is (a, 0) for the
+    least a ∈ I outside S′, which adds Aa × 0: those steps are the greedy
+    scan of I.  So the greedy generators of I × J are (0, g) for those of J,
+    then (g, 0) for those of I.  For m × B, J is B itself
+    (`_unit_ideal_generators`) and I = m; for A × m′, J = m′ and I = A.
+    The masks are int products: X × Y is the mask of X × 0 (bit a·|B| for
+    each a ∈ X) times the mask of Y, whose |B| bits fill one block.
+    """
+    left, right, m = ring.left, ring.right, ring.right.order
+    full_right = (1 << m) - 1
+    lifted = [f._replace(
+        maximal=Ideal(ring, _spread(ring, f.maximal.mask) * full_right,
+                      _unit_ideal_generators(right)
+                      + tuple(g * m for g in f.maximal.gens)),
+        idempotent=f.idempotent * m, corner=_spread(ring, f.corner))
+        for f in local_factors(left)]
+    full_left = ((1 << ring.order) - 1) // full_right   # Σ 2^(a·|B|), a ∈ A
+    left_gens = tuple(g * m for g in _unit_ideal_generators(left))
+    lifted += [f._replace(maximal=Ideal(ring, full_left * f.maximal.mask,
+                                        f.maximal.gens + left_gens))
+               for f in local_factors(right)]
+    return lifted
+
+
+def _spread(ring: ProductRing, mask: int) -> int:
+    """The mask of X × 0 in A × B from the mask of X ⊆ A: bit a·|B| for
+    each a ∈ X, i.e. the binary digits of X with |B| − 1 zeros between
+    each two."""
+    digits = format(mask, f"0{ring.left.order}b")
+    return int(("0" * (ring.right.order - 1)).join(digits), 2)
+
+
+def _unit_ideal_generators(ring: FiniteRing) -> tuple[int, ...]:
+    """The greedy generators of R itself, cached: for A × B those of B
+    and then of A, lifted (`_lifted`), and otherwise `minimal_generators`."""
+    def build():
+        if isinstance(ring, ProductRing):
+            m = ring.right.order
+            return _unit_ideal_generators(ring.right) + tuple(
+                g * m for g in _unit_ideal_generators(ring.left))
+        return minimal_generators(ring, (1 << ring.order) - 1)
+    return ring.memo("unit_ideal_generators", build)
 
 
 def complement_idempotent(ring: FiniteRing, e: int) -> int:

@@ -12,6 +12,12 @@ a block of rows at a time.  Above TABLE_LIMIT, rings evaluate structurally
 on demand, which keeps extensions with a few tens of thousands of elements
 workable.
 
+A product A × B reads its facts from its factors' cached ones, with no
+scan of its own: its unit partition (`unit_partition`) pairs theirs, and
+its primitive idempotents (`primitive_idempotents`) are (e, 0) and (0, f)
+for theirs.  So a product of two factors that each fit the unit scan is
+split at any order.  Its tables are still composed (`compose`).
+
 A table of order <= WIDE_TABLE_LIMIT is int64 and read by numpy's 2-D
 gather, the fastest read at that size.  A larger table is uint16 (every
 entry is below 1024), a quarter of the memory, and is read by one flat take
@@ -94,8 +100,13 @@ def _gather(table: np.ndarray, a, b=None):
 
 def mask_from_indices(indices, n: int) -> int:
     """Membership bitmask (a Python int) of a set of indices in 0..n-1."""
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[np.asarray(indices, dtype=np.int64)] = 1
+    bits = np.zeros(n, dtype=bool)
+    bits[np.asarray(indices, dtype=np.int64)] = True
+    return mask_from_bits(bits)
+
+
+def mask_from_bits(bits: np.ndarray) -> int:
+    """Membership bitmask of the true entries of a boolean array."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -682,17 +693,23 @@ class UnitPartition:
 def unit_partition(ring: FiniteRing) -> UnitPartition:
     """The ring's unit/zerodivisor partition, built once and cached.
 
-    Trivial extensions get their witnesses structurally in O(n); other rings,
-    and extensions where that construction fails, get them from one scan of
-    all n² products, refused above KIND_SCAN_LIMIT.  Either way all witnesses
-    are checked with two O(n) multiplications before the partition is kept.
+    Products and trivial extensions get their witnesses structurally in
+    O(n), from the cached partitions of their factors or base ring; other
+    rings, and extensions where that construction fails, get them from one
+    scan of all n² products, refused above KIND_SCAN_LIMIT.  So a product
+    of two factors that each pass the scan is split at any order.  Either
+    way all witnesses are checked with two O(n) multiplications before the
+    partition is kept.
     """
     return ring.memo("units", lambda: _certified_partition(ring))
 
 
 def _certified_partition(ring: FiniteRing) -> UnitPartition:
-    found = (_trivext_witnesses(ring)
-             if isinstance(ring, TrivialExtensionRing) else None)
+    found = None
+    if isinstance(ring, ProductRing):
+        found = _product_witnesses(ring)
+    elif isinstance(ring, TrivialExtensionRing):
+        found = _trivext_witnesses(ring)
     units, witness = found if found is not None else _scan_witnesses(ring)
     idx = np.arange(ring.order, dtype=np.int64)
     unit_idx, other = idx[units], idx[~units]
@@ -723,6 +740,23 @@ def _scan_witnesses(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
         witness[rows] = np.where(units[rows], inverse.argmax(axis=1),
                                  (prods[:, 1:] == ring.zero).argmax(axis=1) + 1)
     return units, witness
+
+
+def _product_witnesses(ring: ProductRing) -> tuple[np.ndarray, np.ndarray]:
+    """Witnesses for A × B from the partitions of A and B.
+
+    (a, b) is a unit iff a and b are, with the inverse (a⁻¹, b⁻¹).
+    Otherwise (w_a, 0) annihilates it when a is a non-unit with the
+    annihilator witness w_a, and (0, w_b) does when a is a unit.
+    """
+    left, right = unit_partition(ring.left), unit_partition(ring.right)
+    m = ring._m
+    left_units, right_units = left.units[:, None], right.units[None, :]
+    left_witness, right_witness = left.witness[:, None] * m, right.witness[None, :]
+    units = left_units & right_units
+    witness = np.where(units, left_witness + right_witness,
+                       np.where(left_units, right_witness, left_witness))
+    return units.ravel(), witness.ravel()
 
 
 def _trivext_witnesses(ring: TrivialExtensionRing
@@ -764,11 +798,18 @@ def primitive_idempotents(ring: FiniteRing) -> np.ndarray:
     idempotent f ≠ e lies below it (e·f = f), which takes |E|² products
     for the 2^k idempotents of a ring with k local factors.  The ring is
     the product of its corners eR over these e (Atiyah–Macdonald, Thm 8.7).
+    A product A × B lifts those of its factors, with no product taken: an
+    idempotent (e, f) is primitive iff one part is 0 and the other
+    primitive, and (0, f) = f sorts below every (e, 0) = e·|B|.
+    `ideals.local_factors` checks that the lifted ones sum to 1.
     """
     return ring.memo("idempotents", lambda: _primitive_idempotents(ring))
 
 
 def _primitive_idempotents(ring: FiniteRing) -> np.ndarray:
+    if isinstance(ring, ProductRing):
+        return np.concatenate([primitive_idempotents(ring.right),
+                               primitive_idempotents(ring.left) * ring._m])
     idx = np.arange(ring.order, dtype=np.int64)
     idem = idx[(ring.mul_arr(idx, idx) == idx) & (idx != ring.zero)]
     prods = ring.mul_arr(idem[:, None], idem[None, :])

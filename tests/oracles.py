@@ -4,7 +4,9 @@ the Dedekind–Mertens identity on one pair, the pairwise atom and maximal
 scans of an ideal lattice, the lattice scan of arithmeticity, local
 principality by the kernel-quotient localizations, the localization kernel
 by its annihilator definition, the pairwise irreducibility test, the
-pairwise locality test, the member-product closure of an ideal product,
+pairwise locality test, the local-factor records of any ring read from
+its own products by the corner scan, the member-product
+closure of an ideal product,
 affine substitution by powers of the linear form, the hom laws checked one
 source element at a time, a hom's kernel, an element's
 unit/zerodivisor kind, the polynomial at a pinned enumeration index, the
@@ -16,14 +18,15 @@ from itertools import islice
 
 import numpy as np
 
-from finring.ideals import (Ideal, IdealLattice, additive_closure_indices,
-                            content_calculus, enumerate_ideals, ideal_product,
-                            is_local, is_locally_principal, is_principal,
-                            localize_at, maximal_ideals, push_ideal)
+from finring.ideals import (Ideal, IdealLattice, LocalFactor,
+                            additive_closure_indices, content_calculus,
+                            enumerate_ideals, ideal_product, is_local,
+                            is_locally_principal, is_principal, localize_at,
+                            maximal_ideals, minimal_generators, push_ideal)
 from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns, content,
                            decode_poly_block, make_poly, poly_count, poly_mul)
-from finring.rings import (FiniteRing, RingHom, blocks, element_units,
-                           mask_from_indices, unit_partition)
+from finring.rings import (FiniteRing, RingHom, _scan_witnesses, blocks,
+                           element_units, mask_from_indices, unit_partition)
 
 
 def atoms_by_pairwise_scan(lattice: IdealLattice) -> list:
@@ -93,6 +96,44 @@ def is_irreducible(ideal: Ideal) -> bool:
             if (j.mask & k.mask) == ideal.mask:
                 return False
     return True
+
+
+def local_factors_by_corner_scan(ring: FiniteRing) -> list[LocalFactor]:
+    """The local-factor records of any ring, a product too, read from the
+    ring's own products as `local_factors` reads a ring that is not a
+    product: the units from the n² scan, the nonzero solutions of a² = a
+    with no other one below them (e·f = f) as the primitive idempotents,
+    and for each e the maximal ideal {r : e·r + (1 − e) is not a unit}
+    with its `minimal_generators`, the corner eR, and one product row over
+    eR per generator for the residue order, principality, the socle's atom
+    count and n² = 0.  Sorted by the (size, mask) of m."""
+    n = ring.order
+    units = _scan_witnesses(ring)[0]
+    idx = np.arange(n, dtype=np.int64)
+    idem = idx[(ring.mul_arr(idx, idx) == idx) & (idx != ring.zero)]
+    below = ((ring.mul_arr(idem[:, None], idem[None, :]) == idem[None, :])
+             & (idem[:, None] != idem[None, :]))
+    records = []
+    for e in idem[~below.any(axis=1)].tolist():
+        image = ring.mul_arr(idx, e)
+        complement = ring.add(ring.one, int(ring.neg_arr(e)))
+        in_maximal = ~units[ring.add_arr(image, complement)]
+        mask = mask_from_indices(np.flatnonzero(in_maximal), n)
+        maximal = Ideal(ring, mask, minimal_generators(ring, mask))
+        elements = np.unique(image)
+        in_n = in_maximal[elements]
+        size, n_size = elements.size, int(np.count_nonzero(in_n))
+        principal, socle = n_size == 1, np.ones(size, dtype=bool)
+        for g in maximal.gens:
+            row = ring.mul_arr(elements, ring.mul(e, g))
+            socle &= row == ring.zero
+            principal |= np.unique(row).size == n_size
+        in_socle = int(np.count_nonzero(socle & in_n))
+        records.append(LocalFactor(
+            maximal, e, mask_from_indices(elements, n), size, size // n_size,
+            principal, (in_socle - 1) // (size // n_size - 1),
+            in_socle == n_size))
+    return sorted(records, key=lambda f: (f.maximal.size, f.maximal.mask))
 
 
 def product_mask_by_member_closure(i: Ideal, j: Ideal) -> int:

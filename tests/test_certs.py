@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from finring import specfile
+from finring import certs, specfile
 from finring.certs import replay_condition, replay_report
 from finring.classify import CONDITION_ORDER, classify
 from finring.corpus import CorpusConfig, generate_corpus
@@ -149,6 +149,25 @@ def test_replay_rejects_a_quasi_inverse_witness():
                "witness": {"element": 2, "reason": "no_quasi_inverse"}}
     with pytest.raises(ConsistencyError, match="unknown witness reason"):
         replay_condition(ring, "semihereditary", payload)
+
+
+def test_report_runs_one_von_neumann_scan(monkeypatch):
+    # Z30 is reduced, so semihereditary and weak dimension Zero both claim
+    # von Neumann regularity: one report scans once, while each condition
+    # replayed on its own scans, and so does the next report
+    ring = ZmodRing(30)
+    payload = _round_trip(classify(ring))
+    scans = []
+    real = certs._vn_scan
+    monkeypatch.setattr(certs, "_vn_scan",
+                        lambda r, name: scans.append(name) or real(r, name))
+    assert replay_report(ring, payload) == len(CONDITION_ORDER)
+    assert scans == ["semihereditary"]
+    for name in ("semihereditary", "weak_dim_class"):
+        assert replay_condition(ring, name, payload["conditions"][name])
+    assert replay_report(ring, payload) == len(CONDITION_ORDER)
+    assert scans == ["semihereditary", "semihereditary", "weak_dim_class",
+                     "semihereditary"]
 
 
 @pytest.mark.parametrize("condition, field", [
