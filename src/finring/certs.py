@@ -4,10 +4,13 @@ Every replay function takes a ring plus the JSON-shaped result of one
 condition ({"verdict", "certificate", "witness"?, "bound"?}) and re-checks
 the claim from scratch: witnesses are re-encoded from literals and their
 defining property is recomputed directly, structural rules re-verify their
-premises, and universal positives are re-scanned.  Nothing from the original
-search (indices, internal ids, cached masks) is trusted.  A failed replay
-raises ConsistencyError; bounded verdicts replay vacuously (there is nothing
-to certify) but still get their bound sanity-checked.
+premises, and universal positives are re-derived with O(n) element checks
+and replay's own localizations.  Nothing from the original search (indices,
+internal ids) is trusted; the one cached fact replay reads, the certified
+unit partition, is read with its witnesses, which replay checks again with
+its own products.  A failed replay raises ConsistencyError; bounded
+verdicts replay vacuously (there is nothing to certify) but still get
+their bound sanity-checked.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .errors import ConsistencyError
 from .ideals import (additive_closure_indices, ideal_generated_by, is_local,
                      localize_at, maximal_ideals, principal_ideal, push_ideal)
 from .polys import content, make_poly, poly_mul
-from .rings import (CACHE_BLOCK, KIND_SCAN_LIMIT, FiniteRing,
-                    TrivialExtensionRing, blocks, element_units)
+from .rings import (CACHE_BLOCK, FiniteRing, TrivialExtensionRing, blocks,
+                    unit_partition)
 
 
 def _fail(ring: FiniteRing, name: str, detail: str) -> None:
@@ -110,12 +113,17 @@ def _require_local(ring: FiniteRing, name: str):
 # ---------------------------------------------------------------------------
 
 
+def _require_reduced(ring: FiniteRing, name: str) -> None:
+    """No nonzero element squares to 0, from one O(n) product."""
+    idx = np.arange(ring.order, dtype=np.int64)
+    squares = ring.mul_arr(idx, idx)
+    if bool(np.any((squares == ring.zero) & (idx != ring.zero))):
+        _fail(ring, name, "a square-zero element exists")
+
+
 def replay_reduced(ring: FiniteRing, result: dict) -> bool:
     if result["verdict"] is True:
-        idx = np.arange(ring.order, dtype=np.int64)
-        squares = ring.mul_arr(idx, idx)
-        if bool(np.any((squares == ring.zero) & (idx != ring.zero))):
-            _fail(ring, "reduced", "a square-zero element exists")
+        _require_reduced(ring, "reduced")
         return True
     a = _encode(ring, result["witness"]["element"])
     if a == ring.zero or not _square_is_zero(ring, a):
@@ -133,45 +141,30 @@ def _replay_vn_negative(ring: FiniteRing, witness: dict, name: str) -> None:
         _fail(ring, name, "witness square is nonzero")
 
 
-def _replay_vn_positive(ring: FiniteRing, name: str,
-                        scanned: set | None) -> None:
-    """Von Neumann regularity, re-scanned by `_vn_scan` once per
-    `replay_report`: `scanned` holds the rings whose scan has passed in that
-    report, so a report that claims regularity twice (semihereditary and
-    weak dimension Zero) scans once.  It is never the ring's memo, which
-    the deciders read too."""
-    if scanned is None or ring not in scanned:
-        _vn_scan(ring, name)
-    if scanned is not None:
-        scanned.add(ring)
-
-
-def _vn_scan(ring: FiniteRing, name: str) -> None:
-    """Every element a has some x with a²·x = a, over all n² products."""
-    n = ring.order
-    idx = np.arange(n, dtype=np.int64)
-    squares = ring.mul_arr(idx, idx)
-    for start, stop in blocks(n, n, CACHE_BLOCK):
-        rows = np.arange(start, stop, dtype=np.int64)
-        ok = (ring.mul_arr(squares[rows][:, None], idx[None, :])
-              == rows[:, None]).any(axis=1)
-        if not bool(np.all(ok)):
-            _fail(ring, name, "an element has no quasi-inverse")
-
-
-def replay_semihereditary(ring: FiniteRing, result: dict,
-                          scanned: set | None = None) -> bool:
-    if result["verdict"] is True:
-        _replay_vn_positive(ring, "semihereditary", scanned)
-    else:
-        _replay_vn_negative(ring, result["witness"], "semihereditary")
+def replay_semihereditary(ring: FiniteRing, result: dict) -> bool:
+    """A positive claim is von Neumann regularity, which for a finite ring
+    is reducedness: a reduced finite ring is Artinian, hence a product of
+    fields (Atiyah–Macdonald, Thm 8.7), and a square-zero a ≠ 0 has no x
+    with a = a²x.  `localizations_are_fields` is read from replay's own
+    localizations (`_localization`): each pushed maximal ideal is 0."""
+    name = "semihereditary"
+    if result["verdict"] is not True:
+        _replay_vn_negative(ring, result["witness"], name)
+        return True
+    _require_reduced(ring, name)
+    pushed = [_localization(ring, m)[1](m) for m in maximal_ideals(ring)]
+    fields = all(ideal.is_zero() for ideal in pushed)
+    if result["certificate"].get("localizations_are_fields") is not fields:
+        _fail(ring, name, "localizations_are_fields contradicts the "
+              "localizations")
     return True
 
 
-def replay_weak_dim(ring: FiniteRing, result: dict,
-                    scanned: set | None = None) -> bool:
+def replay_weak_dim(ring: FiniteRing, result: dict) -> bool:
+    """Zero is von Neumann regularity, replayed as reducedness (see
+    `replay_semihereditary`)."""
     if result["verdict"] == "Zero":
-        _replay_vn_positive(ring, "weak_dim_class", scanned)
+        _require_reduced(ring, "weak_dim_class")
     elif result["verdict"] == "Infinite":
         _replay_vn_negative(ring, result["witness"], "weak_dim_class")
     else:
@@ -305,12 +298,28 @@ def replay_gaussian(ring: FiniteRing, result: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _certified_unit_count(ring: FiniteRing, name: str) -> int:
+    """The number of units of the certified partition (`unit_partition`),
+    whose witnesses replay checks again with its own O(n) product a·w: 1
+    for a unit, and 0 with w ≠ 0 for any other element.  A unit u with
+    u·w = 0 has w = u⁻¹·u·w = 0, so no element passes both tests, and a
+    mask whose witnesses all pass is exactly the units."""
+    partition = unit_partition(ring)
+    units, witness = partition.units, partition.witness
+    prods = ring.mul_arr(np.arange(ring.order, dtype=np.int64), witness)
+    if not (bool(np.all(prods[units] == ring.one))
+            and bool(np.all(prods[~units] == ring.zero))
+            and bool(np.all(witness[~units] != ring.zero))):
+        _fail(ring, name, "a unit or zerodivisor witness fails")
+    return int(np.count_nonzero(units))
+
+
 def replay_pruefer(ring: FiniteRing, result: dict) -> bool:
     """Finite-ring collapse: a regular ideal contains a non-zerodivisor,
     which is a unit, and an ideal containing a unit absorbs 1, so R is the
     one regular ideal.  An arithmetical ring's `ideal_count` is counted by
     its chain rings at every order; any other ring's `unit_count` is checked
-    against units re-identified (constructively above the scan cap)."""
+    against the units of the certified partition (`_certified_unit_count`)."""
     if result["verdict"] is not True:
         _fail(ring, "pruefer", "negative Prüfer verdict cannot arise over a "
               "finite commutative ring; refusing to replay")
@@ -320,7 +329,7 @@ def replay_pruefer(ring: FiniteRing, result: dict) -> bool:
         if cert["regular_ideal_count"] != 1:
             _fail(ring, "pruefer", "regular ideal count mismatch")
     elif cert["kind"] == "regular_ideals_collapse":
-        if cert.get("unit_count") != int(element_units(ring).sum()):
+        if cert.get("unit_count") != _certified_unit_count(ring, "pruefer"):
             _fail(ring, "pruefer", "unit count mismatch")
     else:
         _fail(ring, "pruefer", f"unknown kind {cert['kind']!r}")
@@ -328,29 +337,20 @@ def replay_pruefer(ring: FiniteRing, result: dict) -> bool:
 
 
 def replay_total_quotient(ring: FiniteRing, result: dict) -> bool:
+    """Every element is a unit or a zerodivisor; the counts are checked
+    against the certified partition (`_certified_unit_count`)."""
+    name = "total_quotient_ring"
     if result["verdict"] is not True:
-        _fail(ring, "total_quotient_ring", "negative verdict cannot arise over "
-              "a finite commutative ring; refusing to replay")
-    units = element_units(ring)
+        _fail(ring, name, "negative verdict cannot arise over a finite "
+              "commutative ring; refusing to replay")
     cert = result["certificate"]
     if cert["kind"] != "unit_zerodivisor_partition":
-        _fail(ring, "total_quotient_ring", f"unknown kind {cert['kind']!r}")
-    n = ring.order
-    if n * n <= KIND_SCAN_LIMIT:   # above it, the partition's own witnesses
-        idx = np.arange(n, dtype=np.int64)
-        zd = np.zeros(n, dtype=bool)
-        zd[ring.zero] = True
-        for start, stop in blocks(n, n, CACHE_BLOCK):
-            rows = np.arange(start, stop, dtype=np.int64)
-            prods = ring.mul_arr(rows[:, None], idx[None, 1:])
-            zd[rows] |= (prods == ring.zero).any(axis=1)
-        if not bool(np.all(units ^ zd)):
-            _fail(ring, "total_quotient_ring", "partition failed")
-    unit_count = int(units.sum())
+        _fail(ring, name, f"unknown kind {cert['kind']!r}")
+    unit_count = _certified_unit_count(ring, name)
     if cert.get("unit_count") != unit_count:
-        _fail(ring, "total_quotient_ring", "unit count mismatch")
-    if cert.get("zerodivisor_count") != n - unit_count:
-        _fail(ring, "total_quotient_ring", "zerodivisor count mismatch")
+        _fail(ring, name, "unit count mismatch")
+    if cert.get("zerodivisor_count") != ring.order - unit_count:
+        _fail(ring, name, "zerodivisor count mismatch")
     return True
 
 
@@ -459,29 +459,19 @@ _REPLAYERS = {
 }
 
 
-# the conditions whose positive verdict is von Neumann regularity
-_VON_NEUMANN = {"semihereditary", "weak_dim_class"}
-
-
-def replay_condition(ring: FiniteRing, name: str, result: dict,
-                     scanned: set | None = None) -> bool:
-    """Replay one condition.  `scanned` is `replay_report`'s record of the
-    von Neumann scans that passed (`_replay_vn_positive`); on its own, each
-    condition scans."""
+def replay_condition(ring: FiniteRing, name: str, result: dict) -> bool:
+    """Replay one condition: True, or ConsistencyError naming the first
+    check that fails."""
     replayer = _REPLAYERS.get(name)
     if replayer is None:
         raise ConsistencyError(f"no replayer for condition {name!r}")
-    if name in _VON_NEUMANN:
-        return replayer(ring, result, scanned)
     return replayer(ring, result)
 
 
 def replay_report(ring: FiniteRing, report: dict) -> int:
-    """Replay every condition in a classification report dict, running the
-    von Neumann scan at most once; returns the number of conditions
-    checked."""
+    """Replay every condition in a classification report dict; returns the
+    number of conditions checked."""
     conditions = report["conditions"]
-    scanned: set = set()
     for name, result in conditions.items():
-        replay_condition(ring, name, result, scanned)
+        replay_condition(ring, name, result)
     return len(conditions)

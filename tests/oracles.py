@@ -9,7 +9,8 @@ its own products by the corner scan, the member-product
 closure of an ideal product,
 affine substitution by powers of the linear form, the hom laws checked one
 source element at a time, a hom's kernel, an element's
-unit/zerodivisor kind, the polynomial at a pinned enumeration index, the
+unit/zerodivisor kind, the zerodivisors and von Neumann regularity by scans
+of all n² products, the polynomial at a pinned enumeration index, the
 pseudo-arithmetical candidates as a list of polynomials from a full scan of
 every coefficient tuple, and F_p[x]/(f) by schoolbook products and trial
 division.  No program path calls them."""
@@ -25,8 +26,9 @@ from finring.ideals import (Ideal, IdealLattice, LocalFactor,
                             maximal_ideals, minimal_generators, push_ideal)
 from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns, content,
                            decode_poly_block, make_poly, poly_count, poly_mul)
-from finring.rings import (FiniteRing, RingHom, _scan_witnesses, blocks,
-                           element_units, mask_from_indices, unit_partition)
+from finring.rings import (CACHE_BLOCK, FiniteRing, RingHom, _scan_witnesses,
+                           blocks, element_units, mask_from_indices,
+                           unit_partition)
 
 
 def atoms_by_pairwise_scan(lattice: IdealLattice) -> list:
@@ -275,6 +277,34 @@ def element_kind(ring: FiniteRing, a: int) -> str:
     """'unit' or 'zerodivisor' (0 counts as a zerodivisor); in a finite
     commutative ring exactly one holds, and the partition certifies which."""
     return "unit" if unit_partition(ring).units[a] else "zerodivisor"
+
+
+def zerodivisors_by_product_scan(ring: FiniteRing) -> np.ndarray:
+    """Mask of the elements a with a·b = 0 for some b ≠ 0 (0 among them),
+    over all n² products in blocks of CACHE_BLOCK pairs."""
+    n = ring.order
+    idx = np.arange(n, dtype=np.int64)
+    zd = np.zeros(n, dtype=bool)
+    zd[ring.zero] = True
+    nonzero = idx[idx != ring.zero]
+    for start, stop in blocks(n, n, CACHE_BLOCK):
+        rows = idx[start:stop]
+        prods = ring.mul_arr(rows[:, None], nonzero[None, :])
+        zd[rows] |= (prods == ring.zero).any(axis=1)
+    return zd
+
+
+def von_neumann_by_quasi_inverse_scan(ring: FiniteRing) -> bool:
+    """Every element a has some x with a²·x = a, over all n² products."""
+    n = ring.order
+    idx = np.arange(n, dtype=np.int64)
+    squares = ring.mul_arr(idx, idx)
+    for start, stop in blocks(n, n, CACHE_BLOCK):
+        rows = idx[start:stop]
+        prods = ring.mul_arr(squares[rows][:, None], idx[None, :])
+        if not bool((prods == rows[:, None]).any(axis=1).all()):
+            return False
+    return True
 
 
 def poly_at_index(ring: FiniteRing, degree: int, index: int) -> RingPoly:

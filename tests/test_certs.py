@@ -6,18 +6,22 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from finring import certs, specfile
+from finring import specfile
 from finring.certs import replay_condition, replay_report
 from finring.classify import CONDITION_ORDER, classify
 from finring.corpus import CorpusConfig, generate_corpus
 from finring.errors import ConsistencyError
 from finring.ideals import is_local, residue_vector_space
 from finring.reports import to_json
-from finring.rings import (ProductRing, TrivialExtensionRing, ZmodRing,
-                           free_module, standard_gf)
+from finring.rings import (KIND_SCAN_LIMIT, ProductRing, TrivialExtensionRing,
+                           ZmodRing, free_module, standard_gf, unit_partition)
 from finring.specfile import build_target, parse_ring_spec
+
+from oracles import (von_neumann_by_quasi_inverse_scan,
+                     zerodivisors_by_product_scan)
 
 SPECS = Path(__file__).resolve().parent / "specs"
 
@@ -151,23 +155,145 @@ def test_replay_rejects_a_quasi_inverse_witness():
         replay_condition(ring, "semihereditary", payload)
 
 
-def test_report_runs_one_von_neumann_scan(monkeypatch):
-    # Z30 is reduced, so semihereditary and weak dimension Zero both claim
-    # von Neumann regularity: one report scans once, while each condition
-    # replayed on its own scans, and so does the next report
-    ring = ZmodRing(30)
-    payload = _round_trip(classify(ring))
-    scans = []
-    real = certs._vn_scan
-    monkeypatch.setattr(certs, "_vn_scan",
-                        lambda r, name: scans.append(name) or real(r, name))
-    assert replay_report(ring, payload) == len(CONDITION_ORDER)
-    assert scans == ["semihereditary"]
-    for name in ("semihereditary", "weak_dim_class"):
-        assert replay_condition(ring, name, payload["conditions"][name])
-    assert replay_report(ring, payload) == len(CONDITION_ORDER)
-    assert scans == ["semihereditary", "semihereditary", "weak_dim_class",
-                     "semihereditary"]
+# ------------------------------------------- von Neumann and unit partition
+
+
+_VN_CLAIMS = {
+    "semihereditary": {
+        "verdict": True,
+        "certificate": {"kind": "vn_regular_collapse",
+                        "method": "reduced_finite_ring_is_a_product_of_fields",
+                        "localizations_are_fields": True}},
+    "weak_dim_class": {
+        "verdict": "Zero",
+        "certificate": {"kind": "artinian_dichotomy",
+                        "method": "reduced_finite_ring_is_a_product_of_fields"}},
+}
+
+
+def _accepts(ring, name: str, result: dict) -> bool:
+    try:
+        return replay_condition(ring, name, result)
+    except ConsistencyError:
+        return False
+
+
+def _check_replay_against_the_scans(ring) -> None:
+    # replay accepts a positive von Neumann claim, forged where the ring is
+    # not reduced, exactly when every element has a quasi-inverse; and it
+    # accepts the unit and zerodivisor counts of the n² product scan, and
+    # no count off by one
+    regular = von_neumann_by_quasi_inverse_scan(ring)
+    for name, claim in _VN_CLAIMS.items():
+        assert _accepts(ring, name, claim) is regular, (ring.name, name)
+    zerodivisors = int(np.count_nonzero(zerodivisors_by_product_scan(ring)))
+    units = ring.order - zerodivisors
+    for delta in (0, -1, 1):
+        partition = {"kind": "unit_zerodivisor_partition",
+                     "unit_count": units + delta,
+                     "zerodivisor_count": zerodivisors - delta}
+        collapse = {"kind": "regular_ideals_collapse",
+                    "unit_count": units + delta}
+        for name, cert in (("total_quotient_ring", partition),
+                           ("pruefer", collapse)):
+            assert _accepts(ring, name, {"verdict": True, "certificate": cert}
+                            ) is (delta == 0), (ring.name, name, delta)
+
+
+def test_replay_matches_the_scans_on_the_default_corpus():
+    for ring in generate_corpus(CorpusConfig()):
+        _check_replay_against_the_scans(ring)
+
+
+# the specs whose n² products the oracle scans would take hours to read
+_ABOVE_THE_SCAN = {"f1024_x_z11", "f1024_sq"}
+SCANNED_SPECS = [path for path in sorted(SPECS.rglob("*.ring"))
+                 if path.stem not in _ABOVE_THE_SCAN]
+
+
+@pytest.mark.parametrize("path", SCANNED_SPECS, ids=lambda path: path.stem)
+def test_replay_matches_the_scans_on_spec_rings(path):
+    ring = build_target(parse_ring_spec(path.read_text(encoding="utf-8")))
+    assert ring.order ** 2 <= KIND_SCAN_LIMIT
+    _check_replay_against_the_scans(ring)
+
+
+def _first(ring, mask) -> int:
+    """The first element of a mask other than 0 and 1."""
+    return next(int(a) for a in np.flatnonzero(mask)
+                if a not in (ring.zero, ring.one))
+
+
+def _flip_a_unit(ring, partition):
+    partition.units[_first(ring, partition.units)] = False
+
+
+def _flip_a_zerodivisor(ring, partition):
+    partition.units[_first(ring, ~partition.units)] = True
+
+
+def _corrupt_an_inverse(ring, partition):
+    partition.witness[_first(ring, partition.units)] = ring.one
+
+
+def _corrupt_an_annihilator(ring, partition):
+    partition.witness[_first(ring, ~partition.units)] = ring.one
+
+
+@pytest.mark.parametrize("tamper", [_flip_a_unit, _flip_a_zerodivisor,
+                                    _corrupt_an_inverse,
+                                    _corrupt_an_annihilator],
+                         ids=lambda tamper: tamper.__name__.lstrip("_"))
+@pytest.mark.parametrize("condition", ["total_quotient_ring", "pruefer"])
+def test_corrupted_unit_partition_rejected(condition, tamper):
+    # replay reads the ring's cached partition and checks every witness
+    # again: (Z4 ∝ F2) × F4 is built afresh, since the cache is tampered,
+    # and is not arithmetical, so its Prüfer certificate is the unit-count
+    # collapse
+    ring = _product_mixed()
+    cond = _round_trip(classify(ring))["conditions"][condition]
+    assert cond["certificate"].get("unit_count") == 12
+    assert replay_condition(ring, condition, cond)
+    tamper(ring, unit_partition(ring))
+    with pytest.raises(ConsistencyError, match="witness fails"):
+        replay_condition(ring, condition, cond)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_unit_count_off_by_one_rejected_above_the_scan(delta):
+    # F1024 × Z11 has order 11,264, whose n² is above the unit scan's cap;
+    # it is arithmetical, so the collapse certificate is forged
+    ring = _spec_ring("above_bound/f1024_x_z11")
+    partition = _round_trip(classify(ring))["conditions"]["total_quotient_ring"]
+    units = 1023 * 10
+    assert partition["certificate"]["unit_count"] == units
+    collapse = {"verdict": True,
+                "certificate": {"kind": "regular_ideals_collapse",
+                                "unit_count": units}}
+    for name, cond in (("total_quotient_ring", partition),
+                       ("pruefer", collapse)):
+        assert replay_condition(ring, name, cond)
+        bad = copy.deepcopy(cond)
+        bad["certificate"]["unit_count"] += delta
+        with pytest.raises(ConsistencyError, match="unit count mismatch"):
+            replay_condition(ring, name, bad)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda cert: cert.update(localizations_are_fields=False),
+    lambda cert: cert.pop("localizations_are_fields"),
+], ids=["false", "missing"])
+@pytest.mark.parametrize("key", ["zmod30", "gf9"])
+def test_tampered_localizations_are_fields_rejected(key, mutate):
+    # replay reads the key from its own localizations, each a field, on
+    # the non-local Z30 and the local F9
+    ring = RINGS[key]()
+    cond = _round_trip(classify(ring))["conditions"]["semihereditary"]
+    assert cond["certificate"]["localizations_are_fields"] is True
+    assert replay_condition(ring, "semihereditary", cond)
+    mutate(cond["certificate"])
+    with pytest.raises(ConsistencyError, match="localizations_are_fields"):
+        replay_condition(ring, "semihereditary", cond)
 
 
 @pytest.mark.parametrize("condition, field", [

@@ -15,9 +15,9 @@ R ≅ Π R_m from the kernels of its quotient maps by the Chinese remainder
 theorem.  The deciders
 read no scale constant: `ideals.enumerate_ideals` enforces the lattice bound
 and `rings.unit_partition` the scan bound, and classify.py names the lattice
-bound only to echo it in reports.  Replay builds no ideal lattice, so it
-re-checks every certificate at every order: certs.py names neither the
-lattice nor its bound."""
+bound only to echo it in reports.  Replay builds no ideal lattice and
+scans no n² products, so it re-checks every certificate at every order:
+certs.py names neither the lattice nor either scale constant."""
 
 import ast
 from pathlib import Path
@@ -44,8 +44,8 @@ PRODUCT_CHECK = {"ProductRing", "RingHom"}
 SCALE_CONSTANTS = {"LATTICE_LIMIT", "KIND_SCAN_LIMIT"}
 # the one place in classify.py that names one: the bound echoed in reports
 SCALE_ECHO = {("ClassifyConfig.public_dict", "LATTICE_LIMIT")}
-# the lattice and its bound, which replay never names
-LATTICE_NAMES = {"LATTICE_LIMIT", "enumerate_ideals"}
+# the lattice and the two scale constants, which replay never names
+LATTICE_NAMES = {"LATTICE_LIMIT", "KIND_SCAN_LIMIT", "enumerate_ideals"}
 # module -> the package modules it must not import from
 FORBIDDEN = {
     "classify": {"corpus", "harness", "cli", "specfile"},
@@ -122,7 +122,8 @@ def test_replay_reads_no_lattice():
 def test_lattice_check_sees_aliases_and_attributes(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .ideals import LATTICE_LIMIT as BOUND\n"
-                     "def f(ideals, ring):\n"
+                     "def f(ideals, rings, ring):\n"
+                     "    assert ring.order ** 2 <= rings.KIND_SCAN_LIMIT\n"
                      "    return ideals.enumerate_ideals(ring)\n")
     assert _names(probe) & LATTICE_NAMES == LATTICE_NAMES
 
