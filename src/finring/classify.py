@@ -12,11 +12,12 @@ each local factor's maximal ideal is principal, and its certificates (a
 `False` names that factor's maximal ideal, a `True` and Prüfer's count the
 ideals from the chain-ring corners) read no lattice; von Neumann regularity
 is read from the square scan, since a reduced finite ring is a product of
-fields.  Each verdict has one certificate kind at every order, and no
-decider reads a scale constant: only the Gaussian pair search and the
-pseudo-arithmetical scan of a ring that is not arithmetical build the ideal
-lattice, and `enumerate_ideals` refuses it above the lattice bound.
-classify() asserts the chain
+fields.  The Gaussian rules decide each local factor in its corner eR of R
+(a local ring is its own), with no quotient copy.  Each verdict has one
+certificate kind at every order, and no decider reads a scale constant:
+only the Gaussian pair search and the pseudo-arithmetical scan of a ring
+that is not arithmetical build the ideal lattice, and `enumerate_ideals`
+refuses it above the lattice bound.  classify() asserts the chain
 
     semihereditary ⇒ weak dimension Zero ⇒ arithmetical ⇒ Gaussian ⇒ Prüfer
 
@@ -36,17 +37,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError
-from .ideals import (Ideal, complement_idempotent, content_calculus,
-                     enumerate_ideals, first_nonprincipal_maximal,
-                     has_square_zero_maximal, ideal_count, ideal_product,
+from .ideals import (Ideal, LocalFactor, content_calculus, enumerate_ideals,
+                     first_nonprincipal_maximal, ideal_count, ideal_product,
                      is_local, is_locally_principal, least_generator_count,
-                     local_factors, make_quotient, principal_ideal,
-                     zero_ideal_locally_irreducible)
+                     local_factors, zero_ideal_locally_irreducible)
 from .polys import (RingPoly, content, decode_poly_block, make_poly,
                     orbit_verdicts, poly_count, poly_mul,
                     ring_gaussian_refutation_search)
-from .rings import (MODULE_LIMIT, TABLE_LIMIT, FiniteRing,
-                    TrivialExtensionRing, blocks, element_units)
+from .rings import FiniteRing, TrivialExtensionRing, blocks, element_units
 
 SEARCH_CAP_ENV = "FINRING_SEARCH_CAP"
 SEARCH_BOUNDS = ("degree_bound", "witness_cap", "pair_cap", "pseudo_candidate_cap")
@@ -294,22 +292,32 @@ def _refutation(f: RingPoly, g: RingPoly, **certificate) -> ConditionResult:
 
 
 def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionResult:
+    factors = local_factors(ring)
+    if len(factors) == 1:                   # a local ring is its own factor
+        return _gaussian_on_factor(ring, factors[0], config)
     # rule (a): arithmetical rings are Gaussian (implication chain)
     if first_nonprincipal_maximal(ring) is None:
         return ConditionResult("Yes", {"rule": "arithmetical"})
-    # rule (b): split a non-local ring into its local factors
-    if is_local(ring) is None:
-        return _gaussian_by_decomposition(ring, config)
+    return _gaussian_by_decomposition(ring, factors, config)
 
+
+def _gaussian_on_factor(ring: FiniteRing, local: LocalFactor,
+                        config: ClassifyConfig, **lift) -> ConditionResult:
+    """The verdict of the local factor eR: rules (a) and (c) read its record,
+    rule (d) needs the whole ring (e = 1), and the pair search runs in the
+    corner.  A No certificate carries `lift`."""
+    # rule (a): a chain ring is arithmetical, hence Gaussian
+    if local.principal:
+        return ConditionResult("Yes", {"rule": "arithmetical"})
     # rule (c): local with square-zero maximal ideal
-    if has_square_zero_maximal(ring):
+    if local.square_zero:
         return ConditionResult(
             "Yes", {"rule": "local_square_zero_maximal",
-                    "maximal_order": is_local(ring).size})
+                    "maximal_order": local.order // local.residue})
 
     # rule (d): trivial extension of a Gaussian local base by a module the
     # maximal ideal annihilates
-    if isinstance(ring, TrivialExtensionRing):
+    if local.idempotent == ring.one and isinstance(ring, TrivialExtensionRing):
         base, module = ring.base_ring, ring.ext_module
         m_base = is_local(base)
         if m_base is not None and module.order > 1:
@@ -327,35 +335,27 @@ def _gaussian_ring_inner(ring: FiniteRing, config: ClassifyConfig) -> ConditionR
     # bounded refutation search: its content ids read the lattice, which
     # `enumerate_ideals` refuses above the lattice bound
     found, sym_degree, pairs = ring_gaussian_refutation_search(
-        ring, config.degree_bound, config.pair_cap)
+        ring, local, config.degree_bound, config.pair_cap)
     if found is not None:
-        return _refutation(*found)
+        return _refutation(*found, **lift)
     return ConditionResult(
         "BoundedYes", {"rule": "exhausted_search", "pairs_checked": pairs},
         bound=sym_degree)
 
 
-def _gaussian_by_decomposition(ring: FiniteRing, config: ClassifyConfig
-                               ) -> ConditionResult:
-    """Per-factor verdicts, each factor R_m built as R/(1 − e)R for its
-    primitive idempotent e, in the order of `local_factors`, which checks
-    that R is their product.  The first factor whose verdict is No ends the
-    walk: its violating pair is read back from its literals and lifted by
-    r ↦ e·r of each coset representative, the one element of eR in that
-    coset, which every other factor sees as zero."""
+def _gaussian_by_decomposition(ring: FiniteRing, factors: list[LocalFactor],
+                               config: ClassifyConfig) -> ConditionResult:
+    """Rule (b): per-factor verdicts, in the order of `local_factors`, which
+    checks that R is the product of its corners eR.  The first factor whose
+    verdict is No ends the walk: its violating pair already lies in eR ⊆ R,
+    and the certificate names the corner's order."""
     rows = []
-    for local in local_factors(ring):
-        e = local.idempotent
-        factor, _ = make_quotient(ring, principal_ideal(
-            ring, complement_idempotent(ring, e)))
-        verdict = gaussian_ring_verdict(factor, config)
+    for local in factors:
+        verdict = _gaussian_on_factor(ring, local, config,
+                                      lifted_from_localization_order=local.order)
         if verdict.verdict == "No":
-            lifted = ring.mul_arr(factor.reps, e)
-            f, g = (make_poly(ring, [int(lifted[factor.encode_literal(lit)])
-                                     for lit in verdict.witness[key]])
-                    for key in ("f", "g"))
-            return _refutation(f, g, lifted_from_localization_order=factor.order)
-        rows.append((factor.order, verdict))
+            return verdict
+        rows.append((local.order, verdict))
     certificate = {"rule": "local_factor_decomposition",
                    "factors": [{"localization_order": order, "status": v.verdict,
                                 "certificate": v.certificate} for order, v in rows]}
@@ -570,13 +570,6 @@ def decide_zero_locally_irreducible(ring: FiniteRing) -> ConditionResult:
 def classify(ring: FiniteRing, config: ClassifyConfig | None = None
              ) -> ClassificationReport:
     config = config or ClassifyConfig.from_env()
-    # the largest supported ring is a trivial extension of a table-backed base
-    # by the largest module; refuse bigger ones before any decider allocates
-    # per-element arrays
-    if ring.order > TABLE_LIMIT * MODULE_LIMIT:
-        raise BoundExceededError(
-            f"{ring.name} has order {ring.order}, above the largest supported "
-            f"order {TABLE_LIMIT * MODULE_LIMIT}")
     report = ClassificationReport(ring.name, ring.order, config)
 
     def run(name: str, fn, *args) -> None:

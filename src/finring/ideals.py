@@ -32,8 +32,8 @@ Inside `classify` only the Gaussian pair search (through
 `content_calculus`) and the pseudo-arithmetical scan of a ring that is not
 arithmetical build the lattice, and `enumerate_ideals` alone enforces its
 bound; replay builds none.  The Gaussian decomposition reads R as
-the product of these factors, since their idempotents sum to 1, and builds
-each factor as R/(1 − e)R, whose coset representatives r lift to e·r.
+the product of these factors, since their idempotents sum to 1, and
+decides each one on its corner eR with R's own lattice, with no quotient.
 `localize_at`, the quotient by the power of m at which m ⊇ m² ⊇ … stops
 shrinking, serves replay alone, which reads R ≅ Π R_m from the kernels.
 """
@@ -45,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .rings import (CACHE_BLOCK, CHUNK, FiniteModule, FiniteRing, ModuleSpec,
-                    ProductRing, QuotientRing, RingHom, RingSpec,
+from .rings import (CACHE_BLOCK, CHUNK, TABLE_LIMIT, FiniteModule, FiniteRing,
+                    ModuleSpec, ProductRing, QuotientRing, RingHom, RingSpec,
                     associate_leaders, associate_sweep, blocks,
                     element_units, free_module, indices_from_mask,
                     mask_from_bits, mask_from_indices, module_sum,
@@ -541,7 +541,10 @@ def make_quotient(ring: FiniteRing, ideal: Ideal,
 
 def quotient_module(base: FiniteRing, ideal: Ideal,
                     spec: ModuleSpec | None = None) -> FiniteModule:
-    """The module A/I with A acting through the projection (so I·(A/I) = 0)."""
+    """The module A/I with A acting through the projection (so I·(A/I) = 0),
+    over a table-backed A: its action table has a row per element of A."""
+    if base.order > TABLE_LIMIT:
+        raise RingBuildError("quotient modules need a table-backed base ring")
     if ideal.ring is not base:
         raise RingBuildError("quotient module ideal belongs to a different ring")
     if ideal.is_unit_ideal():
@@ -785,12 +788,6 @@ def _unit_ideal_generators(ring: FiniteRing) -> tuple[int, ...]:
                 g * m for g in _unit_ideal_generators(ring.left))
         return minimal_generators(ring, (1 << ring.order) - 1)
     return ring.memo("unit_ideal_generators", build)
-
-
-def complement_idempotent(ring: FiniteRing, e: int) -> int:
-    """1 − e; for a primitive idempotent e, (1 − e)R is the kernel of the
-    projection r ↦ e·r onto the factor eR, so R/(1 − e)R ≅ eR ≅ R_m."""
-    return ring.add(ring.one, int(ring.neg_arr(e)))
 
 
 def is_locally_principal(ideal: Ideal) -> tuple[bool, dict | None]:

@@ -28,11 +28,11 @@ members in one columnwise pass (`orbit_verdicts`).
 A constant factor a never violates either, since c(a·g) = (a)·c(g), so
 the witness search starts at degree 1 and the pair search counts the pairs
 with a constant factor without evaluating them.  Caps and bounds still
-count the full order.  The pair search runs on local rings only, where its
-candidates are the polynomials over the maximal ideal N, all of proper
-content: it takes their counts in closed form, charges its budget per
-degree up front on those counts, and decodes a degree's candidate table
-only when a pair of two non-constant degrees first evaluates it.
+count the full order.  The pair search runs on one local factor eR, where
+its candidates are the polynomials over n = e·m, all of proper content:
+it takes their counts in closed form, charges its budget per degree up
+front on those counts, and decodes a degree's candidate table only when a
+pair of two non-constant degrees first evaluates it.
 
 Both searches stop at their first violation and evaluate their candidates
 in growing blocks (`rings.blocks` with ``grow``): the first block holds
@@ -67,10 +67,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BoundExceededError, ConsistencyError, RingBuildError
-from .ideals import (Ideal, _distinct_indices, _principal_indices,
-                     content_calculus, has_square_zero_maximal,
-                     ideal_generated_by, is_local, local_factors,
-                     subgroup_sum_indices)
+from .ideals import (Ideal, LocalFactor, _distinct_indices,
+                     _principal_indices, content_calculus,
+                     has_square_zero_maximal, ideal_generated_by,
+                     local_factors, subgroup_sum_indices)
 from .rings import (FiniteRing, associate_leaders, blocks, element_units,
                     group_generators, unit_partition)
 
@@ -559,34 +559,31 @@ def _affine_orbits(ring: FiniteRing, cols: np.ndarray
     return root, dilation, shift
 
 
-def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
-                                    pair_cap: int = 30_000_000):
-    """Search all (f, g) pairs up to degree_bound for a content violation.
+def ring_gaussian_refutation_search(ring: FiniteRing, factor: LocalFactor,
+                                    degree_bound: int, pair_cap: int = 30_000_000):
+    """Search all (f, g) pairs up to degree_bound over the corner eR of a
+    local factor for a content violation.
 
     Returns (witness_pair_or_None, exhausted_symmetric_degree, pairs_checked).
     Pairs are ordered by total degree, then deg f, then f, then g in the
     pinned polynomial order; on a hit, pairs_checked counts the pairs before
     the violating one, plus that one.  Raises BoundExceededError if the
-    budget is exhausted before any total degree completes, and
-    RingBuildError on a non-local ring (the Gaussian decider splits those
-    into local factors).
+    budget is exhausted before any total degree completes.
 
-    The candidates are the polynomials over the maximal ideal N: by
-    Dedekind–Mertens a unit-content factor never violates, and over a local
-    ring every polynomial over N has proper content, so degree d has exactly
-    poly_count(|N|, d) candidates.  Each degree is charged to the budget up
-    front on that count, and a degree that does not fit stops the search
-    when a pair first needs it.  A pair with a constant factor a never
-    violates, because c(a·g) = (a)·c(g); such pairs are counted into the
-    budget and pairs_checked but never evaluated.  A degree's candidate
-    table is decoded only when a pair of two non-constant degrees first
-    evaluates it.
+    The candidates are the polynomials over n = e·m, the distinct values of
+    m·e, ascending (n = m for a local ring, e = 1): by Dedekind–Mertens a
+    unit-content factor never violates, and over eR every polynomial over n
+    has proper content, so degree d has exactly poly_count(|n|, d) of them.
+    Contents are read from R's lattice, which is exact: R·x = eR·x for
+    x ∈ eR, and an ideal of R inside eR is one of eR (Atiyah–Macdonald, Thm
+    8.7).  Each degree is charged to the budget up front on that count, and
+    a degree that does not fit stops the search when a pair first needs it.
+    Pairs with a constant factor are counted, never evaluated, and a
+    degree's table is decoded on its first non-constant pair.
     """
-    maximal = is_local(ring)
-    if maximal is None:
-        raise RingBuildError(f"pair search over {ring.name} needs a local ring")
     calc = content_calculus(ring)
-    nonunits = maximal.indices
+    nonunits = _distinct_indices(
+        ring.order, ring.mul_arr(factor.maximal.indices, factor.idempotent))
     # the affordable degrees, each charged to the budget; the counts grow
     # with d, so the first degree that does not fit ends the list
     counts: list[int] = []
@@ -645,7 +642,7 @@ def ring_gaussian_refutation_search(ring: FiniteRing, degree_bound: int,
 
 def _proper_content_candidates(calc, nonunits: np.ndarray, degree: int):
     """Columns and content ids of the degree-`degree` polynomials over
-    `nonunits`, the maximal ideal of a local ring: every one of them has
+    `nonunits`, the maximal ideal of a local factor: every one of them has
     proper content."""
     cols = decode_poly_block(nonunits, degree, 0, poly_count(nonunits.size, degree))
     return cols, calc.content_ids(cols)

@@ -178,6 +178,12 @@ class FiniteRing:
         self.zero = 0
         self.one = one
         self.spec = spec
+        # the largest ring is a table-backed base by the largest module: a
+        # bigger one is refused before anything allocates an array over it
+        if order > TABLE_LIMIT * MODULE_LIMIT:
+            raise BoundExceededError(
+                f"{self.name} has order {order}, above the largest supported "
+                f"order {TABLE_LIMIT * MODULE_LIMIT}")
         self._cache: dict = {}
         self._tables = self._build_tables() if order <= TABLE_LIMIT else None
         if self.one == self.zero:

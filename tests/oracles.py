@@ -5,8 +5,9 @@ scans of an ideal lattice, the lattice scan of arithmeticity, local
 principality by the kernel-quotient localizations, the localization kernel
 by its annihilator definition, the pairwise irreducibility test, the
 pairwise locality test, the local-factor records of any ring read from
-its own products by the corner scan, the member-product
-closure of an ideal product,
+its own products by the corner scan, each local factor as the quotient
+R/(1 − e)R and the Gaussian verdict read from those quotient copies, the
+member-product closure of an ideal product,
 affine substitution by powers of the linear form, the hom laws checked one
 source element at a time, a hom's kernel, an element's
 unit/zerodivisor kind, the zerodivisors and von Neumann regularity by scans
@@ -19,16 +20,20 @@ from itertools import islice
 
 import numpy as np
 
+from finring.classify import (ClassifyConfig, ConditionResult, _refutation,
+                              gaussian_ring_verdict)
 from finring.ideals import (Ideal, IdealLattice, LocalFactor,
                             additive_closure_indices, content_calculus,
-                            enumerate_ideals, ideal_product, is_local,
-                            is_locally_principal, is_principal, localize_at,
-                            maximal_ideals, minimal_generators, push_ideal)
+                            enumerate_ideals, first_nonprincipal_maximal,
+                            ideal_product, is_local, is_locally_principal,
+                            is_principal, local_factors, localize_at,
+                            make_quotient, maximal_ideals, minimal_generators,
+                            principal_ideal, push_ideal)
 from finring.polys import (_PAIR_CHUNK, RingPoly, _convolve_columns, content,
                            decode_poly_block, make_poly, poly_count, poly_mul)
-from finring.rings import (CACHE_BLOCK, FiniteRing, RingHom, _scan_witnesses,
-                           blocks, element_units, mask_from_indices,
-                           unit_partition)
+from finring.rings import (CACHE_BLOCK, FiniteRing, QuotientRing, RingHom,
+                           _scan_witnesses, blocks, element_units,
+                           mask_from_indices, unit_partition)
 
 
 def atoms_by_pairwise_scan(lattice: IdealLattice) -> list:
@@ -136,6 +141,47 @@ def local_factors_by_corner_scan(ring: FiniteRing) -> list[LocalFactor]:
             principal, (in_socle - 1) // (size // n_size - 1),
             in_socle == n_size))
     return sorted(records, key=lambda f: (f.maximal.size, f.maximal.mask))
+
+
+def quotient_factor(ring: FiniteRing, e: int) -> QuotientRing:
+    """R/(1 − e)R for a primitive idempotent e: (1 − e)R is the kernel of
+    the projection r ↦ e·r onto the corner eR, so the quotient is a copy of
+    the local factor eR ≅ R_m on the minimal coset representatives."""
+    complement = ring.add(ring.one, int(ring.neg_arr(e)))
+    return make_quotient(ring, principal_ideal(ring, complement))[0]
+
+
+def gaussian_by_quotient_factors(ring: FiniteRing, config: ClassifyConfig
+                                 ) -> ConditionResult:
+    """The Gaussian verdict of a ring with two or more local factors, each
+    factor decided as its quotient copy R/(1 − e)R (`quotient_factor`) by
+    `gaussian_ring_verdict`, in the order of `local_factors`.  An
+    arithmetical ring is Yes at once.  The first factor whose verdict is No
+    ends the walk: its violating pair is read back from its literals and
+    lifted by r ↦ e·r of each coset representative, the one element of eR
+    in that coset, which every other factor sees as zero."""
+    if first_nonprincipal_maximal(ring) is None:
+        return ConditionResult("Yes", {"rule": "arithmetical"})
+    rows = []
+    for local in local_factors(ring):
+        e = local.idempotent
+        factor = quotient_factor(ring, e)
+        verdict = gaussian_ring_verdict(factor, config)
+        if verdict.verdict == "No":
+            lifted = ring.mul_arr(factor.reps, e)
+            f, g = (make_poly(ring, [int(lifted[factor.encode_literal(lit)])
+                                     for lit in verdict.witness[key]])
+                    for key in ("f", "g"))
+            return _refutation(f, g, lifted_from_localization_order=factor.order)
+        rows.append((factor.order, verdict))
+    certificate = {"rule": "local_factor_decomposition",
+                   "factors": [{"localization_order": order, "status": v.verdict,
+                                "certificate": v.certificate} for order, v in rows]}
+    if all(v.verdict == "Yes" for _, v in rows):
+        return ConditionResult("Yes", certificate)
+    return ConditionResult(
+        "BoundedYes", certificate,
+        bound=min(v.bound for _, v in rows if v.verdict == "BoundedYes"))
 
 
 def product_mask_by_member_closure(i: Ideal, j: Ideal) -> int:

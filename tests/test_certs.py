@@ -439,7 +439,8 @@ def test_tampered_certificate_rejected(condition, mutate, match):
 # certificates replay through their localizations
 REBUILT_SPECS = [*sorted((SPECS / "above_bound").glob("*.ring")),
                  *(SPECS / f"{name}.ring"
-                   for name in ("f2sq_x_z12", "z4f2_x_f4", "z4sq_x_z2"))]
+                   for name in ("f2sq_x_z12", "z4f2_x_f4", "z4sq_x_z2",
+                                "z32f2_x_z2"))]
 
 
 @pytest.mark.parametrize("path", REBUILT_SPECS, ids=lambda path: path.stem)

@@ -27,6 +27,7 @@ from finring.rings import (ProductRing, RingHom, TrivialExtensionRing,
                            ZmodRing, free_module, standard_gf)
 from finring.specfile import build_target, parse_ring_spec
 from oracles import (arithmetical_by_lattice_scan,
+                     gaussian_by_quotient_factors,
                      generator_layouts_by_full_scan, maximals_by_pairwise_scan,
                      pseudo_candidates_by_full_scan, substituted)
 
@@ -135,8 +136,8 @@ def test_product_decomposition_rule():
 
 def test_product_decomposition_lifts_a_factor_refutation():
     # Z4 ∝ Z4 is not Gaussian, so neither is (Z4 ∝ Z4) × Z2: its violating
-    # pair is lifted from the factor of order 16 (tests/test_certs.py
-    # replays it)
+    # pair is found in the corner of the factor of order 16, which the
+    # certificate names (tests/test_certs.py replays it)
     cond = gaussian_ring_verdict(_spec_ring("z4sq_x_z2"), ClassifyConfig()).to_dict()
     assert cond["verdict"] == "No"
     assert cond["certificate"]["lifted_from_localization_order"] == 16
@@ -184,8 +185,8 @@ def _fresh_specs(patch):
     (_f2sq_x_z512, _DECOMPOSED),
 ], ids=["z4f2_x_f4", "f2sq_x_z12", "z4sq_x_z2", "f2sq_x_z512"])
 def test_product_decomposition_builds_no_product_ring(monkeypatch, make, verdicts):
-    # `local_factors` checks that R is the product of its factors R/(1 − e)R,
-    # so the decider builds no product ring and verifies no hom; replay, on
+    # `local_factors` checks that R is the product of its corners eR, so
+    # the decider builds no product ring and verifies no hom; replay, on
     # a freshly built copy, reads R ≅ Π R_m from the kernels of its
     # localizations and builds neither either
     def refuse(*args, **kwargs):
@@ -210,21 +211,61 @@ def test_product_decomposition_builds_no_product_ring(monkeypatch, make, verdict
     assert fresh is not ring
 
 
-def test_factor_lift_is_the_corner_element_of_each_coset(corpus_rings):
-    # each coset of (1 − e)R holds exactly one element of eR, e·rep: it lies
-    # in eR (e fixes it) and the factor sends it back to its own coset
-    specs = (_spec_ring(path.stem) for path in sorted(SPECS.glob("*.ring")))
-    non_local = [r for r in (*corpus_rings, *specs) if is_local(r) is None]
-    assert len(non_local) > 3
-    for ring in non_local:
-        for local in ideals.local_factors(ring):
-            e = local.idempotent
-            factor, _ = ideals.make_quotient(ring, ideals.principal_ideal(
-                ring, ideals.complement_idempotent(ring, e)))
-            lifted = ring.mul_arr(factor.reps, e)
-            assert np.array_equal(ring.mul_arr(lifted, e), lifted), ring.name
-            assert np.array_equal(factor.coset_id[lifted],
-                                  np.arange(factor.order)), ring.name
+PARITY_CONFIG = ClassifyConfig(pair_cap=100_000)
+
+
+def _parity_makers():
+    """Builders, each making its ring afresh, of the rings whose Gaussian
+    verdict the corner path and the quotient oracle must agree on: the
+    specs, R × Z2 and R × F3 for each local corpus ring R that is not
+    arithmetical, and Zn ∝ Zn for three composite n."""
+    def spec_maker(path):
+        def make():
+            for cache in ("_RING_CACHE", "_MODULE_CACHE"):
+                setattr(specfile, cache, {})
+            return build_target(parse_ring_spec(path.read_text(encoding="utf-8")))
+        return make
+
+    def product_maker(at, q):
+        return lambda: ProductRing(generate_corpus(CorpusConfig())[at], ZmodRing(q))
+
+    corpus = generate_corpus(CorpusConfig())
+    bases = [at for at, ring in enumerate(corpus) if is_local(ring) is not None
+             and first_nonprincipal_maximal(ring) is not None]
+    products = [product_maker(at, q) for at in bases for q in (2, 3)]
+    specs = [spec_maker(path) for path in sorted(SPECS.glob("*.ring"))]
+    self_extensions = [lambda n=n: _self_extension(n, 1) for n in (12, 18, 20)]
+    return specs, products, self_extensions
+
+
+def test_corner_decomposition_matches_the_quotient_oracle(monkeypatch):
+    # rule (b) decides each factor on its corner eR of R; the oracle decides
+    # it on the quotient copy R/(1 − e)R and lifts its pair.  The verdict,
+    # certificate and bound agree on every non-local ring, and the pair too
+    # on a product, whose corner elements keep the order of the coset
+    # representatives; every result replays on a ring built again
+    monkeypatch.setattr(specfile, "_RING_CACHE", {})
+    monkeypatch.setattr(specfile, "_MODULE_CACHE", {})
+    specs, products, self_extensions = _parity_makers()
+    checked, verdicts = 0, set()
+    for make in [*specs, *products, *self_extensions]:
+        ring = make()
+        if is_local(ring) is not None:
+            continue
+        corner = gaussian_ring_verdict(ring, PARITY_CONFIG).to_dict()
+        oracle = gaussian_by_quotient_factors(ring, PARITY_CONFIG).to_dict()
+        same_pair = isinstance(ring, ProductRing)
+        for key in ("verdict", "certificate", "bound") + ("witness",) * same_pair:
+            assert corner.get(key) == oracle.get(key), (ring.name, key)
+        fresh = make()
+        assert fresh is not ring
+        for result in (corner, oracle):
+            assert replay_condition(fresh, "gaussian", json.loads(to_json(result)))
+        checked += 1
+        verdicts.add(corner["verdict"])
+    # five non-local specs, 13 corpus rings R
+    assert (checked, len(products)) == (5 + 26 + 3, 26)
+    assert verdicts == {"Yes", "No", "BoundedYes"}
 
 
 # ---------------------------------------------------------------- chain + structure
@@ -315,7 +356,7 @@ def test_arithmetical_rule_matches_the_lattice_scan():
         rule = first_nonprincipal_maximal(ring) is None
         assert rule == arithmetical_by_lattice_scan(ring), ring.name
         verdicts.append(rule)
-    assert (len(verdicts), sum(verdicts)) == (463, 433)
+    assert (len(verdicts), sum(verdicts)) == (464, 433)
 
 
 @pytest.mark.parametrize("make, verdict, count", [
@@ -415,7 +456,7 @@ def test_arithmetical_witness_is_the_bad_factors_maximal_ideal(monkeypatch):
         fresh = specfile.build_ring(ring.spec)
         assert fresh is not ring
         assert replay_report(fresh, report) == 2
-    assert bad_rings == 23 + 9
+    assert bad_rings == 23 + 10
 
 
 def test_replay_rejects_a_principal_maximal_ideal_as_witness():

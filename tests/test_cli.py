@@ -246,8 +246,8 @@ def test_seed_is_not_a_flag(spec_path, capsys):
 
 
 def test_exit_2_on_order_above_budget(tmp_path, monkeypatch, capsys):
-    # zmod(10^11) builds without tables; classify must refuse it before any
-    # decider allocates a per-element array
+    # zmod(10^11) is refused when it is built, before any decider allocates
+    # a per-element array
     classify_module = importlib.import_module("finring.classify")
 
     def no_decider(*_args):
@@ -259,6 +259,27 @@ def test_exit_2_on_order_above_budget(tmp_path, monkeypatch, capsys):
     assert main(["classify", "--spec", str(path)]) == 2
     err = capsys.readouterr().err
     assert "bound exceeded" in err.lower()
+    assert "Traceback" not in err
+
+
+HUGE = "ring a = zmod(100000000000)\n"
+
+
+@pytest.mark.parametrize("spec", [
+    HUGE + "ring r = quotient(a, gens=[4])\n",
+    HUGE + "module e = quot_module(a, gens=[2])\nring r = trivext(a, e)\n",
+    # the target is small, so classify's order guard never sees zmod(10^11)
+    HUGE + "poly f = [2, 1]\nring r = zmod(4)\n",
+], ids=["quotient", "quot_module", "poly_on_a_non_target_ring"])
+def test_exit_2_on_a_spec_ring_above_the_order_budget(tmp_path, capsys, spec):
+    # zmod(10^11) is refused when it is built, before a quotient's coset
+    # sweep, a quotient module's action table or a polynomial's witness
+    # search allocates an array over its elements
+    path = tmp_path / "huge.spec"
+    path.write_text(spec)
+    assert main(["classify", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "above the largest supported order" in err
     assert "Traceback" not in err
 
 

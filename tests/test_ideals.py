@@ -27,8 +27,8 @@ from finring.ideals import (additive_closure_indices, annihilator,
                             is_invertible, is_local, is_locally_principal,
                             is_principal, is_regular_ideal, local_factors,
                             localize_at, make_quotient, mask_from_indices, maximal_ideals,
-                            principal_ideal, push_ideal, residue_vector_space,
-                            subgroup_sum_indices,
+                            principal_ideal, push_ideal, quotient_module,
+                            residue_vector_space, subgroup_sum_indices,
                             zero_ideal_locally_irreducible)
 from finring.rings import (ProductRing, QuotientRing, TrivialExtensionRing,
                            ZmodRing, element_units, free_module,
@@ -38,7 +38,7 @@ from oracles import (atoms_by_pairwise_scan, is_irreducible, kernel_indices,
                      localization_kernel_by_annihilator_scan,
                      locally_principal_by_localization,
                      maximals_by_pairwise_scan, nonunit_mask_by_pairwise_sums,
-                     product_mask_by_member_closure)
+                     product_mask_by_member_closure, quotient_factor)
 
 
 # (mask, gens) of every lattice ideal of each corpus ring of order <= 16,
@@ -435,8 +435,8 @@ def test_localization_kernel_is_the_annihilator_scan():
                                   localization_kernel_by_annihilator_scan(ring, m)), \
                 ring.name
             checked += 1
-    # 129 corpus rings and four specs, Z16³ among them
-    assert (len(rings), checked) == (133, 313)
+    # 129 corpus rings and five specs, Z16³ among them
+    assert (len(rings), checked) == (134, 315)
 
 
 def _count_lattice_builds(monkeypatch) -> list:
@@ -592,7 +592,7 @@ def test_local_factors_invariant_rejects_a_wrong_idempotent_set(monkeypatch,
 
 
 def test_local_factors_match_localization():
-    # the deciders read corners, and the Gaussian decomposition builds each
+    # the deciders read corners, and the Gaussian parity oracle builds each
     # factor as R/(1 − e)R; replay and the oracle localize by the kernel
     # quotient.  All must see the same maximals, factor rings, verdicts and
     # counterexamples.
@@ -615,9 +615,7 @@ def test_local_factors_match_localization():
         for f in factors:
             localized = localize_at(ring, f.maximal)[0]
             assert f.corner.bit_count() == f.order == localized.order, ring.name
-            kernel = principal_ideal(
-                ring, ideals.complement_idempotent(ring, f.idempotent))
-            factor = make_quotient(ring, kernel)[0]
+            factor = quotient_factor(ring, f.idempotent)
             assert np.array_equal(factor.reps, localized.reps), ring.name
             assert np.array_equal(factor.coset_id, localized.coset_id), ring.name
         non_local += len(factors) > 1
@@ -806,6 +804,14 @@ def test_make_quotient_and_residue_space():
     m_idx = is_local(z4).indices
     for a in m_idx.tolist():
         assert np.all(space.act_arr(np.int64(a), np.arange(4)) == 0)
+
+
+def test_quotient_module_needs_a_table_backed_base():
+    # its action table has a row per element of the base, as a free
+    # module's does
+    ring = ZmodRing(2048)
+    with pytest.raises(RingBuildError, match="table-backed"):
+        quotient_module(ring, principal_ideal(ring, 2))
 
 
 def test_product_of_square_zero_ideal_multiplies_generator_pairs(monkeypatch):

@@ -12,7 +12,8 @@ other modules read the fields of its factor record.  Neither the deciders
 nor replay build a product ring or check a hom: `ideals.local_factors`
 checks that R is the product of its local factors, and replay reads
 R ≅ Π R_m from the kernels of its quotient maps by the Chinese remainder
-theorem.  The deciders
+theorem.  The deciders build no quotient copy either: they decide each
+local factor on its corner eR of R.  The deciders
 read no scale constant: `ideals.enumerate_ideals` enforces the lattice bound
 and `rings.unit_partition` the scan bound, and classify.py names the lattice
 bound only to echo it in reports.  Replay builds no ideal lattice and
@@ -40,6 +41,8 @@ TABLE_ATTRS = {"_tables", "_madd", "_mneg", "_act"}
 CORNER = "corner"
 # the product ring and hom check that neither the deciders nor replay build
 PRODUCT_CHECK = {"ProductRing", "RingHom"}
+# the quotient copy of a local factor, which the deciders never build
+QUOTIENT_COPY = {"make_quotient", "QuotientRing"}
 # the order bounds, which the modules that build lattices and scans enforce
 SCALE_CONSTANTS = {"LATTICE_LIMIT", "KIND_SCAN_LIMIT"}
 # the one place in classify.py that names one: the bound echoed in reports
@@ -139,6 +142,18 @@ def test_product_check_sees_imports_and_attributes(tmp_path):
                      "def f(rings, a, b, m):\n"
                      "    return rings.RingHom(a, b, m).verify()\n")
     assert _names(probe) & PRODUCT_CHECK == PRODUCT_CHECK
+
+
+def test_deciders_build_no_quotient_copy():
+    assert _names(SOURCE / "classify.py") & QUOTIENT_COPY == set()
+
+
+def test_quotient_check_sees_imports_and_attributes(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .ideals import make_quotient as split\n"
+                     "def f(rings, ring, ideal):\n"
+                     "    return isinstance(split(ring, ideal)[0], rings.QuotientRing)\n")
+    assert _names(probe) & QUOTIENT_COPY == QUOTIENT_COPY
 
 
 def _corner_names(path: Path) -> set[str]:

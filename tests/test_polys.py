@@ -201,8 +201,9 @@ def test_affordable_degree_matches_the_full_scan():
 
 
 def test_ring_refutation_search_frozen():
+    ring = _self_idealization(4)
     hit, exhausted, checked = ring_gaussian_refutation_search(
-        _self_idealization(4), 3)
+        ring, local_factors(ring)[0], 3)
     assert hit is not None
     f, g = hit
     lhs = content(poly_mul(f, g))
@@ -214,7 +215,9 @@ def test_ring_refutation_search_frozen():
 
 
 def test_ring_refutation_search_clean_on_gaussian_ring():
-    hit, exhausted, checked = ring_gaussian_refutation_search(ZmodRing(8), 2)
+    ring = ZmodRing(8)
+    hit, exhausted, checked = ring_gaussian_refutation_search(
+        ring, local_factors(ring)[0], 2)
     assert hit is None
     assert exhausted >= 2
 
@@ -240,8 +243,9 @@ def test_pair_search_decodes_only_the_degrees_it_reads(monkeypatch):
     # row 8 and column 8 of the 992 × 992 (1, 1) pairs:
     # 1,046,529 + 8·992 + 8 + 1
     degrees = _spy_candidate_degrees(monkeypatch)
+    ring = _self_idealization(8)
     hit, exhausted, checked = ring_gaussian_refutation_search(
-        _self_idealization(8), 3)
+        ring, local_factors(ring)[0], 3)
     assert [p.coeffs for p in hit] == [(16, 1), (16, 1)]
     assert exhausted is None and checked == 1_054_474
     assert set(degrees) == {1}
@@ -256,8 +260,9 @@ def test_pair_search_budget_counted_up_front(monkeypatch, order, pair_cap,
                                              frozen, decoded):
     # (exhausted degree, pairs_checked) frozen at eager tables
     degrees = _spy_candidate_degrees(monkeypatch)
+    ring = _self_idealization(order)
     hit, exhausted, checked = ring_gaussian_refutation_search(
-        _self_idealization(order), 3, pair_cap)
+        ring, local_factors(ring)[0], 3, pair_cap)
     assert hit is None
     assert (exhausted, checked) == frozen
     assert set(degrees) == decoded
@@ -265,13 +270,15 @@ def test_pair_search_budget_counted_up_front(monkeypatch, order, pair_cap,
 
 def test_pair_search_stops_counting_at_the_first_unaffordable_degree():
     # a degree bound far past the budget searches what degree 3 searched
+    ring = _self_idealization(8)
     assert ring_gaussian_refutation_search(
-        _self_idealization(8), 100_000, 100_000) == (None, 0, 62_465)
+        ring, local_factors(ring)[0], 100_000, 100_000) == (None, 0, 62_465)
 
 
 def test_pair_search_cap_below_first_degree_raises():
+    ring = _self_idealization(4)
     with pytest.raises(BoundExceededError):
-        ring_gaussian_refutation_search(_self_idealization(4), 3, 100)
+        ring_gaussian_refutation_search(ring, local_factors(ring)[0], 3, 100)
 
 
 def test_pair_search_counts_constant_factor_pairs(monkeypatch):
@@ -288,16 +295,11 @@ def test_pair_search_counts_constant_factor_pairs(monkeypatch):
 
     monkeypatch.setattr(polys, "_convolve_columns", spy)
     config = ClassifyConfig()
+    ring = _self_idealization(25)
     result = ring_gaussian_refutation_search(
-        _self_idealization(25), config.degree_bound, config.pair_cap)
+        ring, local_factors(ring)[0], config.degree_bound, config.pair_cap)
     assert result == (None, 0, 3_859_376)
     assert degrees == [] and convolutions == []
-
-
-def test_pair_search_refuses_a_non_local_ring():
-    ring = ProductRing(_self_idealization(4), ZmodRing(2))
-    with pytest.raises(RingBuildError):
-        ring_gaussian_refutation_search(ring, 1)
 
 
 def _one_block_per_degree(monkeypatch):
@@ -349,12 +351,12 @@ def test_growing_blocks_keep_the_pair_search_outcome(monkeypatch, corpus_rings):
     # the blocks are contiguous and run in the pinned order: the same first
     # violation and pairs_checked, or the same exhausted degree and total
     local = [r for r in corpus_rings if r.order <= 16 and is_local(r) is not None]
-    growing, whole = _outcomes(
-        monkeypatch, lambda ring: ring_gaussian_refutation_search(ring, 2), local)
+    growing, whole = _outcomes(monkeypatch, lambda ring: (
+        ring_gaussian_refutation_search(ring, local_factors(ring)[0], 2)), local)
     assert growing == whole
     assert any(hit is not None for hit, _, _ in growing)
-    growing, whole = _outcomes(
-        monkeypatch, lambda ring: ring_gaussian_refutation_search(ring, 3),
+    growing, whole = _outcomes(monkeypatch, lambda ring: (
+        ring_gaussian_refutation_search(ring, local_factors(ring)[0], 3)),
         [_self_idealization(8)])
     assert growing == whole == [(((16, 1), (16, 1)), None, 1_054_474)]
 
@@ -485,7 +487,7 @@ def test_searches_reject_a_fabricated_violation(monkeypatch):
     with pytest.raises(ConsistencyError):
         gaussian_witness_search(poly_from_literals(ring, [2]), 1)
     with pytest.raises(ConsistencyError):
-        ring_gaussian_refutation_search(ring, 1)
+        ring_gaussian_refutation_search(ring, local_factors(ring)[0], 1)
 
 
 # ---------------------------------------------------------------- exhaustive oracle

@@ -20,7 +20,7 @@ from oracles import local_factors_by_corner_scan
 
 SPECS = Path(__file__).resolve().parent / "specs"
 PRODUCT_SPECS = ["z16_cube", "f2sq_x_z12", "z4f2_x_f4", "z4sq_x_z2",
-                 "above_bound/z17_trivext_x_z17"]
+                 "z32f2_x_z2", "above_bound/z17_trivext_x_z17"]
 
 
 def _corpus_products(max_order: int):
