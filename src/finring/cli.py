@@ -159,7 +159,7 @@ def cmd_classify(args) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file: {exc}") from exc
     program = parse_ring_spec(text)
     config = _classify_config(args)

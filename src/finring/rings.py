@@ -26,7 +26,7 @@ at a·n + b.  Both reads return intp, so no narrow array leaves this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,48 +124,44 @@ def render_literal(lit) -> str:
 
 
 @dataclass(frozen=True)
-class RingSpec:
+class Spec:
+    """Provenance tree recording how a ring or module was constructed.
+
+    Each node stores its depth and its hash, both computed once from its
+    children's, so a tree whose nodes share children is hashed in time
+    linear in its distinct nodes."""
+
+    kind: str
+    params: tuple = ()
+    children: tuple = ()
+    depth: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "depth", 1 + max(
+            (child.depth for child in self.children), default=0))
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.params, tuple(child._hash for child in self.children))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def label(self) -> str:
+        """kind(child labels..., params...): a tuple parameter is written in
+        brackets, and a Galois field leaves out its modulus."""
+        params = self.params[:2] if self.kind == "gf" else self.params
+        args = [child.label() for child in self.children] + [
+            "[" + ",".join(map(render_literal, p)) + "]" if isinstance(p, tuple)
+            else str(p) for p in params]
+        return f"{self.kind}({','.join(args)})"
+
+
+class RingSpec(Spec):
     """Provenance tree recording how a ring was constructed."""
 
-    kind: str
-    params: tuple = ()
-    children: tuple = ()
 
-    def label(self) -> str:
-        if self.kind == "zmod":
-            return f"zmod({self.params[0]})"
-        if self.kind == "gf":
-            return f"gf({self.params[0]},{self.params[1]})"
-        if self.kind == "product":
-            a, b = self.children
-            return f"product({a.label()},{b.label()})"
-        if self.kind == "quotient":
-            gens = ",".join(render_literal(g) for g in self.params[0])
-            return f"quotient({self.children[0].label()},[{gens}])"
-        if self.kind == "trivext":
-            ring, mod = self.children
-            return f"trivext({ring.label()},{mod.label()})"
-        raise ValueError(f"unknown ring spec kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Spec):
     """Provenance tree recording how a module was constructed."""
-
-    kind: str
-    params: tuple = ()
-    children: tuple = ()
-
-    def label(self) -> str:
-        if self.kind == "free":
-            return f"free({self.children[0].label()},{self.params[0]})"
-        if self.kind == "quot_module":
-            gens = ",".join(render_literal(g) for g in self.params[0])
-            return f"quot_module({self.children[0].label()},[{gens}])"
-        if self.kind == "sum":
-            a, b = self.children
-            return f"sum({a.label()},{b.label()})"
-        raise ValueError(f"unknown module spec kind {self.kind!r}")
 
 
 class FiniteRing:

@@ -12,22 +12,72 @@ Line-oriented grammar (statements split on newlines and ';', comments with #):
     module <id> = sum(<module-id>,<module-id>)
     poly   <id> = [c0, c1, ...]
 
-Element literals are integers for zmod/gf and (possibly nested) tuples for
-products and trivial extensions.  A poly statement binds to the most recently
-declared ring.  The classification target is the last ring declared.
+One table, `CONSTRUCTORS`, knows the constructors: for each kind, whether it
+declares a ring or a module, the shapes of its arguments and its builder.
+The parser reads each argument by its shape; a spec keeps the ring and module
+arguments as its children and the others as its params, and `build_ring`
+calls builder(*built children, *params, spec).
+
+A file is UTF-8 text.  An integer is at most 18 ASCII digits, optionally
+after '-'; a name starts with a letter (`str.isalpha`) or '_' and goes on with
+letters, digits or '_'.  Element literals are integers for zmod/gf and
+(possibly nested) tuples for products and trivial extensions.  Tuple literals,
+and chains of constructors, nest at most MAX_NESTING deep.  A poly statement
+binds to the most recently declared ring.  The classification target is the
+last ring declared.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import RingBuildError, SpecError
 from .ideals import ideal_generated_by, make_quotient, quotient_module
 from .rings import (FiniteModule, FiniteRing, GFRing, ModuleSpec, ProductRing,
-                    RingSpec, TrivialExtensionRing, ZmodRing, free_module,
-                    module_sum)
+                    RingSpec, Spec, TrivialExtensionRing, ZmodRing,
+                    free_module, module_sum)
 
 MAX_INT_DIGITS = 18   # above every supported order and rank; literals fit int64
+# each tuple level, and each product, trivext, free or sum, at least doubles
+# an order, and no ring exceeds 2^20, so no buildable ring nests this deep
+MAX_NESTING = 64
+
+_TOKEN = re.compile(r"(?P<INT>-?[0-9]+)|(?P<IDENT>\w+)|(?P<SYM>[()\[\]=,;])"
+                    r"|(?P<NEWLINE>\n)|[ \t\r]+|#[^\n]*|(?P<BAD>.)")
+
+
+def _quotient(parent: FiniteRing, gens: tuple, spec: RingSpec) -> FiniteRing:
+    ideal = ideal_generated_by(parent, [parent.encode_literal(l) for l in gens])
+    return make_quotient(parent, ideal, spec)[0]
+
+
+def _quot_module(base: FiniteRing, gens: tuple, spec: ModuleSpec) -> FiniteModule:
+    ideal = ideal_generated_by(base, [base.encode_literal(l) for l in gens])
+    return quotient_module(base, ideal, spec)
+
+
+class Constructor(NamedTuple):
+    declares: str             # "ring" or "module"
+    shapes: tuple[str, ...]   # "ring", "module", "int", or "<keyword>=<item shape>"
+    builder: Callable         # builder(*built children, *params, spec)
+
+
+CONSTRUCTORS = {
+    "zmod": Constructor("ring", ("int",), ZmodRing),
+    "gf": Constructor("ring", ("int", "int", "poly=int"), GFRing),
+    "product": Constructor("ring", ("ring", "ring"), ProductRing),
+    "quotient": Constructor("ring", ("ring", "gens=literal"), _quotient),
+    "trivext": Constructor("ring", ("ring", "module"), TrivialExtensionRing),
+    "free": Constructor("module", ("ring", "int"), free_module),
+    "quot_module": Constructor("module", ("ring", "gens=literal"), _quot_module),
+    "sum": Constructor("module", ("module", "module"), module_sum),
+}
+
+# the two constructors whose children must share one base ring
+_BASE_MISMATCH = {"trivext": "trivext module is not over the named base ring",
+                  "sum": "sum of modules over different base rings"}
 
 
 @dataclass(frozen=True)
@@ -40,49 +90,20 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    symbols = "()[]=,;"
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        col = match.start() - line_start + 1
+        if kind == "NEWLINE":
             tokens.append(Token("SYM", ";", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in symbols:
-            tokens.append(Token("SYM", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text) and text[i + 1].isdigit()):
-            start = i
-            i += 1
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            if i - start > MAX_INT_DIGITS + (ch == "-"):
-                raise SpecError(f"integer literal longer than {MAX_INT_DIGITS} digits", line, col)
-            tokens.append(Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        raise SpecError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("END", "", line, col))
+            line, line_start = line + 1, match.end()
+        elif kind == "BAD" or kind == "IDENT" and not (word[0].isalpha() or word[0] == "_"):
+            raise SpecError(f"unexpected character {word[0]!r}", line, col)
+        elif kind == "INT" and len(word.lstrip("-")) > MAX_INT_DIGITS:
+            raise SpecError(f"integer literal longer than {MAX_INT_DIGITS} digits", line, col)
+        elif kind is not None:
+            tokens.append(Token(kind, word, line, col))
+    tokens.append(Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -100,6 +121,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # tuple literals open at the current token
         self.program = SpecProgram()
 
     def peek(self) -> Token:
@@ -114,27 +136,15 @@ class _Parser:
         tok = tok or self.peek()
         raise SpecError(message, tok.line, tok.col)
 
-    def expect_sym(self, sym: str) -> Token:
+    def expect(self, kind: str, what: str, sym: str | None = None) -> Token:
         tok = self.take()
-        if tok.kind != "SYM" or tok.text != sym:
-            self.fail(f"expected {sym!r}, found {tok.text!r}", tok)
-        return tok
-
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.take()
-        if tok.kind != "IDENT":
+        if tok.kind != kind or sym is not None and tok.text != sym:
             self.fail(f"expected {what}, found {tok.text!r}", tok)
         return tok
 
-    def expect_int(self) -> int:
-        tok = self.take()
-        if tok.kind != "INT":
-            self.fail(f"expected integer, found {tok.text!r}", tok)
-        return int(tok.text)
-
     def parse(self) -> SpecProgram:
         while True:
-            while self.peek().kind == "SYM" and self.peek().text == ";":
+            while self.peek().text == ";":
                 self.take()
             if self.peek().kind == "END":
                 break
@@ -142,146 +152,100 @@ class _Parser:
             nxt = self.peek()
             if nxt.kind == "END":
                 break
-            if nxt.kind == "SYM" and nxt.text == ";":
-                continue
-            self.fail(f"expected end of statement, found {nxt.text!r}", nxt)
+            if nxt.text != ";":
+                self.fail(f"expected end of statement, found {nxt.text!r}", nxt)
         if self.program.target is None:
             raise SpecError("spec declares no ring")
         return self.program
 
     def statement(self) -> None:
-        head = self.expect_ident("'ring', 'module', or 'poly'")
+        head = self.expect("IDENT", "'ring', 'module', or 'poly'")
         if head.text not in ("ring", "module", "poly"):
             self.fail(f"unknown statement {head.text!r}", head)
-        name_tok = self.expect_ident("name")
+        name_tok = self.expect("IDENT", "name")
         name = name_tok.text
-        self.expect_sym("=")
-        if head.text == "ring":
-            if name in self.program.rings or name in self.program.modules:
-                self.fail(f"duplicate identifier {name!r}", name_tok)
-            self.program.rings[name] = self.ring_expr()
-            self.program.target = name
-        elif head.text == "module":
-            if name in self.program.rings or name in self.program.modules:
-                self.fail(f"duplicate identifier {name!r}", name_tok)
-            self.program.modules[name] = self.module_expr()
-        else:
+        self.expect("SYM", "'='", "=")
+        if head.text == "poly":
             if self.program.target is None:
                 self.fail("poly statement before any ring", head)
             lits = tuple(self.bracketed(self.literal))
             self.program.polys[name] = (self.program.target, lits)
+            return
+        if name in self.program.rings or name in self.program.modules:
+            self.fail(f"duplicate identifier {name!r}", name_tok)
+        spec = self.constructor(head.text)
+        if head.text == "ring":
+            self.program.rings[name] = spec
+            self.program.target = name
+        else:
+            self.program.modules[name] = spec
 
-    def ring_ref(self) -> RingSpec:
-        tok = self.expect_ident("ring name")
-        spec = self.program.rings.get(tok.text)
-        if spec is None:
-            self.fail(f"unknown ring {tok.text!r}", tok)
-        return spec
-
-    def module_ref(self) -> ModuleSpec:
-        tok = self.expect_ident("module name")
-        spec = self.program.modules.get(tok.text)
-        if spec is None:
-            self.fail(f"unknown module {tok.text!r}", tok)
-        return spec
-
-    def ring_expr(self) -> RingSpec:
-        kind = self.expect_ident("ring constructor")
-        open_tok = self.expect_sym("(")
-        if kind.text == "zmod":
-            n = self.expect_int()
-            if n < 2:
-                self.fail(f"zmod modulus must be >= 2, got {n}", open_tok)
-            self.expect_sym(")")
-            return RingSpec("zmod", (n,))
+    def constructor(self, declared: str) -> Spec:
+        """kind(argument, ...), each argument read by its shape."""
+        kind = self.expect("IDENT", f"{declared} constructor")
+        opening = self.expect("SYM", "'('", "(")
+        entry = CONSTRUCTORS.get(kind.text)
+        if entry is None or entry.declares != declared:
+            self.fail(f"unknown {declared} constructor {kind.text!r}", kind)
+        first = self.peek()
+        children, params = [], []
+        for i, shape in enumerate(entry.shapes):
+            if i:
+                self.expect("SYM", "','", ",")
+            arg = self.argument(shape)
+            (children if shape in ("ring", "module") else params).append(arg)
+        self.expect("SYM", "')'", ")")
+        spec = (RingSpec if declared == "ring" else ModuleSpec)(
+            kind.text, tuple(params), tuple(children))
+        if spec.depth > MAX_NESTING:
+            self.fail(f"constructors nested deeper than {MAX_NESTING}", kind)
+        # the checks that no shape expresses
+        if kind.text == "zmod" and params[0] < 2:
+            self.fail(f"zmod modulus must be >= 2, got {params[0]}", opening)
+        if kind.text == "free" and params[0] < 1:
+            self.fail(f"free module rank must be >= 1, got {params[0]}", kind)
+        if (kind.text in _BASE_MISMATCH
+                and module_base_spec(children[0]) != module_base_spec(children[1])):
+            self.fail(_BASE_MISMATCH[kind.text], first)
         if kind.text == "gf":
-            p = self.expect_int()
-            self.expect_sym(",")
-            k = self.expect_int()
-            self.expect_sym(",")
-            key = self.expect_ident("'poly'")
-            if key.text != "poly":
-                self.fail("gf needs poly=[...]", key)
-            self.expect_sym("=")
-            coeffs = self.bracketed(self.expect_int)
-            self.expect_sym(")")
-            spec = RingSpec("gf", (p, k, tuple(coeffs)))
             try:  # the field checks its modulus; the spec cache keeps it
                 build_ring(spec)
             except SpecError as exc:
                 self.fail(str(exc), kind)
-            return spec
-        if kind.text == "product":
-            left = self.ring_ref()
-            self.expect_sym(",")
-            right = self.ring_ref()
-            self.expect_sym(")")
-            return RingSpec("product", (), (left, right))
-        if kind.text == "quotient":
-            parent = self.ring_ref()
-            self.expect_sym(",")
-            gens = self.gens_clause()
-            self.expect_sym(")")
-            return RingSpec("quotient", (gens,), (parent,))
-        if kind.text == "trivext":
-            base_tok = self.peek()
-            base = self.ring_ref()
-            self.expect_sym(",")
-            module = self.module_ref()
-            self.expect_sym(")")
-            if module_base_spec(module) != base:
-                self.fail("trivext module is not over the named base ring", base_tok)
-            return RingSpec("trivext", (), (base, module))
-        self.fail(f"unknown ring constructor {kind.text!r}", kind)
+        return spec
 
-    def module_expr(self) -> ModuleSpec:
-        kind = self.expect_ident("module constructor")
-        self.expect_sym("(")
-        if kind.text == "free":
-            base = self.ring_ref()
-            self.expect_sym(",")
-            n = self.expect_int()
-            self.expect_sym(")")
-            if n < 1:
-                self.fail(f"free module rank must be >= 1, got {n}", kind)
-            return ModuleSpec("free", (n,), (base,))
-        if kind.text == "quot_module":
-            base = self.ring_ref()
-            self.expect_sym(",")
-            gens = self.gens_clause()
-            self.expect_sym(")")
-            return ModuleSpec("quot_module", (gens,), (base,))
-        if kind.text == "sum":
-            left_tok = self.peek()
-            left = self.module_ref()
-            self.expect_sym(",")
-            right = self.module_ref()
-            self.expect_sym(")")
-            if module_base_spec(left) != module_base_spec(right):
-                self.fail("sum of modules over different base rings", left_tok)
-            return ModuleSpec("sum", (), (left, right))
-        self.fail(f"unknown module constructor {kind.text!r}", kind)
-
-    def gens_clause(self) -> tuple:
-        key = self.expect_ident("'gens'")
-        if key.text != "gens":
-            self.fail("expected gens=[...]", key)
-        self.expect_sym("=")
-        return tuple(self.bracketed(self.literal))
+    def argument(self, shape: str):
+        """One argument of a constructor, read by its shape."""
+        if shape == "int":
+            return int(self.expect("INT", "integer").text)
+        if shape == "literal":
+            return self.literal()
+        if shape in ("ring", "module"):
+            tok = self.expect("IDENT", f"{shape} name")
+            declared = self.program.rings if shape == "ring" else self.program.modules
+            if tok.text not in declared:
+                self.fail(f"unknown {shape} {tok.text!r}", tok)
+            return declared[tok.text]
+        keyword, item = shape.split("=")
+        tok = self.expect("IDENT", repr(keyword))
+        if tok.text != keyword:
+            self.fail(f"expected {keyword}=[...]", tok)
+        self.expect("SYM", "'='", "=")
+        return tuple(self.bracketed(lambda: self.argument(item)))
 
     def bracketed(self, item) -> list:
         """'[' item, item, … ']', possibly empty."""
-        self.expect_sym("[")
+        self.expect("SYM", "'['", "[")
         out = []
-        if not (self.peek().kind == "SYM" and self.peek().text == "]"):
+        if self.peek().text != "]":
             out = self.separated(item)
-        self.expect_sym("]")
+        self.expect("SYM", "']'", "]")
         return out
 
     def separated(self, item) -> list:
         """item (',' item)*"""
         out = [item()]
-        while self.peek().kind == "SYM" and self.peek().text == ",":
+        while self.peek().text == ",":
             self.take()
             out.append(item())
         return out
@@ -290,20 +254,25 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             return int(self.take().text)
-        if tok.kind == "SYM" and tok.text == "(":
+        if tok.text == "(":
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                self.fail(f"tuple literal nested deeper than {MAX_NESTING}", tok)
             self.take()
             items = self.separated(self.literal)
-            self.expect_sym(")")
+            self.expect("SYM", "')'", ")")
+            self.nesting -= 1
             if len(items) < 2:
                 self.fail("tuple literal needs at least two components", tok)
             return tuple(items)
         self.fail(f"expected element literal, found {tok.text!r}", tok)
 
 
-def module_base_spec(spec: ModuleSpec) -> RingSpec:
-    if spec.kind in ("free", "quot_module"):
-        return spec.children[0]
-    return module_base_spec(spec.children[0])
+def module_base_spec(spec: Spec) -> RingSpec:
+    """The base ring of a module spec; a ring spec is its own base."""
+    while isinstance(spec, ModuleSpec):
+        spec = spec.children[0]
+    return spec
 
 
 def parse_ring_spec(text: str) -> SpecProgram:
@@ -315,72 +284,24 @@ _RING_CACHE: dict[RingSpec, FiniteRing] = {}
 _MODULE_CACHE: dict[ModuleSpec, FiniteModule] = {}
 
 
-def build_ring(spec: RingSpec) -> FiniteRing:
-    """Construct (memoized) the ring described by a spec tree.
+def build_ring(spec: Spec) -> FiniteRing | FiniteModule:
+    """Construct (memoized) the ring or module described by a spec tree.
 
     Identical specs return the identical object, which is what makes module /
     base-ring identity checks work across independently parsed files.
     """
-    hit = _RING_CACHE.get(spec)
+    entry = CONSTRUCTORS[spec.kind]
+    cache = _RING_CACHE if entry.declares == "ring" else _MODULE_CACHE
+    hit = cache.get(spec)
     if hit is not None:
         return hit
+    children = [build_ring(child) for child in spec.children]
     try:
-        ring = _build_ring_inner(spec)
+        built = entry.builder(*children, *spec.params, spec)
     except RingBuildError as exc:
         raise SpecError(str(exc)) from exc
-    _RING_CACHE[spec] = ring
-    return ring
-
-
-def _build_ring_inner(spec: RingSpec) -> FiniteRing:
-    if spec.kind == "zmod":
-        return ZmodRing(spec.params[0], spec)
-    if spec.kind == "gf":
-        p, k, poly = spec.params
-        return GFRing(p, k, poly, spec)
-    if spec.kind == "product":
-        return ProductRing(build_ring(spec.children[0]),
-                           build_ring(spec.children[1]), spec)
-    if spec.kind == "quotient":
-        parent = build_ring(spec.children[0])
-        gens = [parent.encode_literal(l) for l in spec.params[0]]
-        ideal = ideal_generated_by(parent, gens)
-        if ideal.is_unit_ideal():
-            raise RingBuildError("cannot quotient by the unit ideal")
-        return make_quotient(parent, ideal, spec)[0]
-    if spec.kind == "trivext":
-        base = build_ring(spec.children[0])
-        module = build_module(spec.children[1])
-        if module.base is not base:
-            raise RingBuildError("trivext module is not over the named base ring")
-        return TrivialExtensionRing(base, module, spec)
-    raise RingBuildError(f"unknown ring spec kind {spec.kind!r}")
-
-
-def build_module(spec: ModuleSpec) -> FiniteModule:
-    hit = _MODULE_CACHE.get(spec)
-    if hit is not None:
-        return hit
-    try:
-        module = _build_module_inner(spec)
-    except RingBuildError as exc:
-        raise SpecError(str(exc)) from exc
-    _MODULE_CACHE[spec] = module
-    return module
-
-
-def _build_module_inner(spec: ModuleSpec) -> FiniteModule:
-    if spec.kind == "free":
-        return free_module(build_ring(spec.children[0]), spec.params[0], spec)
-    if spec.kind == "quot_module":
-        base = build_ring(spec.children[0])
-        gens = [base.encode_literal(l) for l in spec.params[0]]
-        ideal = ideal_generated_by(base, gens)
-        return quotient_module(base, ideal, spec)
-    if spec.kind == "sum":
-        return module_sum(build_module(spec.children[0]),
-                          build_module(spec.children[1]), spec)
-    raise RingBuildError(f"unknown module spec kind {spec.kind!r}")
+    cache[spec] = built
+    return built
 
 
 def build_target(program: SpecProgram) -> FiniteRing:

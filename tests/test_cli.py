@@ -294,6 +294,62 @@ def test_exit_1_on_overlong_integer_literal(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, fragment", [
+    # '²'.isdigit() holds, but an integer is ASCII digits only
+    ("ring a = zmod(²)\n".encode(), "line 1, col 15: unexpected character '²'"),
+    (b"ring a = zmod(4)\xff", "cannot read spec file"),
+], ids=["superscript_digit", "not_utf8"])
+def test_exit_1_on_an_unreadable_character(tmp_path, capsys, data, fragment):
+    path = tmp_path / "odd.spec"
+    path.write_bytes(data)
+    assert main(["classify", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+def test_exit_1_on_a_literal_nested_too_deep(tmp_path, capsys):
+    # the 65th '(' is refused, before any recursion that deep
+    path = tmp_path / "deep.spec"
+    path.write_text("ring a = zmod(4)\npoly f = [" + "(" * 3000 + "0"
+                    + ", 0)" * 3000 + "]\n")
+    assert main(["classify", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2, col 75: tuple literal nested deeper than 64" in err
+    assert "Traceback" not in err
+
+
+def test_exit_1_on_a_constructor_chain_nested_too_deep(tmp_path, capsys):
+    # r63 nests 64 constructors and is accepted; r64 is refused at its kind
+    lines = ["ring r0 = zmod(4)"] + [f"ring r{k} = quotient(r{k - 1}, gens=[0])"
+                                     for k in range(1, 600)]
+    assert finring.parse_ring_spec("\n".join(lines[:64])).target == "r63"
+    path = tmp_path / "chain.spec"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["classify", "--spec", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "line 65, col 12: constructors nested deeper than 64" in err
+    assert "Traceback" not in err
+
+
+def test_shared_children_are_hashed_once(tmp_path):
+    # r40 = product(r39, r39) names 2^40 leaves but 41 distinct specs; a
+    # spec that hashes its children again on every lookup never finishes,
+    # so the run is bounded by a timeout in a child process
+    path = tmp_path / "shared.spec"
+    path.write_text("ring r0 = zmod(2)\n" + "".join(
+        f"ring r{k} = product(r{k - 1}, r{k - 1})\n" for k in range(1, 41)))
+    env = {k: v for k, v in os.environ.items() if k != SEARCH_CAP_ENV}
+    env["PYTHONPATH"] = str(Path(finring.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from finring.cli import main; sys.exit(main())",
+         "classify", "--spec", str(path)],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "above the largest supported order" in proc.stderr
+
+
 def test_exit_3_on_internal_inconsistency(spec_path, monkeypatch, capsys):
     from finring import cli
     from finring.errors import ConsistencyError

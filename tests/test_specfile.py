@@ -1,9 +1,11 @@
 """Spec-file grammar: parsing, validation diagnostics, and ring building."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from finring import specfile
-from finring.errors import SpecError
+from finring.cli import main
+from finring.errors import BoundExceededError, RingBuildError, SpecError
 from finring.rings import GFRing
 from finring.specfile import build_ring, build_target, parse_ring_spec
 
@@ -166,3 +168,78 @@ poly f = [(0, (1, 0)), (0, (0, 1))]
     assert program.polys["f"] == ("r", ((0, (1, 0)), (0, (0, 1))))
     ring = build_target(program)
     assert ring.encode_literal((0, (1, 0))) == 2
+
+
+# ---------------------------------------------------------------- fuzz
+
+# grammar words and small integers, so that no drawn ring is large; most
+# statements follow a constructor's argument shapes and most names are
+# declared by the first four lines, so that many texts parse and build
+PRELUDE = ["ring a = zmod(4)", "ring b = zmod(6)", "module e = free(a, 1)",
+           "module m = quot_module(b, gens=[2])"]
+DECLARED = {"ring": st.sampled_from(["c", "d"]), "module": st.sampled_from(["n", "o"])}
+NAMES = {"ring": st.sampled_from(["a", "b", "c"]), "module": st.sampled_from(["e", "m", "n"])}
+INTEGER = st.integers(min_value=-3, max_value=40).map(str)
+LITERAL = st.recursive(INTEGER, lambda inner: st.lists(inner, min_size=2, max_size=3)
+                       .map(lambda items: "(" + ", ".join(items) + ")"), max_leaves=6)
+WORD = st.one_of(INTEGER, st.sampled_from([
+    "ring", "module", "poly", *specfile.CONSTRUCTORS, "gens", "a", "e", "(",
+    ")", "[", "]", "=", ",", ";", "\n", "#", "²"]))
+
+
+def _argument(shape):
+    if shape in NAMES:
+        return NAMES[shape]
+    if shape == "int":
+        return INTEGER
+    keyword, item = shape.split("=")
+    items = st.lists(INTEGER if item == "int" else LITERAL, max_size=4)
+    return items.map(lambda xs: f"{keyword}=[{', '.join(xs)}]")
+
+
+SHAPED = st.one_of([
+    st.tuples(DECLARED[entry.declares], *map(_argument, entry.shapes)).map(
+        lambda args, kind=kind, entry=entry:
+        f"{entry.declares} {args[0]} = {kind}({', '.join(args[1:])})")
+    for kind, entry in specfile.CONSTRUCTORS.items()])
+STATEMENT = st.one_of(
+    SHAPED,
+    st.builds("poly {} = [{}]".format, st.sampled_from(["f", "g"]),
+              st.lists(LITERAL, max_size=3).map(", ".join)),
+    st.lists(WORD, max_size=12).map(" ".join))
+TEXT = st.lists(STATEMENT, max_size=4).map(
+    lambda statements: "\n".join([*PRELUDE, *statements]))
+
+CHAIN = "ring r0 = zmod(4)\n" + "".join(
+    f"ring r{k} = quotient(r{k - 1}, gens=[0])\n" for k in range(1, 600))
+SHARED = "ring r0 = zmod(2)\n" + "".join(
+    f"ring r{k} = product(r{k - 1}, r{k - 1})\n" for k in range(1, 41))
+DEEP = "ring a = zmod(4)\npoly f = [" + "(" * 3000 + "0" + ", 0)" * 3000 + "]\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TEXT)
+@example("ring a = zmod(²)")
+@example(DEEP)
+@example(CHAIN)
+@example(SHARED)
+def test_drawn_specs_raise_only_spec_build_or_bound_errors(text):
+    try:
+        program = parse_ring_spec(text)
+        for spec in [*program.rings.values(), *program.modules.values()]:
+            build_ring(spec)
+    except (SpecError, RingBuildError, BoundExceededError):
+        pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(TEXT.map(str.encode), st.binary(max_size=40)))
+@example("ring a = zmod(²)".encode())
+@example(b"ring a = zmod(4)\xff")
+@example(DEEP.encode())
+@example(CHAIN.encode())
+@example(SHARED.encode())
+def test_drawn_spec_files_exit_0_1_or_2(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("drawn") / "drawn.spec"
+    path.write_bytes(data)
+    assert main(["classify", "--spec", str(path)]) in (0, 1, 2)
